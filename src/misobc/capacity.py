@@ -10,10 +10,19 @@ Three Monte Carlo quantities share one channel ensemble:
 * ``rq``   : rate needed to forward a quantized overheard mixture,
   E log2(1 + (P/(2D)) (|g|^2 + |h|^2)).
 
-All three are evaluated on the same matrix draws (common random
+All three are evaluated on the same channel ensemble (common random
 numbers), so ratios and differences of estimates are far tighter than
 their individual error bars.  ``paired_sweep`` exposes the covariance
 of the paired sample means for exactly that purpose.
+
+The ensemble is drawn in fixed blocks of 2^16 samples; block k comes
+from the Philox stream ``core.stream(seed, 1, k)``, so the samples
+depend only on the seed and the sample count.  Each sample is drawn
+directly as the three statistics the rates depend on, from four
+i.i.d. Exp(1) variables (see ``_draw_moments``); no Gaussian matrix is
+formed.  Workers only schedule blocks and the per-block sums are added
+in block order, so every estimate is bit-identical for any worker
+count and transient memory stays a few blocks at any sample count.
 
 The module also carries the scalar rate-distortion helpers used by the
 quantizer sizing arguments: exact reverse waterfilling, the one-level
@@ -30,7 +39,6 @@ from dataclasses import dataclass
 from typing import Callable, NamedTuple
 
 import numpy as np
-from scipy.integrate import quad
 
 from . import core
 from .core import LN2, DomainError
@@ -42,6 +50,8 @@ QUANTITIES = ("c21", "c22d", "rq")
 
 _CHANNEL_TAG = 1
 _GAIN_TAG = 2
+
+_BLOCK = 2**16
 
 
 def _fmt(x) -> str:
@@ -111,120 +121,124 @@ class ChannelMoments(NamedTuple):
 
 
 def _draw_moments(rng: np.random.Generator, count: int) -> ChannelMoments:
-    h = core.sample_cn01(rng, (count, 2, 2))
-    norm1 = h[:, 0, 0].real**2 + h[:, 0, 0].imag**2 + h[:, 0, 1].real**2 + h[:, 0, 1].imag**2
-    norm2 = h[:, 1, 0].real**2 + h[:, 1, 0].imag**2 + h[:, 1, 1].real**2 + h[:, 1, 1].imag**2
-    det = h[:, 0, 0] * h[:, 1, 1] - h[:, 0, 1] * h[:, 1, 0]
-    return ChannelMoments(norm1, norm2, det.real**2 + det.imag**2)
+    """Draw the moments of ``count`` i.i.d. 2x2 CN(0, 1) matrices, exactly.
+
+    Every |h_ij|^2 is Exp(1), so norm1 = E1 + E2.  CN(0, I) rows are
+    invariant under unitary maps, so rotating row 2 by a unitary that
+    depends only on row 1, with first column (-h12, h11) / sqrt(norm1),
+    leaves its components i.i.d. CN(0, 1) and independent of row 1.  The
+    first rotated component is det H / sqrt(norm1), hence norm2 = E3 + E4
+    and |det H|^2 = norm1 E4.
+    """
+    e = rng.standard_exponential((4, count))
+    norm1 = e[0] + e[1]
+    return ChannelMoments(norm1, e[2] + e[3], norm1 * e[3])
 
 
-def _kernel(quantity: str, distortion) -> Callable[[ChannelMoments, float], np.ndarray]:
-    """Map a quantity name to its per-draw bit-rate evaluator."""
+# The rate of one draw is ln(1 + c lin + c^2 quad) nats with c = scale * P;
+# a kernel maps a block of moments to (scale, lin, quad), quad None if linear.
+_Kernel = Callable[[ChannelMoments], tuple[float, np.ndarray, np.ndarray | None]]
+
+
+def _kernel(quantity: str, distortion) -> _Kernel:
+    """Map a quantity name to its per-draw rate as a polynomial in the power."""
     if quantity == "c21":
         if distortion is not None:
             raise ValueError("c21 takes no distortion parameter")
-
-        def values(st: ChannelMoments, power: float) -> np.ndarray:
-            return np.log1p((power / 2.0) * st.norm1) / LN2
-
-        return values
+        return lambda st: (0.5, st.norm1, None)
     if quantity == "c22d":
         d = float(distortion)
         if not math.isfinite(d) or d < 0.0:
             raise ValueError("distortion must be finite and nonnegative for c22d")
         s2 = 1.0 + d
-
-        def values(st: ChannelMoments, power: float) -> np.ndarray:
-            c = power / 2.0
-            return np.log1p(c * (st.norm1 + st.norm2 / s2) + (c * c) * st.det2 / s2) / LN2
-
-        return values
+        return lambda st: (0.5, st.norm1 + st.norm2 / s2, st.det2 / s2)
     if quantity == "rq":
         d = float(distortion)
         if not math.isfinite(d) or d <= 0.0:
             raise ValueError("distortion must be finite and positive for rq")
-
-        def values(st: ChannelMoments, power: float) -> np.ndarray:
-            return np.log1p((power / (2.0 * d)) * (st.norm1 + st.norm2)) / LN2
-
-        return values
+        return lambda st: (0.5 / d, st.norm1 + st.norm2, None)
     raise ValueError(f"unknown quantity {quantity!r}, expected one of {QUANTITIES}")
 
 
-def _chunk_sizes(total: int, workers: int) -> list[int]:
-    base, extra = divmod(total, workers)
-    sizes = [base + (1 if i < extra else 0) for i in range(workers)]
-    return [s for s in sizes if s > 0]
+def _kernels(quantities, distortion) -> list[_Kernel]:
+    """Kernels for several quantities at one distortion (c21 ignores it)."""
+    return [_kernel(q, None if q == "c21" else distortion) for q in quantities]
 
 
-def _run(grid_points, mc: MCConfig, kernels, want_cross: bool):
-    """Accumulate per-power sums for every kernel over a shared ensemble.
+def _blocks(samples: int) -> list[tuple[int, int]]:
+    """(index, count) of the fixed sample blocks; only the last may be partial."""
+    full, rest = divmod(int(samples), _BLOCK)
+    return [(k, _BLOCK) for k in range(full)] + ([(full, rest)] if rest else [])
 
-    Returns (values, stderrs, mean_cov) where values and stderrs have
-    shape (len(kernels), len(grid_points)) and mean_cov is either None
-    or the per-power covariance of the two kernel sample means
-    (requires exactly two kernels).
+
+def _run(grid_points, mc: MCConfig, kernels: list[_Kernel]):
+    """Sample means of every kernel at every power over one shared ensemble.
+
+    Returns (values, mean_cov) in bits: values has shape (len(grid_points),
+    len(kernels)) and mean_cov[j] is the covariance matrix of the kernel
+    sample means at power j, already divided by the sample count.
     """
-    if want_cross and len(kernels) != 2:
-        raise ValueError("cross moments need exactly two kernels")
     npow = len(grid_points)
     nker = len(kernels)
-    sizes = _chunk_sizes(mc.samples, mc.workers)
 
-    def worker(args):
-        index, count = args
-        rng = core.stream(mc.seed, _CHANNEL_TAG, index)
-        st = _draw_moments(rng, count)
-        s1 = np.empty((nker, npow))
-        s2 = np.empty((nker, npow))
-        s12 = np.empty(npow) if want_cross else None
+    def block(job):
+        index, count = job
+        st = _draw_moments(core.stream(mc.seed, _CHANNEL_TAG, index), count)
+        polys = [kern(st) for kern in kernels]
+        v = np.empty((nker, count))
+        s1 = np.empty((npow, nker))
+        s2 = np.empty((npow, nker, nker))
         for j, power in enumerate(grid_points):
-            vals = [kern(st, power) for kern in kernels]
-            for i, v in enumerate(vals):
-                s1[i, j] = v.sum()
-                s2[i, j] = (v * v).sum()
-            if want_cross:
-                s12[j] = (vals[0] * vals[1]).sum()
-        return s1, s2, s12
+            for i, (scale, lin, quad) in enumerate(polys):
+                c = scale * power
+                if quad is None:
+                    np.multiply(lin, c, out=v[i])
+                else:
+                    np.multiply(quad, c, out=v[i])
+                    v[i] += lin
+                    v[i] *= c
+                np.log1p(v[i], out=v[i])
+            for i in range(nker):
+                s1[j, i] = v[i].sum()
+                for m in range(i + 1):
+                    s2[j, i, m] = s2[j, m, i] = v[i] @ v[m]
+        return s1, s2
 
-    jobs = list(enumerate(sizes))
-    if mc.workers > 1 and len(jobs) > 1:
-        with ThreadPoolExecutor(max_workers=mc.workers) as pool:
-            parts = list(pool.map(worker, jobs))
-    else:
-        parts = [worker(job) for job in jobs]
-
-    S1 = np.zeros((nker, npow))
-    S2 = np.zeros((nker, npow))
-    S12 = np.zeros(npow) if want_cross else None
-    for s1, s2, s12 in parts:
-        S1 += s1
-        S2 += s2
-        if want_cross:
-            S12 += s12
+    S1 = np.zeros((npow, nker))
+    S2 = np.zeros((npow, nker, nker))
+    jobs = _blocks(mc.samples)
+    with ThreadPoolExecutor(max_workers=mc.workers) as pool:
+        # map yields in block order, so the totals do not depend on workers;
+        # one worker runs in this thread, which is faster than a pool thread
+        for s1, s2 in (pool.map(block, jobs) if mc.workers > 1 else map(block, jobs)):
+            S1 += s1
+            S2 += s2
 
     n = mc.samples
-    values = S1 / n
+    values = S1 / (n * LN2)
     if n > 1:
-        var = np.maximum(S2 - S1 * S1 / n, 0.0) / (n - 1)
-        stderrs = np.sqrt(var / n)
+        mean_cov = (S2 - S1[:, :, None] * S1[:, None, :] / n) / ((n - 1) * n * LN2 * LN2)
     else:
-        stderrs = np.zeros_like(values)
-    mean_cov = None
-    if want_cross:
-        if n > 1:
-            mean_cov = (S12 - S1[0] * S1[1] / n) / (n - 1) / n
-        else:
-            mean_cov = np.zeros(npow)
-    return values, stderrs, mean_cov
+        mean_cov = np.zeros_like(S2)
+    return values, mean_cov
 
 
-def _point(quantity: str, power: float, distortion, mc: MCConfig) -> MonteCarloEstimate:
+def _estimate(values, mean_cov, j: int, i: int, mc: MCConfig) -> MonteCarloEstimate:
+    stderr = math.sqrt(max(float(mean_cov[j, i, i]), 0.0))
+    return MonteCarloEstimate(float(values[j, i]), stderr, mc.samples, mc.seed)
+
+
+def _point_estimates(quantities, power: float, distortion, mc: MCConfig):
+    """Estimates of several quantities at one power, from one ensemble."""
     p = float(power)
     if not math.isfinite(p) or p < 0.0:
         raise ValueError("power must be finite and nonnegative")
-    values, stderrs, _ = _run((p,), mc, [_kernel(quantity, distortion)], want_cross=False)
-    return MonteCarloEstimate(float(values[0, 0]), float(stderrs[0, 0]), mc.samples, mc.seed)
+    values, mean_cov = _run((p,), mc, _kernels(quantities, distortion))
+    return tuple(_estimate(values, mean_cov, 0, i, mc) for i in range(len(quantities)))
+
+
+def _point(quantity: str, power: float, distortion, mc: MCConfig) -> MonteCarloEstimate:
+    return _point_estimates((quantity,), power, distortion, mc)[0]
 
 
 def c21(power: float, mc: MCConfig | None = None) -> MonteCarloEstimate:
@@ -261,6 +275,8 @@ def c21_oracle(power: float) -> float:
         raise ValueError("power must be finite and nonnegative")
     if p == 0.0:
         return 0.0
+    from scipy.integrate import quad  # imported here: scipy dominates the CLI's start-up
+
     a = p / 2.0
 
     def integrand(x):
@@ -320,11 +336,9 @@ def sweep(
     """Evaluate one quantity across a power grid on common channel draws."""
     grid = grid or PowerGrid.default()
     mc = mc or MCConfig()
-    kern = _kernel(quantity, distortion)
-    values, stderrs, _ = _run(grid.points, mc, [kern], want_cross=False)
+    values, mean_cov = _run(grid.points, mc, [_kernel(quantity, distortion)])
     rows = tuple(
-        SweepRow(p, MonteCarloEstimate(float(values[0, j]), float(stderrs[0, j]), mc.samples, mc.seed))
-        for j, p in enumerate(grid.points)
+        SweepRow(p, _estimate(values, mean_cov, j, 0, mc)) for j, p in enumerate(grid.points)
     )
     return SweepTable(quantity, None if distortion is None else float(distortion), rows)
 
@@ -353,17 +367,12 @@ def paired_sweep(
     """
     grid = grid or PowerGrid.default()
     mc = mc or MCConfig()
-    kerns = [
-        _kernel(quantity_a, distortion if quantity_a != "c21" else None),
-        _kernel(quantity_b, distortion if quantity_b != "c21" else None),
-    ]
-    values, stderrs, cov = _run(grid.points, mc, kerns, want_cross=True)
-    out = []
-    for j, p in enumerate(grid.points):
-        first = MonteCarloEstimate(float(values[0, j]), float(stderrs[0, j]), mc.samples, mc.seed)
-        second = MonteCarloEstimate(float(values[1, j]), float(stderrs[1, j]), mc.samples, mc.seed)
-        out.append(PairedPoint(p, first, second, float(cov[j])))
-    return tuple(out)
+    values, mean_cov = _run(grid.points, mc, _kernels((quantity_a, quantity_b), distortion))
+    return tuple(
+        PairedPoint(p, _estimate(values, mean_cov, j, 0, mc), _estimate(values, mean_cov, j, 1, mc),
+                    float(mean_cov[j, 0, 1]))
+        for j, p in enumerate(grid.points)
+    )
 
 
 @dataclass(frozen=True)
@@ -540,7 +549,7 @@ def ergodic_wyner_rate(
     mc = mc or MCConfig()
 
     total = 0.0
-    for index, count in enumerate(_chunk_sizes(mc.samples, mc.workers)):
+    for index, count in _blocks(mc.samples):
         rng = core.stream(mc.seed, _GAIN_TAG, index)
         a = np.asarray(gain_sampler(rng, count), dtype=float)
         if a.shape != (count,):

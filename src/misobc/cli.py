@@ -91,7 +91,8 @@ def _add_mc_flags(p: argparse.ArgumentParser) -> None:
                    help=f"master seed (default 0x{capacity.DEFAULT_SEED:X}, "
                         f"env {SEED_ENV} overrides)")
     p.add_argument("--workers", type=int, default=1,
-                   help="worker count for sample partitioning (default 1)")
+                   help="threads over the fixed sample blocks; results do not depend "
+                        "on it (default 1)")
 
 
 def _add_grid_flags(p: argparse.ArgumentParser) -> None:
@@ -160,8 +161,7 @@ def cmd_region(args) -> int:
     cfg = _config_dict(args, ("power", "distortion", "samples", "seed",
                               "workers", "output_dir"))
     mc = _mc_from(args)
-    c21e = capacity.c21(args.power, mc)
-    c22de = capacity.c22d(args.power, args.distortion, mc)
+    c21e, c22de = capacity._point_estimates(("c21", "c22d"), args.power, args.distortion, mc)
     outer = regions.outer_region(c21e.value)
     inner = regions.achievable_region(c21e.value, c22de.value)
     corners = regions.corner_points(inner)

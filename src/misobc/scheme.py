@@ -228,9 +228,8 @@ def run_phase_3(
         raise ValueError("phases 1 and 2 must run first")
     n = cfg.n
     mc = ref_mc or MCConfig(seed=cfg.seed)
-    c21e = capacity.c21(cfg.power, mc)
-    c22de = capacity.c22d(cfg.power, cfg.distortion, mc)
-    rqe = capacity.rq(cfg.power, cfg.distortion, mc)
+    c21e, c22de, rqe = capacity._point_estimates(("c21", "c22d", "rq"), cfg.power,
+                                                 cfg.distortion, mc)
     transcript.reference = {"c21": c21e, "c22d": c22de, "rq": rqe}
 
     try:

@@ -2,9 +2,11 @@
 
 import io
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
+from scipy import stats
 from scipy.integrate import quad
 
 from misobc import capacity, core
@@ -60,22 +62,65 @@ def test_c21_zero_power():
 
 
 def test_worker_partitioning_is_deterministic():
-    mc2 = MCConfig(samples=100_000, seed=11, workers=2)
-    a = capacity.c21(5.0, mc2)
-    b = capacity.c21(5.0, mc2)
-    assert a == b
-    # chunk layout is part of the estimate's identity, so a different
-    # worker count may move the value within its error bar
-    one = capacity.c21(5.0, MCConfig(samples=100_000, seed=11, workers=1))
-    assert abs(a.value - one.value) < 5.0 * (a.stderr + one.stderr)
+    # workers only schedule the fixed sample blocks, so every estimate is
+    # bit-identical for any worker count (4 blocks, the last one partial)
+    def estimates(workers):
+        mc = MCConfig(samples=200_000, seed=11, workers=workers)
+        return (capacity.c21(5.0, mc), capacity.c22d(5.0, 4.0, mc), capacity.rq(5.0, 4.0, mc),
+                capacity.paired_sweep("c21", "c22d", PowerGrid((0.5, 50.0)), mc, distortion=4.0))
+
+    one = estimates(1)
+    assert estimates(2) == one
+    assert estimates(3) == one
 
 
-def test_chunk_sizes_cover_samples():
-    for total, workers in ((11, 4), (3, 8), (10**6, 7), (1, 1)):
-        sizes = capacity._chunk_sizes(total, workers)
-        assert sum(sizes) == total
-        assert all(s > 0 for s in sizes)
-        assert max(sizes) - min(sizes) <= 1
+def test_blocks_cover_samples():
+    block = capacity._BLOCK
+    for total in (1, 11, block - 1, block, block + 1, 10**6, 3 * block):
+        blocks = capacity._blocks(total)
+        assert [k for k, _ in blocks] == list(range(len(blocks)))
+        assert sum(count for _, count in blocks) == total
+        assert all(count == block for _, count in blocks[:-1])
+        assert 0 < blocks[-1][1] <= block
+
+
+def test_point_estimates_share_one_ensemble():
+    # the joint estimate is the single-quantity estimate, bit for bit
+    mc = MCConfig(samples=100_000, seed=17)
+    joint = capacity._point_estimates(("c21", "c22d", "rq"), 10.0, 4.0, mc)
+    assert joint == (capacity.c21(10.0, mc), capacity.c22d(10.0, 4.0, mc),
+                     capacity.rq(10.0, 4.0, mc))
+
+
+def test_moment_draw_matches_gaussian_matrices():
+    n = 200_000
+    direct = capacity._draw_moments(core.stream(5, 0), n)
+    h = core.sample_cn01(core.stream(6, 0), (n, 2, 2))
+    det = h[:, 0, 0] * h[:, 1, 1] - h[:, 0, 1] * h[:, 1, 0]
+    built = (np.sum(np.abs(h[:, 0]) ** 2, axis=1), np.sum(np.abs(h[:, 1]) ** 2, axis=1),
+             np.abs(det) ** 2)
+    for name, x, y in zip(capacity.ChannelMoments._fields, direct, built):
+        assert stats.ks_2samp(x, y).pvalue > 1e-3, name
+    # all three have mean 2; the row norms are independent Gamma(2, 1) and
+    # |det|^2 = norm1 E4 with E4 ~ Exp(1) a summand of norm2, so
+    # var(det2) = E[norm1^2] E[E4^2] - 4 = 8 and cov(norm_i, det2) = 2
+    cov = np.array([[2.0, 0.0, 2.0], [0.0, 2.0, 2.0], [2.0, 2.0, 8.0]])
+    dev = [x - x.mean() for x in direct]
+    for a, x in enumerate(direct):
+        assert abs(x.mean() - 2.0) < 5.0 * x.std() / math.sqrt(n)
+        for b in range(a + 1):
+            prod = dev[a] * dev[b]
+            assert abs(prod.mean() - cov[a, b]) < 5.0 * prod.std() / math.sqrt(n), (a, b)
+
+
+def test_estimator_memory_is_bounded():
+    tracemalloc.start()
+    try:
+        capacity.c21(10.0, MCConfig(samples=4 * 10**6))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 16 * 2**20
 
 
 def test_c22d_zero_distortion_is_classical_capacity():

@@ -1,11 +1,16 @@
 """End-to-end command line checks, run in process through cli.main."""
 
 import json
+import os
 import re
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import misobc
 from misobc import cli, regions, scheme
 from misobc.regions import RateRegion
 
@@ -309,3 +314,16 @@ def test_seed_env_var_rejected_cleanly(capsys, monkeypatch):
     code, _, err = run(capsys, ["capacity", "--quantity", "c21", "--power", "1"])
     assert code == 2
     assert "usage error" in err
+
+
+def test_cli_import_leaves_scipy_unloaded():
+    # scipy is only needed by the quadrature oracle; importing it up front
+    # would dominate the start-up of every command
+    src = str(Path(misobc.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        p for p in (src, os.environ.get("PYTHONPATH")) if p))
+    code = ("import sys, misobc.cli; "
+            "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))")
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                          env=env, check=True, timeout=120)
+    assert proc.stdout.strip() == "[]"
