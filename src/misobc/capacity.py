@@ -10,10 +10,10 @@ Three Monte Carlo quantities share one channel ensemble:
 * ``rq``   : rate needed to forward a quantized overheard mixture,
   E log2(1 + (P/(2D)) (|g|^2 + |h|^2)).
 
-All three are evaluated on the same channel ensemble (common random
-numbers), so ratios and differences of estimates are far tighter than
-their individual error bars.  ``paired_sweep`` exposes the covariance
-of the paired sample means for exactly that purpose.
+``estimate`` evaluates any of them on one channel ensemble (common random
+numbers) and returns the covariance of the sample means, so ratios and
+differences get error bars far tighter than their individual ones.
+``c21``, ``c22d``, ``rq``, ``sweep`` and ``paired_sweep`` are views of it.
 
 The ensemble is drawn in fixed blocks of 2^16 samples; block k comes
 from the Philox stream ``core.stream(seed, 1, k)``, so the samples
@@ -32,7 +32,6 @@ information.
 
 from __future__ import annotations
 
-import json
 import math
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
@@ -105,6 +104,11 @@ class PowerGrid:
 
     @staticmethod
     def default(num: int = 50, lo: float = 1e-2, hi: float = 1e4) -> "PowerGrid":
+        """``num`` log-spaced points from ``lo`` to ``hi``."""
+        if num < 1:
+            raise ValueError(f"grid needs at least one point, got {num}")
+        if not 0.0 < lo < hi < math.inf:
+            raise ValueError(f"grid endpoints need 0 < lo < hi < inf, got lo={lo!r}, hi={hi!r}")
         return PowerGrid(tuple(np.logspace(math.log10(lo), math.log10(hi), num)))
 
     @staticmethod
@@ -143,8 +147,6 @@ _Kernel = Callable[[ChannelMoments], tuple[float, np.ndarray, np.ndarray | None]
 def _kernel(quantity: str, distortion) -> _Kernel:
     """Map a quantity name to its per-draw rate as a polynomial in the power."""
     if quantity == "c21":
-        if distortion is not None:
-            raise ValueError("c21 takes no distortion parameter")
         return lambda st: (0.5, st.norm1, None)
     if quantity == "c22d":
         d = float(distortion)
@@ -160,25 +162,36 @@ def _kernel(quantity: str, distortion) -> _Kernel:
     raise ValueError(f"unknown quantity {quantity!r}, expected one of {QUANTITIES}")
 
 
-def _kernels(quantities, distortion) -> list[_Kernel]:
-    """Kernels for several quantities at one distortion (c21 ignores it)."""
-    return [_kernel(q, None if q == "c21" else distortion) for q in quantities]
-
-
 def _blocks(samples: int) -> list[tuple[int, int]]:
     """(index, count) of the fixed sample blocks; only the last may be partial."""
     full, rest = divmod(int(samples), _BLOCK)
     return [(k, _BLOCK) for k in range(full)] + ([(full, rest)] if rest else [])
 
 
-def _run(grid_points, mc: MCConfig, kernels: list[_Kernel]):
-    """Sample means of every kernel at every power over one shared ensemble.
+@dataclass(frozen=True, eq=False)
+class Estimates:
+    """Estimates of several quantities at one power from one ensemble, with
+    the covariance matrix of their sample means (divided by the sample count)."""
 
-    Returns (values, mean_cov) in bits: values has shape (len(grid_points),
-    len(kernels)) and mean_cov[j] is the covariance matrix of the kernel
-    sample means at power j, already divided by the sample count.
-    """
-    npow = len(grid_points)
+    power: float
+    estimates: tuple[MonteCarloEstimate, ...]
+    mean_cov: np.ndarray
+
+
+def estimate(
+    quantities: tuple[str, ...],
+    grid: PowerGrid,
+    mc: MCConfig | None = None,
+    distortion: float | None = None,
+) -> tuple[Estimates, ...]:
+    """Sample means, in bits, of every quantity at every grid power over one
+    shared ensemble.  ``distortion`` applies to c22d and rq; giving one to
+    c21 alone is an error."""
+    mc = mc or MCConfig()
+    if distortion is not None and set(quantities) == {"c21"}:
+        raise ValueError("c21 takes no distortion parameter")
+    kernels = [_kernel(q, distortion) for q in quantities]
+    npow = len(grid.points)
     nker = len(kernels)
 
     def block(job):
@@ -188,7 +201,7 @@ def _run(grid_points, mc: MCConfig, kernels: list[_Kernel]):
         v = np.empty((nker, count))
         s1 = np.empty((npow, nker))
         s2 = np.empty((npow, nker, nker))
-        for j, power in enumerate(grid_points):
+        for j, power in enumerate(grid.points):
             for i, (scale, lin, quad) in enumerate(polys):
                 c = scale * power
                 if quad is None:
@@ -216,34 +229,19 @@ def _run(grid_points, mc: MCConfig, kernels: list[_Kernel]):
 
     n = mc.samples
     values = S1 / (n * LN2)
-    if n > 1:
-        mean_cov = (S2 - S1[:, :, None] * S1[:, None, :] / n) / ((n - 1) * n * LN2 * LN2)
-    else:
-        mean_cov = np.zeros_like(S2)
-    return values, mean_cov
-
-
-def _estimate(values, mean_cov, j: int, i: int, mc: MCConfig) -> MonteCarloEstimate:
-    stderr = math.sqrt(max(float(mean_cov[j, i, i]), 0.0))
-    return MonteCarloEstimate(float(values[j, i]), stderr, mc.samples, mc.seed)
-
-
-def _point_estimates(quantities, power: float, distortion, mc: MCConfig):
-    """Estimates of several quantities at one power, from one ensemble."""
-    p = float(power)
-    if not math.isfinite(p) or p < 0.0:
-        raise ValueError("power must be finite and nonnegative")
-    values, mean_cov = _run((p,), mc, _kernels(quantities, distortion))
-    return tuple(_estimate(values, mean_cov, 0, i, mc) for i in range(len(quantities)))
-
-
-def _point(quantity: str, power: float, distortion, mc: MCConfig) -> MonteCarloEstimate:
-    return _point_estimates((quantity,), power, distortion, mc)[0]
+    # one sample gives S2 == S1 S1 exactly, hence a zero covariance
+    mean_cov = (S2 - S1[:, :, None] * S1[:, None, :] / n) / (max(n - 1, 1) * n * LN2 * LN2)
+    stderr = np.sqrt(np.maximum(np.diagonal(mean_cov, axis1=1, axis2=2), 0.0))
+    return tuple(
+        Estimates(p, tuple(MonteCarloEstimate(float(v), float(e), n, mc.seed)
+                           for v, e in zip(values[j], stderr[j])), mean_cov[j])
+        for j, p in enumerate(grid.points)
+    )
 
 
 def c21(power: float, mc: MCConfig | None = None) -> MonteCarloEstimate:
     """Ergodic 2x1 capacity E log2(1 + (power/2) |h|^2), |h|^2 ~ Gamma(2, 1)."""
-    return _point("c21", power, None, mc or MCConfig())
+    return estimate(("c21",), PowerGrid.single(power), mc)[0].estimates[0]
 
 
 def c22d(power: float, distortion: float, mc: MCConfig | None = None) -> MonteCarloEstimate:
@@ -251,7 +249,7 @@ def c22d(power: float, distortion: float, mc: MCConfig | None = None) -> MonteCa
 
     distortion = 0 recovers the classical 2x2 ergodic capacity.
     """
-    return _point("c22d", power, distortion, mc or MCConfig())
+    return estimate(("c22d",), PowerGrid.single(power), mc, distortion)[0].estimates[0]
 
 
 def rq(power: float, distortion: float, mc: MCConfig | None = None) -> MonteCarloEstimate:
@@ -260,7 +258,7 @@ def rq(power: float, distortion: float, mc: MCConfig | None = None) -> MonteCarl
     The argument sums two independent row norms, so the fading gain is
     Gamma(4, 1) distributed.
     """
-    return _point("rq", power, distortion, mc or MCConfig())
+    return estimate(("rq",), PowerGrid.single(power), mc, distortion)[0].estimates[0]
 
 
 def c21_oracle(power: float) -> float:
@@ -322,10 +320,6 @@ class SweepTable:
             for row in self.rows
         ]
 
-    def write_json(self, fp) -> None:
-        json.dump(self.to_json(), fp, indent=2)
-        fp.write("\n")
-
 
 def sweep(
     quantity: str,
@@ -334,12 +328,8 @@ def sweep(
     distortion: float | None = None,
 ) -> SweepTable:
     """Evaluate one quantity across a power grid on common channel draws."""
-    grid = grid or PowerGrid.default()
-    mc = mc or MCConfig()
-    values, mean_cov = _run(grid.points, mc, [_kernel(quantity, distortion)])
-    rows = tuple(
-        SweepRow(p, _estimate(values, mean_cov, j, 0, mc)) for j, p in enumerate(grid.points)
-    )
+    points = estimate((quantity,), grid or PowerGrid.default(), mc, distortion)
+    rows = tuple(SweepRow(e.power, e.estimates[0]) for e in points)
     return SweepTable(quantity, None if distortion is None else float(distortion), rows)
 
 
@@ -365,14 +355,8 @@ def paired_sweep(
     The covariance refers to the two sample means, already divided by
     the sample count, ready for delta-method error propagation.
     """
-    grid = grid or PowerGrid.default()
-    mc = mc or MCConfig()
-    values, mean_cov = _run(grid.points, mc, _kernels((quantity_a, quantity_b), distortion))
-    return tuple(
-        PairedPoint(p, _estimate(values, mean_cov, j, 0, mc), _estimate(values, mean_cov, j, 1, mc),
-                    float(mean_cov[j, 0, 1]))
-        for j, p in enumerate(grid.points)
-    )
+    points = estimate((quantity_a, quantity_b), grid or PowerGrid.default(), mc, distortion)
+    return tuple(PairedPoint(e.power, *e.estimates, float(e.mean_cov[0, 1])) for e in points)
 
 
 @dataclass(frozen=True)
@@ -444,13 +428,8 @@ def ratio_sweep(
 # Scalar rate-distortion helpers
 
 
-def rd_reverse_waterfill(variance_samples, distortion_budget: float) -> float:
-    """Exact parallel-Gaussian rate at an average distortion budget, in bits.
-
-    Solves for the water level L with (1/n) sum_i min(v_i, L) = budget,
-    then returns (1/n) sum_i max(log2(v_i / L), 0).  The level is found
-    exactly on the sorted-prefix segment containing it, no iteration.
-    """
+def _rd_inputs(variance_samples, distortion_budget) -> tuple[np.ndarray, float]:
+    """Validated flat variance array and distortion budget."""
     v = np.asarray(variance_samples, dtype=float).ravel()
     if v.size == 0:
         raise ValueError("need at least one variance sample")
@@ -459,6 +438,17 @@ def rd_reverse_waterfill(variance_samples, distortion_budget: float) -> float:
     budget = float(distortion_budget)
     if not math.isfinite(budget) or budget <= 0.0:
         raise ValueError("distortion budget must be finite and positive")
+    return v, budget
+
+
+def rd_reverse_waterfill(variance_samples, distortion_budget: float) -> float:
+    """Exact parallel-Gaussian rate at an average distortion budget, in bits.
+
+    Solves for the water level L with (1/n) sum_i min(v_i, L) = budget,
+    then returns (1/n) sum_i max(log2(v_i / L), 0).  The level is found
+    exactly on the sorted-prefix segment containing it, no iteration.
+    """
+    v, budget = _rd_inputs(variance_samples, distortion_budget)
 
     n = v.size
     if float(np.mean(v)) <= budget:
@@ -489,14 +479,7 @@ def rd_suboptimal(variance_samples, distortion_budget: float) -> float:
     per-sample variance structure.  Always at least the waterfilling
     rate, sample by sample.
     """
-    v = np.asarray(variance_samples, dtype=float).ravel()
-    if v.size == 0:
-        raise ValueError("need at least one variance sample")
-    if not np.all(np.isfinite(v)) or np.any(v < 0.0):
-        raise ValueError("variances must be finite and nonnegative")
-    budget = float(distortion_budget)
-    if not math.isfinite(budget) or budget <= 0.0:
-        raise ValueError("distortion budget must be finite and positive")
+    v, budget = _rd_inputs(variance_samples, distortion_budget)
     return float(np.mean(np.log1p(v / budget)) / LN2)
 
 

@@ -160,8 +160,9 @@ def cmd_rq(args) -> int:
 def cmd_region(args) -> int:
     cfg = _config_dict(args, ("power", "distortion", "samples", "seed",
                               "workers", "output_dir"))
-    mc = _mc_from(args)
-    c21e, c22de = capacity._point_estimates(("c21", "c22d"), args.power, args.distortion, mc)
+    (point,) = capacity.estimate(("c21", "c22d"), PowerGrid.single(args.power), _mc_from(args),
+                                 args.distortion)
+    c21e, c22de = point.estimates
     outer = regions.outer_region(c21e.value)
     inner = regions.achievable_region(c21e.value, c22de.value)
     corners = regions.corner_points(inner)
@@ -229,13 +230,12 @@ def cmd_gap(args) -> int:
 
 
 def cmd_simulate(args) -> int:
-    cfg = _config_dict(args, ("n", "power", "distortion", "epsilon", "delta",
+    cfg = _config_dict(args, ("n", "power", "distortion", "delta",
                               "samples", "seed", "assert_stats"))
     run_cfg = scheme.SchemeConfig(
         n=args.n,
         power=args.power,
         distortion=args.distortion,
-        epsilon=args.epsilon,
         delta=args.delta,
         seed=args.seed,
     )
@@ -342,7 +342,6 @@ def build_parser() -> argparse.ArgumentParser:
                    help=f"blocks per phase (1..{scheme.MAX_BLOCKS})")
     p.add_argument("--power", type=float, required=True)
     p.add_argument("--distortion", type=float, default=4.0)
-    p.add_argument("--epsilon", type=float, default=0.0)
     p.add_argument("--delta", type=float, default=0.1)
     p.add_argument("--samples", type=int, default=capacity.DEFAULT_SAMPLES,
                    help="samples for the reference capacity estimates")
@@ -397,6 +396,11 @@ def main(argv=None) -> int:
     except ValueError as err:
         print(f"error: {err}", file=sys.stderr)
         return EXIT_NUMERIC
+    except OSError as err:
+        # subcommands touch the file system only to write --output, --dump
+        # and --output-dir, so the failing path is an output path
+        print(f"usage error: cannot write {err.filename}: {err.strerror}", file=sys.stderr)
+        return EXIT_USAGE
 
 
 if __name__ == "__main__":

@@ -9,6 +9,9 @@ The per-user gap between an outer region and an achievable region is the
 smallest uniform erosion of the outer region that fits inside the
 achievable one.  Erosion acts on constraints as c -> c - (a + b) tau,
 which shifts every boundary line inward by tau along both coordinates.
+``per_user_gap`` finds it by bisection for any pair of regions; for the
+outer and achievable regions of the scheme, ``gap_closed_form`` gives it
+and its gradient exactly.
 """
 
 from __future__ import annotations
@@ -351,8 +354,23 @@ class GapReport:
         ]
 
 
-def _gap_for(c21_value: float, c22d_value: float) -> float:
-    return per_user_gap(outer_region(c21_value), achievable_region(c21_value, c22d_value))
+def gap_closed_form(c21_value: float, c22d_value: float) -> tuple[float, float, float]:
+    """Gap of outer_region(c21) against achievable_region(c21, c22d) and its
+    gradient, (tau, dtau/dc21, dtau/dc22d), for the inputs per_user_gap takes.
+
+    The eroded outer region keeps its symmetric vertex at (2 c21 - 3 tau)/3
+    and its axis vertices at c21 - 3 tau/2.  The symmetric one binds while
+    c22d >= c21, the axis ones (alpha > 2) below.
+    """
+    c1 = float(c21_value)
+    c2 = float(c22d_value)
+    if not is_subset(achievable_region(c1, c2), outer_region(c1)):
+        raise ValueError("inner region must be contained in the outer region")
+    if c2 >= c1:
+        return max(0.0, (2.0 * c1 - c2) / 3.0), 2.0 / 3.0, -1.0 / 3.0
+    s = 3.0 * c1 - c2
+    tau = 2.0 * c1 * (3.0 * c1 - 2.0 * c2) / (3.0 * s)
+    return tau, (2.0 + 2.0 * c2 * c2 / (s * s)) / 3.0, -2.0 * c1 * c1 / (s * s)
 
 
 def gap_sweep(
@@ -363,10 +381,10 @@ def gap_sweep(
 ) -> GapReport:
     """Estimate the per-user gap across a power grid with paired draws.
 
-    The tau error bar propagates both capacity error bars through
-    central-difference sensitivities and includes their paired
-    covariance, which the shared channel ensemble makes strongly
-    positive.
+    tau comes from ``gap_closed_form``.  Its error bar propagates both
+    capacity error bars through the analytic gradient of that closed form
+    and includes their paired covariance, which the shared channel
+    ensemble makes strongly positive.
     """
     d = float(distortion)
     if not math.isfinite(d) or d <= 0.0:
@@ -384,15 +402,10 @@ def gap_sweep(
 
     rows = []
     for pt in pairs:
-        c1, c2 = pt.first.value, pt.second.value
         try:
-            tau = _gap_for(c1, c2)
+            tau, d1, d2 = gap_closed_form(pt.first.value, pt.second.value)
         except DomainError as err:
             raise DomainError(f"gap sweep aborted at P = {pt.power:.6g}: {err}") from err
-        h1 = 1e-5 * max(1.0, c1)
-        h2 = 1e-5 * max(1.0, c2)
-        d1 = (_gap_for(c1 + h1, c2) - _gap_for(c1 - h1, c2)) / (2.0 * h1)
-        d2 = (_gap_for(c1, c2 + h2) - _gap_for(c1, c2 - h2)) / (2.0 * h2)
         var = (
             d1 * d1 * pt.first.stderr**2
             + d2 * d2 * pt.second.stderr**2

@@ -26,7 +26,7 @@ from dataclasses import asdict, dataclass, field
 import numpy as np
 
 from . import capacity, core, quantizer
-from .capacity import MCConfig, MonteCarloEstimate
+from .capacity import MCConfig, MonteCarloEstimate, PowerGrid
 from .core import DomainError
 
 # Stream tags under the run seed; capacity uses 1-2 and the quantizer 3.
@@ -43,12 +43,11 @@ _DUMP_HEADER = struct.Struct("<4sI")
 @dataclass(frozen=True)
 class SchemeConfig:
     """Run parameters: n blocks per phase, transmit power, quantizer distortion,
-    rate backoff epsilon, phase-3 margin delta, and the master seed."""
+    phase-3 margin delta, and the master seed."""
 
     n: int
     power: float
     distortion: float = 4.0
-    epsilon: float = 0.0
     delta: float = 0.1
     seed: int = capacity.DEFAULT_SEED
 
@@ -59,8 +58,6 @@ class SchemeConfig:
             raise ValueError("power must be finite and positive")
         if not math.isfinite(self.distortion) or self.distortion <= 0.0:
             raise ValueError("distortion must be finite and positive")
-        if not math.isfinite(self.epsilon) or self.epsilon < 0.0:
-            raise ValueError("epsilon must be finite and nonnegative")
         if not math.isfinite(self.delta) or self.delta <= 0.0:
             raise ValueError("delta must be finite and positive")
 
@@ -228,8 +225,9 @@ def run_phase_3(
         raise ValueError("phases 1 and 2 must run first")
     n = cfg.n
     mc = ref_mc or MCConfig(seed=cfg.seed)
-    c21e, c22de, rqe = capacity._point_estimates(("c21", "c22d", "rq"), cfg.power,
-                                                 cfg.distortion, mc)
+    (point,) = capacity.estimate(("c21", "c22d", "rq"), PowerGrid.single(cfg.power), mc,
+                                 cfg.distortion)
+    c21e, c22de, rqe = point.estimates
     transcript.reference = {"c21": c21e, "c22d": c22de, "rq": rqe}
 
     try:

@@ -85,11 +85,17 @@ def test_blocks_cover_samples():
 
 
 def test_point_estimates_share_one_ensemble():
-    # the joint estimate is the single-quantity estimate, bit for bit
+    # the joint estimate is the single-quantity estimate, bit for bit, and
+    # its covariance diagonal holds the squared standard errors
     mc = MCConfig(samples=100_000, seed=17)
-    joint = capacity._point_estimates(("c21", "c22d", "rq"), 10.0, 4.0, mc)
-    assert joint == (capacity.c21(10.0, mc), capacity.c22d(10.0, 4.0, mc),
-                     capacity.rq(10.0, 4.0, mc))
+    (joint,) = capacity.estimate(("c21", "c22d", "rq"), PowerGrid.single(10.0), mc, 4.0)
+    assert joint.power == 10.0
+    assert joint.estimates == (capacity.c21(10.0, mc), capacity.c22d(10.0, 4.0, mc),
+                               capacity.rq(10.0, 4.0, mc))
+    assert joint.mean_cov.shape == (3, 3)
+    assert np.array_equal(joint.mean_cov, joint.mean_cov.T)
+    for i, e in enumerate(joint.estimates):
+        assert e.stderr == math.sqrt(joint.mean_cov[i, i])
 
 
 def test_moment_draw_matches_gaussian_matrices():
@@ -188,6 +194,12 @@ def test_power_grid_validation():
         PowerGrid((2.0, 1.0))
     with pytest.raises(ValueError):
         PowerGrid((-1.0, 1.0))
+    for kwargs, bad in (({"num": 0}, "0"), ({"lo": 0.0}, "0.0"), ({"lo": -1.0}, "-1.0"),
+                        ({"hi": math.inf}, "inf"), ({"lo": math.nan}, "nan"),
+                        ({"lo": 10.0, "hi": 10.0}, "10.0"), ({"lo": 20.0, "hi": 10.0}, "20.0")):
+        with pytest.raises(ValueError, match=bad):
+            PowerGrid.default(**kwargs)
+    assert PowerGrid.default(num=1, lo=2.0, hi=3.0).points == (2.0,)
     grid = PowerGrid.default()
     assert len(grid.points) == 50
     assert grid.points[0] == pytest.approx(1e-2)

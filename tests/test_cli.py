@@ -99,6 +99,20 @@ def test_argparse_rejections_exit_2():
     assert exc.value.code == 2
 
 
+@pytest.mark.parametrize("argv, flag", [
+    (["capacity", "--quantity", "c21", "--power", "10", *FAST], "--output"),
+    (["simulate", "--n", "8", "--power", "10", *FAST], "--dump"),
+    (["region", "--power", "10", *FAST], "--output-dir"),
+])
+def test_unwritable_output_path_is_a_usage_error(capsys, tmp_path, argv, flag):
+    (tmp_path / "plain").write_text("")
+    target = tmp_path / "plain" / "out"  # below a regular file
+    code, _, err = run(capsys, argv + [flag, str(target)])
+    assert code == 2
+    assert err.startswith(f"usage error: cannot write {target}: ")
+    assert "Traceback" not in err
+
+
 def test_rq_ratio_below_one_at_certified_distortion(capsys):
     code, out, err = run(capsys, ["rq", "--distortion", "4", "--power", "1.0",
                                   "--assert-le-one", *FAST])

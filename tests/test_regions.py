@@ -292,6 +292,53 @@ def test_per_user_gap_requires_containment():
         regions.per_user_gap(inner, outer)
 
 
+def random_rate_pairs(rng, count):
+    """(c21, c22d) pairs with c22d/c21 in (0.2, 2): either vertex may bind."""
+    for _ in range(count):
+        c1 = float(rng.uniform(0.3, 20.0))
+        yield c1, float(rng.uniform(0.2, 1.99)) * c1
+
+
+def test_gap_closed_form_matches_bisection():
+    rng = np.random.default_rng(413)
+    below = 0
+    for c1, c2 in random_rate_pairs(rng, 200):
+        below += c2 < c1
+        tau = regions.gap_closed_form(c1, c2)[0]
+        outer = regions.outer_region(c1)
+        inner = regions.achievable_region(c1, c2)
+        assert abs(tau - regions.per_user_gap(outer, inner)) <= regions.BISECT_TOL
+        assert tau == pytest.approx(closed_form_gap(c1, 3.0 * c1 / c2 - 1.0), abs=1e-12)
+    assert 0 < below < 200
+    assert regions.gap_closed_form(2.0, 4.0)[0] == 0.0
+
+
+def test_gap_closed_form_gradient_matches_differences():
+    def tau_of(c1, c2):
+        return regions.gap_closed_form(c1, c2)[0]
+
+    rng = np.random.default_rng(414)
+    for c1, c2 in random_rate_pairs(rng, 100):
+        if abs(c2 / c1 - 1.0) < 0.01:
+            continue  # the gradient jumps where the binding vertex switches
+        _, d1, d2 = regions.gap_closed_form(c1, c2)
+        h = 1e-6 * c1
+        num1 = (tau_of(c1 + h, c2) - tau_of(c1 - h, c2)) / (2.0 * h)
+        num2 = (tau_of(c1, c2 + h) - tau_of(c1, c2 - h)) / (2.0 * h)
+        assert d1 == pytest.approx(num1, rel=1e-6, abs=1e-8)
+        assert d2 == pytest.approx(num2, rel=1e-6, abs=1e-8)
+
+
+def test_gap_closed_form_rejects_what_bisection_rejects():
+    # 3 c21 < c22d leaves alpha negative; c22d > 2 c21 breaks containment
+    for c1, c2, err in ((1.0, 3.5, DomainError), (1.0, 2.5, ValueError), (0.0, 1.0, ValueError)):
+        with pytest.raises(ValueError) as bisection:
+            regions.per_user_gap(regions.outer_region(c1), regions.achievable_region(c1, c2))
+        with pytest.raises(ValueError) as closed:
+            regions.gap_closed_form(c1, c2)
+        assert bisection.type is closed.type is err
+
+
 def test_gap_sweep_small_grid():
     grid = PowerGrid((1.0, 10.0, 100.0))
     mc = MCConfig(samples=20_000, seed=6)
@@ -301,11 +348,7 @@ def test_gap_sweep_small_grid():
     for row in report.rows:
         assert row.tau >= 0.0
         assert row.tau_stderr >= 0.0
-        direct = regions.per_user_gap(
-            regions.outer_region(row.c21.value),
-            regions.achievable_region(row.c21.value, row.c22d.value),
-        )
-        assert row.tau == direct
+        assert row.tau == regions.gap_closed_form(row.c21.value, row.c22d.value)[0]
     top = report.max_row()
     assert top.tau == max(r.tau for r in report.rows)
 

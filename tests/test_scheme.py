@@ -33,8 +33,6 @@ def test_config_validation():
     with pytest.raises(ValueError):
         SchemeConfig(n=4, power=1.0, distortion=0.0)
     with pytest.raises(ValueError):
-        SchemeConfig(n=4, power=1.0, epsilon=-0.1)
-    with pytest.raises(ValueError):
         SchemeConfig(n=4, power=1.0, delta=0.0)
 
 
