@@ -22,7 +22,14 @@ directly as the three statistics the rates depend on, from four
 i.i.d. Exp(1) variables (see ``_draw_moments``); no Gaussian matrix is
 formed.  Workers only schedule blocks and the per-block sums are added
 in block order, so every estimate is bit-identical for any worker
-count and transient memory stays a few blocks at any sample count.
+count.  By default one worker runs per usable CPU, never more than
+there are blocks.  A block runs in a scratch set: the four Exp(1) rows,
+in which the moments and the kernel rows are built in place, and one
+row of log-rates per quantity.  Sets are reused across the blocks of
+one ``estimate`` call and a new one is made only while every set is in
+use, so for k quantities transient memory is at most
+workers * (4 + k) * 2^16 * 8 bytes at any sample count; with the
+default that bound grows with the host's CPU count.
 
 The module also carries the scalar rate-distortion helpers used by the
 quantizer sizing arguments: exact reverse waterfilling, the one-level
@@ -33,7 +40,11 @@ information.
 from __future__ import annotations
 
 import math
+import operator
+import os
+import queue
 from concurrent.futures import ThreadPoolExecutor
+from contextlib import nullcontext
 from dataclasses import dataclass
 from typing import Callable, NamedTuple
 
@@ -63,17 +74,45 @@ def _round12(x: float) -> float:
 
 @dataclass(frozen=True)
 class MCConfig:
-    """Sample count, master seed and worker count for one estimator run."""
+    """Sample count, master seed and worker count for one estimator run.
+
+    ``workers`` is the number of threads over the fixed sample blocks;
+    None (the default) means one per usable CPU.  Either way no more
+    threads run, and no more scratch sets are allocated, than there are
+    blocks, and one block or one worker runs in the caller's thread.
+    Each scratch set holds (4 + k) * 2^16 float64 values for k
+    quantities, and there is at most one per worker.  Results do not
+    depend on the worker count.
+    """
 
     samples: int = DEFAULT_SAMPLES
     seed: int = DEFAULT_SEED
-    workers: int = 1
+    workers: int | None = None
 
     def __post_init__(self):
         if int(self.samples) < 1:
             raise ValueError("samples must be at least 1")
-        if int(self.workers) < 1:
+        w = self.workers
+        if w is None:
+            return
+        try:
+            # any integer type, NumPy's too, but not a bool, float or string
+            if isinstance(w, bool):
+                raise TypeError
+            w = operator.index(w)
+        except TypeError:
+            raise ValueError(f"workers must be an integer or None, got {w!r}") from None
+        if w < 1:
             raise ValueError("workers must be at least 1")
+        object.__setattr__(self, "workers", w)
+
+
+def _usable_cpus() -> int:
+    """CPUs this process may run on."""
+    try:
+        return len(os.sched_getaffinity(0))
+    except AttributeError:  # no affinity call on this platform
+        return os.cpu_count() or 1
 
 
 @dataclass(frozen=True)
@@ -124,7 +163,9 @@ class ChannelMoments(NamedTuple):
     det2: np.ndarray  # squared magnitude of the 2x2 determinant
 
 
-def _draw_moments(rng: np.random.Generator, count: int) -> ChannelMoments:
+def _draw_moments(
+    rng: np.random.Generator, count: int, out: np.ndarray | None = None
+) -> ChannelMoments:
     """Draw the moments of ``count`` i.i.d. 2x2 CN(0, 1) matrices, exactly.
 
     Every |h_ij|^2 is Exp(1), so norm1 = E1 + E2.  CN(0, I) rows are
@@ -133,33 +174,51 @@ def _draw_moments(rng: np.random.Generator, count: int) -> ChannelMoments:
     leaves its components i.i.d. CN(0, 1) and independent of row 1.  The
     first rotated component is det H / sqrt(norm1), hence norm2 = E3 + E4
     and |det H|^2 = norm1 E4.
+
+    The four Exp(1) rows are drawn into ``out`` (a C-ordered (4, count)
+    float64 array) if given and become (norm1, E2, norm2, det2) in place.
     """
-    e = rng.standard_exponential((4, count))
-    norm1 = e[0] + e[1]
-    return ChannelMoments(norm1, e[2] + e[3], norm1 * e[3])
+    e = rng.standard_exponential((4, count), out=out)
+    e[0] += e[1]
+    e[2] += e[3]
+    e[3] *= e[0]
+    return ChannelMoments(e[0], e[2], e[3])
 
 
-# The rate of one draw is ln(1 + c lin + c^2 quad) nats with c = scale * P;
-# a kernel maps a block of moments to (scale, lin, quad), quad None if linear.
-_Kernel = Callable[[ChannelMoments], tuple[float, np.ndarray, np.ndarray | None]]
-
-
-def _kernel(quantity: str, distortion) -> _Kernel:
-    """Map a quantity name to its per-draw rate as a polynomial in the power."""
-    if quantity == "c21":
-        return lambda st: (0.5, st.norm1, None)
+def _check_quantity(quantity: str, distortion) -> None:
+    if quantity not in QUANTITIES:
+        raise ValueError(f"unknown quantity {quantity!r}, expected one of {QUANTITIES}")
     if quantity == "c22d":
         d = float(distortion)
         if not math.isfinite(d) or d < 0.0:
             raise ValueError("distortion must be finite and nonnegative for c22d")
-        s2 = 1.0 + d
-        return lambda st: (0.5, st.norm1 + st.norm2 / s2, st.det2 / s2)
-    if quantity == "rq":
+    elif quantity == "rq":
         d = float(distortion)
         if not math.isfinite(d) or d <= 0.0:
             raise ValueError("distortion must be finite and positive for rq")
-        return lambda st: (0.5 / d, st.norm1 + st.norm2, None)
-    raise ValueError(f"unknown quantity {quantity!r}, expected one of {QUANTITIES}")
+
+
+def _rate_polys(m: np.ndarray, quantities, distortion) -> list:
+    """Per-draw rate of each quantity as a polynomial in the power.
+
+    The rate of one draw is ln(1 + c lin + c^2 quad) nats with c = scale * P;
+    each quantity gives (scale, lin, quad), quad None if linear.  The rows
+    are built in place in the moment rows m = (norm1, spare, norm2, det2):
+    c22d goes first, because rq's row overwrites norm2.
+    """
+    polys = {}
+    if "c22d" in quantities:
+        s2 = 1.0 + float(distortion)
+        np.divide(m[2], s2, out=m[1])
+        m[1] += m[0]
+        m[3] /= s2
+        polys["c22d"] = (0.5, m[1], m[3])
+    if "rq" in quantities:
+        m[2] += m[0]
+        polys["rq"] = (0.5 / float(distortion), m[2], None)
+    if "c21" in quantities:
+        polys["c21"] = (0.5, m[0], None)
+    return [polys[q] for q in quantities]
 
 
 def _blocks(samples: int) -> list[tuple[int, int]]:
@@ -190,40 +249,55 @@ def estimate(
     mc = mc or MCConfig()
     if distortion is not None and set(quantities) == {"c21"}:
         raise ValueError("c21 takes no distortion parameter")
-    kernels = [_kernel(q, distortion) for q in quantities]
+    for q in quantities:
+        _check_quantity(q, distortion)
     npow = len(grid.points)
-    nker = len(kernels)
+    nker = len(quantities)
+    jobs = _blocks(mc.samples)
+    workers = min(mc.workers or _usable_cpus(), len(jobs))
+
+    # a block takes a free scratch set and makes one only if every set is
+    # in use, so there are never more sets than blocks running at once
+    width = jobs[0][1]
+    scratch = queue.SimpleQueue()
 
     def block(job):
         index, count = job
-        st = _draw_moments(core.stream(mc.seed, _CHANNEL_TAG, index), count)
-        polys = [kern(st) for kern in kernels]
-        v = np.empty((nker, count))
-        s1 = np.empty((npow, nker))
-        s2 = np.empty((npow, nker, nker))
-        for j, power in enumerate(grid.points):
-            for i, (scale, lin, quad) in enumerate(polys):
-                c = scale * power
-                if quad is None:
-                    np.multiply(lin, c, out=v[i])
-                else:
-                    np.multiply(quad, c, out=v[i])
-                    v[i] += lin
-                    v[i] *= c
-                np.log1p(v[i], out=v[i])
-            for i in range(nker):
-                s1[j, i] = v[i].sum()
-                for m in range(i + 1):
-                    s2[j, i, m] = s2[j, m, i] = v[i] @ v[m]
+        try:
+            flat, rows = scratch.get_nowait()
+        except queue.Empty:
+            flat, rows = np.empty(4 * width), np.empty((nker, width))
+        try:
+            m = flat[:4 * count].reshape(4, count)
+            _draw_moments(core.stream(mc.seed, _CHANNEL_TAG, index), count, out=m)
+            polys = _rate_polys(m, quantities, distortion)
+            v = rows[:, :count]
+            s1 = np.empty((npow, nker))
+            s2 = np.empty((npow, nker, nker))
+            for j, power in enumerate(grid.points):
+                for i, (scale, lin, quad) in enumerate(polys):
+                    c = scale * power
+                    if quad is None:
+                        np.multiply(lin, c, out=v[i])
+                    else:
+                        np.multiply(quad, c, out=v[i])
+                        v[i] += lin
+                        v[i] *= c
+                    np.log1p(v[i], out=v[i])
+                for i in range(nker):
+                    s1[j, i] = v[i].sum()
+                    for k in range(i + 1):
+                        s2[j, i, k] = s2[j, k, i] = v[i] @ v[k]
+        finally:
+            scratch.put((flat, rows))
         return s1, s2
 
     S1 = np.zeros((npow, nker))
     S2 = np.zeros((npow, nker, nker))
-    jobs = _blocks(mc.samples)
-    with ThreadPoolExecutor(max_workers=mc.workers) as pool:
+    with ThreadPoolExecutor(workers) if workers > 1 else nullcontext() as pool:
         # map yields in block order, so the totals do not depend on workers;
         # one worker runs in this thread, which is faster than a pool thread
-        for s1, s2 in (pool.map(block, jobs) if mc.workers > 1 else map(block, jobs)):
+        for s1, s2 in (pool.map if pool else map)(block, jobs):
             S1 += s1
             S2 += s2
 

@@ -91,8 +91,9 @@ def _add_mc_flags(p: argparse.ArgumentParser) -> None:
                    help=f"master seed (default 0x{capacity.DEFAULT_SEED:X}, "
                         f"env {SEED_ENV} overrides)")
     p.add_argument("--workers", type=int, default=1,
-                   help="threads over the fixed sample blocks; results do not depend "
-                        "on it (default 1)")
+                   help="threads over the fixed sample blocks, at most one per block; "
+                        "results do not depend on it (default 1; the library's "
+                        "default is one per usable CPU)")
 
 
 def _add_grid_flags(p: argparse.ArgumentParser) -> None:
@@ -239,8 +240,16 @@ def cmd_simulate(args) -> int:
         delta=args.delta,
         seed=args.seed,
     )
+    # an unwritable output path fails here, before the run costs anything;
+    # appending creates a missing file but keeps an existing one until the
+    # run has succeeded
+    for path in (None if args.output == "-" else args.output, args.dump):
+        if path is not None:
+            open(path, "ab").close()
+    # the CLI runs one worker unless --workers says otherwise; simulate has
+    # no --workers, so its reference estimates run on one
     transcript = scheme.run_scheme(run_cfg, ref_mc=MCConfig(samples=args.samples,
-                                                            seed=args.seed))
+                                                            seed=args.seed, workers=1))
     report = scheme.summary(transcript)
     with _open_out(args.output) as fp:
         _write_json(fp, {"config": cfg, "report": report})

@@ -41,11 +41,13 @@ def sample_cn01(rng: np.random.Generator, size=None):
 
     Real and imaginary parts are independent N(0, 1/2), so E|z|^2 = 1.
     Returns a complex scalar for size=None, otherwise an ndarray of the
-    requested shape.
+    requested shape.  The pairs are scaled in place and viewed as complex
+    numbers, so the draw makes no complex temporaries.
     """
     shape = () if size is None else (size if isinstance(size, tuple) else (int(size),))
     z = rng.standard_normal(shape + (2,))
-    out = (z[..., 0] + 1j * z[..., 1]) / np.sqrt(2.0)
+    z *= 1.0 / np.sqrt(2.0)
+    out = z.view(np.complex128)[..., 0]
     return complex(out) if size is None else out
 
 

@@ -2,6 +2,7 @@
 
 import io
 import math
+import threading
 import tracemalloc
 
 import numpy as np
@@ -9,7 +10,7 @@ import pytest
 from scipy import stats
 from scipy.integrate import quad
 
-from misobc import capacity, core
+from misobc import capacity, core, regions
 from misobc.capacity import MCConfig, PowerGrid
 from misobc.core import DomainError
 
@@ -72,6 +73,7 @@ def test_worker_partitioning_is_deterministic():
     one = estimates(1)
     assert estimates(2) == one
     assert estimates(3) == one
+    assert estimates(None) == one
 
 
 def test_blocks_cover_samples():
@@ -120,13 +122,109 @@ def test_moment_draw_matches_gaussian_matrices():
 
 
 def test_estimator_memory_is_bounded():
+    # a block runs in a reused scratch set of (4 + k) rows, so the peak does
+    # not grow with the sample count
+    samples = 4 * 10**6
     tracemalloc.start()
     try:
-        capacity.c21(10.0, MCConfig(samples=4 * 10**6))
+        capacity.c21(10.0, MCConfig(samples=samples, workers=1))
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
     assert peak < 16 * 2**20
+
+    # under the default workers there is at most one set per usable CPU:
+    # the same 16 MiB on hosts with at most two, plus one set of a
+    # two-quantity sweep for each CPU beyond two
+    workers = min(capacity._usable_cpus(), len(capacity._blocks(samples)))
+    tracemalloc.start()
+    try:
+        capacity.paired_sweep("rq", "c21", PowerGrid.default(), MCConfig(samples=samples),
+                              distortion=4.0)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 16 * 2**20 + max(workers - 2, 0) * (4 + 2) * capacity._BLOCK * 8
+
+
+# float.hex of estimates at 200 000 samples (four blocks, the last partial),
+# seed 23, D = 4: any change to the sample stream, the kernel arithmetic or
+# the order of accumulation moves them
+FROZEN_GRID = (0.1, 10.0, 1000.0)
+FROZEN_RATIO = [  # rq, rq stderr, c21, c21 stderr, ratio, ratio stderr
+    ("0x1.1e96f00ce8bebp-4", "0x1.3e4a05ab1112ap-14", "0x1.13fdc8b1909efp-3",
+     "0x1.a2c9583654774p-13", "0x1.09d4a09863227p-1", "0x1.1cd2e97dc7526p-11"),
+    ("0x1.3b3a9ba73a686p+1", "0x1.5fe562b4152a3p-10", "0x1.955cd11074b12p+1",
+     "0x1.17c8d508e1efap-9", "0x1.8e27bba6dda93p-1", "0x1.986398ee39c03p-12"),
+    ("0x1.1903409d71ceap+3", "0x1.c102901a1a0b5p-10", "0x1.32891fec06209p+3",
+     "0x1.52cbe4b5bbb0cp-9", "0x1.d55e9c80c830dp-1", "0x1.84933bf8f7f47p-13"),
+]
+FROZEN_GAP = [  # c21, c21 stderr, c22d, c22d stderr, tau, tau stderr
+    ("0x1.13fdc8b1909efp-3", "0x1.a2c9583654774p-13", "0x1.4ba52b149923fp-3",
+     "0x1.a8c3776998341p-13", "0x1.25c88868b577fp-5", "0x1.1fa0373106e89p-14"),
+    ("0x1.955cd11074b12p+1", "0x1.17c8d508e1efap-9", "0x1.08944bd159411p+2",
+     "0x1.374891c86781ep-9", "0x1.776c0dfd9e803p-1", "0x1.cb877141e9cb3p-11"),
+    ("0x1.32891fec06209p+3", "0x1.52cbe4b5bbb0cp-9", "0x1.ef0c04679b728p+3",
+     "0x1.2be210859cf3ep-8", "0x1.3abb492bd77c5p+0", "0x1.90d6a5b7d2d41p-10"),
+]
+FROZEN_ESTIMATE = [  # (value, stderr) of c21, c22d, rq at P = 10
+    ("0x1.955cd11074b12p+1", "0x1.17c8d508e1efap-9"),
+    ("0x1.08944bd159411p+2", "0x1.374891c86781ep-9"),
+    ("0x1.3b3a9ba73a686p+1", "0x1.5fe562b4152a3p-10"),
+]
+FROZEN_COV = [
+    ["0x1.31c75de6eba12p-18", "0x1.1c685cc02f287p-18", "0x1.06025c81ccc78p-19"],
+    ["0x1.1c685cc02f287p-18", "0x1.7a8166c73f3c7p-18", "0x1.7a4963f8ec0d5p-19"],
+    ["0x1.06025c81ccc78p-19", "0x1.7a4963f8ec0d5p-19", "0x1.e3b6d2338e460p-20"],
+]
+
+
+@pytest.mark.parametrize("workers", [1, 2, None])
+def test_estimates_match_frozen_bits(workers):
+    mc = MCConfig(samples=200_000, seed=23, workers=workers)
+    grid = PowerGrid(FROZEN_GRID)
+    ratio = capacity.ratio_sweep(4.0, grid, mc)
+    assert [tuple(x.hex() for x in (r.rq.value, r.rq.stderr, r.c21.value, r.c21.stderr,
+                                    r.ratio, r.ratio_stderr))
+            for r in ratio.rows] == FROZEN_RATIO
+    gap = regions.gap_sweep(4.0, grid, mc)
+    assert [tuple(x.hex() for x in (r.c21.value, r.c21.stderr, r.c22d.value, r.c22d.stderr,
+                                    r.tau, r.tau_stderr))
+            for r in gap.rows] == FROZEN_GAP
+    (point,) = capacity.estimate(("c21", "c22d", "rq"), PowerGrid.single(10.0), mc, 4.0)
+    assert [(e.value.hex(), e.stderr.hex()) for e in point.estimates] == FROZEN_ESTIMATE
+    assert [[float(x).hex() for x in row] for row in point.mean_cov] == FROZEN_COV
+
+
+def test_worker_count_is_capped_at_blocks(monkeypatch):
+    grid = PowerGrid((1.0, 10.0))
+
+    def run(samples, workers):
+        points = capacity.estimate(("c21", "rq"), grid, MCConfig(samples, 5, workers), 4.0)
+        return [(p.estimates, p.mean_cov.tobytes()) for p in points]
+
+    # one block runs in the caller's thread: no pool, no thread
+    def no_pool(*args, **kwargs):
+        raise AssertionError("a thread pool was started for a single block")
+
+    before = threading.active_count()
+    with monkeypatch.context() as patch:
+        patch.setattr(capacity, "ThreadPoolExecutor", no_pool)
+        assert run(1000, 10**6) == run(1000, 1)
+    assert threading.active_count() == before
+
+    # three blocks start at most three threads, whatever was asked for
+    sizes = []
+    real_pool = capacity.ThreadPoolExecutor
+
+    def recording_pool(workers):
+        sizes.append(workers)
+        return real_pool(workers)
+
+    monkeypatch.setattr(capacity, "ThreadPoolExecutor", recording_pool)
+    samples = 2 * capacity._BLOCK + 1
+    assert run(samples, 10**6) == run(samples, 1)
+    assert sizes == [3]
 
 
 def test_c22d_zero_distortion_is_classical_capacity():
@@ -210,8 +308,13 @@ def test_power_grid_validation():
 def test_mcconfig_validation():
     with pytest.raises(ValueError):
         MCConfig(samples=0)
-    with pytest.raises(ValueError):
-        MCConfig(workers=0)
+    for workers in (0, -1, 1.5, 2.0, "2", True):
+        with pytest.raises(ValueError):
+            MCConfig(workers=workers)
+    assert MCConfig().workers is None
+    assert MCConfig(workers=1).workers == 1
+    workers = MCConfig(workers=np.int64(2)).workers
+    assert workers == 2 and type(workers) is int
 
 
 def test_sweep_shares_draws_across_powers():

@@ -103,12 +103,14 @@ def test_argparse_rejections_exit_2():
     (["capacity", "--quantity", "c21", "--power", "10", *FAST], "--output"),
     (["simulate", "--n", "8", "--power", "10", *FAST], "--dump"),
     (["region", "--power", "10", *FAST], "--output-dir"),
+    (["simulate", "--n", "8", "--power", "10", *FAST], "--output"),
 ])
 def test_unwritable_output_path_is_a_usage_error(capsys, tmp_path, argv, flag):
     (tmp_path / "plain").write_text("")
     target = tmp_path / "plain" / "out"  # below a regular file
-    code, _, err = run(capsys, argv + [flag, str(target)])
+    code, out, err = run(capsys, argv + [flag, str(target)])
     assert code == 2
+    assert out == ""  # simulate checks both outputs before it runs, so nothing is reported
     assert err.startswith(f"usage error: cannot write {target}: ")
     assert "Traceback" not in err
 
@@ -247,6 +249,18 @@ def test_simulate_infeasible_forwarding_exits_3(capsys):
                                 "--delta", "3.0", *FAST])
     assert code == 3
     assert "phase-3" in err
+
+
+def test_simulate_abort_keeps_existing_outputs(capsys, tmp_path):
+    output, dump = tmp_path / "report.json", tmp_path / "run.dump"
+    output.write_text("earlier report\n")
+    dump.write_bytes(b"earlier dump")
+    code, out, _ = run(capsys, ["simulate", "--n", "8", "--power", "10", "--delta", "3.0",
+                                *FAST, "--output", str(output), "--dump", str(dump)])
+    assert code == 3
+    assert out == ""
+    assert output.read_text() == "earlier report\n"
+    assert dump.read_bytes() == b"earlier dump"
 
 
 def test_rd_waterfill_single_source(capsys):

@@ -40,6 +40,29 @@ def test_sample_cn01_scalar_and_shapes():
     assert grid.dtype == np.complex128
 
 
+def test_sample_cn01_matches_complex_expression():
+    # the in-place scaling must keep the bits of the complex expression it
+    # replaced: numpy divides a complex number by a real one by scaling
+    # both parts with its reciprocal
+    def reference(rng, size=None):
+        shape = () if size is None else (size if isinstance(size, tuple) else (int(size),))
+        z = rng.standard_normal(shape + (2,))
+        out = (z[..., 0] + 1j * z[..., 1]) / np.sqrt(2.0)
+        return complex(out) if size is None else out
+
+    for size in (1, 7, 10_000, (3,), (5, 4), (16, 16, 2)):
+        got = core.sample_cn01(core.stream(13, 1), size)
+        want = reference(core.stream(13, 1), size)
+        assert got.dtype == np.complex128
+        assert got.shape == want.shape
+        assert got.tobytes() == want.tobytes()
+    for key in range(20):
+        got = core.sample_cn01(core.stream(13, 2, key))
+        want = reference(core.stream(13, 2, key))
+        assert isinstance(got, complex)
+        assert (got.real.hex(), got.imag.hex()) == (want.real.hex(), want.imag.hex())
+
+
 def test_sample_cn01_moments():
     rng = core.stream(2024, 0)
     z = core.sample_cn01(rng, 200_000)
