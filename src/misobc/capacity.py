@@ -22,14 +22,14 @@ directly as the three statistics the rates depend on, from four
 i.i.d. Exp(1) variables (see ``_draw_moments``); no Gaussian matrix is
 formed.  Workers only schedule blocks and the per-block sums are added
 in block order, so every estimate is bit-identical for any worker
-count.  By default one worker runs per usable CPU, never more than
-there are blocks.  A block runs in a scratch set: the four Exp(1) rows,
-in which the moments and the kernel rows are built in place, and one
-row of log-rates per quantity.  Sets are reused across the blocks of
-one ``estimate`` call and a new one is made only while every set is in
-use, so for k quantities transient memory is at most
-workers * (4 + k) * 2^16 * 8 bytes at any sample count; with the
-default that bound grows with the host's CPU count.
+count.  By default one worker runs per usable CPU; no call runs more
+workers than there are usable CPUs or blocks.  A block runs in a
+scratch set: the four Exp(1) rows, in which the moments and the kernel
+rows are built in place, and one row of log-rates per quantity.  Sets
+are reused across the blocks of one ``estimate`` call and a new one is
+made only while every set is in use, so for k quantities transient
+memory is at most workers * (4 + k) * 2^16 * 8 bytes at any sample
+count; with the default that bound grows with the host's CPU count.
 
 The module also carries the scalar rate-distortion helpers used by the
 quantizer sizing arguments: exact reverse waterfilling, the one-level
@@ -79,7 +79,8 @@ class MCConfig:
     ``workers`` is the number of threads over the fixed sample blocks;
     None (the default) means one per usable CPU.  Either way no more
     threads run, and no more scratch sets are allocated, than there are
-    blocks, and one block or one worker runs in the caller's thread.
+    usable CPUs or blocks, and one block or one worker runs in the
+    caller's thread.
     Each scratch set holds (4 + k) * 2^16 float64 values for k
     quantities, and there is at most one per worker.  Results do not
     depend on the worker count.
@@ -92,19 +93,23 @@ class MCConfig:
     def __post_init__(self):
         if int(self.samples) < 1:
             raise ValueError("samples must be at least 1")
-        w = self.workers
-        if w is None:
+        if self.workers is None:
             return
-        try:
-            # any integer type, NumPy's too, but not a bool, float or string
-            if isinstance(w, bool):
-                raise TypeError
-            w = operator.index(w)
-        except TypeError:
-            raise ValueError(f"workers must be an integer or None, got {w!r}") from None
+        w = _integer(self.workers, "workers must be an integer or None")
         if w < 1:
             raise ValueError("workers must be at least 1")
         object.__setattr__(self, "workers", w)
+
+
+def _integer(value, message: str) -> int:
+    """``value`` as an int: any integer type, NumPy's too, but not a bool,
+    float or string, which raise ValueError(f"{message}, got {value!r}")."""
+    if not isinstance(value, bool):
+        try:
+            return operator.index(value)
+        except TypeError:
+            pass
+    raise ValueError(f"{message}, got {value!r}")
 
 
 def _usable_cpus() -> int:
@@ -113,6 +118,12 @@ def _usable_cpus() -> int:
         return len(os.sched_getaffinity(0))
     except AttributeError:  # no affinity call on this platform
         return os.cpu_count() or 1
+
+
+def _thread_count(tasks: int, requested: int | None = None) -> int:
+    """Threads to run ``tasks`` independent tasks on: ``requested`` (None:
+    as many as there are tasks), never more than the usable CPUs or the tasks."""
+    return min(requested or tasks, _usable_cpus(), tasks)
 
 
 @dataclass(frozen=True)
@@ -254,7 +265,7 @@ def estimate(
     npow = len(grid.points)
     nker = len(quantities)
     jobs = _blocks(mc.samples)
-    workers = min(mc.workers or _usable_cpus(), len(jobs))
+    workers = _thread_count(len(jobs), mc.workers)
 
     # a block takes a free scratch set and makes one only if every set is
     # in use, so there are never more sets than blocks running at once

@@ -91,7 +91,8 @@ def _add_mc_flags(p: argparse.ArgumentParser) -> None:
                    help=f"master seed (default 0x{capacity.DEFAULT_SEED:X}, "
                         f"env {SEED_ENV} overrides)")
     p.add_argument("--workers", type=int, default=1,
-                   help="threads over the fixed sample blocks, at most one per block; "
+                   help="threads over the fixed sample blocks, at most one per block "
+                        "and per usable CPU; "
                         "results do not depend on it (default 1; the library's "
                         "default is one per usable CPU)")
 

@@ -41,14 +41,26 @@ def sample_cn01(rng: np.random.Generator, size=None):
 
     Real and imaginary parts are independent N(0, 1/2), so E|z|^2 = 1.
     Returns a complex scalar for size=None, otherwise an ndarray of the
-    requested shape.  The pairs are scaled in place and viewed as complex
-    numbers, so the draw makes no complex temporaries.
+    requested shape.  The draw makes no complex temporaries.
     """
     shape = () if size is None else (size if isinstance(size, tuple) else (int(size),))
-    z = rng.standard_normal(shape + (2,))
-    z *= 1.0 / np.sqrt(2.0)
-    out = z.view(np.complex128)[..., 0]
+    out = _fill_cn01(rng, np.empty(shape, dtype=np.complex128))
     return complex(out) if size is None else out
+
+
+def _fill_cn01(rng: np.random.Generator, out: np.ndarray, scale: float | None = None):
+    """Fill the C-contiguous complex128 array ``out`` in place with the draws
+    ``sample_cn01(rng, out.shape)`` returns, times ``scale`` if given; returns ``out``.
+
+    The normal pairs are drawn into the array's real and imaginary parts
+    and scaled there, so the result does not depend on who allocated it.
+    """
+    pairs = out[..., None].view(np.float64)
+    rng.standard_normal(out=pairs)
+    pairs *= 1.0 / np.sqrt(2.0)
+    if scale is not None:
+        pairs *= scale
+    return out
 
 
 def logdet_capacity_term(transfer, power, noise_vars):
@@ -81,14 +93,22 @@ def logdet_capacity_term(transfer, power, noise_vars):
     if not np.isfinite(p) or p < 0.0:
         raise ValueError("power must be nonnegative and finite")
 
-    c = p / 2.0
-    row0 = np.abs(H[..., 0, 0]) ** 2 + np.abs(H[..., 0, 1]) ** 2
     if r == 1:
-        arg = c * row0 / nv[0]
+        row0 = np.abs(H[..., 0, 0]) ** 2 + np.abs(H[..., 0, 1]) ** 2
+        out = np.log1p((p / 2.0) * row0 / nv[0]) / LN2
     else:
-        row1 = np.abs(H[..., 1, 0]) ** 2 + np.abs(H[..., 1, 1]) ** 2
-        det = H[..., 0, 0] * H[..., 1, 1] - H[..., 0, 1] * H[..., 1, 0]
-        det2 = det.real**2 + det.imag**2
-        arg = c * (row0 / nv[0] + row1 / nv[1]) + (c * c) * det2 / (nv[0] * nv[1])
-    out = np.log1p(arg) / LN2
+        out = _logdet_2x2(H[..., 0, :], H[..., 1, :], p, nv[0], nv[1])
     return float(out) if np.ndim(out) == 0 else out
+
+
+def _logdet_2x2(row0, row1, power, s0, s1):
+    """log2 det(I + (power/2) S^(-1/2) H H^H S^(-1/2)) for the 2x2 matrices
+    with rows ``row0`` and ``row1`` (arrays of shape (..., 2)) and noise
+    variances S = diag(s0, s1); no input checks, no stacked copy of H."""
+    c = power / 2.0
+    norm0 = np.abs(row0[..., 0]) ** 2 + np.abs(row0[..., 1]) ** 2
+    norm1 = np.abs(row1[..., 0]) ** 2 + np.abs(row1[..., 1]) ** 2
+    det = row0[..., 0] * row1[..., 1] - row0[..., 1] * row1[..., 0]
+    det2 = det.real**2 + det.imag**2
+    arg = c * (norm0 / s0 + norm1 / s1) + (c * c) * det2 / (s0 * s1)
+    return np.log1p(arg) / LN2

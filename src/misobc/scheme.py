@@ -15,13 +15,22 @@ against the capacity module) together with the noise variance and
 independence statistics of the reconstructed observations.  Phase-3
 delivery is modeled error-free at its analytic symbol budget, which
 enters the rate accounting only.
+
+Phases 1 and 2 draw from disjoint (tag, key) streams, so they run as two
+tasks on up to two threads, or in the caller's thread when only one CPU
+is usable.  The caller allocates every transcript array and the tasks
+fill them in place, so a run is bit-identical for any thread count and
+its peak memory stays close to the transcript's own size.  The
+residual statistics compute each sequence's mean and mean power once.
 """
 
 from __future__ import annotations
 
 import math
 import struct
+from concurrent.futures import ThreadPoolExecutor
 from dataclasses import asdict, dataclass, field
+from typing import NamedTuple
 
 import numpy as np
 
@@ -52,8 +61,10 @@ class SchemeConfig:
     seed: int = capacity.DEFAULT_SEED
 
     def __post_init__(self):
-        if not (1 <= int(self.n) <= MAX_BLOCKS):
+        n = capacity._integer(self.n, "n must be an integer")
+        if not 1 <= n <= MAX_BLOCKS:
             raise ValueError(f"n must be between 1 and {MAX_BLOCKS}")
+        object.__setattr__(self, "n", n)
         if not math.isfinite(self.power) or self.power <= 0.0:
             raise ValueError("power must be finite and positive")
         if not math.isfinite(self.distortion) or self.distortion <= 0.0:
@@ -146,16 +157,19 @@ class SchemeTranscript:
 
 
 def interleave(u: np.ndarray) -> np.ndarray:
-    """Swap block and time axes: out[b][t] = u[t][b].  Its own inverse."""
+    """Swap block and time axes: out[b][t] = u[t][b].  Its own inverse.
+
+    Returns a view of ``u``; callers copy it where they keep it.
+    """
     u = np.asarray(u)
     if u.ndim < 2 or u.shape[0] != u.shape[1]:
         raise ValueError("grid must be square in its first two axes")
-    return np.swapaxes(u, 0, 1).copy()
+    return np.swapaxes(u, 0, 1)
 
 
-def _receive(rows: np.ndarray, x: np.ndarray) -> np.ndarray:
+def _receive(rows: np.ndarray, x: np.ndarray, out: np.ndarray) -> np.ndarray:
     # y[b, t] = <rows[b, t], x[b, t]> without conjugation
-    return np.einsum("bta,bta->bt", rows, x)
+    return np.einsum("bta,bta->bt", rows, x, out=out)
 
 
 def run_phases_1_2(cfg: SchemeConfig) -> SchemeTranscript:
@@ -164,32 +178,57 @@ def run_phases_1_2(cfg: SchemeConfig) -> SchemeTranscript:
     The transmitter keeps the noiseless overheard mixtures s21 = g1.x1
     and s12 = h2.x2 for phase 3; receivers record their direct (unit
     noise variance) observations of both phases.
+
+    The two phases draw from disjoint (tag, key) streams and share no
+    array, so they run as two tasks: on two threads when at least two
+    CPUs are usable, otherwise one after the other in the caller's
+    thread with no pool.  Every array is allocated here, in the calling
+    thread, and the tasks only fill them in place, so the phases make no
+    temporaries and their bits do not depend on the thread count.
     """
     n = cfg.n
-    scale = math.sqrt(cfg.power / 2.0)
+    amplitude = math.sqrt(cfg.power / 2.0)
     t = SchemeTranscript(config=cfg)
+    t.u1, t.x1, t.h1, t.g1, t.u2, t.x2, t.h2, t.g2 = (
+        np.empty((n, n, 2), dtype=np.complex128) for _ in range(8))
+    t.z11, t.z21, t.y11, t.y21, t.s21, t.z12, t.z22, t.y12, t.y22, t.s12 = (
+        np.empty((n, n), dtype=np.complex128) for _ in range(10))
 
-    t.u1 = scale * core.sample_cn01(core.stream(cfg.seed, _SIGNAL_TAG, 1), (n, n, 2))
-    t.u2 = scale * core.sample_cn01(core.stream(cfg.seed, _SIGNAL_TAG, 2), (n, n, 2))
-    t.x1 = interleave(t.u1)
-    t.x2 = interleave(t.u2)
+    def draw(out, tag, key, scale=None):
+        core._fill_cn01(core.stream(cfg.seed, tag, key), out, scale)
 
-    t.h1 = core.sample_cn01(core.stream(cfg.seed, _CHANNEL_TAG, 1), (n, n, 2))
-    t.g1 = core.sample_cn01(core.stream(cfg.seed, _CHANNEL_TAG, 2), (n, n, 2))
-    t.h2 = core.sample_cn01(core.stream(cfg.seed, _CHANNEL_TAG, 3), (n, n, 2))
-    t.g2 = core.sample_cn01(core.stream(cfg.seed, _CHANNEL_TAG, 4), (n, n, 2))
+    def phase_1():
+        draw(t.u1, _SIGNAL_TAG, 1, amplitude)
+        np.copyto(t.x1, interleave(t.u1))
+        draw(t.h1, _CHANNEL_TAG, 1)
+        draw(t.g1, _CHANNEL_TAG, 2)
+        draw(t.z11, _NOISE_TAG, 1)
+        draw(t.z21, _NOISE_TAG, 2)
+        _receive(t.g1, t.x1, out=t.s21)
+        np.add(t.s21, t.z21, out=t.y21)
+        _receive(t.h1, t.x1, out=t.y11)
+        np.add(t.y11, t.z11, out=t.y11)
 
-    t.z11 = core.sample_cn01(core.stream(cfg.seed, _NOISE_TAG, 1), (n, n))
-    t.z21 = core.sample_cn01(core.stream(cfg.seed, _NOISE_TAG, 2), (n, n))
-    t.z12 = core.sample_cn01(core.stream(cfg.seed, _NOISE_TAG, 3), (n, n))
-    t.z22 = core.sample_cn01(core.stream(cfg.seed, _NOISE_TAG, 4), (n, n))
+    def phase_2():
+        draw(t.u2, _SIGNAL_TAG, 2, amplitude)
+        np.copyto(t.x2, interleave(t.u2))
+        draw(t.h2, _CHANNEL_TAG, 3)
+        draw(t.g2, _CHANNEL_TAG, 4)
+        draw(t.z12, _NOISE_TAG, 3)
+        draw(t.z22, _NOISE_TAG, 4)
+        _receive(t.h2, t.x2, out=t.s12)
+        np.add(t.s12, t.z12, out=t.y12)
+        _receive(t.g2, t.x2, out=t.y22)
+        np.add(t.y22, t.z22, out=t.y22)
 
-    t.s21 = _receive(t.g1, t.x1)
-    t.s12 = _receive(t.h2, t.x2)
-    t.y11 = _receive(t.h1, t.x1) + t.z11
-    t.y21 = t.s21 + t.z21
-    t.y12 = t.s12 + t.z12
-    t.y22 = _receive(t.g2, t.x2) + t.z22
+    tasks = (phase_1, phase_2)
+    if capacity._thread_count(len(tasks)) > 1:
+        with ThreadPoolExecutor(len(tasks)) as pool:
+            for done in [pool.submit(task) for task in tasks]:
+                done.result()  # re-raises a task's error here
+    else:
+        for task in tasks:
+            task()
     return t
 
 
@@ -254,15 +293,29 @@ def run_phase_3(
     return transcript
 
 
-def _complex_corr(a: np.ndarray, b: np.ndarray) -> float:
-    """Magnitude of the Pearson correlation of two complex sequences."""
+def _power(a: np.ndarray) -> float:
+    """E|a|^2 over every entry of a complex array."""
+    return float(np.mean(a.real**2 + a.imag**2))
+
+
+class _Moments(NamedTuple):
+    """A complex sequence, raveled, with its mean and E|.|^2."""
+
+    seq: np.ndarray
+    mean: complex
+    power: float
+
+
+def _moments(a: np.ndarray) -> _Moments:
     a = np.asarray(a).ravel()
-    b = np.asarray(b).ravel()
-    ma = a.mean()
-    mb = b.mean()
-    num = np.mean(a * np.conj(b)) - ma * np.conj(mb)
-    va = float(np.mean(a.real**2 + a.imag**2) - (ma.real**2 + ma.imag**2))
-    vb = float(np.mean(b.real**2 + b.imag**2) - (mb.real**2 + mb.imag**2))
+    return _Moments(a, a.mean(), _power(a))
+
+
+def _corr(a: _Moments, b: _Moments) -> float:
+    """Magnitude of the Pearson correlation of two complex sequences."""
+    num = np.mean(a.seq * np.conj(b.seq)) - a.mean * np.conj(b.mean)
+    va = a.power - (a.mean.real**2 + a.mean.imag**2)
+    vb = b.power - (b.mean.real**2 + b.mean.imag**2)
     if va <= 0.0 or vb <= 0.0:
         return 0.0
     return float(abs(num) / math.sqrt(va * vb))
@@ -286,33 +339,34 @@ def deinterleave_and_reconstruct(
     t.ytilde21 = t.delivered - t.y12
     t.ytilde12 = t.delivered - t.y21
 
-    resid1 = t.ytilde21 - t.s21
-    resid2 = t.ytilde12 - t.s12
-    msg1 = interleave(resid1)
-    msg2 = interleave(resid2)
+    resid1 = _moments(t.ytilde21 - t.s21)
+    resid2 = _moments(t.ytilde12 - t.s12)
 
-    def var(z):
-        return float(np.mean(z.real**2 + z.imag**2))
-
-    def lag1(msg):
+    def lag1(resid):
         if cfg.n < 2:
             return 0.0
-        return _complex_corr(msg[:, 1:], msg[:, :-1])
+        msg = interleave(resid.reshape(cfg.n, cfg.n))  # message domain
+        return _corr(_moments(msg[:, 1:]), _moments(msg[:, :-1]))
 
-    def against_signals(resid, own_s):
-        refs = [t.x1[..., 0], t.x1[..., 1], t.x2[..., 0], t.x2[..., 1], own_s]
-        return max(_complex_corr(resid, ref) for ref in refs)
+    # each transmit-signal coordinate is raveled once, for both users
+    signal1 = [_corr(resid1, _moments(t.s21))]
+    signal2 = [_corr(resid2, _moments(t.s12))]
+    for x in (t.x1, t.x2):
+        for antenna in (0, 1):
+            ref = _moments(x[..., antenna])
+            signal1.append(_corr(resid1, ref))
+            signal2.append(_corr(resid2, ref))
 
     t.stats = SchemeStats(
-        noise_var_user1=var(resid1),
-        noise_var_user2=var(resid2),
-        autocorr_user1=lag1(msg1),
-        autocorr_user2=lag1(msg2),
-        signal_corr_user1=against_signals(resid1, t.s21),
-        signal_corr_user2=against_signals(resid2, t.s12),
-        noise_cross_corr_user1=_complex_corr(resid1, t.z11),
-        noise_cross_corr_user2=_complex_corr(resid2, t.z22),
-        quant_error_var=var(t.quant_error),
+        noise_var_user1=resid1.power,
+        noise_var_user2=resid2.power,
+        autocorr_user1=lag1(resid1.seq),
+        autocorr_user2=lag1(resid2.seq),
+        signal_corr_user1=max(signal1),
+        signal_corr_user2=max(signal2),
+        noise_cross_corr_user1=_corr(resid1, _moments(t.z11)),
+        noise_cross_corr_user2=_corr(resid2, _moments(t.z22)),
+        quant_error_var=_power(t.quant_error),
     )
     return transcript
 
@@ -327,12 +381,11 @@ def mi_accounting(transcript: SchemeTranscript, cfg: SchemeConfig) -> MIReport:
     if transcript.ytilde21 is None:
         raise ValueError("reconstruction must run first")
     t = transcript
-    noise = (1.0, 1.0 + cfg.distortion)
     count = cfg.n * cfg.n
 
     def report(rows_direct, rows_overheard):
-        eff = np.stack((rows_direct, rows_overheard), axis=2).reshape(-1, 2, 2)
-        vals = core.logdet_capacity_term(eff, cfg.power, noise)
+        vals = core._logdet_2x2(rows_direct, rows_overheard, cfg.power,
+                                1.0, 1.0 + cfg.distortion).ravel()
         stderr = float(np.std(vals, ddof=1) / math.sqrt(count)) if count > 1 else 0.0
         return MonteCarloEstimate(float(np.mean(vals)), stderr, count, cfg.seed)
 

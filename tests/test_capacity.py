@@ -213,18 +213,22 @@ def test_worker_count_is_capped_at_blocks(monkeypatch):
         assert run(1000, 10**6) == run(1000, 1)
     assert threading.active_count() == before
 
-    # three blocks start at most three threads, whatever was asked for
-    sizes = []
+    # three blocks start no more threads than there are usable CPUs or
+    # blocks, whatever was asked for
     real_pool = capacity.ThreadPoolExecutor
-
-    def recording_pool(workers):
-        sizes.append(workers)
-        return real_pool(workers)
-
-    monkeypatch.setattr(capacity, "ThreadPoolExecutor", recording_pool)
     samples = 2 * capacity._BLOCK + 1
-    assert run(samples, 10**6) == run(samples, 1)
-    assert sizes == [3]
+    for cpus, threads in ((2, 2), (64, 3)):
+        sizes = []
+
+        def recording_pool(workers):
+            sizes.append(workers)
+            return real_pool(workers)
+
+        with monkeypatch.context() as patch:
+            patch.setattr(capacity, "_usable_cpus", lambda: cpus)
+            patch.setattr(capacity, "ThreadPoolExecutor", recording_pool)
+            assert run(samples, 10**6) == run(samples, 1)
+        assert sizes == [threads]
 
 
 def test_c22d_zero_distortion_is_classical_capacity():

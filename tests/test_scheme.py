@@ -1,8 +1,11 @@
 """Three-phase scheme simulation: signals, quantized forwarding, accounting."""
 
+import hashlib
 import io
 import json
 import math
+import tracemalloc
+from dataclasses import fields
 
 import numpy as np
 import pytest
@@ -34,6 +37,109 @@ def test_config_validation():
         SchemeConfig(n=4, power=1.0, distortion=0.0)
     with pytest.raises(ValueError):
         SchemeConfig(n=4, power=1.0, delta=0.0)
+    # any integer type, NumPy's too, but not a bool, float or string
+    for n in (2.5, True, "3", 3.0):
+        with pytest.raises(ValueError, match="n must be an integer"):
+            SchemeConfig(n=n, power=10.0)
+    n = SchemeConfig(n=np.int64(3), power=10.0).n
+    assert n == 3 and type(n) is int
+
+
+# float.hex of every SchemeStats field (in field order), (value, stderr) of
+# both MI estimates and of the c21, c22d and rq references, and the sha256 of
+# the dump, at seed 29 with 10^4 reference samples and D = 4: any change to a
+# draw, the interleave, a receive or the order of a reduction moves them
+FROZEN_RUNS = {
+    (1, 10.0): (
+        ["0x1.d8f405d3766e4p+1", "0x1.270a25f6c2268p+3", "0x0.0p+0",
+         "0x0.0p+0", "0x0.0p+0", "0x0.0p+0",
+         "0x0.0p+0", "0x0.0p+0", "0x1.30685ca0e40b1p+2"],
+        [("0x1.3fe9f889189e0p+2", "0x0.0p+0"),
+         ("0x1.b219053177f77p+1", "0x0.0p+0")],
+        [("0x1.957c6300a6e4fp+1", "0x1.376e6ea7b26b5p-7"),
+         ("0x1.08306df4c1bb4p+2", "0x1.5bd552ac759b1p-7"),
+         ("0x1.3a99249026994p+1", "0x1.8a8baa9979377p-8")],
+        "43a1f963610b7dd187171b709dcb0787b626873b5c23c9788407c6640d9bac9e",
+    ),
+    (2, 3.0): (
+        ["0x1.9c7721d49201ep+1", "0x1.136c3448ad0e9p+3", "0x1.0000000000000p+0",
+         "0x1.0000000000001p+0", "0x1.b176c0d973a1dp-1", "0x1.e1f747facbce3p-1",
+         "0x1.69cb777cc5608p-1", "0x1.80f3a8ebe3760p-1", "0x1.26558beb4d554p+2"],
+        [("0x1.44db30690228cp+1", "0x1.1b037c295dba7p-2"),
+         ("0x1.1f540088c8867p+1", "0x1.48c6bfb9781c5p-2")],
+        [("0x1.d112f10969616p+0", "0x1.dbdcdff198442p-8"),
+         ("0x1.21819ad4d9bf4p+1", "0x1.e70692fe0b634p-8"),
+         ("0x1.41f7acea390aep+0", "0x1.113934275ed22p-8")],
+        "e4fa7e43cf00992c9f4bf1d4153778c470bc7076d0618f1b8ea9fa0de0b17620",
+    ),
+    (17, 100.0): (
+        ["0x1.53aab8e3c440cp+2", "0x1.4f0cecb6f02a3p+2", "0x1.7b203886dc2a8p-5",
+         "0x1.e1b0ba0678970p-4", "0x1.1f8729c9e42bcp-4", "0x1.7be7f2e39fafcp-4",
+         "0x1.7ef50bd05965ep-4", "0x1.9c87a797a31cdp-6", "0x1.0b55a3d5be423p+2"],
+        [("0x1.2af0f8ca6b435p+3", "0x1.82c46adcfc1d8p-4"),
+         ("0x1.2192412804708p+3", "0x1.882b3ccd319b3p-4")],
+        [("0x1.922817f7ec68ap+2", "0x1.7044697ffcad1p-7"),
+         ("0x1.2729c1979b474p+3", "0x1.13d2222236076p-6"),
+         ("0x1.5f356458cf45fp+2", "0x1.e9673917084a4p-8")],
+        "c325fb24b69e11eea22fad15be039a132105f881b9cc8b4b4d9c3406a49bcf31",
+    ),
+    (64, 1.0): (
+        ["0x1.38e9b2c9fb3bep+2", "0x1.3d1d7da15b532p+2", "0x1.35ca96bfca1bap-6",
+         "0x1.f36dc18a20e77p-7", "0x1.24f0bcbfc1aa9p-6", "0x1.21f6248abc1dep-6",
+         "0x1.aa07fe8b59a3bp-6", "0x1.0c0156415ba66p-8", "0x1.f9f44437a3226p+1"],
+        [("0x1.1f0ce46fb09a4p+0", "0x1.df801ff7ee79ap-8"),
+         ("0x1.20bb037fcf3fep+0", "0x1.e261eb0102ce1p-8")],
+        [("0x1.d7e42e78e9661p-1", "0x1.3026e319fc8f4p-8"),
+         ("0x1.1f20292729012p+0", "0x1.318cf5e9fc547p-8"),
+         ("0x1.20f93efbc6965p-1", "0x1.2e22f47716e61p-9")],
+        "eb5bc476f6368bbf4f0a3c3534efccb379e6e2beee4702fc2af6b42241dc2f40",
+    ),
+}
+
+
+@pytest.mark.parametrize("cpus", [None, 1, 2])
+def test_run_matches_frozen_bits(monkeypatch, cpus):
+    pools = []
+    if cpus is not None:
+        monkeypatch.setattr(capacity, "_usable_cpus", lambda: cpus)
+        real_pool = scheme.ThreadPoolExecutor
+
+        def recording_pool(workers):
+            if cpus == 1:
+                raise AssertionError("a thread pool was started on one usable CPU")
+            pools.append(workers)
+            return real_pool(workers)
+
+        monkeypatch.setattr(scheme, "ThreadPoolExecutor", recording_pool)
+        monkeypatch.setattr(capacity, "ThreadPoolExecutor", recording_pool)
+    for (n, power), (stats, mi, ref, digest) in FROZEN_RUNS.items():
+        cfg = SchemeConfig(n=n, power=power, seed=29)
+        t = scheme.run_scheme(cfg, ref_mc=MCConfig(samples=10_000, seed=29))
+        assert [getattr(t.stats, f.name).hex() for f in fields(t.stats)] == stats
+        assert [(e.value.hex(), e.stderr.hex()) for e in (t.mi.user1, t.mi.user2)] == mi
+        assert [(t.reference[q].value.hex(), t.reference[q].stderr.hex())
+                for q in ("c21", "c22d", "rq")] == ref
+        buf = io.BytesIO()
+        scheme.dump_transcript(t, buf)
+        assert hashlib.sha256(buf.getvalue()).hexdigest() == digest
+    if cpus == 2:
+        # one two-thread pool per run for the phases; the reference is one block
+        assert pools == [2] * len(FROZEN_RUNS)
+
+
+def test_run_scheme_memory_is_bounded():
+    # the phases fill arrays the transcript keeps, and later stages hold
+    # only a few grid-sized temporaries at a time
+    cfg = SchemeConfig(n=256, power=10.0, seed=67)
+    tracemalloc.start()
+    try:
+        t = scheme.run_scheme(cfg, ref_mc=MCConfig(samples=10_000, seed=67))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    arrays = [v for v in vars(t).values() if isinstance(v, np.ndarray)]
+    held = sum(a.nbytes for a in arrays + [t.audit.coeff_slots, t.audit.read_slots])
+    assert peak < 1.5 * held
 
 
 def test_interleave_swaps_block_and_time():
@@ -66,8 +172,12 @@ def test_phases_1_2_shapes_and_identities():
     for obs in (t.z11, t.z21, t.z12, t.z22, t.y11, t.y21, t.y12, t.y22,
                 t.s21, t.s12):
         assert obs.shape == (6, 6)
+    assert np.array_equal(t.x1, scheme.interleave(t.u1))
+    assert np.array_equal(t.x2, scheme.interleave(t.u2))
+    assert np.allclose(t.y11, np.einsum("bta,bta->bt", t.h1, t.x1) + t.z11)
     assert np.allclose(t.y21, t.s21 + t.z21)
     assert np.allclose(t.y12, t.s12 + t.z12)
+    assert np.allclose(t.y22, np.einsum("bta,bta->bt", t.g2, t.x2) + t.z22)
     # overheard mixtures are plain inner products of rows and inputs
     for b in range(6):
         for tt in range(6):
