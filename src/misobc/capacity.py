@@ -83,7 +83,9 @@ class MCConfig:
     caller's thread.
     Each scratch set holds (4 + k) * 2^16 float64 values for k
     quantities, and there is at most one per worker.  Results do not
-    depend on the worker count.
+    depend on the worker count; they are bit-identical for a fixed BLAS
+    thread setting, since the cross products are BLAS dot products whose
+    summation split follows OpenBLAS's thread count.
     """
 
     samples: int = DEFAULT_SAMPLES

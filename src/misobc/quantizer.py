@@ -69,11 +69,14 @@ class DitheredQuantizer:
         if x.size and not np.all(np.isfinite(x.real) & np.isfinite(x.imag)):
             raise ValueError("samples must be finite")
         u = self._next_dither(x.size)
-        y = np.stack((x.real, x.imag), axis=-1)
         # round-half-up of (x + u)/step; the half-open dither interval keeps
         # the error in [-step/2, step/2) exactly
-        q = np.ceil((y + u) / self.step - 0.5)
-        recon = self.step * q - u
+        q = x.view(np.float64).reshape(-1, 2) + u
+        q /= self.step
+        q -= 0.5
+        np.ceil(q, out=q)
+        recon = self.step * q
+        recon -= u
         self.samples_consumed += x.size
         return q.astype(np.int64), recon[..., 0] + 1j * recon[..., 1]
 
@@ -110,7 +113,7 @@ def write_indices(fp, step: float, indices) -> None:
     if not math.isfinite(s) or s <= 0.0:
         raise ValueError("step must be finite and positive")
     fp.write(_HEADER.pack(_MAGIC, s, q.shape[0]))
-    fp.write(np.ascontiguousarray(q, dtype="<i4").tobytes())
+    fp.write(np.ascontiguousarray(q, dtype="<i4").data)
 
 
 def read_indices(fp) -> tuple[float, np.ndarray]:

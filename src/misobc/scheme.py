@@ -19,9 +19,13 @@ enters the rate accounting only.
 Phases 1 and 2 draw from disjoint (tag, key) streams, so they run as two
 tasks on up to two threads, or in the caller's thread when only one CPU
 is usable.  The caller allocates every transcript array and the tasks
-fill them in place, so a run is bit-identical for any thread count and
-its peak memory stays close to the transcript's own size.  The
-residual statistics compute each sequence's mean and mean power once.
+fill them in place, so a run is bit-identical for any thread count.
+The transcript stores only the draws, the overheard sums and the
+phase-3 delivery (80 MiB at n = 512); transmit grids, observations,
+reconstructed observations and the quantization error are read-only
+properties derived on access, so a run's traced peak sits near those
+80 MiB (about 109 MiB at n = 512).  The residual statistics compute each
+sequence's mean and mean power once.
 """
 
 from __future__ import annotations
@@ -116,28 +120,31 @@ class MIReport:
 
 @dataclass
 class SchemeTranscript:
-    """Everything one simulated run produces, filled in phase order."""
+    """Everything one simulated run produces, filled in phase order.
+
+    Only what was drawn is stored, plus the transmitter's overheard sums
+    and what phase 3 delivers: 14 arrays, 80 MiB at n = 512.  The
+    transmit grids, the receivers' observations, the reconstructed
+    observations and the quantization error are read-only properties,
+    computed on each access from the stored arrays (x1 and x2 are views
+    of u1 and u2, the others fresh arrays).  Each reads None until the
+    stage that makes its inputs has run.
+    """
 
     config: SchemeConfig
-    # message-domain and transmit-domain signal grids, (n, n, 2)
+    # message-domain signal grids, (n, n, 2)
     u1: np.ndarray = None
     u2: np.ndarray = None
-    x1: np.ndarray = None
-    x2: np.ndarray = None
     # channel rows per receiver and phase, (n, n, 2);  h -> receiver 1, g -> receiver 2
     h1: np.ndarray = None
     g1: np.ndarray = None
     h2: np.ndarray = None
     g2: np.ndarray = None
-    # receiver noises and observations, (n, n);  index [receiver, phase]
+    # receiver noises, (n, n);  index [receiver, phase]
     z11: np.ndarray = None
     z21: np.ndarray = None
     z12: np.ndarray = None
     z22: np.ndarray = None
-    y11: np.ndarray = None
-    y21: np.ndarray = None
-    y12: np.ndarray = None
-    y22: np.ndarray = None
     # noiseless overheard sums
     s21: np.ndarray = None
     s12: np.ndarray = None
@@ -147,13 +154,49 @@ class SchemeTranscript:
     quant_step: float = None
     quant_indices: np.ndarray = None
     delivered: np.ndarray = None
-    quant_error: np.ndarray = None
     reference: dict = field(default_factory=dict)
     # reconstruction
-    ytilde21: np.ndarray = None
-    ytilde12: np.ndarray = None
     stats: SchemeStats = None
     mi: MIReport = None
+
+    # transmit-domain signal grids, (n, n, 2): views of the message grids
+    @property
+    def x1(self):
+        return None if self.u1 is None else interleave(self.u1)
+
+    @property
+    def x2(self):
+        return None if self.u2 is None else interleave(self.u2)
+
+    # receiver observations, (n, n);  index [receiver, phase]
+    @property
+    def y11(self):
+        return None if self.u1 is None else _receive(self.h1, self.x1) + self.z11
+
+    @property
+    def y21(self):
+        return None if self.s21 is None else self.s21 + self.z21
+
+    @property
+    def y12(self):
+        return None if self.s12 is None else self.s12 + self.z12
+
+    @property
+    def y22(self):
+        return None if self.u2 is None else _receive(self.g2, self.x2) + self.z22
+
+    # what each receiver keeps of the delivery once its own observation is gone
+    @property
+    def ytilde21(self):
+        return None if self.delivered is None else self.delivered - self.y12
+
+    @property
+    def ytilde12(self):
+        return None if self.delivered is None else self.delivered - self.y21
+
+    @property
+    def quant_error(self):
+        return None if self.delivered is None else self.delivered - (self.s21 + self.s12)
 
 
 def interleave(u: np.ndarray) -> np.ndarray:
@@ -167,7 +210,7 @@ def interleave(u: np.ndarray) -> np.ndarray:
     return np.swapaxes(u, 0, 1)
 
 
-def _receive(rows: np.ndarray, x: np.ndarray, out: np.ndarray) -> np.ndarray:
+def _receive(rows: np.ndarray, x: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
     # y[b, t] = <rows[b, t], x[b, t]> without conjugation
     return np.einsum("bta,bta->bt", rows, x, out=out)
 
@@ -176,8 +219,9 @@ def run_phases_1_2(cfg: SchemeConfig) -> SchemeTranscript:
     """Draw signals, channels and noises; transmit phases 1 and 2.
 
     The transmitter keeps the noiseless overheard mixtures s21 = g1.x1
-    and s12 = h2.x2 for phase 3; receivers record their direct (unit
-    noise variance) observations of both phases.
+    and s12 = h2.x2 for phase 3.  Only the draws and these sums are
+    stored; the receivers' direct (unit noise variance) observations of
+    both phases, y = row.x + z, are derived from them on access.
 
     The two phases draw from disjoint (tag, key) streams and share no
     array, so they run as two tasks: on two threads when at least two
@@ -189,37 +233,29 @@ def run_phases_1_2(cfg: SchemeConfig) -> SchemeTranscript:
     n = cfg.n
     amplitude = math.sqrt(cfg.power / 2.0)
     t = SchemeTranscript(config=cfg)
-    t.u1, t.x1, t.h1, t.g1, t.u2, t.x2, t.h2, t.g2 = (
-        np.empty((n, n, 2), dtype=np.complex128) for _ in range(8))
-    t.z11, t.z21, t.y11, t.y21, t.s21, t.z12, t.z22, t.y12, t.y22, t.s12 = (
-        np.empty((n, n), dtype=np.complex128) for _ in range(10))
+    t.u1, t.h1, t.g1, t.u2, t.h2, t.g2 = (
+        np.empty((n, n, 2), dtype=np.complex128) for _ in range(6))
+    t.z11, t.z21, t.s21, t.z12, t.z22, t.s12 = (
+        np.empty((n, n), dtype=np.complex128) for _ in range(6))
 
     def draw(out, tag, key, scale=None):
         core._fill_cn01(core.stream(cfg.seed, tag, key), out, scale)
 
     def phase_1():
         draw(t.u1, _SIGNAL_TAG, 1, amplitude)
-        np.copyto(t.x1, interleave(t.u1))
         draw(t.h1, _CHANNEL_TAG, 1)
         draw(t.g1, _CHANNEL_TAG, 2)
         draw(t.z11, _NOISE_TAG, 1)
         draw(t.z21, _NOISE_TAG, 2)
         _receive(t.g1, t.x1, out=t.s21)
-        np.add(t.s21, t.z21, out=t.y21)
-        _receive(t.h1, t.x1, out=t.y11)
-        np.add(t.y11, t.z11, out=t.y11)
 
     def phase_2():
         draw(t.u2, _SIGNAL_TAG, 2, amplitude)
-        np.copyto(t.x2, interleave(t.u2))
         draw(t.h2, _CHANNEL_TAG, 3)
         draw(t.g2, _CHANNEL_TAG, 4)
         draw(t.z12, _NOISE_TAG, 3)
         draw(t.z22, _NOISE_TAG, 4)
         _receive(t.h2, t.x2, out=t.s12)
-        np.add(t.s12, t.z12, out=t.y12)
-        _receive(t.g2, t.x2, out=t.y22)
-        np.add(t.y22, t.z22, out=t.y22)
 
     tasks = (phase_1, phase_2)
     if capacity._thread_count(len(tasks)) > 1:
@@ -289,7 +325,6 @@ def run_phase_3(
     transcript.quant_step = step
     transcript.quant_indices = indices
     transcript.delivered = recon.reshape(n, n)
-    transcript.quant_error = transcript.delivered - mixture
     return transcript
 
 
@@ -336,9 +371,6 @@ def deinterleave_and_reconstruct(
     if transcript.delivered is None:
         raise ValueError("phase 3 must run first")
     t = transcript
-    t.ytilde21 = t.delivered - t.y12
-    t.ytilde12 = t.delivered - t.y21
-
     resid1 = _moments(t.ytilde21 - t.s21)
     resid2 = _moments(t.ytilde12 - t.s12)
 
@@ -378,7 +410,7 @@ def mi_accounting(transcript: SchemeTranscript, cfg: SchemeConfig) -> MIReport:
     the grid average estimates the per-symbol rate and must agree with
     capacity.c22d at the same power and distortion.
     """
-    if transcript.ytilde21 is None:
+    if transcript.stats is None:
         raise ValueError("reconstruction must run first")
     t = transcript
     count = cfg.n * cfg.n
@@ -516,13 +548,17 @@ def check_stats(transcript: SchemeTranscript) -> list[str]:
 
 def dump_transcript(transcript: SchemeTranscript, fp) -> None:
     """Binary dump: signal grids as raw little-endian doubles, then the
-    quantizer index stream in its own framed format."""
+    quantizer index stream in its own framed format.
+
+    The u grids are written straight from their buffers; each x grid, a
+    view of its u grid, is laid out in one transposed copy at a time.
+    """
     t = transcript
     if t.quant_indices is None:
         raise ValueError("phase 3 must run before dumping")
     fp.write(_DUMP_HEADER.pack(_DUMP_MAGIC, t.config.n))
     for grid in (t.u1, t.u2, t.x1, t.x2):
-        fp.write(np.ascontiguousarray(grid, dtype="<c16").tobytes())
+        fp.write(np.ascontiguousarray(grid, dtype="<c16").data)
     quantizer.write_indices(fp, t.quant_step, t.quant_indices)
 
 

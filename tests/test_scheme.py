@@ -246,6 +246,69 @@ def test_pipeline_stage_order_is_enforced():
         scheme.dump_transcript(bare, io.BytesIO())
 
 
+def _run_stages(count):
+    """A transcript after the first ``count`` pipeline stages."""
+    cfg = SchemeConfig(n=4, power=2.0, seed=23)
+    t = scheme.run_phases_1_2(cfg) if count else scheme.SchemeTranscript(config=cfg)
+    if count > 1:
+        scheme.run_phase_3(t, cfg, ref_mc=REF)
+    if count > 2:
+        scheme.deinterleave_and_reconstruct(t, cfg)
+    return cfg, t
+
+
+# each call one stage before its input exists
+@pytest.mark.parametrize("stages, call, message", [
+    (0, lambda t, cfg: scheme.run_phase_3(t, cfg, ref_mc=REF), "phases 1 and 2"),
+    (1, lambda t, cfg: scheme.deinterleave_and_reconstruct(t, cfg), "phase 3 must run first"),
+    (2, lambda t, cfg: scheme.mi_accounting(t, cfg), "reconstruction must run first"),
+    (3, lambda t, cfg: scheme.summary(t), "full pipeline"),
+    (2, lambda t, cfg: scheme.check_stats(t), "before checking statistics"),
+    (1, lambda t, cfg: scheme.dump_transcript(t, io.BytesIO()), "before dumping"),
+], ids=["run_phase_3", "deinterleave_and_reconstruct", "mi_accounting", "summary",
+        "check_stats", "dump_transcript"])
+def test_stage_guard_rejects_missing_input(stages, call, message):
+    cfg, t = _run_stages(stages)
+    with pytest.raises(ValueError, match=message):
+        call(t, cfg)
+
+
+STORED = {"u1", "u2", "h1", "g1", "h2", "g2", "z11", "z21", "z12", "z22",
+          "s21", "s12", "delivered", "quant_indices"}
+
+
+def test_transcript_stores_draws_and_derives_the_rest(run128):
+    cfg, t = run128
+    assert {k for k, v in vars(t).items() if isinstance(v, np.ndarray)} == STORED
+    assert np.shares_memory(t.x1, t.u1) and np.shares_memory(t.x2, t.u2)
+    with pytest.raises(AttributeError):
+        t.x1 = t.u1
+
+    def receive(rows, x):
+        return np.einsum("bta,bta->bt", rows, x)
+
+    x1, x2 = np.swapaxes(t.u1, 0, 1), np.swapaxes(t.u2, 0, 1)
+    y12 = t.s12 + t.z12
+    y21 = t.s21 + t.z21
+    derived = {
+        "x1": x1, "x2": x2,
+        "y11": receive(t.h1, x1) + t.z11, "y21": y21,
+        "y12": y12, "y22": receive(t.g2, x2) + t.z22,
+        "ytilde21": t.delivered - y12, "ytilde12": t.delivered - y21,
+        "quant_error": t.delivered - (t.s21 + t.s12),
+    }
+    for name, expect in derived.items():
+        assert np.array_equal(getattr(t, name), expect), name
+    assert np.array_equal(t.s21, receive(t.g1, x1))
+    assert np.array_equal(t.s12, receive(t.h2, x2))
+    fresh = core._fill_cn01(core.stream(cfg.seed, 6, 2),
+                            np.empty((cfg.n, cfg.n), dtype=np.complex128))
+    assert np.array_equal(t.z21, fresh)
+    # before phase 3 nothing is delivered, so nothing is reconstructed
+    early = scheme.run_phases_1_2(SchemeConfig(n=4, power=2.0, seed=23))
+    assert early.ytilde21 is None and early.ytilde12 is None and early.quant_error is None
+
+
 def test_causality_audit(run128):
     _, t = run128
     assert t.audit.ok()
