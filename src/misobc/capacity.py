@@ -50,11 +50,8 @@ from typing import Callable, NamedTuple
 
 import numpy as np
 
-from . import core
-from .core import LN2, DomainError
-
-DEFAULT_SEED = 0xC517
-DEFAULT_SAMPLES = 10**6
+from . import DEFAULT_SAMPLES, DEFAULT_SEED, DomainError, core
+from .core import LN2
 
 QUANTITIES = ("c21", "c22d", "rq")
 
@@ -76,6 +73,9 @@ def _round12(x: float) -> float:
 class MCConfig:
     """Sample count, master seed and worker count for one estimator run.
 
+    ``samples`` (at least 1) and ``seed`` (non-negative) are integers of
+    any integer type, NumPy's too, and are stored as int; a bool, float or
+    string is rejected with a ValueError that names the field.
     ``workers`` is the number of threads over the fixed sample blocks;
     None (the default) means one per usable CPU.  Either way no more
     threads run, and no more scratch sets are allocated, than there are
@@ -93,8 +93,11 @@ class MCConfig:
     workers: int | None = None
 
     def __post_init__(self):
-        if int(self.samples) < 1:
+        samples = _integer(self.samples, "samples must be an integer")
+        if samples < 1:
             raise ValueError("samples must be at least 1")
+        object.__setattr__(self, "samples", samples)
+        object.__setattr__(self, "seed", _seed(self.seed))
         if self.workers is None:
             return
         w = _integer(self.workers, "workers must be an integer or None")
@@ -112,6 +115,14 @@ def _integer(value, message: str) -> int:
         except TypeError:
             pass
     raise ValueError(f"{message}, got {value!r}")
+
+
+def _seed(value) -> int:
+    """``value`` as a master seed: a non-negative integer, as ``_integer`` takes it."""
+    seed = _integer(value, "seed must be an integer")
+    if seed < 0:
+        raise ValueError(f"seed must be non-negative, got {seed}")
+    return seed
 
 
 def _usable_cpus() -> int:

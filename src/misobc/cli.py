@@ -7,21 +7,29 @@ or domain abort, 4 opt-in assertion failure.
 
 The default seed can be overridden with the MISOBC_SEED environment
 variable (decimal or 0x-prefixed hex).
+
+Importing this module loads no NumPy: the parser reads its defaults from
+the package, so a usage error or ``--help`` costs an interpreter start
+and argparse.  Each subcommand imports the modules it runs when it runs:
+``capacity``, ``rq`` and ``rd`` load :mod:`misobc.capacity`, ``region``
+and ``gap`` add :mod:`misobc.regions`, and ``simulate`` adds
+:mod:`misobc.scheme`.
 """
 
 from __future__ import annotations
 
 import argparse
 import json
-import math
 import os
 import sys
 from contextlib import contextmanager
 from pathlib import Path
+from typing import TYPE_CHECKING
 
-from . import capacity, regions, scheme
-from .capacity import MCConfig, PowerGrid, _fmt
-from .core import DomainError
+from . import DEFAULT_SAMPLES, DEFAULT_SEED, GAP_BOUND, MAX_BLOCKS, DomainError
+
+if TYPE_CHECKING:
+    from .capacity import MCConfig, PowerGrid
 
 EXIT_OK = 0
 EXIT_USAGE = 2
@@ -38,7 +46,7 @@ class UsageError(Exception):
 def _default_seed() -> int:
     raw = os.environ.get(SEED_ENV)
     if raw is None:
-        return capacity.DEFAULT_SEED
+        return DEFAULT_SEED
     try:
         return int(raw, 0)
     except ValueError as err:
@@ -75,20 +83,24 @@ def _write_json(fp, payload: dict) -> None:
 
 
 def _grid_from(args) -> PowerGrid:
+    from .capacity import PowerGrid
+
     if args.power is not None:
         return PowerGrid.single(args.power)
     return PowerGrid.default(num=args.grid_points, lo=args.grid_min, hi=args.grid_max)
 
 
 def _mc_from(args) -> MCConfig:
+    from .capacity import MCConfig
+
     return MCConfig(samples=args.samples, seed=args.seed, workers=args.workers)
 
 
 def _add_mc_flags(p: argparse.ArgumentParser) -> None:
-    p.add_argument("--samples", type=int, default=capacity.DEFAULT_SAMPLES,
+    p.add_argument("--samples", type=int, default=DEFAULT_SAMPLES,
                    help="Monte Carlo samples (default 10^6)")
     p.add_argument("--seed", type=_parse_seed, default=_default_seed(),
-                   help=f"master seed (default 0x{capacity.DEFAULT_SEED:X}, "
+                   help=f"master seed (default 0x{DEFAULT_SEED:X}, "
                         f"env {SEED_ENV} overrides)")
     p.add_argument("--workers", type=int, default=1,
                    help="threads over the fixed sample blocks, at most one per block "
@@ -117,6 +129,8 @@ def _add_output_flags(p: argparse.ArgumentParser) -> None:
 
 
 def cmd_capacity(args) -> int:
+    from . import capacity
+
     cfg = _config_dict(args, ("quantity", "distortion", "power", "grid_min",
                               "grid_max", "grid_points", "samples", "seed",
                               "workers", "format"))
@@ -136,6 +150,8 @@ def cmd_capacity(args) -> int:
 
 
 def cmd_rq(args) -> int:
+    from . import capacity
+
     cfg = _config_dict(args, ("distortion", "power", "grid_min", "grid_max",
                               "grid_points", "samples", "seed", "workers",
                               "format", "assert_le_one"))
@@ -160,6 +176,9 @@ def cmd_rq(args) -> int:
 
 
 def cmd_region(args) -> int:
+    from . import capacity, regions
+    from .capacity import PowerGrid, _fmt
+
     cfg = _config_dict(args, ("power", "distortion", "samples", "seed",
                               "workers", "output_dir"))
     (point,) = capacity.estimate(("c21", "c22d"), PowerGrid.single(args.power), _mc_from(args),
@@ -190,6 +209,9 @@ def cmd_region(args) -> int:
 
 
 def cmd_gap(args) -> int:
+    from . import capacity, regions
+    from .capacity import _fmt
+
     cfg = _config_dict(args, ("distortion", "power", "grid_min", "grid_max",
                               "grid_points", "samples", "seed", "workers",
                               "format", "assert_theorem",
@@ -219,11 +241,11 @@ def cmd_gap(args) -> int:
             })
     if args.assert_theorem:
         bad = [r for r in report.rows
-               if r.tau > regions.GAP_BOUND + 3.0 * r.tau_stderr]
+               if r.tau > GAP_BOUND + 3.0 * r.tau_stderr]
         if bad:
             for r in bad:
                 print(
-                    f"assertion failed: tau {r.tau:.6g} > {regions.GAP_BOUND} "
+                    f"assertion failed: tau {r.tau:.6g} > {GAP_BOUND} "
                     f"+ 3*stderr ({r.tau_stderr:.3g}) at P = {r.power:.6g}",
                     file=sys.stderr,
                 )
@@ -232,6 +254,9 @@ def cmd_gap(args) -> int:
 
 
 def cmd_simulate(args) -> int:
+    from . import scheme
+    from .capacity import MCConfig
+
     cfg = _config_dict(args, ("n", "power", "distortion", "delta",
                               "samples", "seed", "assert_stats"))
     run_cfg = scheme.SchemeConfig(
@@ -269,10 +294,17 @@ def cmd_simulate(args) -> int:
 def _rd_variances(args):
     if args.const_sigma2 is not None:
         return [args.const_sigma2]
-    return [float(tok) for tok in args.sigma2_list.split(",") if tok.strip()]
+    try:
+        return [float(tok) for tok in args.sigma2_list.split(",") if tok.strip()]
+    except ValueError as err:
+        raise UsageError(f"--sigma2-list takes comma-separated numbers, "
+                         f"got {args.sigma2_list!r}") from err
 
 
 def cmd_rd(args) -> int:
+    from . import capacity
+    from .capacity import _fmt
+
     cfg = _config_dict(args, ("mode", "budget", "const_sigma2", "sigma2_list",
                               "sigx2", "sigu2", "gain_const", "gain_rayleigh",
                               "samples", "seed", "workers", "format"))
@@ -339,7 +371,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("gap", help="per-user gap between outer and achievable regions")
     p.add_argument("--distortion", type=float, default=4.0)
     p.add_argument("--assert-theorem", action="store_true",
-                   help=f"exit 4 unless max tau <= {regions.GAP_BOUND} + 3*stderr")
+                   help=f"exit 4 unless max tau <= {GAP_BOUND} + 3*stderr")
     p.add_argument("--allow-small-distortion", action="store_true",
                    help="permit D below the certified value 4")
     _add_grid_flags(p)
@@ -349,11 +381,11 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("simulate", help="run the three-phase scheme end to end")
     p.add_argument("--n", type=int, required=True,
-                   help=f"blocks per phase (1..{scheme.MAX_BLOCKS})")
+                   help=f"blocks per phase (1..{MAX_BLOCKS})")
     p.add_argument("--power", type=float, required=True)
     p.add_argument("--distortion", type=float, default=4.0)
     p.add_argument("--delta", type=float, default=0.1)
-    p.add_argument("--samples", type=int, default=capacity.DEFAULT_SAMPLES,
+    p.add_argument("--samples", type=int, default=DEFAULT_SAMPLES,
                    help="samples for the reference capacity estimates")
     p.add_argument("--seed", type=_parse_seed, default=_default_seed())
     p.add_argument("--assert-stats", action="store_true",

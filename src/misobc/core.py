@@ -18,11 +18,9 @@ from __future__ import annotations
 
 import numpy as np
 
+from . import DomainError  # noqa: F401  (re-exported: misobc.core.DomainError)
+
 LN2 = float(np.log(2.0))
-
-
-class DomainError(ValueError):
-    """Raised when inputs leave the validity domain of a quantity."""
 
 
 def stream(seed: int, *key: int) -> np.random.Generator:

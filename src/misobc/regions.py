@@ -22,15 +22,11 @@ from itertools import combinations
 
 import numpy as np
 
-from . import capacity
+from . import GAP_BOUND, DomainError, capacity
 from .capacity import MCConfig, MonteCarloEstimate, PowerGrid, _fmt, _round12
-from .core import DomainError
 
 GEOM_TOL = 1e-9
 BISECT_TOL = 1e-9
-
-# Certified per-user gap constant for the default distortion choice.
-GAP_BOUND = 1.81
 
 # Distortion floor under which gap_sweep refuses to run unless overridden;
 # below it the achievable-region coefficient can lose its sign guarantee.

@@ -38,16 +38,13 @@ from typing import NamedTuple
 
 import numpy as np
 
-from . import capacity, core, quantizer
+from . import DEFAULT_SEED, MAX_BLOCKS, DomainError, capacity, core, quantizer
 from .capacity import MCConfig, MonteCarloEstimate, PowerGrid
-from .core import DomainError
 
 # Stream tags under the run seed; capacity uses 1-2 and the quantizer 3.
 _SIGNAL_TAG = 4
 _CHANNEL_TAG = 5
 _NOISE_TAG = 6
-
-MAX_BLOCKS = 512
 
 _DUMP_MAGIC = b"MBT1"
 _DUMP_HEADER = struct.Struct("<4sI")
@@ -56,13 +53,14 @@ _DUMP_HEADER = struct.Struct("<4sI")
 @dataclass(frozen=True)
 class SchemeConfig:
     """Run parameters: n blocks per phase, transmit power, quantizer distortion,
-    phase-3 margin delta, and the master seed."""
+    phase-3 margin delta, and the master seed (a non-negative integer, as
+    ``MCConfig`` takes it)."""
 
     n: int
     power: float
     distortion: float = 4.0
     delta: float = 0.1
-    seed: int = capacity.DEFAULT_SEED
+    seed: int = DEFAULT_SEED
 
     def __post_init__(self):
         n = capacity._integer(self.n, "n must be an integer")
@@ -75,6 +73,7 @@ class SchemeConfig:
             raise ValueError("distortion must be finite and positive")
         if not math.isfinite(self.delta) or self.delta <= 0.0:
             raise ValueError("delta must be finite and positive")
+        object.__setattr__(self, "seed", capacity._seed(self.seed))
 
 
 @dataclass(frozen=True)

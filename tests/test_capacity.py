@@ -310,8 +310,21 @@ def test_power_grid_validation():
 
 
 def test_mcconfig_validation():
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="samples must be at least 1"):
         MCConfig(samples=0)
+    # any integer type, NumPy's too, but not a bool, float or string: a
+    # float count would be truncated in the draw but not in the mean
+    for samples in (2.5, True, "10", 10.0):
+        with pytest.raises(ValueError, match="samples must be an integer"):
+            MCConfig(samples=samples)
+    for seed in (2.7, True, "3", 3.0):
+        with pytest.raises(ValueError, match="seed must be an integer"):
+            MCConfig(seed=seed)
+    with pytest.raises(ValueError, match="seed must be non-negative, got -1"):
+        MCConfig(seed=-1)
+    mc = MCConfig(samples=np.int64(5), seed=np.uint32(7))
+    assert (mc.samples, mc.seed) == (5, 7)
+    assert type(mc.samples) is int and type(mc.seed) is int
     for workers in (0, -1, 1.5, 2.0, "2", True):
         with pytest.raises(ValueError):
             MCConfig(workers=workers)

@@ -1,5 +1,6 @@
 """End-to-end command line checks, run in process through cli.main."""
 
+import hashlib
 import json
 import os
 import re
@@ -11,7 +12,7 @@ import numpy as np
 import pytest
 
 import misobc
-from misobc import cli, regions, scheme
+from misobc import capacity, cli, core, regions, scheme
 from misobc.regions import RateRegion
 
 FAST = ["--samples", "20000", "--seed", "9"]
@@ -310,6 +311,25 @@ def test_rd_wyner_rejects_oversized_budget(capsys):
     assert "error" in err
 
 
+def test_rd_malformed_variance_list_is_a_usage_error(capsys):
+    code, out, err = run(capsys, ["rd", "--mode", "waterfill",
+                                  "--sigma2-list", "1,a", "--budget", "1"])
+    assert code == 2
+    assert out == ""
+    assert err == "usage error: --sigma2-list takes comma-separated numbers, got '1,a'\n"
+
+
+@pytest.mark.parametrize("argv", [
+    ["capacity", "--quantity", "c21", "--power", "1", "--samples", "1000"],
+    ["simulate", "--n", "8", "--power", "10", "--samples", "1000"],
+])
+def test_negative_seed_names_the_flag_value(capsys, argv):
+    code, out, err = run(capsys, argv + ["--seed", "-1"])
+    assert code == 3
+    assert out == ""
+    assert err == "error: seed must be non-negative, got -1\n"
+
+
 def test_rd_missing_mode_flags(capsys):
     code, _, err = run(capsys, ["rd", "--mode", "waterfill", "--budget", "1"])
     assert code == 2
@@ -344,14 +364,88 @@ def test_seed_env_var_rejected_cleanly(capsys, monkeypatch):
     assert "usage error" in err
 
 
-def test_cli_import_leaves_scipy_unloaded():
-    # scipy is only needed by the quadrature oracle; importing it up front
-    # would dominate the start-up of every command
+def test_shared_names_have_one_definition():
+    assert misobc.DomainError is core.DomainError is capacity.DomainError
+    assert regions.DomainError is scheme.DomainError is misobc.DomainError
+    assert capacity.DEFAULT_SEED is scheme.SchemeConfig.seed is misobc.DEFAULT_SEED
+    assert capacity.DEFAULT_SAMPLES is misobc.DEFAULT_SAMPLES
+    assert regions.GAP_BOUND is misobc.GAP_BOUND
+    assert scheme.MAX_BLOCKS is misobc.MAX_BLOCKS
+
+
+# Runs the command line in a fresh interpreter and writes its exit code and
+# the names of the modules it loaded to the file named by the first argument;
+# without further arguments it only imports misobc.cli.
+STARTUP_PROBE = """
+import json, sys
+from misobc import cli
+code = None
+if sys.argv[2:]:
+    try:
+        code = cli.main(sys.argv[2:])
+    except SystemExit as stop:
+        code = stop.code
+with open(sys.argv[1], "w") as fp:
+    json.dump({"code": code, "modules": sorted(sys.modules)}, fp)
+"""
+
+SMALL = ["--samples", "2000", "--seed", "9"]
+NUMERIC = ("misobc.core", "misobc.capacity")
+
+
+@pytest.mark.parametrize("argv, code, loaded, unloaded", [
+    pytest.param([], None, (), ("numpy",), id="import"),
+    pytest.param(["--help"], 0, (), ("numpy",), id="help"),
+    pytest.param(["capacity", "--no-such-flag"], 2, (), ("numpy",), id="bad_flag"),
+    pytest.param(["capacity", "--quantity", "c21", "--power", "10", *SMALL], 0,
+                 NUMERIC, ("misobc.regions", "misobc.scheme"), id="capacity"),
+    pytest.param(["rq", "--power", "10", *SMALL], 0,
+                 NUMERIC, ("misobc.regions", "misobc.scheme"), id="rq"),
+    pytest.param(["rd", "--mode", "waterfill", "--const-sigma2", "4", "--budget", "1"], 0,
+                 NUMERIC, ("misobc.regions", "misobc.scheme"), id="rd"),
+    pytest.param(["region", "--power", "10", *SMALL], 0,
+                 NUMERIC + ("misobc.regions",), ("misobc.scheme",), id="region"),
+    pytest.param(["gap", "--power", "10", *SMALL], 0,
+                 NUMERIC + ("misobc.regions",), ("misobc.scheme",), id="gap"),
+    pytest.param(["simulate", "--n", "8", "--power", "10", *SMALL], 0,
+                 NUMERIC + ("misobc.scheme",), ("misobc.regions",), id="simulate"),
+])
+def test_startup_loads_only_what_the_command_runs(tmp_path, argv, code, loaded, unloaded):
+    # a cold command pays for every module it imports; scipy is only needed
+    # by the quadrature oracle, and numpy not at all to parse flags
     src = str(Path(misobc.__file__).resolve().parents[1])
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(
         p for p in (src, os.environ.get("PYTHONPATH")) if p))
-    code = ("import sys, misobc.cli; "
-            "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))")
-    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
-                          env=env, check=True, timeout=120)
-    assert proc.stdout.strip() == "[]"
+    env.pop(cli.SEED_ENV, None)
+    report = tmp_path / "modules.json"
+    subprocess.run([sys.executable, "-c", STARTUP_PROBE, str(report), *argv],
+                   capture_output=True, cwd=tmp_path, env=env, check=True, timeout=120)
+    result = json.loads(report.read_text())
+    assert result["code"] == code
+    modules = set(result["modules"])
+    assert {"misobc", "misobc.cli", *loaded} <= modules
+    assert modules.isdisjoint({"scipy", *unloaded})
+
+
+# sha256 of `misobc [SUBCOMMAND] --help` with COLUMNS=80, as argparse of
+# CPython 3.11 formats it: flags, defaults and help strings must not move
+HELP_SHA256 = {
+    "": "935a68c298fbc4549b732806f03808a8b26560e167987debd72a1b0f8923296d",
+    "capacity": "a293e37e3269e73d9554e2803a46c8c487928fa391afbb6c67fc128867d1815e",
+    "rq": "067f70372f0e402732e73a10b777bc71c4c825d4df1b597124aecae42e4eb04d",
+    "region": "119dc4abfb8582b442e7ed52b25d5dda34c232a1b76531723ee1bc519b1cbb50",
+    "gap": "803c51a60d78f94a53ba2fefeab6878381f4258bc72926063bb3c391ca56bd40",
+    "simulate": "b39ee79be6cae9e987758fc7271e2bebe54dcfbd13f925b4263a4bdcd22330fd",
+    "rd": "ba2d278bc7ba52de7914136b5b172bbf4230108d1ced1d9cea9a8b13116d685f",
+}
+
+
+@pytest.mark.parametrize("sub", list(HELP_SHA256), ids=lambda sub: sub or "top")
+def test_help_text_is_frozen(capsys, monkeypatch, sub):
+    monkeypatch.setenv("COLUMNS", "80")
+    monkeypatch.delenv(cli.SEED_ENV, raising=False)
+    with pytest.raises(SystemExit) as exc:
+        cli.main([sub, "--help"] if sub else ["--help"])
+    assert exc.value.code == 0
+    out = capsys.readouterr().out
+    assert hashlib.sha256(out.encode()).hexdigest() == HELP_SHA256[sub]

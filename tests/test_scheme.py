@@ -43,6 +43,13 @@ def test_config_validation():
             SchemeConfig(n=n, power=10.0)
     n = SchemeConfig(n=np.int64(3), power=10.0).n
     assert n == 3 and type(n) is int
+    for seed in (2.7, True, "3", 3.0):
+        with pytest.raises(ValueError, match="seed must be an integer"):
+            SchemeConfig(n=4, power=10.0, seed=seed)
+    with pytest.raises(ValueError, match="seed must be non-negative, got -1"):
+        SchemeConfig(n=4, power=10.0, seed=-1)
+    seed = SchemeConfig(n=4, power=10.0, seed=np.int64(5)).seed
+    assert seed == 5 and type(seed) is int
 
 
 # float.hex of every SchemeStats field (in field order), (value, stderr) of
