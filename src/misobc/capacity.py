@@ -31,6 +31,11 @@ made only while every set is in use, so for k quantities transient
 memory is at most workers * (4 + k) * 2^16 * 8 bytes at any sample
 count; with the default that bound grows with the host's CPU count.
 
+``c21_oracle`` evaluates c21 in closed form, through the exponential
+integral, as a reference for the estimator.  Result tables write CSV
+and JSON through one path: ``write_csv`` and the ``_Table`` base class,
+which ``regions`` shares.
+
 The module also carries the scalar rate-distortion helpers used by the
 quantizer sizing arguments: exact reverse waterfilling, the one-level
 suboptimal rate, and the ergodic conditional rate with decoder side
@@ -67,6 +72,27 @@ def _fmt(x) -> str:
 
 def _round12(x: float) -> float:
     return float(_fmt(x))
+
+
+def write_csv(fp, columns, rows) -> None:
+    """A header of ``columns``, then one line per row of values: floats as
+    ``_fmt`` writes them, ints and labels as they are."""
+    fp.write(",".join(columns) + "\n")
+    for row in rows:
+        fp.write(",".join(_fmt(v) if isinstance(v, float) else str(v) for v in row) + "\n")
+
+
+class _Table:
+    """Result rows written as CSV or JSON under ``columns``; a table gives
+    ``columns`` and ``values(row)``, the row's cells in that order."""
+
+    def to_csv(self, fp) -> None:
+        write_csv(fp, self.columns, map(self.values, self.rows))
+
+    def to_json(self) -> list[dict]:
+        """One ``{column: value}`` record per row, floats rounded by ``_round12``."""
+        return [{c: _round12(v) if isinstance(v, float) else v
+                 for c, v in zip(self.columns, self.values(r))} for r in self.rows]
 
 
 @dataclass(frozen=True)
@@ -209,17 +235,23 @@ def _draw_moments(
     return ChannelMoments(e[0], e[2], e[3])
 
 
+def _number(value, name: str) -> float:
+    """``float(value)``, but a ValueError naming ``name`` for None and other non-numbers."""
+    try:
+        return float(value)
+    except TypeError:
+        raise ValueError(f"{name} must be a number, got {value!r}") from None
+
+
 def _check_quantity(quantity: str, distortion) -> None:
     if quantity not in QUANTITIES:
         raise ValueError(f"unknown quantity {quantity!r}, expected one of {QUANTITIES}")
-    if quantity == "c22d":
-        d = float(distortion)
-        if not math.isfinite(d) or d < 0.0:
-            raise ValueError("distortion must be finite and nonnegative for c22d")
-    elif quantity == "rq":
-        d = float(distortion)
-        if not math.isfinite(d) or d <= 0.0:
-            raise ValueError("distortion must be finite and positive for rq")
+    if quantity == "c21":
+        return
+    d = _number(distortion, f"distortion for {quantity}")
+    if not math.isfinite(d) or d < 0.0 or (quantity == "rq" and d == 0.0):
+        sign = "positive" if quantity == "rq" else "nonnegative"
+        raise ValueError(f"distortion must be finite and {sign} for {quantity}")
 
 
 def _rate_polys(m: np.ndarray, quantities, distortion) -> list:
@@ -360,28 +392,26 @@ def rq(power: float, distortion: float, mc: MCConfig | None = None) -> MonteCarl
 
 
 def c21_oracle(power: float) -> float:
-    """Adaptive-quadrature value of c21, independent of the sampling path.
+    """Closed-form value of c21, independent of the sampling path.
 
-    Integrates log2(1 + (power/2) x) against the Gamma(2, 1) density
-    x e^(-x) on [0, inf).  Absolute accuracy is driven well below 1e-10,
-    suitable as a fixed reference for estimator fidelity checks.
+    E ln(1 + (power/2) x) over the Gamma(2, 1) density x e^(-x) is
+    1 + (1 - z) U(1, 1, z) with z = 2/power and U(1, 1, z) = e^z E1(z).
+    U is that product until e^z overflows, and scipy's ``hyperu`` beyond,
+    which is as accurate there but puts c21 off by up to 4e-9 for z in
+    (1, 40).  The result is within 2e-10 relative of a 50-digit
+    quadrature for powers from 1e-6 to 1e6 (the cancellation to 2/z sets
+    the limit at small powers) and within 5e-13 from 1e-3 up.
     """
     p = float(power)
     if not math.isfinite(p) or p < 0.0:
         raise ValueError("power must be finite and nonnegative")
     if p == 0.0:
         return 0.0
-    from scipy.integrate import quad  # imported here: scipy dominates the CLI's start-up
+    from scipy.special import exp1, hyperu  # imported here: scipy dominates the CLI's start-up
 
-    a = p / 2.0
-
-    def integrand(x):
-        return math.log1p(a * x) * x * math.exp(-x) / LN2
-
-    # Split at the density mode to help the adaptive rule at extreme powers.
-    head, _ = quad(integrand, 0.0, 2.0, epsabs=1e-13, epsrel=1e-13, limit=200)
-    tail, _ = quad(integrand, 2.0, np.inf, epsabs=1e-13, epsrel=1e-13, limit=200)
-    return head + tail
+    z = 2.0 / p
+    u = math.exp(z) * float(exp1(z)) if z < 700.0 else float(hyperu(1.0, 1.0, z))
+    return (1.0 + (1.0 - z) * u) / LN2
 
 
 @dataclass(frozen=True)
@@ -391,32 +421,19 @@ class SweepRow:
 
 
 @dataclass(frozen=True)
-class SweepTable:
+class SweepTable(_Table):
     """One quantity evaluated over a power grid with shared draws."""
 
     quantity: str
     distortion: float | None
     rows: tuple[SweepRow, ...]
 
-    def to_csv(self, fp) -> None:
-        fp.write("P,value,stderr,samples,seed\n")
-        for row in self.rows:
-            e = row.estimate
-            fp.write(
-                f"{_fmt(row.power)},{_fmt(e.value)},{_fmt(e.stderr)},{e.samples},{e.seed}\n"
-            )
+    columns = ("P", "value", "stderr", "samples", "seed")
 
-    def to_json(self) -> list[dict]:
-        return [
-            {
-                "P": _round12(row.power),
-                "value": _round12(row.estimate.value),
-                "stderr": _round12(row.estimate.stderr),
-                "samples": row.estimate.samples,
-                "seed": row.estimate.seed,
-            }
-            for row in self.rows
-        ]
+    @staticmethod
+    def values(r: SweepRow) -> tuple:
+        e = r.estimate
+        return r.power, e.value, e.stderr, e.samples, e.seed
 
 
 def sweep(
@@ -467,34 +484,20 @@ class RatioRow:
 
 
 @dataclass(frozen=True)
-class RatioTable:
+class RatioTable(_Table):
     """rq / c21 over a grid, with delta-method error bars on the ratio."""
 
     distortion: float
     rows: tuple[RatioRow, ...]
 
+    columns = ("P", "rq", "c21", "ratio", "ratio_stderr")
+
+    @staticmethod
+    def values(r: RatioRow) -> tuple:
+        return r.power, r.rq.value, r.c21.value, r.ratio, r.ratio_stderr
+
     def max_row(self) -> RatioRow:
         return max(self.rows, key=lambda r: r.ratio)
-
-    def to_csv(self, fp) -> None:
-        fp.write("P,rq,c21,ratio,ratio_stderr\n")
-        for r in self.rows:
-            fp.write(
-                f"{_fmt(r.power)},{_fmt(r.rq.value)},{_fmt(r.c21.value)},"
-                f"{_fmt(r.ratio)},{_fmt(r.ratio_stderr)}\n"
-            )
-
-    def to_json(self) -> list[dict]:
-        return [
-            {
-                "P": _round12(r.power),
-                "rq": _round12(r.rq.value),
-                "c21": _round12(r.c21.value),
-                "ratio": _round12(r.ratio),
-                "ratio_stderr": _round12(r.ratio_stderr),
-            }
-            for r in self.rows
-        ]
 
 
 def ratio_sweep(

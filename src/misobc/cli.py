@@ -2,8 +2,10 @@
 
 Every computation in the package is exposed as a subcommand with a
 fully resolved, reproducible configuration echoed into each output
-header.  Exit codes are stable: 0 success, 2 usage error, 3 numerical
-or domain abort, 4 opt-in assertion failure.
+header: every parsed flag but ``--output`` and ``--dump``, plus the
+subcommand.  ``_emit`` writes each CSV or JSON result with that echo.
+Exit codes are stable: 0 success, 2 usage error, 3 numerical or domain
+abort, 4 opt-in assertion failure.
 
 The default seed can be overridden with the MISOBC_SEED environment
 variable (decimal or 0x-prefixed hex).
@@ -66,10 +68,11 @@ def _open_out(path):
             yield fp
 
 
-def _config_dict(args, fields) -> dict:
-    cfg = {"subcommand": args.command}
-    for name in fields:
-        cfg[name] = getattr(args, name)
+def _config(args) -> dict:
+    """Every parsed flag but the output paths, and the subcommand."""
+    cfg = {k: v for k, v in vars(args).items()
+           if k not in ("command", "func", "output", "dump")}
+    cfg["subcommand"] = args.command
     return cfg
 
 
@@ -80,6 +83,31 @@ def _echo_line(cfg: dict) -> str:
 def _write_json(fp, payload: dict) -> None:
     json.dump(payload, fp, sort_keys=True, indent=2)
     fp.write("\n")
+
+
+def _emit(args, write_csv, json_fields: dict) -> None:
+    """Write the result to --output: for --format csv the config echo line,
+    then ``write_csv(fp)``; for json one object of the config and ``json_fields``."""
+    cfg = _config(args)
+    with _open_out(args.output) as fp:
+        if args.format == "csv":
+            fp.write(_echo_line(cfg))
+            write_csv(fp)
+        else:
+            _write_json(fp, {"config": cfg, **json_fields})
+
+
+def _assert_rows(rows, name: str, bound: float) -> int:
+    """EXIT_ASSERT, after one stderr line per row whose ``name`` exceeds
+    ``bound`` by more than three of its standard errors; else EXIT_OK."""
+    code = EXIT_OK
+    for r in rows:
+        value, stderr = getattr(r, name), getattr(r, f"{name}_stderr")
+        if value > bound + 3.0 * stderr:
+            print(f"assertion failed: {name} {value:.6g} > {bound:g} + 3*stderr "
+                  f"({stderr:.3g}) at P = {r.power:.6g}", file=sys.stderr)
+            code = EXIT_ASSERT
+    return code
 
 
 def _grid_from(args) -> PowerGrid:
@@ -93,15 +121,18 @@ def _grid_from(args) -> PowerGrid:
 def _mc_from(args) -> MCConfig:
     from .capacity import MCConfig
 
-    return MCConfig(samples=args.samples, seed=args.seed, workers=args.workers)
+    # simulate and rd have no --workers and run one
+    return MCConfig(samples=args.samples, seed=args.seed, workers=getattr(args, "workers", 1))
 
 
-def _add_mc_flags(p: argparse.ArgumentParser) -> None:
+def _add_mc_flags(p: argparse.ArgumentParser, workers: bool = True) -> None:
     p.add_argument("--samples", type=int, default=DEFAULT_SAMPLES,
                    help="Monte Carlo samples (default 10^6)")
     p.add_argument("--seed", type=_parse_seed, default=_default_seed(),
                    help=f"master seed (default 0x{DEFAULT_SEED:X}, "
                         f"env {SEED_ENV} overrides)")
+    if not workers:
+        return
     p.add_argument("--workers", type=int, default=1,
                    help="threads over the fixed sample blocks, at most one per block "
                         "and per usable CPU; "
@@ -131,56 +162,28 @@ def _add_output_flags(p: argparse.ArgumentParser) -> None:
 def cmd_capacity(args) -> int:
     from . import capacity
 
-    cfg = _config_dict(args, ("quantity", "distortion", "power", "grid_min",
-                              "grid_max", "grid_points", "samples", "seed",
-                              "workers", "format"))
     if args.quantity == "c21" and args.distortion is not None:
         raise UsageError("c21 takes no --distortion")
     if args.quantity == "c22d" and args.distortion is None:
         raise UsageError("c22d needs --distortion")
     table = capacity.sweep(args.quantity, _grid_from(args), _mc_from(args),
                            distortion=args.distortion)
-    with _open_out(args.output) as fp:
-        if args.format == "csv":
-            fp.write(_echo_line(cfg))
-            table.to_csv(fp)
-        else:
-            _write_json(fp, {"config": cfg, "rows": table.to_json()})
+    _emit(args, table.to_csv, {"rows": table.to_json()})
     return EXIT_OK
 
 
 def cmd_rq(args) -> int:
     from . import capacity
 
-    cfg = _config_dict(args, ("distortion", "power", "grid_min", "grid_max",
-                              "grid_points", "samples", "seed", "workers",
-                              "format", "assert_le_one"))
     table = capacity.ratio_sweep(args.distortion, _grid_from(args), _mc_from(args))
-    with _open_out(args.output) as fp:
-        if args.format == "csv":
-            fp.write(_echo_line(cfg))
-            table.to_csv(fp)
-        else:
-            _write_json(fp, {"config": cfg, "rows": table.to_json()})
-    if args.assert_le_one:
-        bad = [r for r in table.rows if r.ratio > 1.0 + 3.0 * r.ratio_stderr]
-        if bad:
-            for r in bad:
-                print(
-                    f"assertion failed: ratio {r.ratio:.6g} > 1 + 3*stderr "
-                    f"({r.ratio_stderr:.3g}) at P = {r.power:.6g}",
-                    file=sys.stderr,
-                )
-            return EXIT_ASSERT
-    return EXIT_OK
+    _emit(args, table.to_csv, {"rows": table.to_json()})
+    return _assert_rows(table.rows, "ratio", 1.0) if args.assert_le_one else EXIT_OK
 
 
 def cmd_region(args) -> int:
     from . import capacity, regions
     from .capacity import PowerGrid, _fmt
 
-    cfg = _config_dict(args, ("power", "distortion", "samples", "seed",
-                              "workers", "output_dir"))
     (point,) = capacity.estimate(("c21", "c22d"), PowerGrid.single(args.power), _mc_from(args),
                                  args.distortion)
     c21e, c22de = point.estimates
@@ -188,6 +191,7 @@ def cmd_region(args) -> int:
     inner = regions.achievable_region(c21e.value, c22de.value)
     corners = regions.corner_points(inner)
 
+    echo = _echo_line(_config(args))
     outdir = Path(args.output_dir)
     outdir.mkdir(parents=True, exist_ok=True)
     targets = {
@@ -197,7 +201,7 @@ def cmd_region(args) -> int:
     }
     for name, writer in targets.items():
         with open(outdir / name, "w", encoding="utf-8", newline="\n") as fp:
-            fp.write(_echo_line(cfg))
+            fp.write(echo)
             writer(fp)
     print(f"c21 = {_fmt(c21e.value)} (stderr {_fmt(c21e.stderr)})")
     print(f"c22d = {_fmt(c22de.value)} (stderr {_fmt(c22de.stderr)})")
@@ -209,13 +213,9 @@ def cmd_region(args) -> int:
 
 
 def cmd_gap(args) -> int:
-    from . import capacity, regions
-    from .capacity import _fmt
+    from . import regions
+    from .capacity import _fmt, _round12
 
-    cfg = _config_dict(args, ("distortion", "power", "grid_min", "grid_max",
-                              "grid_points", "samples", "seed", "workers",
-                              "format", "assert_theorem",
-                              "allow_small_distortion"))
     report = regions.gap_sweep(
         args.distortion,
         _grid_from(args),
@@ -223,42 +223,20 @@ def cmd_gap(args) -> int:
         allow_small_distortion=args.allow_small_distortion,
     )
     top = report.max_row()
-    with _open_out(args.output) as fp:
-        if args.format == "csv":
-            fp.write(_echo_line(cfg))
-            report.to_csv(fp)
-            fp.write(f"# max_tau: P={_fmt(top.power)} tau={_fmt(top.tau)} "
-                     f"tau_stderr={_fmt(top.tau_stderr)}\n")
-        else:
-            _write_json(fp, {
-                "config": cfg,
-                "rows": report.to_json(),
-                "max_tau": {
-                    "P": capacity._round12(top.power),
-                    "tau": capacity._round12(top.tau),
-                    "tau_stderr": capacity._round12(top.tau_stderr),
-                },
-            })
-    if args.assert_theorem:
-        bad = [r for r in report.rows
-               if r.tau > GAP_BOUND + 3.0 * r.tau_stderr]
-        if bad:
-            for r in bad:
-                print(
-                    f"assertion failed: tau {r.tau:.6g} > {GAP_BOUND} "
-                    f"+ 3*stderr ({r.tau_stderr:.3g}) at P = {r.power:.6g}",
-                    file=sys.stderr,
-                )
-            return EXIT_ASSERT
-    return EXIT_OK
+    peak = dict(P=top.power, tau=top.tau, tau_stderr=top.tau_stderr)
+
+    def write_csv(fp):
+        report.to_csv(fp)
+        fp.write("# max_tau: " + " ".join(f"{k}={_fmt(v)}" for k, v in peak.items()) + "\n")
+
+    _emit(args, write_csv, {"rows": report.to_json(),
+                            "max_tau": {k: _round12(v) for k, v in peak.items()}})
+    return _assert_rows(report.rows, "tau", GAP_BOUND) if args.assert_theorem else EXIT_OK
 
 
 def cmd_simulate(args) -> int:
     from . import scheme
-    from .capacity import MCConfig
 
-    cfg = _config_dict(args, ("n", "power", "distortion", "delta",
-                              "samples", "seed", "assert_stats"))
     run_cfg = scheme.SchemeConfig(
         n=args.n,
         power=args.power,
@@ -272,13 +250,10 @@ def cmd_simulate(args) -> int:
     for path in (None if args.output == "-" else args.output, args.dump):
         if path is not None:
             open(path, "ab").close()
-    # the CLI runs one worker unless --workers says otherwise; simulate has
-    # no --workers, so its reference estimates run on one
-    transcript = scheme.run_scheme(run_cfg, ref_mc=MCConfig(samples=args.samples,
-                                                            seed=args.seed, workers=1))
+    transcript = scheme.run_scheme(run_cfg, ref_mc=_mc_from(args))
     report = scheme.summary(transcript)
     with _open_out(args.output) as fp:
-        _write_json(fp, {"config": cfg, "report": report})
+        _write_json(fp, {"config": _config(args), "report": report})
     if args.dump is not None:
         with open(args.dump, "wb") as fp:
             scheme.dump_transcript(transcript, fp)
@@ -303,11 +278,12 @@ def _rd_variances(args):
 
 def cmd_rd(args) -> int:
     from . import capacity
-    from .capacity import _fmt
+    from .capacity import _fmt, _round12
 
-    cfg = _config_dict(args, ("mode", "budget", "const_sigma2", "sigma2_list",
-                              "sigx2", "sigu2", "gain_const", "gain_rayleigh",
-                              "samples", "seed", "workers", "format"))
+    if args.const_sigma2 is not None and args.sigma2_list is not None:
+        raise UsageError("--const-sigma2 and --sigma2-list exclude each other")
+    if args.gain_const is not None and args.gain_rayleigh:
+        raise UsageError("--gain-const and --gain-rayleigh exclude each other")
     if args.mode in ("waterfill", "suboptimal"):
         if args.const_sigma2 is None and args.sigma2_list is None:
             raise UsageError("waterfill/suboptimal need --const-sigma2 or --sigma2-list")
@@ -324,12 +300,7 @@ def cmd_rd(args) -> int:
                    if args.gain_const is not None else capacity.rayleigh_gain())
         rate = capacity.ergodic_wyner_rate(args.sigx2, args.sigu2, args.budget,
                                            sampler, _mc_from(args))
-    with _open_out(args.output) as fp:
-        if args.format == "csv":
-            fp.write(_echo_line(cfg))
-            fp.write(_fmt(rate) + "\n")
-        else:
-            _write_json(fp, {"config": cfg, "rate": capacity._round12(rate)})
+    _emit(args, lambda fp: fp.write(_fmt(rate) + "\n"), {"rate": _round12(rate)})
     return EXIT_OK
 
 
@@ -412,7 +383,7 @@ def build_parser() -> argparse.ArgumentParser:
                    help="wyner: constant side-information gain")
     p.add_argument("--gain-rayleigh", action="store_true",
                    help="wyner: |CN(0,1)| random gain")
-    _add_mc_flags(p)
+    _add_mc_flags(p, workers=False)
     _add_output_flags(p)
     p.set_defaults(func=cmd_rd)
 

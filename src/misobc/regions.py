@@ -23,7 +23,7 @@ from itertools import combinations
 import numpy as np
 
 from . import GAP_BOUND, DomainError, capacity
-from .capacity import MCConfig, MonteCarloEstimate, PowerGrid, _fmt, _round12
+from .capacity import MCConfig, MonteCarloEstimate, PowerGrid, _number, _Table, write_csv
 
 GEOM_TOL = 1e-9
 BISECT_TOL = 1e-9
@@ -317,37 +317,21 @@ class GapPoint:
 
 
 @dataclass(frozen=True)
-class GapReport:
+class GapReport(_Table):
     """Per-user gap between outer and achievable regions over a power grid."""
 
     distortion: float
     rows: tuple[GapPoint, ...]
 
+    columns = ("P", "c21", "c21_stderr", "c22d", "c22d_stderr", "tau", "tau_stderr")
+
+    @staticmethod
+    def values(r: GapPoint) -> tuple:
+        return (r.power, r.c21.value, r.c21.stderr, r.c22d.value, r.c22d.stderr,
+                r.tau, r.tau_stderr)
+
     def max_row(self) -> GapPoint:
         return max(self.rows, key=lambda r: r.tau)
-
-    def to_csv(self, fp) -> None:
-        fp.write("P,c21,c21_stderr,c22d,c22d_stderr,tau,tau_stderr\n")
-        for r in self.rows:
-            fp.write(
-                f"{_fmt(r.power)},{_fmt(r.c21.value)},{_fmt(r.c21.stderr)},"
-                f"{_fmt(r.c22d.value)},{_fmt(r.c22d.stderr)},"
-                f"{_fmt(r.tau)},{_fmt(r.tau_stderr)}\n"
-            )
-
-    def to_json(self) -> list[dict]:
-        return [
-            {
-                "P": _round12(r.power),
-                "c21": _round12(r.c21.value),
-                "c21_stderr": _round12(r.c21.stderr),
-                "c22d": _round12(r.c22d.value),
-                "c22d_stderr": _round12(r.c22d.stderr),
-                "tau": _round12(r.tau),
-                "tau_stderr": _round12(r.tau_stderr),
-            }
-            for r in self.rows
-        ]
 
 
 def gap_closed_form(c21_value: float, c22d_value: float) -> tuple[float, float, float]:
@@ -382,7 +366,7 @@ def gap_sweep(
     and includes their paired covariance, which the shared channel
     ensemble makes strongly positive.
     """
-    d = float(distortion)
+    d = _number(distortion, "distortion")
     if not math.isfinite(d) or d <= 0.0:
         raise ValueError("distortion must be finite and positive")
     if d < MIN_CERTIFIED_DISTORTION and not allow_small_distortion:
@@ -412,14 +396,10 @@ def gap_sweep(
 
 
 def write_vertices_csv(region: RateRegion, fp) -> None:
-    fp.write("R1,R2\n")
-    for x, y in region.vertices:
-        fp.write(f"{_fmt(x)},{_fmt(y)}\n")
+    write_csv(fp, ("R1", "R2"), region.vertices)
 
 
 def write_corners_csv(corners: CornerPoints, fp) -> None:
-    fp.write("label,R1,R2\n")
-    for label, (x, y) in corners.labeled():
-        fp.write(f"{label},{_fmt(x)},{_fmt(y)}\n")
+    write_csv(fp, ("label", "R1", "R2"), ((label, x, y) for label, (x, y) in corners.labeled()))
     if corners.degenerate:
         fp.write("# degenerate: corners coincide\n")

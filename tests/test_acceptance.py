@@ -116,7 +116,7 @@ def test_criterion_3_per_user_gap_stays_below_bound():
 
 def test_criterion_4_capacity_estimator_matches_quadrature_oracle():
     for power, golden in GOLDEN_C21.items():
-        # the frozen fixture itself must match a fresh quadrature
+        # the frozen fixture itself must match a fresh closed-form evaluation
         assert capacity.c21_oracle(power) == pytest.approx(golden, abs=1e-10)
         est = capacity.c21(power, FULL)
         tol = max(3.0 * est.stderr, 0.005 * golden)

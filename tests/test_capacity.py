@@ -34,6 +34,19 @@ def test_oracle_matches_golden_values():
         assert capacity.c21_oracle(power) == pytest.approx(expect, abs=1e-10)
 
 
+@pytest.mark.parametrize("power", [1e-6, 1e-4, 0.085, 1e6])
+def test_oracle_matches_high_precision_quadrature(power):
+    # where e^(2/P) overflows a double, where scipy's hyperu(1, 1, 2/P) is
+    # off by 4e-9 (P = 0.085), and far into the high-power regime
+    mpmath = pytest.importorskip("mpmath")
+    with mpmath.workdps(50):
+        a = mpmath.mpf(power) / 2
+        cuts = [0, 1 / a, 2, mpmath.inf] if a > 1 else [0, 2, mpmath.inf]
+        expect = mpmath.quad(lambda x: mpmath.log1p(a * x) * x * mpmath.exp(-x), cuts)
+        expect = float(expect / mpmath.log(2))
+    assert capacity.c21_oracle(power) == pytest.approx(expect, rel=1e-10, abs=0.0)
+
+
 def test_oracle_edge_cases():
     assert capacity.c21_oracle(0.0) == 0.0
     with pytest.raises(ValueError):
@@ -280,6 +293,19 @@ def test_rq_needs_positive_distortion():
 def test_c21_rejects_distortion():
     with pytest.raises(ValueError):
         capacity.sweep("c21", PowerGrid.single(1.0), FAST, distortion=4.0)
+
+
+@pytest.mark.parametrize("call, name", [
+    pytest.param(lambda: capacity.c22d(10.0, None, FAST), "distortion for c22d", id="c22d"),
+    pytest.param(lambda: capacity.rq(10.0, None, FAST), "distortion for rq", id="rq"),
+    pytest.param(lambda: capacity.ratio_sweep(None, PowerGrid.single(1.0), FAST),
+                 "distortion for rq", id="ratio_sweep"),
+    pytest.param(lambda: regions.gap_sweep(None, PowerGrid.single(1.0), FAST),
+                 "distortion", id="gap_sweep"),
+])
+def test_missing_distortion_is_a_value_error(call, name):
+    with pytest.raises(ValueError, match=f"^{name} must be a number, got None$"):
+        call()
 
 
 def test_unknown_quantity_rejected():

@@ -330,6 +330,28 @@ def test_negative_seed_names_the_flag_value(capsys, argv):
     assert err == "error: seed must be non-negative, got -1\n"
 
 
+@pytest.mark.parametrize("flags, message", [
+    (["--mode", "waterfill", "--const-sigma2", "4", "--sigma2-list", "1,4"],
+     "--const-sigma2 and --sigma2-list exclude each other"),
+    (["--mode", "wyner", "--sigx2", "1", "--sigu2", "1", "--gain-const", "1",
+      "--gain-rayleigh"],
+     "--gain-const and --gain-rayleigh exclude each other"),
+])
+def test_rd_conflicting_flags_are_a_usage_error(capsys, flags, message):
+    code, out, err = run(capsys, ["rd", *flags, "--budget", "0.25", "--samples", "1000"])
+    assert code == 2
+    assert out == ""
+    assert err == f"usage error: {message}\n"
+
+
+def test_rd_takes_no_workers_flag():
+    # no rd mode runs threads, so a worker count would be echoed but unused
+    with pytest.raises(SystemExit) as exc:
+        cli.main(["rd", "--mode", "waterfill", "--const-sigma2", "4", "--budget", "1",
+                  "--workers", "2"])
+    assert exc.value.code == 2
+
+
 def test_rd_missing_mode_flags(capsys):
     code, _, err = run(capsys, ["rd", "--mode", "waterfill", "--budget", "1"])
     assert code == 2
@@ -412,7 +434,7 @@ NUMERIC = ("misobc.core", "misobc.capacity")
 ])
 def test_startup_loads_only_what_the_command_runs(tmp_path, argv, code, loaded, unloaded):
     # a cold command pays for every module it imports; scipy is only needed
-    # by the quadrature oracle, and numpy not at all to parse flags
+    # by the closed-form oracle, and numpy not at all to parse flags
     src = str(Path(misobc.__file__).resolve().parents[1])
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(
         p for p in (src, os.environ.get("PYTHONPATH")) if p))
@@ -427,6 +449,64 @@ def test_startup_loads_only_what_the_command_runs(tmp_path, argv, code, loaded, 
     assert modules.isdisjoint({"scipy", *unloaded})
 
 
+GOLDEN = ["--samples", "3000", "--seed", "7"]
+OUT = "{out}"  # replaced by a path under the test's tmp directory
+
+# sha256 of the exit code, stdout, stderr and every written file of a
+# command, with the tmp directory replaced by a fixed string: the format of
+# every result, the config echo included, must not move
+GOLDEN_SHA256 = {
+    "capacity_csv": (["capacity", "--quantity", "c21", "--grid-points", "4",
+                      "--output", f"{OUT}/c21.csv", *GOLDEN],
+        "a322015855c7c6a0f64b4d9c3255f0af889fb3c3780b1c32e7ad6ac8f8d048c5"),
+    "capacity_json": (["capacity", "--quantity", "c22d", "--distortion", "4", "--power", "10",
+                       "--format", "json", *GOLDEN],
+        "49444b7afd01c24c2bde4788c78fc7795c3f3735d3b972b555d2f5d4a1d31030"),
+    "capacity_zero_power": (["capacity", "--quantity", "c21", "--power", "0", *GOLDEN],
+        "4354ea9993872297b37858e947a93d2f32bda07aa3a47e606e96c19b55d66480"),
+    "rq_csv": (["rq", "--grid-points", "3", *GOLDEN],
+        "ccdfee50d5719a0d2da5539228749d494b975bba2eaff23c17c2463b87a1c0a5"),
+    "rq_json_workers2": (["rq", "--power", "10", "--format", "json", "--workers", "2", *GOLDEN],
+        "26d04889c3e9e0a713cfa155f91fad158784b583eadfa4abdc6aef021e07d8dd"),
+    "rq_assert_fails": (["rq", "--distortion", "0.5", "--grid-points", "3", "--grid-min", "1",
+                         "--grid-max", "100", "--assert-le-one", *GOLDEN],
+        "a3a8ed55952f9a96f3249d7de3503b293615199be1e895188fa6391d0e1e0ad5"),
+    "gap_csv_assert": (["gap", "--grid-points", "3", "--assert-theorem", *GOLDEN],
+        "349a06a7ff77eeb1d1cb3fb4d5a04e69853aa35f6d21c0dd66ab5466fc6c9b8d"),
+    "gap_json": (["gap", "--power", "10", "--format", "json", *GOLDEN],
+        "8d7d599e1fec46b2cd99e879c132d12c3d220da468be7f63dbe968e57a3a66b6"),
+    "gap_small_distortion": (["gap", "--distortion", "3", "--power", "1",
+                              "--allow-small-distortion", *GOLDEN],
+        "bf434fba28e262330914ef256bbf05422f62611f4613058ba5919f65773e953f"),
+    "region": (["region", "--power", "10", "--output-dir", f"{OUT}/region", *GOLDEN],
+        "d0e3a4a59b15e24294aa55d996465f7f470121257f6e0bdf0f4a8bd2fe880e5c"),
+    "simulate": (["simulate", "--n", "16", "--power", "10", "--output", f"{OUT}/report.json",
+                  "--dump", f"{OUT}/run.bin", *GOLDEN],
+        "33a2b3e7fcf5742f87797ebf152c12acd3273685a937b873c6f6d42f8fd58cbb"),
+    "rd_waterfill": (["rd", "--mode", "waterfill", "--sigma2-list", "1,4,9", "--budget", "1"],
+        "beb811d8d68b6cad49431740fb8a445935c25d4f949f5e3bc7e5d78d6179dff0"),
+    "rd_wyner_json": (["rd", "--mode", "wyner", "--sigx2", "1", "--sigu2", "1", "--gain-rayleigh",
+                       "--budget", "0.01", "--format", "json", *GOLDEN],
+        "a4e9632bb8818d191cbc500bcba97878af0dae14625b955a61c3714a13ab3424"),
+}
+
+
+@pytest.mark.parametrize("name", list(GOLDEN_SHA256))
+def test_golden_output(capsys, monkeypatch, tmp_path, name):
+    monkeypatch.delenv(cli.SEED_ENV, raising=False)
+    argv, digest = GOLDEN_SHA256[name]
+    out_dir = tmp_path / "out"
+    out_dir.mkdir()
+    code = cli.main([a.replace(OUT, str(out_dir)) for a in argv])
+    captured = capsys.readouterr()
+    blob = b"%d\n--stdout--\n%s--stderr--\n%s" % (
+        code, captured.out.encode(), captured.err.encode())
+    for path in sorted(p for p in out_dir.rglob("*") if p.is_file()):
+        blob += b"--file %s--\n%s" % (path.relative_to(out_dir).as_posix().encode(),
+                                      path.read_bytes())
+    assert hashlib.sha256(blob.replace(str(out_dir).encode(), b"OUT")).hexdigest() == digest
+
+
 # sha256 of `misobc [SUBCOMMAND] --help` with COLUMNS=80, as argparse of
 # CPython 3.11 formats it: flags, defaults and help strings must not move
 HELP_SHA256 = {
@@ -436,7 +516,7 @@ HELP_SHA256 = {
     "region": "119dc4abfb8582b442e7ed52b25d5dda34c232a1b76531723ee1bc519b1cbb50",
     "gap": "803c51a60d78f94a53ba2fefeab6878381f4258bc72926063bb3c391ca56bd40",
     "simulate": "b39ee79be6cae9e987758fc7271e2bebe54dcfbd13f925b4263a4bdcd22330fd",
-    "rd": "ba2d278bc7ba52de7914136b5b172bbf4230108d1ced1d9cea9a8b13116d685f",
+    "rd": "87ee2a7c11482703b9720bc2d2f2dd21d9473dba92a0419874389f3a45133072",
 }
 
 
