@@ -16,20 +16,22 @@ differences get error bars far tighter than their individual ones.
 ``c21``, ``c22d``, ``rq``, ``sweep`` and ``paired_sweep`` are views of it.
 
 The ensemble is drawn in fixed blocks of 2^16 samples; block k comes
-from the Philox stream ``core.stream(seed, 1, k)``, so the samples
-depend only on the seed and the sample count.  Each sample is drawn
-directly as the three statistics the rates depend on, from four
-i.i.d. Exp(1) variables (see ``_draw_moments``); no Gaussian matrix is
-formed.  Workers only schedule blocks and the per-block sums are added
-in block order, so every estimate is bit-identical for any worker
-count.  By default one worker runs per usable CPU; no call runs more
-workers than there are usable CPUs or blocks.  A block runs in a
-scratch set: the four Exp(1) rows, in which the moments and the kernel
-rows are built in place, and one row of log-rates per quantity.  Sets
-are reused across the blocks of one ``estimate`` call and a new one is
-made only while every set is in use, so for k quantities transient
-memory is at most workers * (4 + k) * 2^16 * 8 bytes at any sample
-count; with the default that bound grows with the host's CPU count.
+from the Philox stream ``core.stream(seed, StreamTag.CAPACITY_CHANNEL,
+k)``, so the samples depend only on the seed and the sample count.
+Each sample is drawn directly as the three statistics the rates depend
+on, from four i.i.d. Exp(1) variables (see ``_draw_moments``); no
+Gaussian matrix is formed.  Workers only schedule blocks and the
+per-block sums are added in block order, so every estimate is
+bit-identical for any worker count.  By default one worker runs per
+usable CPU; no call runs more workers than there are usable CPUs or
+blocks.  A block runs in a scratch set: the four Exp(1) rows, in which
+the moments and the kernel rows are built in place, and one row of
+log-rates per quantity.  The calling thread allocates one set per
+worker before any block runs, and the blocks of one ``estimate`` call
+take turns with them, so for k quantities transient memory is
+workers * (4 + k) * 2^16 * 8 bytes at any sample count; with the
+default that grows with the host's CPU count.  A power at which a rate
+argument overflows a double raises ``DomainError``.
 
 ``c21_oracle`` evaluates c21 in closed form, through the exponential
 integral, as a reference for the estimator.  Result tables write CSV
@@ -56,12 +58,9 @@ from typing import Callable, NamedTuple
 import numpy as np
 
 from . import DEFAULT_SAMPLES, DEFAULT_SEED, DomainError, core
-from .core import LN2
+from .core import LN2, StreamTag
 
 QUANTITIES = ("c21", "c22d", "rq")
-
-_CHANNEL_TAG = 1
-_GAIN_TAG = 2
 
 _BLOCK = 2**16
 
@@ -108,10 +107,11 @@ class MCConfig:
     usable CPUs or blocks, and one block or one worker runs in the
     caller's thread.
     Each scratch set holds (4 + k) * 2^16 float64 values for k
-    quantities, and there is at most one per worker.  Results do not
-    depend on the worker count; they are bit-identical for a fixed BLAS
-    thread setting, since the cross products are BLAS dot products whose
-    summation split follows OpenBLAS's thread count.
+    quantities; the calling thread allocates one per worker before any
+    block runs.  Results do not depend on the worker count; they are
+    bit-identical for a fixed BLAS thread setting, since the cross
+    products are BLAS dot products whose summation split follows
+    OpenBLAS's thread count.
     """
 
     samples: int = DEFAULT_SAMPLES
@@ -301,7 +301,9 @@ def estimate(
 ) -> tuple[Estimates, ...]:
     """Sample means, in bits, of every quantity at every grid power over one
     shared ensemble.  ``distortion`` applies to c22d and rq; giving one to
-    c21 alone is an error."""
+    c21 alone is an error.  A DomainError names the first quantity and
+    power whose sums are not finite, which happens once c lin + c^2 quad
+    overflows a double (c21 and rq near P = 1e308, c22d near 1e154)."""
     mc = mc or MCConfig()
     if distortion is not None and set(quantities) == {"c21"}:
         raise ValueError("c21 takes no distortion parameter")
@@ -312,38 +314,40 @@ def estimate(
     jobs = _blocks(mc.samples)
     workers = _thread_count(len(jobs), mc.workers)
 
-    # a block takes a free scratch set and makes one only if every set is
-    # in use, so there are never more sets than blocks running at once
+    # one scratch set per worker, allocated here in the calling thread
+    # (pool threads would take them from their own malloc arenas); a block
+    # takes a free set, and at most ``workers`` blocks run at once
     width = jobs[0][1]
     scratch = queue.SimpleQueue()
+    for _ in range(workers):
+        scratch.put((np.empty(4 * width), np.empty((nker, width))))
 
     def block(job):
         index, count = job
-        try:
-            flat, rows = scratch.get_nowait()
-        except queue.Empty:
-            flat, rows = np.empty(4 * width), np.empty((nker, width))
+        flat, rows = scratch.get()
         try:
             m = flat[:4 * count].reshape(4, count)
-            _draw_moments(core.stream(mc.seed, _CHANNEL_TAG, index), count, out=m)
+            _draw_moments(core.stream(mc.seed, StreamTag.CAPACITY_CHANNEL, index), count, out=m)
             polys = _rate_polys(m, quantities, distortion)
             v = rows[:, :count]
             s1 = np.empty((npow, nker))
             s2 = np.empty((npow, nker, nker))
-            for j, power in enumerate(grid.points):
-                for i, (scale, lin, quad) in enumerate(polys):
-                    c = scale * power
-                    if quad is None:
-                        np.multiply(lin, c, out=v[i])
-                    else:
-                        np.multiply(quad, c, out=v[i])
-                        v[i] += lin
-                        v[i] *= c
-                    np.log1p(v[i], out=v[i])
-                for i in range(nker):
-                    s1[j, i] = v[i].sum()
-                    for k in range(i + 1):
-                        s2[j, i, k] = s2[j, k, i] = v[i] @ v[k]
+            # a rate argument that overflows is reported below, as a DomainError
+            with np.errstate(over="ignore", invalid="ignore"):
+                for j, power in enumerate(grid.points):
+                    for i, (scale, lin, quad) in enumerate(polys):
+                        c = scale * power
+                        if quad is None:
+                            np.multiply(lin, c, out=v[i])
+                        else:
+                            np.multiply(quad, c, out=v[i])
+                            v[i] += lin
+                            v[i] *= c
+                        np.log1p(v[i], out=v[i])
+                    for i in range(nker):
+                        s1[j, i] = v[i].sum()
+                        for k in range(i + 1):
+                            s2[j, i, k] = s2[j, k, i] = v[i] @ v[k]
         finally:
             scratch.put((flat, rows))
         return s1, s2
@@ -356,6 +360,11 @@ def estimate(
         for s1, s2 in (pool.map if pool else map)(block, jobs):
             S1 += s1
             S2 += s2
+    finite = np.isfinite(S1) & np.isfinite(np.diagonal(S2, axis1=1, axis2=2))
+    if not finite.all():
+        j, i = np.argwhere(~finite)[0]
+        raise DomainError(f"{quantities[i]} is not finite at P = {grid.points[j]:g}: "
+                          "its rate argument overflows a double")
 
     n = mc.samples
     values = S1 / (n * LN2)
@@ -634,7 +643,7 @@ def ergodic_wyner_rate(
 
     total = 0.0
     for index, count in _blocks(mc.samples):
-        rng = core.stream(mc.seed, _GAIN_TAG, index)
+        rng = core.stream(mc.seed, StreamTag.CAPACITY_GAIN, index)
         a = np.asarray(gain_sampler(rng, count), dtype=float)
         if a.shape != (count,):
             raise ValueError("gain_sampler must return a 1-D array of the requested length")

@@ -125,14 +125,12 @@ def _mc_from(args) -> MCConfig:
     return MCConfig(samples=args.samples, seed=args.seed, workers=getattr(args, "workers", 1))
 
 
-def _add_mc_flags(p: argparse.ArgumentParser, workers: bool = True) -> None:
+def _add_mc_flags(p: argparse.ArgumentParser) -> None:
     p.add_argument("--samples", type=int, default=DEFAULT_SAMPLES,
                    help="Monte Carlo samples (default 10^6)")
     p.add_argument("--seed", type=_parse_seed, default=_default_seed(),
                    help=f"master seed (default 0x{DEFAULT_SEED:X}, "
                         f"env {SEED_ENV} overrides)")
-    if not workers:
-        return
     p.add_argument("--workers", type=int, default=1,
                    help="threads over the fixed sample blocks, at most one per block "
                         "and per usable CPU; "
@@ -383,7 +381,12 @@ def build_parser() -> argparse.ArgumentParser:
                    help="wyner: constant side-information gain")
     p.add_argument("--gain-rayleigh", action="store_true",
                    help="wyner: |CN(0,1)| random gain")
-    _add_mc_flags(p, workers=False)
+    # accepted and echoed in every mode, but only wyner draws samples
+    p.add_argument("--samples", type=int, default=DEFAULT_SAMPLES,
+                   help="Monte Carlo samples, wyner mode only (default 10^6)")
+    p.add_argument("--seed", type=_parse_seed, default=_default_seed(),
+                   help=f"master seed, wyner mode only (default 0x{DEFAULT_SEED:X}, "
+                        f"env {SEED_ENV} overrides)")
     _add_output_flags(p)
     p.set_defaults(func=cmd_rd)
 

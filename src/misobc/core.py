@@ -8,6 +8,8 @@ Conventions shared by every module in this package:
 * Randomness comes from counter-based Philox streams keyed by a master
   seed plus an integer stream key, so every sample sequence is a pure
   function of (seed, key) and can be regenerated independently anywhere.
+  The first key entry is a ``StreamTag``, one per consumer, all listed
+  in this module.
 
 Determinants of the (at most 2x2) matrices are evaluated in closed form.
 That keeps the hot Monte Carlo paths free of per-sample LAPACK calls and
@@ -16,11 +18,28 @@ is exact at these dimensions.
 
 from __future__ import annotations
 
+import enum
+
 import numpy as np
 
 from . import DomainError  # noqa: F401  (re-exported: misobc.core.DomainError)
 
 LN2 = float(np.log(2.0))
+
+
+@enum.unique  # a repeated value fails the import: two consumers would draw the same numbers
+class StreamTag(enum.IntEnum):
+    """The first stream key of every draw under a master seed, one per consumer.
+
+    Frozen results depend on these values; never renumber one.
+    """
+
+    CAPACITY_CHANNEL = 1  # capacity.estimate's channel ensemble, one stream per block
+    CAPACITY_GAIN = 2  # ergodic_wyner_rate's gain draws, one stream per block
+    QUANTIZER_DITHER = 3  # the dither of a DitheredQuantizer link
+    SCHEME_SIGNAL = 4  # the scheme's message grids, one stream per user
+    SCHEME_CHANNEL = 5  # the scheme's channel rows
+    SCHEME_NOISE = 6  # the scheme's receiver noises
 
 
 def stream(seed: int, *key: int) -> np.random.Generator:
@@ -104,9 +123,26 @@ def _logdet_2x2(row0, row1, power, s0, s1):
     with rows ``row0`` and ``row1`` (arrays of shape (..., 2)) and noise
     variances S = diag(s0, s1); no input checks, no stacked copy of H."""
     c = power / 2.0
-    norm0 = np.abs(row0[..., 0]) ** 2 + np.abs(row0[..., 1]) ** 2
-    norm1 = np.abs(row1[..., 0]) ** 2 + np.abs(row1[..., 1]) ** 2
-    det = row0[..., 0] * row1[..., 1] - row0[..., 1] * row1[..., 0]
-    det2 = det.real**2 + det.imag**2
-    arg = c * (norm0 / s0 + norm1 / s1) + (c * c) * det2 / (s0 * s1)
-    return np.log1p(arg) / LN2
+    # the terms accumulate in their first temporary, in the order of
+    # c (norm0/s0 + norm1/s1) + (c c) det2 / (s0 s1)
+    norm0 = np.abs(row0[..., 0]) ** 2
+    norm0 += np.abs(row0[..., 1]) ** 2
+    norm1 = np.abs(row1[..., 0]) ** 2
+    norm1 += np.abs(row1[..., 1]) ** 2
+    det = row0[..., 0] * row1[..., 1]
+    det -= row0[..., 1] * row1[..., 0]
+    arg = det.real**2
+    arg += det.imag**2
+    del det
+    norm0 /= s0
+    norm1 /= s1
+    norm0 += norm1
+    norm0 *= c
+    arg *= c * c
+    arg /= s0 * s1
+    arg += norm0
+    if np.ndim(arg) == 0:  # one matrix: NumPy scalars, which have no out=
+        return np.log1p(arg) / LN2
+    np.log1p(arg, out=arg)
+    arg /= LN2
+    return arg

@@ -27,8 +27,6 @@ from . import core
 _MAGIC = b"DLQ1"
 _HEADER = struct.Struct("<4sdI")
 
-_DITHER_TAG = 3
-
 INT32_MIN = -(2**31)
 INT32_MAX = 2**31 - 1
 
@@ -50,12 +48,23 @@ class DitheredQuantizer:
             raise ValueError("step must be finite and positive")
         self.step = s
         self.dither_seed = int(dither_seed)
-        self._rng = core.stream(self.dither_seed, _DITHER_TAG)
+        self._rng = core.stream(self.dither_seed, core.StreamTag.QUANTIZER_DITHER)
         self.samples_consumed = 0
 
     def _next_dither(self, count: int) -> np.ndarray:
         # one (real, imag) dither pair per sample, uniform on [-step/2, step/2)
-        return (self._rng.random((count, 2)) - 0.5) * self.step
+        u = self._rng.random((count, 2))
+        u -= 0.5
+        u *= self.step
+        return u
+
+    def _reconstruct(self, lattice: np.ndarray, u: np.ndarray) -> np.ndarray:
+        # step * lattice - u, built in the C-ordered (n, 2) float64 lattice
+        # buffer and returned as a complex view of it
+        lattice *= self.step
+        lattice -= u
+        self.samples_consumed += u.shape[0]
+        return lattice.view(np.complex128).ravel()
 
     def quantize(self, values) -> tuple[np.ndarray, np.ndarray]:
         """Quantize a 1-D complex sequence.
@@ -63,22 +72,21 @@ class DitheredQuantizer:
         Returns (indices, reconstruction): indices is an (n, 2) int64
         array of lattice coordinates per (real, imag) dimension, and
         reconstruction is the complex sequence the decoder will produce
-        from those indices with its own copy of the dither stream.
+        from those indices with its own copy of the dither stream.  The
+        reconstruction is a complex view of the float64 (n, 2) lattice
+        buffer the samples are rounded in, not a separate array.
         """
-        x = np.asarray(values, dtype=np.complex128).ravel()
-        if x.size and not np.all(np.isfinite(x.real) & np.isfinite(x.imag)):
+        x = np.asarray(values, dtype=np.complex128).ravel().view(np.float64)
+        if not np.isfinite(x).all():
             raise ValueError("samples must be finite")
-        u = self._next_dither(x.size)
+        u = self._next_dither(x.size // 2)
         # round-half-up of (x + u)/step; the half-open dither interval keeps
         # the error in [-step/2, step/2) exactly
-        q = x.view(np.float64).reshape(-1, 2) + u
+        q = x.reshape(-1, 2) + u
         q /= self.step
         q -= 0.5
         np.ceil(q, out=q)
-        recon = self.step * q
-        recon -= u
-        self.samples_consumed += x.size
-        return q.astype(np.int64), recon[..., 0] + 1j * recon[..., 1]
+        return q.astype(np.int64), self._reconstruct(q, u)
 
     def dequantize(self, indices) -> np.ndarray:
         """Reconstruct a complex sequence from (n, 2) lattice indices."""
@@ -88,9 +96,7 @@ class DitheredQuantizer:
         if not np.issubdtype(q.dtype, np.integer):
             raise ValueError("indices must be integers")
         u = self._next_dither(q.shape[0])
-        recon = self.step * q.astype(float) - u
-        self.samples_consumed += q.shape[0]
-        return recon[..., 0] + 1j * recon[..., 1]
+        return self._reconstruct(q.astype(np.float64, order="C"), u)
 
 
 def write_indices(fp, step: float, indices) -> None:
@@ -117,23 +123,26 @@ def write_indices(fp, step: float, indices) -> None:
 
 
 def read_indices(fp) -> tuple[float, np.ndarray]:
-    """Inverse of write_indices; returns (step, indices as (n, 2) int64)."""
-    head = fp.read(_HEADER.size)
-    if len(head) != _HEADER.size:
+    """Inverse of write_indices; returns (step, indices as (n, 2) int64).
+
+    The stream is read once, to its end.
+    """
+    data = fp.read()
+    if len(data) < _HEADER.size:
         raise ValueError("truncated header")
-    magic, step, count = _HEADER.unpack(head)
+    magic, step, count = _HEADER.unpack_from(data)
     if magic != _MAGIC:
         raise ValueError(f"bad magic {magic!r}")
     if not math.isfinite(step) or step <= 0.0:
         raise ValueError("header carries a nonpositive step")
-    payload = fp.read()
+    payload = len(data) - _HEADER.size
     expected = 8 * count
-    if len(payload) != expected:
+    if payload != expected:
         raise ValueError(
-            f"index payload holds {len(payload)} bytes but the header "
+            f"index payload holds {payload} bytes but the header "
             f"promises {count} samples ({expected} bytes)"
         )
-    q = np.frombuffer(payload, dtype="<i4").reshape(count, 2)
+    q = np.frombuffer(data, dtype="<i4", offset=_HEADER.size).reshape(count, 2)
     return float(step), q.astype(np.int64)
 
 

@@ -24,12 +24,16 @@ The transcript stores only the draws, the overheard sums and the
 phase-3 delivery (80 MiB at n = 512); transmit grids, observations,
 reconstructed observations and the quantization error are read-only
 properties derived on access, so a run's traced peak sits near those
-80 MiB (about 109 MiB at n = 512).  The residual statistics compute each
-sequence's mean and mean power once.
+80 MiB (about 104 MiB at n = 512, reached while the residuals are
+summarized).  The quantizer reconstructs in its lattice buffer, the
+residual statistics compute each sequence's mean and mean power once
+and accumulate in their first temporary, and ``read_transcript_dump``
+returns read-only views of the bytes it read rather than copies.
 """
 
 from __future__ import annotations
 
+import io
 import math
 import struct
 from concurrent.futures import ThreadPoolExecutor
@@ -40,11 +44,7 @@ import numpy as np
 
 from . import DEFAULT_SEED, MAX_BLOCKS, DomainError, capacity, core, quantizer
 from .capacity import MCConfig, MonteCarloEstimate, PowerGrid
-
-# Stream tags under the run seed; capacity uses 1-2 and the quantizer 3.
-_SIGNAL_TAG = 4
-_CHANNEL_TAG = 5
-_NOISE_TAG = 6
+from .core import StreamTag
 
 _DUMP_MAGIC = b"MBT1"
 _DUMP_HEADER = struct.Struct("<4sI")
@@ -241,19 +241,19 @@ def run_phases_1_2(cfg: SchemeConfig) -> SchemeTranscript:
         core._fill_cn01(core.stream(cfg.seed, tag, key), out, scale)
 
     def phase_1():
-        draw(t.u1, _SIGNAL_TAG, 1, amplitude)
-        draw(t.h1, _CHANNEL_TAG, 1)
-        draw(t.g1, _CHANNEL_TAG, 2)
-        draw(t.z11, _NOISE_TAG, 1)
-        draw(t.z21, _NOISE_TAG, 2)
+        draw(t.u1, StreamTag.SCHEME_SIGNAL, 1, amplitude)
+        draw(t.h1, StreamTag.SCHEME_CHANNEL, 1)
+        draw(t.g1, StreamTag.SCHEME_CHANNEL, 2)
+        draw(t.z11, StreamTag.SCHEME_NOISE, 1)
+        draw(t.z21, StreamTag.SCHEME_NOISE, 2)
         _receive(t.g1, t.x1, out=t.s21)
 
     def phase_2():
-        draw(t.u2, _SIGNAL_TAG, 2, amplitude)
-        draw(t.h2, _CHANNEL_TAG, 3)
-        draw(t.g2, _CHANNEL_TAG, 4)
-        draw(t.z12, _NOISE_TAG, 3)
-        draw(t.z22, _NOISE_TAG, 4)
+        draw(t.u2, StreamTag.SCHEME_SIGNAL, 2, amplitude)
+        draw(t.h2, StreamTag.SCHEME_CHANNEL, 3)
+        draw(t.g2, StreamTag.SCHEME_CHANNEL, 4)
+        draw(t.z12, StreamTag.SCHEME_NOISE, 3)
+        draw(t.z22, StreamTag.SCHEME_NOISE, 4)
         _receive(t.h2, t.x2, out=t.s12)
 
     tasks = (phase_1, phase_2)
@@ -329,7 +329,9 @@ def run_phase_3(
 
 def _power(a: np.ndarray) -> float:
     """E|a|^2 over every entry of a complex array."""
-    return float(np.mean(a.real**2 + a.imag**2))
+    p = a.real**2
+    p += a.imag**2
+    return float(np.mean(p))
 
 
 class _Moments(NamedTuple):
@@ -347,7 +349,9 @@ def _moments(a: np.ndarray) -> _Moments:
 
 def _corr(a: _Moments, b: _Moments) -> float:
     """Magnitude of the Pearson correlation of two complex sequences."""
-    num = np.mean(a.seq * np.conj(b.seq)) - a.mean * np.conj(b.mean)
+    prod = np.conj(b.seq)
+    np.multiply(a.seq, prod, out=prod)
+    num = np.mean(prod) - a.mean * np.conj(b.mean)
     va = a.power - (a.mean.real**2 + a.mean.imag**2)
     vb = b.power - (b.mean.real**2 + b.mean.imag**2)
     if va <= 0.0 or vb <= 0.0:
@@ -387,6 +391,7 @@ def deinterleave_and_reconstruct(
             ref = _moments(x[..., antenna])
             signal1.append(_corr(resid1, ref))
             signal2.append(_corr(resid2, ref))
+    del ref  # a grid-sized copy, not needed while the statistics below run
 
     t.stats = SchemeStats(
         noise_var_user1=resid1.power,
@@ -562,20 +567,27 @@ def dump_transcript(transcript: SchemeTranscript, fp) -> None:
 
 
 def read_transcript_dump(fp) -> dict:
-    """Inverse of dump_transcript; returns grids plus (step, indices)."""
-    head = fp.read(_DUMP_HEADER.size)
-    if len(head) != _DUMP_HEADER.size:
+    """Inverse of dump_transcript; returns grids plus (step, indices).
+
+    The stream is read once, to its end.  The four grids are read-only
+    views of the bytes read, not copies: reading an ``io.BytesIO`` of a
+    dump from its start shares the dump's own bytes.
+    """
+    data = fp.read()
+    if len(data) < _DUMP_HEADER.size:
         raise ValueError("truncated header")
-    magic, n = _DUMP_HEADER.unpack(head)
+    magic, n = _DUMP_HEADER.unpack_from(data)
     if magic != _DUMP_MAGIC:
         raise ValueError(f"bad magic {magic!r}")
+    count = n * n * 2
+    offset = _DUMP_HEADER.size
+    if len(data) < offset + 4 * 16 * count:
+        raise ValueError("truncated signal grid")
     grids = {}
     for name in ("u1", "u2", "x1", "x2"):
-        raw = fp.read(16 * n * n * 2)
-        if len(raw) != 16 * n * n * 2:
-            raise ValueError("truncated signal grid")
-        grids[name] = np.frombuffer(raw, dtype="<c16").reshape(n, n, 2)
-    step, indices = quantizer.read_indices(fp)
+        grids[name] = np.frombuffer(data, "<c16", count=count, offset=offset).reshape(n, n, 2)
+        offset += 16 * count
+    step, indices = quantizer.read_indices(io.BytesIO(data[offset:]))
     grids["quant_step"] = step
     grids["quant_indices"] = indices
     return grids

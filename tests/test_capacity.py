@@ -2,6 +2,7 @@
 
 import io
 import math
+import re
 import threading
 import tracemalloc
 
@@ -306,6 +307,22 @@ def test_c21_rejects_distortion():
 def test_missing_distortion_is_a_value_error(call, name):
     with pytest.raises(ValueError, match=f"^{name} must be a number, got None$"):
         call()
+
+
+@pytest.mark.parametrize("quantities, points, distortion, blamed", [
+    pytest.param(("c22d",), (1e160,), 4.0, "c22d is not finite at P = 1e+160", id="c22d"),
+    pytest.param(("c21",), (1.0, 1e308), None, "c21 is not finite at P = 1e+308", id="c21"),
+    # c21 stays finite here, though its cross sum with c22d does not
+    pytest.param(("c21", "c22d"), (1e160,), 4.0, "c22d is not finite at P = 1e+160",
+                 id="pair"),
+    pytest.param(("rq",), (1e308,), 1e-300, "rq is not finite at P = 1e+308", id="rq"),
+])
+@pytest.mark.filterwarnings("error")
+def test_overflowing_rate_is_a_domain_error(quantities, points, distortion, blamed):
+    # an overflowing rate argument used to come back as value inf, stderr nan
+    mc = MCConfig(samples=1000, seed=5, workers=1)
+    with pytest.raises(DomainError, match=f"^{re.escape(blamed)}: "):
+        capacity.estimate(quantities, PowerGrid(points), mc, distortion)
 
 
 def test_unknown_quantity_rejected():

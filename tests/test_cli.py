@@ -126,6 +126,25 @@ def test_rq_ratio_below_one_at_certified_distortion(capsys):
     assert float(rows[0]["ratio"]) < 1.0
 
 
+@pytest.mark.parametrize("argv, message", [
+    pytest.param(["capacity", "--quantity", "c22d", "--distortion", "4", "--power", "1e160"],
+                 "error: c22d is not finite at P = 1e+160", id="capacity"),
+    pytest.param(["rq", "--power", "1e308", "--assert-le-one"],
+                 "error: c21 is not finite at P = 1e+308", id="rq"),
+])
+def test_overflowing_estimate_exits_3(argv, message):
+    # in a fresh interpreter, so a NumPy warning would reach stderr; before,
+    # these printed inf or nan and exited 0
+    src = str(Path(misobc.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        p for p in (src, os.environ.get("PYTHONPATH")) if p))
+    done = subprocess.run([sys.executable, "-m", "misobc.cli", *argv, "--samples", "1000"],
+                          capture_output=True, text=True, env=env, timeout=120)
+    assert done.returncode == 3
+    assert done.stdout == ""
+    assert done.stderr.startswith(message) and done.stderr.count("\n") == 1
+
+
 def test_rq_assertion_trips_at_small_distortion(capsys):
     code, _, err = run(capsys, ["rq", "--distortion", "0.1", "--power", "1000",
                                 "--assert-le-one", *FAST])
@@ -516,7 +535,7 @@ HELP_SHA256 = {
     "region": "119dc4abfb8582b442e7ed52b25d5dda34c232a1b76531723ee1bc519b1cbb50",
     "gap": "803c51a60d78f94a53ba2fefeab6878381f4258bc72926063bb3c391ca56bd40",
     "simulate": "b39ee79be6cae9e987758fc7271e2bebe54dcfbd13f925b4263a4bdcd22330fd",
-    "rd": "87ee2a7c11482703b9720bc2d2f2dd21d9473dba92a0419874389f3a45133072",
+    "rd": "33e7465373d855753e52f48838fe2bdbb61b0a5e89b0fc20f3b8abf719c0a23c",
 }
 
 

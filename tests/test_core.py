@@ -29,6 +29,16 @@ def test_distinct_seeds_give_distinct_streams():
     assert not np.array_equal(a, b)
 
 
+def test_stream_tags_are_distinct_and_frozen():
+    # an alias would let two consumers draw the same numbers; a renumbered
+    # tag would move every frozen result drawn under it
+    assert {name: int(tag) for name, tag in core.StreamTag.__members__.items()} == {
+        "CAPACITY_CHANNEL": 1, "CAPACITY_GAIN": 2, "QUANTIZER_DITHER": 3,
+        "SCHEME_SIGNAL": 4, "SCHEME_CHANNEL": 5, "SCHEME_NOISE": 6,
+    }
+    assert len(set(core.StreamTag)) == len(core.StreamTag.__members__)
+
+
 def test_sample_cn01_scalar_and_shapes():
     rng = core.stream(9, 0)
     z = core.sample_cn01(rng)

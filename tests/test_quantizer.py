@@ -2,6 +2,7 @@
 
 import io
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -54,6 +55,21 @@ def test_desynchronized_decoder_disagrees():
     dec = DitheredQuantizer(0.5, dither_seed=9)
     out = dec.dequantize(idx[1:])
     assert not np.array_equal(out, recon[1:])
+
+
+def test_quantize_allocates_three_buffers_of_the_input_size():
+    # the dither, the lattice buffer (the reconstruction is a view of it) and
+    # the int64 indices, each as large as the complex input
+    x = 5.0 * core.sample_cn01(core.stream(107, 0), 100_000)
+    enc = DitheredQuantizer(1.5, dither_seed=3)
+    tracemalloc.start()
+    try:
+        idx, recon = enc.quantize(x)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert recon.base.shape == (x.size, 2) and recon.base.dtype == np.float64
+    assert peak < 3.25 * x.nbytes
 
 
 def test_error_is_bounded_by_half_step():

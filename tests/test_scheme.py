@@ -498,9 +498,66 @@ def test_transcript_dump_corruption_detected():
     buf = io.BytesIO()
     scheme.dump_transcript(t, buf)
     raw = buf.getvalue()
-    with pytest.raises(ValueError, match="header"):
-        scheme.read_transcript_dump(io.BytesIO(raw[:4]))
-    with pytest.raises(ValueError, match="magic"):
-        scheme.read_transcript_dump(io.BytesIO(b"XXXX" + raw[4:]))
-    with pytest.raises(ValueError, match="grid"):
-        scheme.read_transcript_dump(io.BytesIO(raw[: len(raw) // 2]))
+    grids_end = 8 + 4 * 16 * cfg.n * cfg.n * 2
+    for blob, message in (
+        (raw[:4], "truncated header"),
+        (b"XXXX" + raw[4:], "bad magic"),
+        (raw[: len(raw) // 2], "truncated signal grid"),
+        # the index stream after the grids keeps its own checks
+        (raw[:grids_end + 10], "truncated header"),
+        (raw[:grids_end] + b"XXXX" + raw[grids_end + 4:], "bad magic"),
+        (raw[:-4], "promises"),
+        (raw + bytes(8), "promises"),
+    ):
+        with pytest.raises(ValueError, match=message):
+            scheme.read_transcript_dump(io.BytesIO(blob))
+
+
+@pytest.fixture(scope="module")
+def dump256():
+    t = scheme.run_scheme(SchemeConfig(n=256, power=10.0, seed=71),
+                          ref_mc=MCConfig(samples=2000, seed=71))
+    buf = io.BytesIO()
+    scheme.dump_transcript(t, buf)
+    return t, buf.getvalue()
+
+
+def test_dump_reader_returns_views_of_the_bytes_it_read(dump256):
+    t, blob = dump256
+    back = scheme.read_transcript_dump(io.BytesIO(blob))
+    raw = np.frombuffer(blob, dtype=np.uint8)
+    for name in ("u1", "u2", "x1", "x2"):
+        assert np.array_equal(back[name], getattr(t, name))
+        assert np.shares_memory(back[name], raw)
+        assert not back[name].flags.writeable
+    assert np.array_equal(back["quant_indices"], t.quant_indices)
+
+
+def test_dump_reader_reads_files_and_streams_past_other_content(dump256, tmp_path):
+    t, blob = dump256
+    path = tmp_path / "run.mbt"
+    with open(path, "wb") as fp:
+        scheme.dump_transcript(t, fp)
+    with open(path, "rb") as fp:
+        from_file = scheme.read_transcript_dump(fp)
+    buf = io.BytesIO(b"preamble" + blob)
+    buf.seek(len(b"preamble"))
+    from_offset = scheme.read_transcript_dump(buf)
+    for back in (from_file, from_offset):
+        for name in ("u1", "u2", "x1", "x2"):
+            assert back[name].tobytes() == getattr(t, name).astype("<c16").tobytes()
+        assert back["quant_step"] == t.quant_step
+        assert np.array_equal(back["quant_indices"], t.quant_indices)
+
+
+def test_dump_reader_allocates_little_beyond_the_dump(dump256):
+    # the grids are views of the bytes read, so what the reader allocates is
+    # the index stream and its int64 indices, not copies of the grids
+    _, blob = dump256
+    tracemalloc.start()
+    try:
+        scheme.read_transcript_dump(io.BytesIO(blob))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < len(blob) / 4
