@@ -38,10 +38,10 @@ integral, as a reference for the estimator.  Result tables write CSV
 and JSON through one path: ``write_csv`` and the ``_Table`` base class,
 which ``regions`` shares.
 
-The module also carries the scalar rate-distortion helpers used by the
-quantizer sizing arguments: exact reverse waterfilling, the one-level
-suboptimal rate, and the ergodic conditional rate with decoder side
-information.
+The module also carries the ergodic conditional rate-distortion rate
+with decoder side information, which draws its gains from the seeded
+streams; the closed-form scalar helpers (reverse waterfilling and the
+one-level rate) are in :mod:`misobc.rd`.
 """
 
 from __future__ import annotations
@@ -57,20 +57,12 @@ from typing import Callable, NamedTuple
 
 import numpy as np
 
-from . import DEFAULT_SAMPLES, DEFAULT_SEED, DomainError, core
+from . import DEFAULT_SAMPLES, DEFAULT_SEED, DomainError, _fmt, _number, _round12, core
 from .core import LN2, StreamTag
 
 QUANTITIES = ("c21", "c22d", "rq")
 
 _BLOCK = 2**16
-
-
-def _fmt(x) -> str:
-    return format(float(x), ".12g")
-
-
-def _round12(x: float) -> float:
-    return float(_fmt(x))
 
 
 def write_csv(fp, columns, rows) -> None:
@@ -233,14 +225,6 @@ def _draw_moments(
     e[2] += e[3]
     e[3] *= e[0]
     return ChannelMoments(e[0], e[2], e[3])
-
-
-def _number(value, name: str) -> float:
-    """``float(value)``, but a ValueError naming ``name`` for None and other non-numbers."""
-    try:
-        return float(value)
-    except TypeError:
-        raise ValueError(f"{name} must be a number, got {value!r}") from None
 
 
 def _check_quantity(quantity: str, distortion) -> None:
@@ -535,62 +519,7 @@ def ratio_sweep(
 
 
 # ---------------------------------------------------------------------------
-# Scalar rate-distortion helpers
-
-
-def _rd_inputs(variance_samples, distortion_budget) -> tuple[np.ndarray, float]:
-    """Validated flat variance array and distortion budget."""
-    v = np.asarray(variance_samples, dtype=float).ravel()
-    if v.size == 0:
-        raise ValueError("need at least one variance sample")
-    if not np.all(np.isfinite(v)) or np.any(v < 0.0):
-        raise ValueError("variances must be finite and nonnegative")
-    budget = float(distortion_budget)
-    if not math.isfinite(budget) or budget <= 0.0:
-        raise ValueError("distortion budget must be finite and positive")
-    return v, budget
-
-
-def rd_reverse_waterfill(variance_samples, distortion_budget: float) -> float:
-    """Exact parallel-Gaussian rate at an average distortion budget, in bits.
-
-    Solves for the water level L with (1/n) sum_i min(v_i, L) = budget,
-    then returns (1/n) sum_i max(log2(v_i / L), 0).  The level is found
-    exactly on the sorted-prefix segment containing it, no iteration.
-    """
-    v, budget = _rd_inputs(variance_samples, distortion_budget)
-
-    n = v.size
-    if float(np.mean(v)) <= budget:
-        return 0.0
-    s = np.sort(v)
-    prefix = np.concatenate(([0.0], np.cumsum(s)))[:n]
-    k = np.arange(n)
-    level = (n * budget - prefix) / (n - k)
-    lower = np.concatenate(([0.0], s[:-1]))
-    slack = 1e-12 * max(1.0, float(s[-1]))
-    valid = (level >= lower - slack) & (level <= s + slack)
-    # mean(min(v, L)) is continuous and increasing in L, so a segment match
-    # exists whenever the budget sits below the mean variance.
-    idx = int(np.argmax(valid))
-    if not valid[idx]:
-        raise ValueError("no consistent water level found, inputs out of range")
-    level_star = float(level[idx])
-    active = s[s > level_star]
-    if active.size == 0:
-        return 0.0
-    return float(np.sum(np.log2(active / level_star)) / n)
-
-
-def rd_suboptimal(variance_samples, distortion_budget: float) -> float:
-    """Rate of one fixed-step quantizer run at distortion budget everywhere.
-
-    Charges every sample log2(1 + v_i / budget) bits, ignoring the
-    per-sample variance structure.  Always at least the waterfilling
-    rate, sample by sample.
-    """
-    v, budget = _rd_inputs(variance_samples, distortion_budget)
-    return float(np.mean(np.log1p(v / budget)) / LN2)
+# Ergodic rate-distortion rate with decoder side information
 
 
 def constant_gain(value: float) -> Callable[[np.random.Generator, int], np.ndarray]:

@@ -12,10 +12,13 @@ variable (decimal or 0x-prefixed hex).
 
 Importing this module loads no NumPy: the parser reads its defaults from
 the package, so a usage error or ``--help`` costs an interpreter start
-and argparse.  Each subcommand imports the modules it runs when it runs:
-``capacity``, ``rq`` and ``rd`` load :mod:`misobc.capacity`, ``region``
-and ``gap`` add :mod:`misobc.regions`, and ``simulate`` adds
-:mod:`misobc.scheme`.
+and argparse.  Each subcommand checks its flags first and then imports
+the modules it runs: ``capacity``, ``rq`` and ``rd --mode wyner`` load
+:mod:`misobc.capacity`, ``region`` and ``gap`` add :mod:`misobc.regions`,
+and ``simulate`` adds :mod:`misobc.scheme`.  Commands that draw no
+samples load no NumPy: ``rd --mode waterfill|suboptimal`` loads only the
+standard-library :mod:`misobc.rd`, and ``gap`` refuses a distortion below
+the certified floor before it loads anything.
 """
 
 from __future__ import annotations
@@ -28,7 +31,17 @@ from contextlib import contextmanager
 from pathlib import Path
 from typing import TYPE_CHECKING
 
-from . import DEFAULT_SAMPLES, DEFAULT_SEED, GAP_BOUND, MAX_BLOCKS, DomainError
+from . import (
+    DEFAULT_SAMPLES,
+    DEFAULT_SEED,
+    GAP_BOUND,
+    MAX_BLOCKS,
+    MIN_CERTIFIED_DISTORTION,
+    DomainError,
+    _fmt,
+    _round12,
+    check_gap_distortion,
+)
 
 if TYPE_CHECKING:
     from .capacity import MCConfig, PowerGrid
@@ -180,7 +193,7 @@ def cmd_rq(args) -> int:
 
 def cmd_region(args) -> int:
     from . import capacity, regions
-    from .capacity import PowerGrid, _fmt
+    from .capacity import PowerGrid
 
     (point,) = capacity.estimate(("c21", "c22d"), PowerGrid.single(args.power), _mc_from(args),
                                  args.distortion)
@@ -211,8 +224,10 @@ def cmd_region(args) -> int:
 
 
 def cmd_gap(args) -> int:
+    # the refusal costs no NumPy, and names the flag that overrides it
+    check_gap_distortion(args.distortion, args.allow_small_distortion,
+                         "--allow-small-distortion")
     from . import regions
-    from .capacity import _fmt, _round12
 
     report = regions.gap_sweep(
         args.distortion,
@@ -268,16 +283,16 @@ def _rd_variances(args):
     if args.const_sigma2 is not None:
         return [args.const_sigma2]
     try:
-        return [float(tok) for tok in args.sigma2_list.split(",") if tok.strip()]
-    except ValueError as err:
+        variances = [float(tok) for tok in args.sigma2_list.split(",") if tok.strip()]
+    except ValueError:
+        variances = []
+    if not variances:
         raise UsageError(f"--sigma2-list takes comma-separated numbers, "
-                         f"got {args.sigma2_list!r}") from err
+                         f"got {args.sigma2_list!r}")
+    return variances
 
 
 def cmd_rd(args) -> int:
-    from . import capacity
-    from .capacity import _fmt, _round12
-
     if args.const_sigma2 is not None and args.sigma2_list is not None:
         raise UsageError("--const-sigma2 and --sigma2-list exclude each other")
     if args.gain_const is not None and args.gain_rayleigh:
@@ -286,14 +301,17 @@ def cmd_rd(args) -> int:
         if args.const_sigma2 is None and args.sigma2_list is None:
             raise UsageError("waterfill/suboptimal need --const-sigma2 or --sigma2-list")
         variances = _rd_variances(args)
-        fn = capacity.rd_reverse_waterfill if args.mode == "waterfill" \
-            else capacity.rd_suboptimal
+        from . import rd
+
+        fn = rd.rd_reverse_waterfill if args.mode == "waterfill" else rd.rd_suboptimal
         rate = fn(variances, args.budget)
     else:
         if args.sigx2 is None or args.sigu2 is None:
             raise UsageError("wyner mode needs --sigx2 and --sigu2")
         if args.gain_const is None and not args.gain_rayleigh:
             raise UsageError("wyner mode needs --gain-const or --gain-rayleigh")
+        from . import capacity
+
         sampler = (capacity.constant_gain(args.gain_const)
                    if args.gain_const is not None else capacity.rayleigh_gain())
         rate = capacity.ergodic_wyner_rate(args.sigx2, args.sigu2, args.budget,
@@ -342,7 +360,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--assert-theorem", action="store_true",
                    help=f"exit 4 unless max tau <= {GAP_BOUND} + 3*stderr")
     p.add_argument("--allow-small-distortion", action="store_true",
-                   help="permit D below the certified value 4")
+                   help="permit D below the certified value "
+                        f"{MIN_CERTIFIED_DISTORTION:g}")
     _add_grid_flags(p)
     _add_mc_flags(p)
     _add_output_flags(p)

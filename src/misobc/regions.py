@@ -22,15 +22,11 @@ from itertools import combinations
 
 import numpy as np
 
-from . import GAP_BOUND, DomainError, capacity
-from .capacity import MCConfig, MonteCarloEstimate, PowerGrid, _number, _Table, write_csv
+from . import GAP_BOUND, MIN_CERTIFIED_DISTORTION, DomainError, capacity, check_gap_distortion
+from .capacity import MCConfig, MonteCarloEstimate, PowerGrid, _Table, write_csv
 
 GEOM_TOL = 1e-9
 BISECT_TOL = 1e-9
-
-# Distortion floor under which gap_sweep refuses to run unless overridden;
-# below it the achievable-region coefficient can lose its sign guarantee.
-MIN_CERTIFIED_DISTORTION = 4.0
 
 
 @dataclass(frozen=True)
@@ -366,15 +362,7 @@ def gap_sweep(
     and includes their paired covariance, which the shared channel
     ensemble makes strongly positive.
     """
-    d = _number(distortion, "distortion")
-    if not math.isfinite(d) or d <= 0.0:
-        raise ValueError("distortion must be finite and positive")
-    if d < MIN_CERTIFIED_DISTORTION and not allow_small_distortion:
-        raise ValueError(
-            f"distortion {d:g} is below the certified choice "
-            f"{MIN_CERTIFIED_DISTORTION:g}; pass allow_small_distortion=True "
-            "to run anyway"
-        )
+    d = check_gap_distortion(distortion, allow_small_distortion)
     grid = grid or PowerGrid.default()
     if any(p <= 0.0 for p in grid.points):
         raise ValueError("gap sweep needs strictly positive powers")

@@ -42,7 +42,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from . import DEFAULT_SEED, MAX_BLOCKS, DomainError, capacity, core, quantizer
+from . import DEFAULT_SEED, MAX_BLOCKS, DomainError, _round12, capacity, core, quantizer
 from .capacity import MCConfig, MonteCarloEstimate, PowerGrid
 from .core import StreamTag
 
@@ -468,8 +468,8 @@ def run_scheme(cfg: SchemeConfig, ref_mc: MCConfig | None = None) -> SchemeTrans
 
 def _estimate_dict(e: MonteCarloEstimate) -> dict:
     return {
-        "value": capacity._round12(e.value),
-        "stderr": capacity._round12(e.stderr),
+        "value": _round12(e.value),
+        "stderr": _round12(e.stderr),
         "samples": e.samples,
         "seed": e.seed,
     }
@@ -483,7 +483,7 @@ def summary(transcript: SchemeTranscript) -> dict:
     ref = t.reference
     pair = achieved_rate_pair(ref["c22d"].value, ref["rq"].value, ref["c21"].value)
     floor = rate_floor(ref["c22d"].value, ref["rq"].value, ref["c21"].value)
-    r12 = capacity._round12
+    r12 = _round12
     return {
         "config": asdict(t.config),
         "phase3_budget": t.phase3_budget,

@@ -11,7 +11,7 @@ import numpy as np
 import pytest
 from scipy import stats as sps
 
-from misobc import capacity, core, quantizer, regions, scheme
+from misobc import capacity, core, quantizer, rd, regions, scheme
 from misobc.capacity import MCConfig, PowerGrid
 from misobc.core import DomainError
 from misobc.regions import HalfPlane, RateRegion
@@ -223,16 +223,16 @@ def test_criterion_8_rate_distortion_helpers():
     for _ in range(100):
         variances = np.exp(rng.normal(size=int(rng.integers(1, 8)), scale=1.0))
         budget = float(rng.uniform(0.05, 1.0) * variances.max())
-        opt = capacity.rd_reverse_waterfill(variances, budget)
-        sub = capacity.rd_suboptimal(variances, budget)
+        opt = rd.rd_reverse_waterfill(variances, budget)
+        sub = rd.rd_suboptimal(variances, budget)
         assert opt <= sub + 1e-12
 
     # equal-variance sets collapse to one closed form, exactly
-    assert capacity.rd_reverse_waterfill([4.0], 1.0) == 2.0
-    assert capacity.rd_reverse_waterfill([8.0, 8.0], 2.0) == 2.0
-    assert capacity.rd_reverse_waterfill([1.0, 1.0, 1.0], 1.0) == 0.0
-    assert capacity.rd_suboptimal([1.0], 1.0) == 1.0
-    assert capacity.rd_suboptimal([3.0, 3.0], 1.0) == 2.0
+    assert rd.rd_reverse_waterfill([4.0], 1.0) == 2.0
+    assert rd.rd_reverse_waterfill([8.0, 8.0], 2.0) == 2.0
+    assert rd.rd_reverse_waterfill([1.0, 1.0, 1.0], 1.0) == 0.0
+    assert rd.rd_suboptimal([1.0], 1.0) == 1.0
+    assert rd.rd_suboptimal([3.0, 3.0], 1.0) == 2.0
 
     # two-level sets against a dense scan over the distortion split
     worst = 0.0
@@ -241,7 +241,7 @@ def test_criterion_8_rate_distortion_helpers():
         vb = float(rng.uniform(0.2, 1.5))
         na, nb = int(rng.integers(1, 4)), int(rng.integers(1, 4))
         budget = float(rng.uniform(0.3, 0.9) * vb)
-        got = capacity.rd_reverse_waterfill([va] * na + [vb] * nb, budget)
+        got = rd.rd_reverse_waterfill([va] * na + [vb] * nb, budget)
         ref = brute_force_two_level(va, na, vb, nb, budget)
         worst = max(worst, abs(got - ref))
     print(f"criterion 8: worst waterfill vs dense-scan deviation {worst:.2e}")

@@ -11,7 +11,7 @@ import pytest
 from scipy import stats
 from scipy.integrate import quad
 
-from misobc import capacity, core, regions
+from misobc import capacity, core, rd, regions
 from misobc.capacity import MCConfig, PowerGrid
 from misobc.core import DomainError
 
@@ -446,27 +446,27 @@ def test_ratio_csv_format():
 
 
 def test_waterfill_single_variance_exact():
-    assert capacity.rd_reverse_waterfill([4.0], 1.0) == 2.0
-    assert capacity.rd_reverse_waterfill([1.0], 1.0) == 0.0
-    assert capacity.rd_reverse_waterfill([1.0], 2.0) == 0.0
+    assert rd.rd_reverse_waterfill([4.0], 1.0) == 2.0
+    assert rd.rd_reverse_waterfill([1.0], 1.0) == 0.0
+    assert rd.rd_reverse_waterfill([1.0], 2.0) == 0.0
 
 
 def test_waterfill_equal_variances_exact():
     # all components identical: level = budget, rate = log2(v / budget)
-    assert capacity.rd_reverse_waterfill([1.0] * 7, 0.25) == 2.0
-    got = capacity.rd_reverse_waterfill([3.0] * 5, 0.75)
+    assert rd.rd_reverse_waterfill([1.0] * 7, 0.25) == 2.0
+    got = rd.rd_reverse_waterfill([3.0] * 5, 0.75)
     assert got == pytest.approx(2.0, rel=1e-14)
 
 
 def test_waterfill_two_level_fixture():
     # variances {1, 4} with unit budget: level sits at 1, only the second
     # component is coded, rate = log2(4)/2 = 1 bit
-    assert capacity.rd_reverse_waterfill([1.0, 4.0], 1.0) == 1.0
+    assert rd.rd_reverse_waterfill([1.0, 4.0], 1.0) == 1.0
 
 
 def test_waterfill_level_below_smallest_variance():
     # budget below every variance: level = budget for all components
-    got = capacity.rd_reverse_waterfill([1.0, 4.0], 0.5)
+    got = rd.rd_reverse_waterfill([1.0, 4.0], 0.5)
     assert got == pytest.approx(0.5 * (math.log2(2.0) + math.log2(8.0)), rel=1e-13)
 
 
@@ -476,8 +476,8 @@ def test_waterfill_never_exceeds_suboptimal():
         n = int(rng.integers(1, 60))
         v = rng.lognormal(0.0, 1.2, size=n)
         budget = float(rng.uniform(0.05, 1.2) * v.mean())
-        wf = capacity.rd_reverse_waterfill(v, budget)
-        sub = capacity.rd_suboptimal(v, budget)
+        wf = rd.rd_reverse_waterfill(v, budget)
+        sub = rd.rd_suboptimal(v, budget)
         assert wf <= sub
 
 
@@ -501,27 +501,75 @@ def test_waterfill_two_level_matches_dense_scan():
             hi = levels[min(k + 1, len(levels) - 1)]
         level = 0.5 * (lo + hi)
         brute = float(np.sum(np.log2(v[v > level] / level)) / v.size)
-        exact = capacity.rd_reverse_waterfill(v, budget)
+        exact = rd.rd_reverse_waterfill(v, budget)
         assert exact == pytest.approx(brute, abs=1e-6)
 
 
 def test_waterfill_validation():
     with pytest.raises(ValueError):
-        capacity.rd_reverse_waterfill([], 1.0)
+        rd.rd_reverse_waterfill([], 1.0)
     with pytest.raises(ValueError):
-        capacity.rd_reverse_waterfill([1.0, -2.0], 1.0)
+        rd.rd_reverse_waterfill([1.0, -2.0], 1.0)
     with pytest.raises(ValueError):
-        capacity.rd_reverse_waterfill([1.0], 0.0)
+        rd.rd_reverse_waterfill([1.0], 0.0)
     with pytest.raises(ValueError):
-        capacity.rd_reverse_waterfill([math.inf], 1.0)
+        rd.rd_reverse_waterfill([math.inf], 1.0)
 
 
 def test_suboptimal_closed_form():
-    assert capacity.rd_suboptimal([1.0], 1.0) == 1.0
-    got = capacity.rd_suboptimal([3.0, 3.0], 1.0)
+    assert rd.rd_suboptimal([1.0], 1.0) == 1.0
+    got = rd.rd_suboptimal([3.0, 3.0], 1.0)
     assert got == pytest.approx(2.0, rel=1e-14)
     with pytest.raises(ValueError):
-        capacity.rd_suboptimal([1.0], -1.0)
+        rd.rd_suboptimal([1.0], -1.0)
+
+
+@pytest.mark.parametrize("variances", [4.0, [1.0, None], np.ones((2, 2))],
+                         ids=["scalar", "none", "2d"])
+def test_rd_variances_must_be_a_flat_iterable(variances):
+    for fn in (rd.rd_reverse_waterfill, rd.rd_suboptimal):
+        with pytest.raises(ValueError, match="flat iterable of numbers"):
+            fn(variances, 1.0)
+
+
+def _np_reverse_waterfill(v, budget):
+    """The helper's former NumPy form: the level from a vectorized scan of
+    the sorted-prefix segments, pairwise sums."""
+    n = v.size
+    if float(np.mean(v)) <= budget:
+        return 0.0
+    s = np.sort(v)
+    prefix = np.concatenate(([0.0], np.cumsum(s)))[:n]
+    level = (n * budget - prefix) / (n - np.arange(n))
+    lower = np.concatenate(([0.0], s[:-1]))
+    slack = 1e-12 * max(1.0, float(s[-1]))
+    valid = (level >= lower - slack) & (level <= s + slack)
+    idx = int(np.argmax(valid))
+    assert valid[idx]
+    level_star = float(level[idx])
+    active = s[s > level_star]
+    if active.size == 0:
+        return 0.0
+    return float(np.sum(np.log2(active / level_star)) / n)
+
+
+def _np_suboptimal(v, budget):
+    return float(np.mean(np.log1p(v / budget)) / core.LN2)
+
+
+def test_rd_helpers_match_numpy_reference():
+    # the stdlib helpers sum in another order (math.fsum against NumPy's
+    # pairwise sums) and take libm's log2, so they agree to a few ulp
+    rng = np.random.default_rng(1093)
+    for _ in range(1500):
+        n = int(rng.integers(1, 61))
+        v = rng.lognormal(0.0, 1.5, size=n)
+        if rng.random() < 0.3:  # repeated variances and zeros exercise segment ends
+            v = rng.choice(np.append(v[: max(1, n // 4)], 0.0), size=n)
+        budget = float(rng.uniform(0.01, 1.5) * max(v.mean(), 1e-3))
+        for got, ref in ((rd.rd_reverse_waterfill(v, budget), _np_reverse_waterfill(v, budget)),
+                         (rd.rd_suboptimal(v, budget), _np_suboptimal(v, budget))):
+            assert abs(got - ref) <= 1e-13 * abs(ref), (v, budget, got, ref)
 
 
 def test_wyner_zero_gain_recovers_plain_rate():

@@ -202,9 +202,12 @@ def test_gap_json_and_theorem_assertion(capsys):
 
 
 def test_gap_guards_small_distortion(capsys):
-    code, _, err = run(capsys, ["gap", "--distortion", "3", "--power", "1", *FAST])
+    code, out, err = run(capsys, ["gap", "--distortion", "3", "--power", "1", *FAST])
     assert code == 3
-    assert "error" in err
+    assert out == ""
+    # the command line names its flag, the library its keyword
+    assert err == ("error: distortion 3 is below the certified choice 4; "
+                   "pass --allow-small-distortion to run anyway\n")
     code, _, _ = run(capsys, ["gap", "--distortion", "3", "--power", "1",
                               "--allow-small-distortion", *FAST])
     assert code == 0
@@ -338,6 +341,16 @@ def test_rd_malformed_variance_list_is_a_usage_error(capsys):
     assert err == "usage error: --sigma2-list takes comma-separated numbers, got '1,a'\n"
 
 
+@pytest.mark.parametrize("text", [",", " , ", ""])
+def test_rd_empty_variance_list_is_a_usage_error(capsys, text):
+    # a list with no numbers is a malformed flag value, not a numerical abort
+    code, out, err = run(capsys, ["rd", "--mode", "waterfill",
+                                  "--sigma2-list", text, "--budget", "1"])
+    assert code == 2
+    assert out == ""
+    assert err == f"usage error: --sigma2-list takes comma-separated numbers, got {text!r}\n"
+
+
 @pytest.mark.parametrize("argv", [
     ["capacity", "--quantity", "c21", "--power", "1", "--samples", "1000"],
     ["simulate", "--n", "8", "--power", "10", "--samples", "1000"],
@@ -411,6 +424,8 @@ def test_shared_names_have_one_definition():
     assert capacity.DEFAULT_SEED is scheme.SchemeConfig.seed is misobc.DEFAULT_SEED
     assert capacity.DEFAULT_SAMPLES is misobc.DEFAULT_SAMPLES
     assert regions.GAP_BOUND is misobc.GAP_BOUND
+    assert regions.MIN_CERTIFIED_DISTORTION is misobc.MIN_CERTIFIED_DISTORTION
+    assert capacity._fmt is misobc._fmt and capacity._round12 is misobc._round12
     assert scheme.MAX_BLOCKS is misobc.MAX_BLOCKS
 
 
@@ -432,6 +447,7 @@ with open(sys.argv[1], "w") as fp:
 
 SMALL = ["--samples", "2000", "--seed", "9"]
 NUMERIC = ("misobc.core", "misobc.capacity")
+NO_NUMPY = ("numpy", *NUMERIC, "misobc.regions", "misobc.scheme")
 
 
 @pytest.mark.parametrize("argv, code, loaded, unloaded", [
@@ -443,11 +459,20 @@ NUMERIC = ("misobc.core", "misobc.capacity")
     pytest.param(["rq", "--power", "10", *SMALL], 0,
                  NUMERIC, ("misobc.regions", "misobc.scheme"), id="rq"),
     pytest.param(["rd", "--mode", "waterfill", "--const-sigma2", "4", "--budget", "1"], 0,
-                 NUMERIC, ("misobc.regions", "misobc.scheme"), id="rd"),
+                 ("misobc.rd",), NO_NUMPY, id="rd"),
+    pytest.param(["rd", "--mode", "suboptimal", "--sigma2-list", "1,4", "--budget", "1"], 0,
+                 ("misobc.rd",), NO_NUMPY, id="rd_suboptimal"),
+    pytest.param(["rd", "--mode", "waterfill", "--const-sigma2", "4", "--sigma2-list", "1",
+                  "--budget", "1"], 2, (), NO_NUMPY + ("misobc.rd",), id="rd_conflict"),
+    pytest.param(["rd", "--mode", "wyner", "--sigx2", "1", "--sigu2", "1", "--gain-const", "1",
+                  "--budget", "0.25", *SMALL], 0,
+                 NUMERIC, ("misobc.regions", "misobc.scheme"), id="rd_wyner"),
     pytest.param(["region", "--power", "10", *SMALL], 0,
                  NUMERIC + ("misobc.regions",), ("misobc.scheme",), id="region"),
     pytest.param(["gap", "--power", "10", *SMALL], 0,
                  NUMERIC + ("misobc.regions",), ("misobc.scheme",), id="gap"),
+    *(pytest.param(["gap", "--distortion", d, "--power", "10", *SMALL], 3, (), NO_NUMPY,
+                   id=f"gap_refused_{d}") for d in ("2", "nan", "-1")),
     pytest.param(["simulate", "--n", "8", "--power", "10", *SMALL], 0,
                  NUMERIC + ("misobc.scheme",), ("misobc.regions",), id="simulate"),
 ])

@@ -356,7 +356,8 @@ def test_gap_sweep_small_grid():
 def test_gap_sweep_guards_distortion():
     grid = PowerGrid.single(1.0)
     mc = MCConfig(samples=1000, seed=6)
-    with pytest.raises(ValueError, match="certified"):
+    with pytest.raises(ValueError, match="below the certified choice 4; "
+                                         "pass allow_small_distortion=True to run anyway"):
         regions.gap_sweep(3.0, grid, mc)
     report = regions.gap_sweep(3.0, grid, mc, allow_small_distortion=True)
     assert len(report.rows) == 1
