@@ -16,7 +16,6 @@ each instance must see the samples in the same order.
 
 from __future__ import annotations
 
-import io
 import math
 import struct
 
@@ -123,9 +122,11 @@ def write_indices(fp, step: float, indices) -> None:
 
 
 def read_indices(fp) -> tuple[float, np.ndarray]:
-    """Inverse of write_indices; returns (step, indices as (n, 2) int64).
+    """Inverse of write_indices; returns (step, indices).
 
-    The stream is read once, to its end.
+    The stream is read once, to its end.  The indices are the stored
+    little-endian int32 pairs as a read-only (n, 2) view of the bytes
+    read, not a copy.
     """
     data = fp.read()
     if len(data) < _HEADER.size:
@@ -143,14 +144,4 @@ def read_indices(fp) -> tuple[float, np.ndarray]:
             f"promises {count} samples ({expected} bytes)"
         )
     q = np.frombuffer(data, dtype="<i4", offset=_HEADER.size).reshape(count, 2)
-    return float(step), q.astype(np.int64)
-
-
-def indices_to_bytes(step: float, indices) -> bytes:
-    buf = io.BytesIO()
-    write_indices(buf, step, indices)
-    return buf.getvalue()
-
-
-def indices_from_bytes(blob: bytes) -> tuple[float, np.ndarray]:
-    return read_indices(io.BytesIO(blob))
+    return float(step), q

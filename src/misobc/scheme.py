@@ -21,14 +21,20 @@ tasks on up to two threads, or in the caller's thread when only one CPU
 is usable.  The caller allocates every transcript array and the tasks
 fill them in place, so a run is bit-identical for any thread count.
 The transcript stores only the draws, the overheard sums and the
-phase-3 delivery (80 MiB at n = 512); transmit grids, observations,
+phase-3 delivery (80 MiB at n = 512, next to the causality audit's
+4 MiB of coefficient slots); transmit grids, observations,
 reconstructed observations and the quantization error are read-only
 properties derived on access, so a run's traced peak sits near those
-80 MiB (about 104 MiB at n = 512, reached while the residuals are
-summarized).  The quantizer reconstructs in its lattice buffer, the
+84 MiB (about 104 MiB at n = 512, reached while the residuals are
+summarized).  The quantizer reconstructs in its lattice buffer, and the
 residual statistics compute each sequence's mean and mean power once
-and accumulate in their first temporary, and ``read_transcript_dump``
-returns read-only views of the bytes it read rather than copies.
+and accumulate in their first temporary.
+
+A transcript dump keeps only what cannot be derived: a header, the
+message grids u1 and u2 and the quantizer index stream, 18 MiB at
+n = 512.  ``read_transcript_dump`` returns u1, u2 and the indices as
+read-only views of the bytes it read rather than copies, and x1, x2 as
+``interleave`` views of its u grids.
 """
 
 from __future__ import annotations
@@ -46,7 +52,7 @@ from . import DEFAULT_SEED, MAX_BLOCKS, DomainError, _round12, capacity, core, q
 from .capacity import MCConfig, MonteCarloEstimate, PowerGrid
 from .core import StreamTag
 
-_DUMP_MAGIC = b"MBT1"
+_DUMP_MAGIC = b"MBT2"
 _DUMP_HEADER = struct.Struct("<4sI")
 
 
@@ -122,7 +128,8 @@ class SchemeTranscript:
     """Everything one simulated run produces, filled in phase order.
 
     Only what was drawn is stored, plus the transmitter's overheard sums
-    and what phase 3 delivers: 14 arrays, 80 MiB at n = 512.  The
+    and what phase 3 delivers: 14 arrays, 80 MiB at n = 512, plus the
+    causality audit, whose coefficient slots (2 n^2 int64) add 4 MiB.  The
     transmit grids, the receivers' observations, the reconstructed
     observations and the quantization error are read-only properties,
     computed on each access from the stored arrays (x1 and x2 are views
@@ -551,27 +558,32 @@ def check_stats(transcript: SchemeTranscript) -> list[str]:
 
 
 def dump_transcript(transcript: SchemeTranscript, fp) -> None:
-    """Binary dump: signal grids as raw little-endian doubles, then the
-    quantizer index stream in its own framed format.
+    """Binary dump of what a run drew for its messages and what phase 3 sent.
 
-    The u grids are written straight from their buffers; each x grid, a
-    view of its u grid, is laid out in one transposed copy at a time.
+    Layout, all little endian: magic ``MBT2`` (4 bytes) and n as a
+    uint32, then the message grids u1 and u2, each n*n*2 complex128
+    written straight from its buffer, then the quantizer index stream
+    in its own framed format (``quantizer.write_indices``).  The transmit
+    grids are not stored: x = interleave(u), so the reader derives them.
     """
     t = transcript
     if t.quant_indices is None:
         raise ValueError("phase 3 must run before dumping")
     fp.write(_DUMP_HEADER.pack(_DUMP_MAGIC, t.config.n))
-    for grid in (t.u1, t.u2, t.x1, t.x2):
+    for grid in (t.u1, t.u2):
         fp.write(np.ascontiguousarray(grid, dtype="<c16").data)
     quantizer.write_indices(fp, t.quant_step, t.quant_indices)
 
 
 def read_transcript_dump(fp) -> dict:
-    """Inverse of dump_transcript; returns grids plus (step, indices).
+    """Inverse of dump_transcript; returns the four signal grids plus
+    (step, indices).
 
-    The stream is read once, to its end.  The four grids are read-only
-    views of the bytes read, not copies: reading an ``io.BytesIO`` of a
-    dump from its start shares the dump's own bytes.
+    The stream is read once, to its end.  u1 and u2 are read-only views
+    of the bytes read, x1 and x2 their ``interleave`` views, and the
+    indices the stored int32 pairs (``quantizer.read_indices``): reading
+    an ``io.BytesIO`` of a dump from its start shares the dump's own
+    bytes for all four grids.
     """
     data = fp.read()
     if len(data) < _DUMP_HEADER.size:
@@ -580,14 +592,15 @@ def read_transcript_dump(fp) -> dict:
     if magic != _DUMP_MAGIC:
         raise ValueError(f"bad magic {magic!r}")
     count = n * n * 2
-    offset = _DUMP_HEADER.size
-    if len(data) < offset + 4 * 16 * count:
+    start = _DUMP_HEADER.size
+    end = start + 2 * 16 * count
+    if len(data) < end:
         raise ValueError("truncated signal grid")
-    grids = {}
-    for name in ("u1", "u2", "x1", "x2"):
-        grids[name] = np.frombuffer(data, "<c16", count=count, offset=offset).reshape(n, n, 2)
-        offset += 16 * count
-    step, indices = quantizer.read_indices(io.BytesIO(data[offset:]))
-    grids["quant_step"] = step
-    grids["quant_indices"] = indices
-    return grids
+    u1, u2 = (np.frombuffer(data, "<c16", count=count, offset=offset).reshape(n, n, 2)
+              for offset in (start, start + 16 * count))
+    step, indices = quantizer.read_indices(io.BytesIO(data[end:]))
+    if indices.shape[0] != n * n:
+        raise ValueError(f"index stream holds {indices.shape[0]} samples, "
+                         f"expected n^2 = {n * n}")
+    return {"u1": u1, "u2": u2, "x1": interleave(u1), "x2": interleave(u2),
+            "quant_step": step, "quant_indices": indices}

@@ -526,7 +526,7 @@ GOLDEN_SHA256 = {
         "d0e3a4a59b15e24294aa55d996465f7f470121257f6e0bdf0f4a8bd2fe880e5c"),
     "simulate": (["simulate", "--n", "16", "--power", "10", "--output", f"{OUT}/report.json",
                   "--dump", f"{OUT}/run.bin", *GOLDEN],
-        "33a2b3e7fcf5742f87797ebf152c12acd3273685a937b873c6f6d42f8fd58cbb"),
+        "65d4504a017ce5f352deb6c8220a598c887df87529d518f84d9a77abad539187"),
     "rd_waterfill": (["rd", "--mode", "waterfill", "--sigma2-list", "1,4,9", "--budget", "1"],
         "beb811d8d68b6cad49431740fb8a445935c25d4f949f5e3bc7e5d78d6179dff0"),
     "rd_wyner_json": (["rd", "--mode", "wyner", "--sigx2", "1", "--sigu2", "1", "--gain-rayleigh",

@@ -137,29 +137,35 @@ def test_quantizer_validation():
         q.dequantize(np.zeros((3, 2), dtype=float))
 
 
+def _index_blob(step, indices) -> bytes:
+    buf = io.BytesIO()
+    quantizer.write_indices(buf, step, indices)
+    return buf.getvalue()
+
+
 def test_index_stream_round_trip():
     rng = core.stream(106, 0)
     x = 5.0 * core.sample_cn01(rng, 1000)
     idx, _ = DitheredQuantizer(0.3, dither_seed=21).quantize(x)
-    blob = quantizer.indices_to_bytes(0.3, idx)
+    blob = _index_blob(0.3, idx)
     assert len(blob) == 16 + 8 * len(x)
     assert blob[:4] == b"DLQ1"
-    step, back = quantizer.indices_from_bytes(blob)
+    step, back = quantizer.read_indices(io.BytesIO(blob))
     assert step == 0.3
     assert np.array_equal(back, idx)
 
 
 def test_index_stream_rejects_corruption():
     idx = np.array([[1, -2], [3, 4]], dtype=np.int64)
-    blob = quantizer.indices_to_bytes(1.0, idx)
+    blob = _index_blob(1.0, idx)
     with pytest.raises(ValueError, match="magic"):
-        quantizer.indices_from_bytes(b"XXXX" + blob[4:])
+        quantizer.read_indices(io.BytesIO(b"XXXX" + blob[4:]))
     with pytest.raises(ValueError, match="truncated"):
-        quantizer.indices_from_bytes(blob[:10])
+        quantizer.read_indices(io.BytesIO(blob[:10]))
     with pytest.raises(ValueError, match="promises"):
-        quantizer.indices_from_bytes(blob[:-4])
+        quantizer.read_indices(io.BytesIO(blob[:-4]))
     with pytest.raises(ValueError, match="promises"):
-        quantizer.indices_from_bytes(blob + b"\x00" * 8)
+        quantizer.read_indices(io.BytesIO(blob + b"\x00" * 8))
 
 
 def test_index_stream_write_validation():
@@ -176,6 +182,6 @@ def test_index_stream_write_validation():
 
 def test_index_stream_endianness_is_fixed():
     idx = np.array([[1, 2]], dtype=np.int64)
-    blob = quantizer.indices_to_bytes(1.0, idx)
+    blob = _index_blob(1.0, idx)
     # payload bytes spell the two little-endian int32 values
     assert blob[16:] == b"\x01\x00\x00\x00\x02\x00\x00\x00"

@@ -10,7 +10,7 @@ from dataclasses import fields
 import numpy as np
 import pytest
 
-from misobc import capacity, core, scheme
+from misobc import capacity, core, quantizer, scheme
 from misobc.capacity import MCConfig
 from misobc.core import DomainError
 from misobc.scheme import CausalityAudit, SchemeConfig
@@ -66,7 +66,7 @@ FROZEN_RUNS = {
         [("0x1.957c6300a6e4fp+1", "0x1.376e6ea7b26b5p-7"),
          ("0x1.08306df4c1bb4p+2", "0x1.5bd552ac759b1p-7"),
          ("0x1.3a99249026994p+1", "0x1.8a8baa9979377p-8")],
-        "43a1f963610b7dd187171b709dcb0787b626873b5c23c9788407c6640d9bac9e",
+        "4e3bebbe2eb8fce420c294be5ee1c4afa2ca6c9f9695d1820d328fb9de60bcc9",
     ),
     (2, 3.0): (
         ["0x1.9c7721d49201ep+1", "0x1.136c3448ad0e9p+3", "0x1.0000000000000p+0",
@@ -77,7 +77,7 @@ FROZEN_RUNS = {
         [("0x1.d112f10969616p+0", "0x1.dbdcdff198442p-8"),
          ("0x1.21819ad4d9bf4p+1", "0x1.e70692fe0b634p-8"),
          ("0x1.41f7acea390aep+0", "0x1.113934275ed22p-8")],
-        "e4fa7e43cf00992c9f4bf1d4153778c470bc7076d0618f1b8ea9fa0de0b17620",
+        "4ecd83f781624eade71819f8d02b7824b5561de7605095f877501d65261ed2c7",
     ),
     (17, 100.0): (
         ["0x1.53aab8e3c440cp+2", "0x1.4f0cecb6f02a3p+2", "0x1.7b203886dc2a8p-5",
@@ -88,7 +88,7 @@ FROZEN_RUNS = {
         [("0x1.922817f7ec68ap+2", "0x1.7044697ffcad1p-7"),
          ("0x1.2729c1979b474p+3", "0x1.13d2222236076p-6"),
          ("0x1.5f356458cf45fp+2", "0x1.e9673917084a4p-8")],
-        "c325fb24b69e11eea22fad15be039a132105f881b9cc8b4b4d9c3406a49bcf31",
+        "6b38d9734508ffa020434ddf8e3957f46475160177053688499549e5a2f172a0",
     ),
     (64, 1.0): (
         ["0x1.38e9b2c9fb3bep+2", "0x1.3d1d7da15b532p+2", "0x1.35ca96bfca1bap-6",
@@ -99,7 +99,7 @@ FROZEN_RUNS = {
         [("0x1.d7e42e78e9661p-1", "0x1.3026e319fc8f4p-8"),
          ("0x1.1f20292729012p+0", "0x1.318cf5e9fc547p-8"),
          ("0x1.20f93efbc6965p-1", "0x1.2e22f47716e61p-9")],
-        "eb5bc476f6368bbf4f0a3c3534efccb379e6e2beee4702fc2af6b42241dc2f40",
+        "757c7f556651ac6351ab39aafec6ec6fde4bad3c47c22502ffb3d216d4f03416",
     ),
 }
 
@@ -483,6 +483,8 @@ def test_transcript_dump_round_trip():
     t = scheme.run_scheme(cfg, ref_mc=REF)
     buf = io.BytesIO()
     scheme.dump_transcript(t, buf)
+    # header, u1 and u2, then the index stream's header and int32 pairs
+    assert len(buf.getvalue()) == 8 + 2 * 16 * 2 * cfg.n**2 + 16 + 8 * cfg.n**2
     buf.seek(0)
     back = scheme.read_transcript_dump(buf)
     for name, grid in (("u1", t.u1), ("u2", t.u2), ("x1", t.x1), ("x2", t.x2)):
@@ -498,16 +500,22 @@ def test_transcript_dump_corruption_detected():
     buf = io.BytesIO()
     scheme.dump_transcript(t, buf)
     raw = buf.getvalue()
-    grids_end = 8 + 4 * 16 * cfg.n * cfg.n * 2
+    grids_end = 8 + 2 * 16 * cfg.n * cfg.n * 2
+    short = io.BytesIO()
+    quantizer.write_indices(short, t.quant_step, t.quant_indices[:3])
     for blob, message in (
         (raw[:4], "truncated header"),
         (b"XXXX" + raw[4:], "bad magic"),
+        # the four-grid format that stored x1 and x2 too is not read
+        (b"MBT1" + raw[4:], "bad magic"),
         (raw[: len(raw) // 2], "truncated signal grid"),
         # the index stream after the grids keeps its own checks
         (raw[:grids_end + 10], "truncated header"),
         (raw[:grids_end] + b"XXXX" + raw[grids_end + 4:], "bad magic"),
         (raw[:-4], "promises"),
         (raw + bytes(8), "promises"),
+        # a well-formed index stream for fewer samples than the grids hold
+        (raw[:grids_end] + short.getvalue(), "holds 3 samples, expected n\\^2 = 16"),
     ):
         with pytest.raises(ValueError, match=message):
             scheme.read_transcript_dump(io.BytesIO(blob))
@@ -530,7 +538,12 @@ def test_dump_reader_returns_views_of_the_bytes_it_read(dump256):
         assert np.array_equal(back[name], getattr(t, name))
         assert np.shares_memory(back[name], raw)
         assert not back[name].flags.writeable
+    # the transmit grids are not stored but derived from the message grids
+    assert np.shares_memory(back["x1"], back["u1"])
+    assert np.shares_memory(back["x2"], back["u2"])
     assert np.array_equal(back["quant_indices"], t.quant_indices)
+    assert back["quant_indices"].dtype == np.dtype("<i4")
+    assert not back["quant_indices"].flags.writeable
 
 
 def test_dump_reader_reads_files_and_streams_past_other_content(dump256, tmp_path):
@@ -551,8 +564,8 @@ def test_dump_reader_reads_files_and_streams_past_other_content(dump256, tmp_pat
 
 
 def test_dump_reader_allocates_little_beyond_the_dump(dump256):
-    # the grids are views of the bytes read, so what the reader allocates is
-    # the index stream and its int64 indices, not copies of the grids
+    # the grids and the indices are views of the bytes read, so what the
+    # reader allocates is the index stream it slices off, not copies
     _, blob = dump256
     tracemalloc.start()
     try:
