@@ -124,24 +124,34 @@ def write_indices(fp, step: float, indices) -> None:
 def read_indices(fp) -> tuple[float, np.ndarray]:
     """Inverse of write_indices; returns (step, indices).
 
-    The stream is read once, to its end.  The indices are the stored
-    little-endian int32 pairs as a read-only (n, 2) view of the bytes
-    read, not a copy.
+    The stream is read once, to its end, and parsed by ``parse_indices``.
     """
-    data = fp.read()
-    if len(data) < _HEADER.size:
+    return parse_indices(fp.read())
+
+
+def parse_indices(data, offset: int = 0) -> tuple[float, np.ndarray]:
+    """(step, indices) of the index stream that fills ``data`` from
+    ``offset`` to its end.
+
+    ``data`` is any bytes-like object.  The indices are the stored
+    little-endian int32 pairs as an (n, 2) view of ``data``, not a copy,
+    read-only when ``data`` is.
+    """
+    size = len(data) - offset
+    if size < _HEADER.size:
         raise ValueError("truncated header")
-    magic, step, count = _HEADER.unpack_from(data)
+    magic, step, count = _HEADER.unpack_from(data, offset)
     if magic != _MAGIC:
         raise ValueError(f"bad magic {magic!r}")
     if not math.isfinite(step) or step <= 0.0:
         raise ValueError("header carries a nonpositive step")
-    payload = len(data) - _HEADER.size
+    payload = size - _HEADER.size
     expected = 8 * count
     if payload != expected:
         raise ValueError(
             f"index payload holds {payload} bytes but the header "
             f"promises {count} samples ({expected} bytes)"
         )
-    q = np.frombuffer(data, dtype="<i4", offset=_HEADER.size).reshape(count, 2)
+    q = np.frombuffer(data, dtype="<i4", count=2 * count,
+                      offset=offset + _HEADER.size).reshape(count, 2)
     return float(step), q

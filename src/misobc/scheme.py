@@ -39,7 +39,6 @@ read-only views of the bytes it read rather than copies, and x1, x2 as
 
 from __future__ import annotations
 
-import io
 import math
 import struct
 from concurrent.futures import ThreadPoolExecutor
@@ -581,9 +580,10 @@ def read_transcript_dump(fp) -> dict:
 
     The stream is read once, to its end.  u1 and u2 are read-only views
     of the bytes read, x1 and x2 their ``interleave`` views, and the
-    indices the stored int32 pairs (``quantizer.read_indices``): reading
-    an ``io.BytesIO`` of a dump from its start shares the dump's own
-    bytes for all four grids.
+    indices the stored int32 pairs, parsed in place by
+    ``quantizer.parse_indices``: reading an ``io.BytesIO`` of a dump from
+    its start shares the dump's own bytes for all four grids and the
+    indices.
     """
     data = fp.read()
     if len(data) < _DUMP_HEADER.size:
@@ -598,7 +598,7 @@ def read_transcript_dump(fp) -> dict:
         raise ValueError("truncated signal grid")
     u1, u2 = (np.frombuffer(data, "<c16", count=count, offset=offset).reshape(n, n, 2)
               for offset in (start, start + 16 * count))
-    step, indices = quantizer.read_indices(io.BytesIO(data[end:]))
+    step, indices = quantizer.parse_indices(data, end)
     if indices.shape[0] != n * n:
         raise ValueError(f"index stream holds {indices.shape[0]} samples, "
                          f"expected n^2 = {n * n}")

@@ -2,15 +2,20 @@
 
 import io
 import math
+import os
 import re
+import subprocess
+import sys
 import threading
 import tracemalloc
+from pathlib import Path
 
 import numpy as np
 import pytest
 from scipy import stats
 from scipy.integrate import quad
 
+import misobc
 from misobc import capacity, core, rd, regions
 from misobc.capacity import MCConfig, PowerGrid
 from misobc.core import DomainError
@@ -37,8 +42,8 @@ def test_oracle_matches_golden_values():
 
 @pytest.mark.parametrize("power", [1e-6, 1e-4, 0.085, 1e6])
 def test_oracle_matches_high_precision_quadrature(power):
-    # where e^(2/P) overflows a double, where scipy's hyperu(1, 1, 2/P) is
-    # off by 4e-9 (P = 0.085), and far into the high-power regime
+    # small powers, where e^(2/P) overflows a double, an intermediate
+    # power and far into the high-power regime
     mpmath = pytest.importorskip("mpmath")
     with mpmath.workdps(50):
         a = mpmath.mpf(power) / 2
@@ -48,12 +53,108 @@ def test_oracle_matches_high_precision_quadrature(power):
     assert capacity.c21_oracle(power) == pytest.approx(expect, rel=1e-10, abs=0.0)
 
 
+# 49 log-spaced powers from 1e-6 to 1e6, plus both sides of the kernel's
+# switches from series to fraction (z = 2/P = 1) and to 1/(z + m) (z = 1e9)
+ORACLE_POWERS = [10.0 ** (k / 4 - 6) for k in range(49)] + [
+    2.0, math.nextafter(2.0, 0.0), 2e-9, math.nextafter(2e-9, 0.0)]
+
+
+def _scaled_expint_sum(mpmath, z, k):
+    """sum of e^z E_m(z) over m = 1..k, over ln 2, in the working precision."""
+    return mpmath.exp(z) * mpmath.fsum(mpmath.expint(m, z) for m in range(1, k + 1)) / mpmath.log(2)
+
+
+def test_oracle_matches_scaled_exponential_integrals():
+    mpmath = pytest.importorskip("mpmath")
+    with mpmath.workdps(50):
+        expect = [float(_scaled_expint_sum(mpmath, 2 / mpmath.mpf(p), 2)) for p in ORACLE_POWERS]
+    got = [capacity.c21_oracle(p) for p in ORACLE_POWERS]
+    assert got == pytest.approx(expect, rel=1e-13, abs=0.0)
+
+
 def test_oracle_edge_cases():
     assert capacity.c21_oracle(0.0) == 0.0
     with pytest.raises(ValueError):
         capacity.c21_oracle(-1.0)
     with pytest.raises(ValueError):
         capacity.c21_oracle(math.inf)
+    # 2/P overflows to inf at the smallest subnormal; the fraction and the
+    # series each stay finite and end, so the values keep their order
+    values = [capacity.c21_oracle(p) for p in (0.0, 5e-324, 1e-300, 1e300)]
+    assert all(math.isfinite(v) and v >= 0.0 for v in values)
+    assert values == sorted(values)
+    # a kernel that cannot converge raises instead of looping on
+    for m in (1, 2):
+        with pytest.raises(ArithmeticError, match="did not converge"):
+            capacity._scaled_expint(m, math.nan)
+
+
+@pytest.mark.parametrize("distortion", [0.5, 2.4, 4.0])
+def test_rq_oracle_matches_scaled_exponential_integrals(distortion):
+    # at D = 4, e^(2D/P) overflows a double below P = 0.011
+    mpmath = pytest.importorskip("mpmath")
+    with mpmath.workdps(50):
+        d = mpmath.mpf(distortion)
+        expect = [float(_scaled_expint_sum(mpmath, 2 * d / mpmath.mpf(p), 4))
+                  for p in ORACLE_POWERS]
+    got = [capacity.rq_oracle(p, distortion) for p in ORACLE_POWERS]
+    assert got == pytest.approx(expect, rel=1e-12, abs=0.0)
+
+
+@pytest.mark.parametrize("power", [1e-6, 0.1, 10.0, 1e6])
+def test_rq_oracle_matches_high_precision_quadrature(power):
+    # the closed form itself: E log2(1 + (P/(2D)) x) over the Gamma(4, 1) density
+    mpmath = pytest.importorskip("mpmath")
+    with mpmath.workdps(50):
+        a = mpmath.mpf(power) / 8
+        cuts = [0, 1 / a, 2, mpmath.inf] if a > 1 else [0, 2, mpmath.inf]
+        expect = mpmath.quad(lambda x: mpmath.log1p(a * x) * x**3 * mpmath.exp(-x) / 6, cuts)
+        expect = float(expect / mpmath.log(2))
+    assert capacity.rq_oracle(power, 4.0) == pytest.approx(expect, rel=1e-12, abs=0.0)
+
+
+def test_rq_oracle_edge_cases():
+    assert capacity.rq_oracle(0.0, 4.0) == 0.0
+    for power in (-1.0, math.inf, math.nan):
+        with pytest.raises(ValueError, match="power must be finite and nonnegative"):
+            capacity.rq_oracle(power, 4.0)
+    for d in (0.0, -1.0, math.inf, math.nan):
+        with pytest.raises(ValueError, match="distortion must be finite and positive for rq"):
+            capacity.rq_oracle(1.0, d)
+    with pytest.raises(ValueError, match="distortion for rq must be a number"):
+        capacity.rq_oracle(1.0, None)
+    with pytest.raises(ValueError, match="distortion must be finite and positive for rq"):
+        capacity.rq_oracle(0.0, 0.0)
+    values = [capacity.rq_oracle(p, 4.0) for p in (5e-324, 1e-300, 1e300)]
+    assert all(math.isfinite(v) and v >= 0.0 for v in values)
+    assert values == sorted(values)
+    # P/(2D) overflows a double, as it does in the estimator
+    with pytest.raises(DomainError, match="rq is not finite"):
+        capacity.rq_oracle(10.0, 5e-324)
+
+
+def test_rq_estimator_tracks_oracle():
+    powers = (0.1, 10.0, 1e4)
+    table = capacity.sweep("rq", PowerGrid(powers), MCConfig(samples=10**6, seed=907),
+                           distortion=4.0)
+    for row in table.rows:
+        ref = capacity.rq_oracle(row.power, 4.0)
+        tol = max(3.0 * row.estimate.stderr, 0.005 * ref)
+        assert abs(row.estimate.value - ref) < tol, row.power
+
+
+def test_oracles_load_no_scipy():
+    src = str(Path(misobc.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        p for p in (src, os.environ.get("PYTHONPATH")) if p))
+    probe = ("import sys\n"
+             "from misobc import capacity\n"
+             "capacity.c21_oracle(10)\n"
+             "capacity.rq_oracle(10, 4)\n"
+             "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))\n")
+    done = subprocess.run([sys.executable, "-c", probe], capture_output=True, text=True,
+                          env=env, check=True, timeout=120)
+    assert done.stdout.strip() == "[]"
 
 
 def test_c21_estimator_tracks_oracle():

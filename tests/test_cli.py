@@ -477,8 +477,8 @@ NO_NUMPY = ("numpy", *NUMERIC, "misobc.regions", "misobc.scheme")
                  NUMERIC + ("misobc.scheme",), ("misobc.regions",), id="simulate"),
 ])
 def test_startup_loads_only_what_the_command_runs(tmp_path, argv, code, loaded, unloaded):
-    # a cold command pays for every module it imports; scipy is only needed
-    # by the closed-form oracle, and numpy not at all to parse flags
+    # a cold command pays for every module it imports; no command needs
+    # scipy, and none needs numpy to parse flags
     src = str(Path(misobc.__file__).resolve().parents[1])
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(
         p for p in (src, os.environ.get("PYTHONPATH")) if p))
