@@ -18,18 +18,20 @@ constant per-user gap of an outer bound at every transmit power:
   scheme with causality auditing and mutual-information accounting
 * :mod:`misobc.cli`       command line front end
 
-This module imports only :mod:`math`, and :mod:`misobc.cli` nothing
-beyond the standard library, so the command line parses its flags,
-prints usage errors and ``--help``, and refuses a gap distortion below
-the certified floor without loading NumPy; each subcommand loads the
-modules it runs, and ``rd --mode waterfill|suboptimal`` loads only
-:mod:`misobc.rd`.  The error type, the constants that the command line
-shows in its flags and help, number formatting and the gap distortion
-check are defined here, once, and the numerical modules import them
-from here.
+This module imports only :mod:`math` and :mod:`operator`, and
+:mod:`misobc.cli` nothing beyond the standard library, so the command
+line parses its flags, prints usage errors and ``--help``, and refuses a
+gap distortion below the certified floor without loading NumPy; each
+subcommand loads the modules it runs, and
+``rd --mode waterfill|suboptimal`` loads only :mod:`misobc.rd`.  The
+error type, the constants that the command line shows in its flags and
+help, number formatting, the validators of number, integer and seed
+arguments and the gap distortion check are defined here, once, and the
+numerical modules import them from here.
 """
 
 import math
+import operator
 
 # Master seed and Monte Carlo sample count used when none is given.
 DEFAULT_SEED = 0xC517
@@ -61,11 +63,34 @@ def _round12(x: float) -> float:
 
 
 def _number(value, name: str) -> float:
-    """``float(value)``, but a ValueError naming ``name`` for None and other non-numbers."""
-    try:
-        return float(value)
-    except TypeError:
-        raise ValueError(f"{name} must be a number, got {value!r}") from None
+    """``float(value)``, but a ValueError naming ``name`` for None, a string
+    and other non-numbers."""
+    if not isinstance(value, (str, bytes)):
+        try:
+            return float(value)
+        except TypeError:
+            pass
+    raise ValueError(f"{name} must be a number, got {value!r}")
+
+
+def _integer(value, message: str) -> int:
+    """``value`` as an int: any integer type, NumPy's too, but not a bool,
+    float or string, which raise ValueError(f"{message}, got {value!r}")."""
+    if not isinstance(value, bool):
+        try:
+            return operator.index(value)
+        except TypeError:
+            pass
+    raise ValueError(f"{message}, got {value!r}")
+
+
+def _seed(value, name: str = "seed") -> int:
+    """``value`` as a master seed: a non-negative integer, as ``_integer``
+    takes it; errors name the argument ``name``."""
+    seed = _integer(value, f"{name} must be an integer")
+    if seed < 0:
+        raise ValueError(f"{name} must be non-negative, got {seed}")
+    return seed
 
 
 def check_gap_distortion(distortion, allow_small: bool = False,

@@ -48,7 +48,6 @@ one-level rate) are in :mod:`misobc.rd`.
 from __future__ import annotations
 
 import math
-import operator
 import os
 import queue
 from concurrent.futures import ThreadPoolExecutor
@@ -58,7 +57,8 @@ from typing import Callable, NamedTuple
 
 import numpy as np
 
-from . import DEFAULT_SAMPLES, DEFAULT_SEED, DomainError, _fmt, _number, _round12, core
+from . import (DEFAULT_SAMPLES, DEFAULT_SEED, DomainError, _fmt, _integer, _number, _round12,
+               _seed, core)
 from .core import LN2, StreamTag
 
 QUANTITIES = ("c21", "c22d", "rq")
@@ -123,25 +123,6 @@ class MCConfig:
         if w < 1:
             raise ValueError("workers must be at least 1")
         object.__setattr__(self, "workers", w)
-
-
-def _integer(value, message: str) -> int:
-    """``value`` as an int: any integer type, NumPy's too, but not a bool,
-    float or string, which raise ValueError(f"{message}, got {value!r}")."""
-    if not isinstance(value, bool):
-        try:
-            return operator.index(value)
-        except TypeError:
-            pass
-    raise ValueError(f"{message}, got {value!r}")
-
-
-def _seed(value) -> int:
-    """``value`` as a master seed: a non-negative integer, as ``_integer`` takes it."""
-    seed = _integer(value, "seed must be an integer")
-    if seed < 0:
-        raise ValueError(f"seed must be non-negative, got {seed}")
-    return seed
 
 
 def _usable_cpus() -> int:

@@ -21,7 +21,7 @@ import struct
 
 import numpy as np
 
-from . import core
+from . import _number, _seed, core
 
 _MAGIC = b"DLQ1"
 _HEADER = struct.Struct("<4sdI")
@@ -42,11 +42,12 @@ class DitheredQuantizer:
     """One end of a subtractive dithered scalar quantizer link."""
 
     def __init__(self, step: float, dither_seed: int):
-        s = float(step)
+        s = _number(step, "step")
         if not math.isfinite(s) or s <= 0.0:
             raise ValueError("step must be finite and positive")
         self.step = s
-        self.dither_seed = int(dither_seed)
+        # a master seed under the rule MCConfig and SchemeConfig apply
+        self.dither_seed = _seed(dither_seed, "dither_seed")
         self._rng = core.stream(self.dither_seed, core.StreamTag.QUANTIZER_DITHER)
         self.samples_consumed = 0
 
@@ -68,12 +69,19 @@ class DitheredQuantizer:
     def quantize(self, values) -> tuple[np.ndarray, np.ndarray]:
         """Quantize a 1-D complex sequence.
 
-        Returns (indices, reconstruction): indices is an (n, 2) int64
-        array of lattice coordinates per (real, imag) dimension, and
-        reconstruction is the complex sequence the decoder will produce
-        from those indices with its own copy of the dither stream.  The
-        reconstruction is a complex view of the float64 (n, 2) lattice
-        buffer the samples are rounded in, not a separate array.
+        Returns (indices, reconstruction): indices is an (n, 2) int32
+        array of lattice coordinates per (real, imag) dimension, the
+        width the index stream stores, and reconstruction is the complex
+        sequence the decoder will produce from those indices with its own
+        copy of the dither stream.  The reconstruction is a complex view
+        of the float64 (n, 2) lattice buffer the samples are rounded in,
+        not a separate array.
+
+        A coordinate outside the int32 range (a sample of magnitude near
+        2^31 steps) raises ValueError("lattice coordinates overflow
+        int32") here, rather than when the indices are written.  The
+        call has drawn its dither by then, so the instance is out of step
+        with its partner and should be discarded.
         """
         x = np.asarray(values, dtype=np.complex128).ravel().view(np.float64)
         if not np.isfinite(x).all():
@@ -85,7 +93,9 @@ class DitheredQuantizer:
         q /= self.step
         q -= 0.5
         np.ceil(q, out=q)
-        return q.astype(np.int64), self._reconstruct(q, u)
+        if q.size and (q.min() < INT32_MIN or q.max() > INT32_MAX):
+            raise ValueError("lattice coordinates overflow int32")
+        return q.astype(np.int32), self._reconstruct(q, u)
 
     def dequantize(self, indices) -> np.ndarray:
         """Reconstruct a complex sequence from (n, 2) lattice indices."""
@@ -103,7 +113,8 @@ def write_indices(fp, step: float, indices) -> None:
 
     Layout, all little endian: magic ``DLQ1`` (4 bytes), the lattice
     step as a float64, the sample count as a uint32, then count pairs
-    of int32 lattice coordinates (real then imaginary).
+    of int32 lattice coordinates (real then imaginary).  Wider integer
+    indices are accepted if every coordinate fits in int32.
     """
     q = np.asarray(indices)
     if q.ndim != 2 or q.shape[1] != 2:

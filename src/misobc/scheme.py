@@ -21,14 +21,15 @@ tasks on up to two threads, or in the caller's thread when only one CPU
 is usable.  The caller allocates every transcript array and the tasks
 fill them in place, so a run is bit-identical for any thread count.
 The transcript stores only the draws, the overheard sums and the
-phase-3 delivery (80 MiB at n = 512, next to the causality audit's
-4 MiB of coefficient slots); transmit grids, observations,
-reconstructed observations and the quantization error are read-only
-properties derived on access, so a run's traced peak sits near those
-84 MiB (about 104 MiB at n = 512, reached while the residuals are
-summarized).  The quantizer reconstructs in its lattice buffer, and the
-residual statistics compute each sequence's mean and mean power once
-and accumulate in their first temporary.
+phase-3 delivery with its int32 lattice indices (78 MiB at n = 512;
+the causality audit logs one slot per block and phase, O(n), not one
+per symbol); transmit grids, observations, reconstructed observations
+and the quantization error are read-only properties derived on access,
+so a run's traced peak sits near those 78 MiB (about 99 MiB at
+n = 512, reached while the residuals are summarized).  The quantizer
+reconstructs in its lattice buffer, and the residual statistics compute
+each sequence's mean and mean power once and accumulate in their first
+temporary.
 
 A transcript dump keeps only what cannot be derived: a header, the
 message grids u1 and u2 and the quantizer index stream, 18 MiB at
@@ -47,7 +48,8 @@ from typing import NamedTuple
 
 import numpy as np
 
-from . import DEFAULT_SEED, MAX_BLOCKS, DomainError, _round12, capacity, core, quantizer
+from . import (DEFAULT_SEED, MAX_BLOCKS, DomainError, _integer, _number, _round12, _seed,
+               capacity, core, quantizer)
 from .capacity import MCConfig, MonteCarloEstimate, PowerGrid
 from .core import StreamTag
 
@@ -59,7 +61,9 @@ _DUMP_HEADER = struct.Struct("<4sI")
 class SchemeConfig:
     """Run parameters: n blocks per phase, transmit power, quantizer distortion,
     phase-3 margin delta, and the master seed (a non-negative integer, as
-    ``MCConfig`` takes it)."""
+    ``MCConfig`` takes it).  Power, distortion and delta take any real
+    number type, NumPy's too, and are stored as float; None or a string
+    is rejected with a ValueError that names the field."""
 
     n: int
     power: float
@@ -68,27 +72,30 @@ class SchemeConfig:
     seed: int = DEFAULT_SEED
 
     def __post_init__(self):
-        n = capacity._integer(self.n, "n must be an integer")
+        n = _integer(self.n, "n must be an integer")
         if not 1 <= n <= MAX_BLOCKS:
             raise ValueError(f"n must be between 1 and {MAX_BLOCKS}")
         object.__setattr__(self, "n", n)
-        if not math.isfinite(self.power) or self.power <= 0.0:
-            raise ValueError("power must be finite and positive")
-        if not math.isfinite(self.distortion) or self.distortion <= 0.0:
-            raise ValueError("distortion must be finite and positive")
-        if not math.isfinite(self.delta) or self.delta <= 0.0:
-            raise ValueError("delta must be finite and positive")
-        object.__setattr__(self, "seed", capacity._seed(self.seed))
+        for name in ("power", "distortion", "delta"):
+            value = _number(getattr(self, name), name)
+            if not math.isfinite(value) or value <= 0.0:
+                raise ValueError(f"{name} must be finite and positive")
+            object.__setattr__(self, name, value)
+        object.__setattr__(self, "seed", _seed(self.seed))
 
 
 @dataclass(frozen=True)
 class CausalityAudit:
     """Log of the channel coefficients the transmitter reads.
 
-    coeff_slots[j, b, t] is the global symbol slot during which the
-    phase-(j+1) coefficient of block b, time t was on the air, and
-    read_slots[b] is the slot at which the phase-3 encoder of block b
-    reads it.  Delayed CSI demands coeff < read everywhere.
+    coeff_slots[j, b, :] holds global symbol slots during which
+    phase-(j+1) coefficients of block b were on the air, and read_slots[b]
+    is the slot at which the phase-3 encoder of block b reads them.
+    Delayed CSI demands coeff < read everywhere.  A block's coefficients
+    in one phase sit in consecutive slots, so ``run_phase_3`` logs only
+    the last of them, the one that binds: coeff_slots has shape (2, n, 1),
+    2n slots in place of 2n^2.  A full (2, n, n) log gives the same
+    verdicts, since both checks broadcast over the last axis.
     """
 
     coeff_slots: np.ndarray
@@ -127,13 +134,13 @@ class SchemeTranscript:
     """Everything one simulated run produces, filled in phase order.
 
     Only what was drawn is stored, plus the transmitter's overheard sums
-    and what phase 3 delivers: 14 arrays, 80 MiB at n = 512, plus the
-    causality audit, whose coefficient slots (2 n^2 int64) add 4 MiB.  The
-    transmit grids, the receivers' observations, the reconstructed
-    observations and the quantization error are read-only properties,
-    computed on each access from the stored arrays (x1 and x2 are views
-    of u1 and u2, the others fresh arrays).  Each reads None until the
-    stage that makes its inputs has run.
+    and what phase 3 delivers: 14 arrays, 78 MiB at n = 512 (the lattice
+    indices are int32), plus the causality audit, whose 3n slots add
+    12 KiB.  The transmit grids, the receivers' observations, the
+    reconstructed observations and the quantization error are read-only
+    properties, computed on each access from the stored arrays (x1 and x2
+    are views of u1 and u2, the others fresh arrays).  Each reads None
+    until the stage that makes its inputs has run.
     """
 
     config: SchemeConfig
@@ -316,10 +323,10 @@ def run_phase_3(
         raise DomainError(f"{err} at P = {cfg.power:g}, D = {cfg.distortion:g}") from err
 
     # The encoder reads the phase-1/2 coefficients of block b when its
-    # phase 3 starts; log the symbol slots to make causality auditable.
+    # phase 3 starts; log the slot of each phase's last coefficient, which
+    # binds, to make causality auditable.
     base = 3 * n * np.arange(n, dtype=np.int64)
-    tt = np.arange(n, dtype=np.int64)
-    coeff_slots = np.stack((base[:, None] + tt[None, :], base[:, None] + n + tt[None, :]))
+    coeff_slots = np.stack((base + n - 1, base + 2 * n - 1))[:, :, None]
     read_slots = base + 2 * n
     transcript.audit = CausalityAudit(coeff_slots, read_slots)
 

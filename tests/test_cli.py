@@ -274,6 +274,16 @@ def test_simulate_infeasible_forwarding_exits_3(capsys):
     assert "phase-3" in err
 
 
+def test_simulate_lattice_overflow_exits_3(capsys):
+    # at P = 1e22 the overheard mixture spans ~1e11 lattice steps of
+    # sqrt(24), past int32: the quantizer refuses before anything is written
+    code, out, err = run(capsys, ["simulate", "--n", "8", "--power", "1e22",
+                                  "--samples", "3000", "--seed", "9"])
+    assert code == 3
+    assert out == ""
+    assert "lattice coordinates overflow int32" in err
+
+
 def test_simulate_abort_keeps_existing_outputs(capsys, tmp_path):
     output, dump = tmp_path / "report.json", tmp_path / "run.dump"
     output.write_text("earlier report\n")

@@ -58,8 +58,8 @@ def test_desynchronized_decoder_disagrees():
 
 
 def test_quantize_allocates_three_buffers_of_the_input_size():
-    # the dither, the lattice buffer (the reconstruction is a view of it) and
-    # the int64 indices, each as large as the complex input
+    # the dither and the lattice buffer (the reconstruction is a view of it),
+    # each as large as the complex input, and the int32 indices, half as large
     x = 5.0 * core.sample_cn01(core.stream(107, 0), 100_000)
     enc = DitheredQuantizer(1.5, dither_seed=3)
     tracemalloc.start()
@@ -69,7 +69,8 @@ def test_quantize_allocates_three_buffers_of_the_input_size():
     finally:
         tracemalloc.stop()
     assert recon.base.shape == (x.size, 2) and recon.base.dtype == np.float64
-    assert peak < 3.25 * x.nbytes
+    assert idx.dtype == np.int32
+    assert peak < 2.75 * x.nbytes
 
 
 def test_error_is_bounded_by_half_step():
@@ -135,6 +136,30 @@ def test_quantizer_validation():
         q.dequantize(np.zeros((3, 3), dtype=np.int64))
     with pytest.raises(ValueError):
         q.dequantize(np.zeros((3, 2), dtype=float))
+    # the dither seed follows MCConfig's seed rule, the step is a number
+    for seed in (3.7, True, "5", None, 3.0):
+        with pytest.raises(ValueError, match="dither_seed must be an integer"):
+            DitheredQuantizer(1.0, dither_seed=seed)
+    with pytest.raises(ValueError, match="dither_seed must be non-negative, got -1"):
+        DitheredQuantizer(1.0, dither_seed=-1)
+    assert type(DitheredQuantizer(1.0, dither_seed=np.int64(5)).dither_seed) is int
+    for step in (None, "1.0"):
+        with pytest.raises(ValueError, match="step must be a number"):
+            DitheredQuantizer(step, dither_seed=1)
+    assert DitheredQuantizer(np.float32(0.5), dither_seed=1).step == 0.5
+
+
+def test_quantize_rejects_lattice_coordinates_past_int32():
+    step = 1.0
+    edge = float(2**31)  # rounds to coordinate 2^31 whatever the dither
+    for x in (edge + 0j, -edge - 2.0 + 0j, 1j * edge):
+        with pytest.raises(ValueError, match="int32"):
+            DitheredQuantizer(step, dither_seed=1).quantize(np.array([0.5, x]))
+    # just inside the range the coordinates survive the narrowing
+    inside = np.array([2.0**31 - 2.0, -(2.0**31) + 1.0]) + 0j
+    idx, _ = DitheredQuantizer(step, dither_seed=1).quantize(inside)
+    assert idx.dtype == np.int32
+    assert np.array_equal(idx[:, 0].astype(np.int64), np.rint(inside.real))
 
 
 def _index_blob(step, indices) -> bytes:

@@ -50,6 +50,18 @@ def test_config_validation():
         SchemeConfig(n=4, power=10.0, seed=-1)
     seed = SchemeConfig(n=4, power=10.0, seed=np.int64(5)).seed
     assert seed == 5 and type(seed) is int
+    # power, distortion and delta: any real number type, stored as float
+    for name in ("power", "distortion", "delta"):
+        for bad in (None, "10", "abc"):
+            with pytest.raises(ValueError, match=f"{name} must be a number"):
+                SchemeConfig(**{"n": 4, "power": 10.0, name: bad})
+    cfg = SchemeConfig(n=4, power=np.int64(10), distortion=np.float32(4.0), delta=1)
+    assert (cfg.power, cfg.distortion, cfg.delta) == (10.0, 4.0, 1.0)
+    assert all(type(v) is float for v in (cfg.power, cfg.distortion, cfg.delta))
+    t = scheme.run_scheme(SchemeConfig(n=4, power=np.int64(10), seed=3),
+                          ref_mc=MCConfig(samples=2000, seed=3))
+    # the summary echoes a NumPy power as a float, which json can write
+    assert '"power": 10.0' in json.dumps(scheme.summary(t))
 
 
 # float.hex of every SchemeStats field (in field order), (value, stderr) of
@@ -144,9 +156,9 @@ def test_run_scheme_memory_is_bounded():
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    arrays = [v for v in vars(t).values() if isinstance(v, np.ndarray)]
-    held = sum(a.nbytes for a in arrays + [t.audit.coeff_slots, t.audit.read_slots])
-    assert peak < 1.5 * held
+    held = [v for v in vars(t).values() if isinstance(v, np.ndarray)]
+    held += [v for v in vars(t.audit).values() if isinstance(v, np.ndarray)]
+    assert peak < 1.5 * sum(a.nbytes for a in held)
 
 
 def test_interleave_swaps_block_and_time():
@@ -321,11 +333,19 @@ def test_causality_audit(run128):
     assert t.audit.ok()
     assert t.audit.min_margin() == 1
     n = t.config.n
-    assert t.audit.coeff_slots.shape == (2, n, n)
+    # one slot per block and phase: the last, binding coefficient
+    assert t.audit.coeff_slots.shape == (2, n, 1)
     assert t.audit.read_slots.shape == (n,)
     # block 0 phase-1 coefficients occupy slots 0..n-1, read at slot 2n
-    assert t.audit.coeff_slots[0, 0, 0] == 0
+    assert t.audit.coeff_slots[0, 0, 0] == n - 1
+    assert t.audit.coeff_slots[1, 0, 0] == 2 * n - 1
     assert t.audit.read_slots[0] == 2 * n
+    # a read in the slot of a block's last coefficient is one slot early
+    reads = t.audit.read_slots.copy()
+    reads[5] = t.audit.coeff_slots[1, 5, 0]
+    early = CausalityAudit(t.audit.coeff_slots, reads)
+    assert not early.ok()
+    assert early.min_margin() == 0
 
 
 def test_tampered_audit_is_caught():
@@ -492,6 +512,8 @@ def test_transcript_dump_round_trip():
         assert back[name].dtype == np.complex128
     assert back["quant_step"] == t.quant_step
     assert np.array_equal(back["quant_indices"], t.quant_indices)
+    # the transcript holds the indices at the width the dump stores them
+    assert t.quant_indices.dtype == back["quant_indices"].dtype == np.int32
 
 
 def test_transcript_dump_corruption_detected():
