@@ -62,10 +62,15 @@ def _round12(x: float) -> float:
     return float(_fmt(x))
 
 
+def _is_bool(value) -> bool:
+    """A Python or NumPy bool, the latter told by its dtype without importing NumPy."""
+    return isinstance(value, bool) or getattr(getattr(value, "dtype", None), "kind", None) == "b"
+
+
 def _number(value, name: str) -> float:
-    """``float(value)``, but a ValueError naming ``name`` for None, a string
-    and other non-numbers."""
-    if not isinstance(value, (str, bytes)):
+    """``float(value)``, but a ValueError naming ``name`` for None, a string,
+    a bool and other non-numbers."""
+    if not isinstance(value, (str, bytes)) and not _is_bool(value):
         try:
             return float(value)
         except TypeError:
@@ -76,7 +81,7 @@ def _number(value, name: str) -> float:
 def _integer(value, message: str) -> int:
     """``value`` as an int: any integer type, NumPy's too, but not a bool,
     float or string, which raise ValueError(f"{message}, got {value!r}")."""
-    if not isinstance(value, bool):
+    if not _is_bool(value):
         try:
             return operator.index(value)
         except TypeError:

@@ -20,9 +20,10 @@ from the Philox stream ``core.stream(seed, StreamTag.CAPACITY_CHANNEL,
 k)``, so the samples depend only on the seed and the sample count.
 Each sample is drawn directly as the three statistics the rates depend
 on, from four i.i.d. Exp(1) variables (see ``_draw_moments``); no
-Gaussian matrix is formed.  Workers only schedule blocks and the
-per-block sums are added in block order, so every estimate is
-bit-identical for any worker count.  By default one worker runs per
+Gaussian matrix is formed (``core.sample_cn01`` and
+``core.logdet_capacity_term`` serve the scheme).  Workers only schedule
+blocks and the per-block sums are added in block order, so every
+estimate is bit-identical for any worker count.  By default one worker runs per
 usable CPU; no call runs more workers than there are usable CPUs or
 blocks.  A block runs in a scratch set: the four Exp(1) rows, in which
 the moments and the kernel rows are built in place, and one row of
@@ -151,12 +152,13 @@ class MonteCarloEstimate:
 
 @dataclass(frozen=True)
 class PowerGrid:
-    """Strictly increasing nonnegative transmit power points (linear scale)."""
+    """Strictly increasing nonnegative transmit power points (linear scale),
+    numbers as ``misobc._number`` takes them (no strings or bools)."""
 
     points: tuple[float, ...]
 
     def __post_init__(self):
-        pts = tuple(float(p) for p in self.points)
+        pts = tuple(_number(p, "grid point") for p in self.points)
         if len(pts) == 0:
             raise ValueError("grid must contain at least one point")
         if any(not math.isfinite(p) or p < 0.0 for p in pts):
@@ -176,7 +178,7 @@ class PowerGrid:
 
     @staticmethod
     def single(power: float) -> "PowerGrid":
-        return PowerGrid((float(power),))
+        return PowerGrid((power,))
 
 
 class ChannelMoments(NamedTuple):
@@ -414,7 +416,7 @@ def _scaled_expint(m: int, z: float) -> float:
 
 
 def _oracle_power(power) -> float:
-    p = float(power)
+    p = _number(power, "power")
     if not math.isfinite(p) or p < 0.0:
         raise ValueError("power must be finite and nonnegative")
     return p

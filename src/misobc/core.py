@@ -11,9 +11,11 @@ Conventions shared by every module in this package:
   The first key entry is a ``StreamTag``, one per consumer, all listed
   in this module.
 
-Determinants of the (at most 2x2) matrices are evaluated in closed form.
-That keeps the hot Monte Carlo paths free of per-sample LAPACK calls and
-is exact at these dimensions.
+One public function per primitive does the work: ``sample_cn01`` also
+fills a caller's array in place, and ``logdet_capacity_term`` takes the
+channel rows as separate arrays.  Determinants of the (at most 2x2)
+matrices are evaluated in closed form.  That keeps the hot Monte Carlo
+paths free of per-sample LAPACK calls and is exact at these dimensions.
 """
 
 from __future__ import annotations
@@ -53,41 +55,43 @@ def stream(seed: int, *key: int) -> np.random.Generator:
     return np.random.Generator(np.random.Philox(ss))
 
 
-def sample_cn01(rng: np.random.Generator, size=None):
+def sample_cn01(rng: np.random.Generator, size=None, *, out=None, scale=None):
     """Draw circularly symmetric complex Gaussians with unit variance.
 
-    Real and imaginary parts are independent N(0, 1/2), so E|z|^2 = 1.
-    Returns a complex scalar for size=None, otherwise an ndarray of the
-    requested shape.  The draw makes no complex temporaries.
+    Real and imaginary parts are independent N(0, 1/2), so E|z|^2 = 1;
+    ``scale``, if given, multiplies every draw.  Returns a complex scalar
+    for size=None, otherwise an ndarray of the requested shape.  As in
+    NumPy's ``standard_normal``, ``out`` is a C-contiguous complex128
+    array that is filled and returned, and ``size`` is then omitted or
+    equal to ``out.shape``.  The normal pairs are drawn and scaled in the
+    array's real and imaginary parts, so there are no temporaries and
+    the bits do not depend on who allocated the array.
     """
+    scalar = size is None and out is None
     shape = () if size is None else (size if isinstance(size, tuple) else (int(size),))
-    out = _fill_cn01(rng, np.empty(shape, dtype=np.complex128))
-    return complex(out) if size is None else out
-
-
-def _fill_cn01(rng: np.random.Generator, out: np.ndarray, scale: float | None = None):
-    """Fill the C-contiguous complex128 array ``out`` in place with the draws
-    ``sample_cn01(rng, out.shape)`` returns, times ``scale`` if given; returns ``out``.
-
-    The normal pairs are drawn into the array's real and imaginary parts
-    and scaled there, so the result does not depend on who allocated it.
-    """
+    if out is None:
+        out = np.empty(shape, dtype=np.complex128)
+    elif not (isinstance(out, np.ndarray) and out.dtype == np.complex128
+              and out.flags.c_contiguous):
+        raise ValueError("out must be a C-contiguous complex128 array")
+    elif size is not None and shape != out.shape:
+        raise ValueError(f"size {shape} does not match out.shape {out.shape}")
     pairs = out[..., None].view(np.float64)
     rng.standard_normal(out=pairs)
     pairs *= 1.0 / np.sqrt(2.0)
     if scale is not None:
         pairs *= scale
-    return out
+    return complex(out) if scalar else out
 
 
-def logdet_capacity_term(transfer, power, noise_vars):
+def logdet_capacity_term(rows, power, noise_vars):
     """Per-realization log-det rate of an r x 2 channel, in bits.
 
     Evaluates log2 det(I_r + (power/2) S^(-1/2) H H^H S^(-1/2)) with
-    S = diag(noise_vars) and H the transfer matrix.  ``transfer`` is a
-    single (r, 2) matrix or a batch of shape (..., r, 2); the result is
-    a float or an array of the leading shape.  Row r of H sees additive
-    noise of variance noise_vars[r].
+    S = diag(noise_vars) and ``rows`` the r in {1, 2} rows of H, arrays
+    of one shape (..., 2); an (r, 2) matrix is its own rows.  Row r sees
+    additive noise of variance noise_vars[r].  The result is a float or
+    an array of the leading shape; H is never stacked into one array.
 
     The determinant is expanded in closed form: for r == 1 the argument
     of log2 is 1 + (power/2) |h|^2 / s0, and for r == 2 it is
@@ -95,12 +99,11 @@ def logdet_capacity_term(transfer, power, noise_vars):
         1 + (power/2) (|row0|^2/s0 + |row1|^2/s1)
           + (power/2)^2 |det H|^2 / (s0 s1).
     """
-    H = np.asarray(transfer, dtype=np.complex128)
-    if H.ndim < 2 or H.shape[-1] != 2 or H.shape[-2] not in (1, 2):
-        raise ValueError(
-            f"transfer must have shape (..., r, 2) with r in {{1, 2}}, got {H.shape}"
-        )
-    r = H.shape[-2]
+    rows = [np.asarray(row, dtype=np.complex128) for row in rows]
+    shapes = {row.shape for row in rows}
+    r = len(rows)
+    if r not in (1, 2) or len(shapes) != 1 or rows[0].shape[-1:] != (2,):
+        raise ValueError(f"rows must be 1 or 2 arrays of one shape (..., 2), got {shapes}")
     nv = np.asarray(noise_vars, dtype=float)
     if nv.shape != (r,):
         raise ValueError(f"noise_vars must hold {r} entries, got shape {nv.shape}")
@@ -110,23 +113,17 @@ def logdet_capacity_term(transfer, power, noise_vars):
     if not np.isfinite(p) or p < 0.0:
         raise ValueError("power must be nonnegative and finite")
 
-    if r == 1:
-        row0 = np.abs(H[..., 0, 0]) ** 2 + np.abs(H[..., 0, 1]) ** 2
-        out = np.log1p((p / 2.0) * row0 / nv[0]) / LN2
-    else:
-        out = _logdet_2x2(H[..., 0, :], H[..., 1, :], p, nv[0], nv[1])
-    return float(out) if np.ndim(out) == 0 else out
-
-
-def _logdet_2x2(row0, row1, power, s0, s1):
-    """log2 det(I + (power/2) S^(-1/2) H H^H S^(-1/2)) for the 2x2 matrices
-    with rows ``row0`` and ``row1`` (arrays of shape (..., 2)) and noise
-    variances S = diag(s0, s1); no input checks, no stacked copy of H."""
-    c = power / 2.0
-    # the terms accumulate in their first temporary, in the order of
-    # c (norm0/s0 + norm1/s1) + (c c) det2 / (s0 s1)
+    c = p / 2.0
+    row0 = rows[0]
     norm0 = np.abs(row0[..., 0]) ** 2
     norm0 += np.abs(row0[..., 1]) ** 2
+    if r == 1:
+        out = np.log1p(c * norm0 / nv[0]) / LN2
+        return float(out) if np.ndim(out) == 0 else out
+    # the terms accumulate in their first temporary, in the order of
+    # c (norm0/s0 + norm1/s1) + (c c) det2 / (s0 s1)
+    row1 = rows[1]
+    s0, s1 = nv
     norm1 = np.abs(row1[..., 0]) ** 2
     norm1 += np.abs(row1[..., 1]) ** 2
     det = row0[..., 0] * row1[..., 1]
@@ -142,7 +139,7 @@ def _logdet_2x2(row0, row1, power, s0, s1):
     arg /= s0 * s1
     arg += norm0
     if np.ndim(arg) == 0:  # one matrix: NumPy scalars, which have no out=
-        return np.log1p(arg) / LN2
+        return float(np.log1p(arg) / LN2)
     np.log1p(arg, out=arg)
     arg /= LN2
     return arg

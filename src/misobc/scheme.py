@@ -16,20 +16,15 @@ independence statistics of the reconstructed observations.  Phase-3
 delivery is modeled error-free at its analytic symbol budget, which
 enters the rate accounting only.
 
-Phases 1 and 2 draw from disjoint (tag, key) streams, so they run as two
-tasks on up to two threads, or in the caller's thread when only one CPU
-is usable.  The caller allocates every transcript array and the tasks
-fill them in place, so a run is bit-identical for any thread count.
-The transcript stores only the draws, the overheard sums and the
-phase-3 delivery with its int32 lattice indices (78 MiB at n = 512;
-the causality audit logs one slot per block and phase, O(n), not one
-per symbol); transmit grids, observations, reconstructed observations
-and the quantization error are read-only properties derived on access,
-so a run's traced peak sits near those 78 MiB (about 99 MiB at
-n = 512, reached while the residuals are summarized).  The quantizer
-reconstructs in its lattice buffer, and the residual statistics compute
-each sequence's mean and mean power once and accumulate in their first
-temporary.
+``run_phases_1_2`` stores the run's ``SchemeConfig`` in the transcript,
+and every later stage reads it from ``transcript.config``, so a run has
+one power, distortion and seed throughout.  Phases 1 and 2 draw from
+disjoint (tag, key) streams on up to two threads, filling arrays the
+caller allocated, so a run is bit-identical for any thread count.  The
+transcript stores only the draws, the overheard sums and phase 3's
+output (78 MiB at n = 512); everything else is derived on access, so a
+run's traced peak stays near that (about 99 MiB, reached while the
+residuals are summarized).
 
 A transcript dump keeps only what cannot be derived: a header, the
 message grids u1 and u2 and the quantizer index stream, 18 MiB at
@@ -239,8 +234,9 @@ def run_phases_1_2(cfg: SchemeConfig) -> SchemeTranscript:
     array, so they run as two tasks: on two threads when at least two
     CPUs are usable, otherwise one after the other in the caller's
     thread with no pool.  Every array is allocated here, in the calling
-    thread, and the tasks only fill them in place, so the phases make no
-    temporaries and their bits do not depend on the thread count.
+    thread, and the tasks only fill them in place (``core.sample_cn01``
+    with ``out=``), so the phases make no temporaries and their bits do
+    not depend on the thread count.  ``cfg`` becomes ``transcript.config``.
     """
     n = cfg.n
     amplitude = math.sqrt(cfg.power / 2.0)
@@ -251,7 +247,7 @@ def run_phases_1_2(cfg: SchemeConfig) -> SchemeTranscript:
         np.empty((n, n), dtype=np.complex128) for _ in range(6))
 
     def draw(out, tag, key, scale=None):
-        core._fill_cn01(core.stream(cfg.seed, tag, key), out, scale)
+        core.sample_cn01(core.stream(cfg.seed, tag, key), out.shape, out=out, scale=scale)
 
     def phase_1():
         draw(t.u1, StreamTag.SCHEME_SIGNAL, 1, amplitude)
@@ -296,20 +292,17 @@ def phase3_budget(n: int, rq_value: float, c21_value: float, delta: float) -> in
     return math.ceil(n * float(rq_value) / margin)
 
 
-def run_phase_3(
-    transcript: SchemeTranscript,
-    cfg: SchemeConfig,
-    ref_mc: MCConfig | None = None,
-) -> SchemeTranscript:
+def run_phase_3(transcript: SchemeTranscript, ref_mc: MCConfig | None = None) -> SchemeTranscript:
     """Quantize the overheard mixtures and deliver them error-free.
 
     The phase-3 symbol budget per block is ceil(n rq / (c21 - delta)),
-    with rq and c21 taken from the capacity module at the configured
-    power and distortion.  If rq does not clear c21 - delta, the
-    forwarding link cannot keep up and the run aborts.
+    with rq and c21 estimated under ``ref_mc`` (default: the run's seed)
+    at the power and distortion of ``transcript.config``.  If rq does not
+    clear c21 - delta, the forwarding link cannot keep up and the run aborts.
     """
     if transcript.s21 is None or transcript.s12 is None:
         raise ValueError("phases 1 and 2 must run first")
+    cfg = transcript.config
     n = cfg.n
     mc = ref_mc or MCConfig(seed=cfg.seed)
     (point,) = capacity.estimate(("c21", "c22d", "rq"), PowerGrid.single(cfg.power), mc,
@@ -372,9 +365,7 @@ def _corr(a: _Moments, b: _Moments) -> float:
     return float(abs(num) / math.sqrt(va * vb))
 
 
-def deinterleave_and_reconstruct(
-    transcript: SchemeTranscript, cfg: SchemeConfig
-) -> SchemeTranscript:
+def deinterleave_and_reconstruct(transcript: SchemeTranscript) -> SchemeTranscript:
     """Each receiver strips its own phase observation from the delivery.
 
     Receiver 1 forms ytilde21 = delivered - y12 = s21 + (quantization
@@ -387,13 +378,14 @@ def deinterleave_and_reconstruct(
     if transcript.delivered is None:
         raise ValueError("phase 3 must run first")
     t = transcript
+    n = t.config.n
     resid1 = _moments(t.ytilde21 - t.s21)
     resid2 = _moments(t.ytilde12 - t.s12)
 
     def lag1(resid):
-        if cfg.n < 2:
+        if n < 2:
             return 0.0
-        msg = interleave(resid.reshape(cfg.n, cfg.n))  # message domain
+        msg = interleave(resid.reshape(n, n))  # message domain
         return _corr(_moments(msg[:, 1:]), _moments(msg[:, :-1]))
 
     # each transmit-signal coordinate is raveled once, for both users
@@ -420,21 +412,22 @@ def deinterleave_and_reconstruct(
     return transcript
 
 
-def mi_accounting(transcript: SchemeTranscript, cfg: SchemeConfig) -> MIReport:
+def mi_accounting(transcript: SchemeTranscript) -> MIReport:
     """Per-symbol mutual information of each user's effective 2x2 channel.
 
-    For user 1 the rows are (h1, g1) with noise variances (1, 1 + D);
-    the grid average estimates the per-symbol rate and must agree with
-    capacity.c22d at the same power and distortion.
+    For user 1 the rows are the grids (h1, g1) with noise variances
+    (1, 1 + D); the grid average estimates the per-symbol rate and must
+    agree with capacity.c22d at the power and distortion of ``transcript.config``.
     """
     if transcript.stats is None:
         raise ValueError("reconstruction must run first")
     t = transcript
+    cfg = t.config
     count = cfg.n * cfg.n
 
     def report(rows_direct, rows_overheard):
-        vals = core._logdet_2x2(rows_direct, rows_overheard, cfg.power,
-                                1.0, 1.0 + cfg.distortion).ravel()
+        vals = core.logdet_capacity_term((rows_direct, rows_overheard), cfg.power,
+                                         (1.0, 1.0 + cfg.distortion)).ravel()
         stderr = float(np.std(vals, ddof=1) / math.sqrt(count)) if count > 1 else 0.0
         return MonteCarloEstimate(float(np.mean(vals)), stderr, count, cfg.seed)
 
@@ -473,9 +466,9 @@ def rate_floor(c22d_value: float, rq_value: float, c21_value: float):
 def run_scheme(cfg: SchemeConfig, ref_mc: MCConfig | None = None) -> SchemeTranscript:
     """Full pipeline: phases 1-2, phase 3, reconstruction, accounting."""
     t = run_phases_1_2(cfg)
-    run_phase_3(t, cfg, ref_mc=ref_mc)
-    deinterleave_and_reconstruct(t, cfg)
-    mi_accounting(t, cfg)
+    run_phase_3(t, ref_mc=ref_mc)
+    deinterleave_and_reconstruct(t)
+    mi_accounting(t)
     return t
 
 

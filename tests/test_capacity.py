@@ -74,6 +74,12 @@ def test_oracle_matches_scaled_exponential_integrals():
 
 def test_oracle_edge_cases():
     assert capacity.c21_oracle(0.0) == 0.0
+    for power in ("10", True, np.True_, None):
+        with pytest.raises(ValueError, match="power must be a number"):
+            capacity.c21_oracle(power)
+        with pytest.raises(ValueError, match="power must be a number"):
+            capacity.rq_oracle(power, 4.0)
+    assert capacity.c21_oracle(np.float32(10.0)) == capacity.c21_oracle(10.0)
     with pytest.raises(ValueError):
         capacity.c21_oracle(-1.0)
     with pytest.raises(ValueError):
@@ -353,7 +359,7 @@ def test_c22d_zero_distortion_is_classical_capacity():
     est = capacity.c22d(5.0, 0.0, mc)
     rng = core.stream(991, 0)
     h = core.sample_cn01(rng, (200_000, 2, 2))
-    vals = core.logdet_capacity_term(h, 5.0, (1.0, 1.0))
+    vals = core.logdet_capacity_term((h[:, 0], h[:, 1]), 5.0, (1.0, 1.0))
     direct = float(np.mean(vals))
     direct_se = float(np.std(vals, ddof=1) / math.sqrt(vals.size))
     assert abs(est.value - direct) < 4.0 * math.hypot(est.stderr, direct_se)
@@ -451,6 +457,15 @@ def test_power_grid_validation():
     assert grid.points[0] == pytest.approx(1e-2)
     assert grid.points[-1] == pytest.approx(1e4)
     assert PowerGrid((0.0, 1.0)).points == (0.0, 1.0)
+    # points are numbers as misobc._number takes them: no strings, no bools
+    for points in (("0.5", "5"), (0.5, None), (False, 1.0), (0.5, np.True_)):
+        with pytest.raises(ValueError, match="grid point must be a number"):
+            PowerGrid(points)
+    for power in (True, np.True_, "10", None):
+        with pytest.raises(ValueError, match="grid point must be a number"):
+            PowerGrid.single(power)
+    grid = PowerGrid((np.float32(0.5), np.int64(5), 50))
+    assert grid.points == (0.5, 5.0, 50.0) and all(type(p) is float for p in grid.points)
 
 
 def test_mcconfig_validation():

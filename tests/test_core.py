@@ -73,6 +73,32 @@ def test_sample_cn01_matches_complex_expression():
         assert (got.real.hex(), got.imag.hex()) == (want.real.hex(), want.imag.hex())
 
 
+def test_sample_cn01_fills_out_with_the_same_bits():
+    for shape in ((), (7,), (5, 4), (16, 16, 2)):
+        for scale in (None, 2.5):
+            want = core.sample_cn01(core.stream(13, 3), shape, scale=scale)
+            out = np.empty(shape, dtype=np.complex128)
+            got = core.sample_cn01(core.stream(13, 3), out=out, scale=scale)
+            assert got is out
+            assert got.tobytes() == np.asarray(want).tobytes()
+            assert core.sample_cn01(core.stream(13, 3), shape, out=out, scale=scale) is out
+            assert out.tobytes() == np.asarray(want).tobytes()
+    unscaled = core.sample_cn01(core.stream(13, 4), 9)
+    assert np.array_equal(core.sample_cn01(core.stream(13, 4), 9, scale=2.5), unscaled * 2.5)
+
+
+def test_sample_cn01_rejects_a_bad_out():
+    rng = core.stream(13, 5)
+    strided = np.empty((4, 6), dtype=np.complex128)[:, ::2]
+    for out in (strided, np.empty((4, 3), dtype=np.complex64),
+                np.empty((4, 3), dtype=np.float64), [0j, 0j]):
+        with pytest.raises(ValueError, match="C-contiguous complex128"):
+            core.sample_cn01(rng, out=out)
+    for size in (12, (3, 4), (4, 3, 1)):
+        with pytest.raises(ValueError, match="does not match out.shape"):
+            core.sample_cn01(rng, size, out=np.empty((4, 3), dtype=np.complex128))
+
+
 def test_sample_cn01_moments():
     rng = core.stream(2024, 0)
     z = core.sample_cn01(rng, 200_000)
@@ -126,7 +152,7 @@ def test_logdet_single_row_matches_dense_evaluation():
 def test_logdet_batch_matches_loop():
     rng = core.stream(5, 0)
     batch = core.sample_cn01(rng, (40, 2, 2))
-    got = core.logdet_capacity_term(batch, 7.0, (1.0, 3.0))
+    got = core.logdet_capacity_term((batch[:, 0], batch[:, 1]), 7.0, (1.0, 3.0))
     assert got.shape == (40,)
     sing = [core.logdet_capacity_term(batch[i], 7.0, (1.0, 3.0)) for i in range(40)]
     assert np.allclose(got, sing, rtol=1e-14)
@@ -135,13 +161,16 @@ def test_logdet_batch_matches_loop():
 def test_logdet_zero_power_is_zero():
     rng = core.stream(6, 0)
     h = core.sample_cn01(rng, (8, 2, 2))
-    assert np.all(core.logdet_capacity_term(h, 0.0, (1.0, 1.0)) == 0.0)
+    assert np.all(core.logdet_capacity_term((h[:, 0], h[:, 1]), 0.0, (1.0, 1.0)) == 0.0)
 
 
 def test_logdet_input_validation():
     good = np.zeros((2, 2), dtype=complex)
-    with pytest.raises(ValueError):
-        core.logdet_capacity_term(np.zeros((3, 2), dtype=complex), 1.0, (1.0, 1.0, 1.0))
+    for rows in (np.zeros((3, 2), dtype=complex), np.zeros((0, 2), dtype=complex), ()):
+        with pytest.raises(ValueError, match="1 or 2"):
+            core.logdet_capacity_term(rows, 1.0, (1.0,) * len(rows))
+    with pytest.raises(ValueError, match="one shape"):
+        core.logdet_capacity_term((np.zeros((4, 2)), np.zeros((3, 2))), 1.0, (1.0, 1.0))
     with pytest.raises(ValueError):
         core.logdet_capacity_term(np.zeros(2, dtype=complex), 1.0, (1.0,))
     with pytest.raises(ValueError):

@@ -143,7 +143,7 @@ def test_quantizer_validation():
     with pytest.raises(ValueError, match="dither_seed must be non-negative, got -1"):
         DitheredQuantizer(1.0, dither_seed=-1)
     assert type(DitheredQuantizer(1.0, dither_seed=np.int64(5)).dither_seed) is int
-    for step in (None, "1.0"):
+    for step in (None, "1.0", True, np.True_):
         with pytest.raises(ValueError, match="step must be a number"):
             DitheredQuantizer(step, dither_seed=1)
     assert DitheredQuantizer(np.float32(0.5), dither_seed=1).step == 0.5

@@ -50,9 +50,10 @@ def test_config_validation():
         SchemeConfig(n=4, power=10.0, seed=-1)
     seed = SchemeConfig(n=4, power=10.0, seed=np.int64(5)).seed
     assert seed == 5 and type(seed) is int
-    # power, distortion and delta: any real number type, stored as float
+    # power, distortion and delta: any real number type, stored as float,
+    # but not a bool, which _integer refuses for n and seed too
     for name in ("power", "distortion", "delta"):
-        for bad in (None, "10", "abc"):
+        for bad in (None, "10", "abc", True, np.True_, np.array(True)):
             with pytest.raises(ValueError, match=f"{name} must be a number"):
                 SchemeConfig(**{"n": 4, "power": 10.0, name: bad})
     cfg = SchemeConfig(n=4, power=np.int64(10), distortion=np.float32(4.0), delta=1)
@@ -245,18 +246,18 @@ def test_run_phase_3_aborts_without_margin():
     cfg = SchemeConfig(n=8, power=10.0, distortion=4.0, delta=3.0, seed=19)
     t = scheme.run_phases_1_2(cfg)
     with pytest.raises(DomainError, match="at P = 10"):
-        scheme.run_phase_3(t, cfg, ref_mc=REF)
+        scheme.run_phase_3(t, ref_mc=REF)
 
 
 def test_pipeline_stage_order_is_enforced():
     cfg = SchemeConfig(n=4, power=2.0, seed=23)
     bare = scheme.SchemeTranscript(config=cfg)
     with pytest.raises(ValueError):
-        scheme.run_phase_3(bare, cfg, ref_mc=REF)
+        scheme.run_phase_3(bare, ref_mc=REF)
     with pytest.raises(ValueError):
-        scheme.deinterleave_and_reconstruct(bare, cfg)
+        scheme.deinterleave_and_reconstruct(bare)
     with pytest.raises(ValueError):
-        scheme.mi_accounting(bare, cfg)
+        scheme.mi_accounting(bare)
     with pytest.raises(ValueError):
         scheme.summary(bare)
     with pytest.raises(ValueError):
@@ -270,26 +271,26 @@ def _run_stages(count):
     cfg = SchemeConfig(n=4, power=2.0, seed=23)
     t = scheme.run_phases_1_2(cfg) if count else scheme.SchemeTranscript(config=cfg)
     if count > 1:
-        scheme.run_phase_3(t, cfg, ref_mc=REF)
+        scheme.run_phase_3(t, ref_mc=REF)
     if count > 2:
-        scheme.deinterleave_and_reconstruct(t, cfg)
-    return cfg, t
+        scheme.deinterleave_and_reconstruct(t)
+    return t
 
 
 # each call one stage before its input exists
 @pytest.mark.parametrize("stages, call, message", [
-    (0, lambda t, cfg: scheme.run_phase_3(t, cfg, ref_mc=REF), "phases 1 and 2"),
-    (1, lambda t, cfg: scheme.deinterleave_and_reconstruct(t, cfg), "phase 3 must run first"),
-    (2, lambda t, cfg: scheme.mi_accounting(t, cfg), "reconstruction must run first"),
-    (3, lambda t, cfg: scheme.summary(t), "full pipeline"),
-    (2, lambda t, cfg: scheme.check_stats(t), "before checking statistics"),
-    (1, lambda t, cfg: scheme.dump_transcript(t, io.BytesIO()), "before dumping"),
+    (0, lambda t: scheme.run_phase_3(t, ref_mc=REF), "phases 1 and 2"),
+    (1, scheme.deinterleave_and_reconstruct, "phase 3 must run first"),
+    (2, scheme.mi_accounting, "reconstruction must run first"),
+    (3, scheme.summary, "full pipeline"),
+    (2, scheme.check_stats, "before checking statistics"),
+    (1, lambda t: scheme.dump_transcript(t, io.BytesIO()), "before dumping"),
 ], ids=["run_phase_3", "deinterleave_and_reconstruct", "mi_accounting", "summary",
         "check_stats", "dump_transcript"])
 def test_stage_guard_rejects_missing_input(stages, call, message):
-    cfg, t = _run_stages(stages)
+    t = _run_stages(stages)
     with pytest.raises(ValueError, match=message):
-        call(t, cfg)
+        call(t)
 
 
 STORED = {"u1", "u2", "h1", "g1", "h2", "g2", "z11", "z21", "z12", "z22",
@@ -320,8 +321,7 @@ def test_transcript_stores_draws_and_derives_the_rest(run128):
         assert np.array_equal(getattr(t, name), expect), name
     assert np.array_equal(t.s21, receive(t.g1, x1))
     assert np.array_equal(t.s12, receive(t.h2, x2))
-    fresh = core._fill_cn01(core.stream(cfg.seed, 6, 2),
-                            np.empty((cfg.n, cfg.n), dtype=np.complex128))
+    fresh = core.sample_cn01(core.stream(cfg.seed, 6, 2), out=np.empty_like(t.z21))
     assert np.array_equal(t.z21, fresh)
     # before phase 3 nothing is delivered, so nothing is reconstructed
     early = scheme.run_phases_1_2(SchemeConfig(n=4, power=2.0, seed=23))
@@ -425,8 +425,7 @@ def test_mi_agrees_with_ergodic_capacity(run128):
 def test_mi_collapses_to_single_row_at_huge_distortion():
     cfg = SchemeConfig(n=64, power=10.0, distortion=1e6, seed=43)
     t = scheme.run_scheme(cfg, ref_mc=REF)
-    rows = t.h1.reshape(-1, 1, 2)
-    direct = float(np.mean(core.logdet_capacity_term(rows, cfg.power, (1.0,))))
+    direct = float(np.mean(core.logdet_capacity_term((t.h1,), cfg.power, (1.0,))))
     assert abs(t.mi.user1.value - direct) < 1e-3
 
 
