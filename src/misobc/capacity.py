@@ -576,7 +576,7 @@ def ratio_sweep(
 
 def constant_gain(value: float) -> Callable[[np.random.Generator, int], np.ndarray]:
     """Gain sampler that always returns ``value`` (degenerate distribution)."""
-    v = float(value)
+    v = _number(value, "gain")
     if not math.isfinite(v) or v < 0.0:
         raise ValueError("gain must be finite and nonnegative")
 
@@ -611,9 +611,9 @@ def ergodic_wyner_rate(
     satisfy 0 < D <= cv for every realization, otherwise the quantity is
     outside its validity domain.
     """
-    sv = float(signal_var)
-    nv = float(noise_var)
-    d = float(distortion)
+    sv = _number(signal_var, "signal_var")
+    nv = _number(noise_var, "noise_var")
+    d = _number(distortion, "distortion")
     if not math.isfinite(sv) or sv <= 0.0:
         raise ValueError("signal_var must be finite and positive")
     if not math.isfinite(nv) or nv <= 0.0:

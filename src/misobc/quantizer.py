@@ -32,7 +32,7 @@ INT32_MAX = 2**31 - 1
 
 def step_for_distortion(distortion: float) -> float:
     """Lattice step achieving mean squared error ``distortion`` per complex sample."""
-    d = float(distortion)
+    d = _number(distortion, "distortion")
     if not math.isfinite(d) or d <= 0.0:
         raise ValueError("distortion must be finite and positive")
     return math.sqrt(6.0 * d)
@@ -125,7 +125,7 @@ def write_indices(fp, step: float, indices) -> None:
         raise ValueError("sample count overflows the uint32 header field")
     if q.size and (q.min() < INT32_MIN or q.max() > INT32_MAX):
         raise ValueError("lattice coordinates overflow int32")
-    s = float(step)
+    s = _number(step, "step")
     if not math.isfinite(s) or s <= 0.0:
         raise ValueError("step must be finite and positive")
     fp.write(_HEADER.pack(_MAGIC, s, q.shape[0]))

@@ -19,12 +19,19 @@ enters the rate accounting only.
 ``run_phases_1_2`` stores the run's ``SchemeConfig`` in the transcript,
 and every later stage reads it from ``transcript.config``, so a run has
 one power, distortion and seed throughout.  Phases 1 and 2 draw from
-disjoint (tag, key) streams on up to two threads, filling arrays the
-caller allocated, so a run is bit-identical for any thread count.  The
-transcript stores only the draws, the overheard sums and phase 3's
-output (78 MiB at n = 512); everything else is derived on access, so a
-run's traced peak stays near that (about 99 MiB, reached while the
-residuals are summarized).
+disjoint (tag, key) streams, all named in ``_DRAWS``, on up to two
+threads, filling arrays the caller allocated, so a run is bit-identical
+for any thread count.  The stages store only the draws, the overheard
+sums and phase 3's output; everything else is derived on access.
+
+``run_scheme`` runs the mutual-information accounting right after
+phases 1 and 2, since it reads only the channel rows, and releases each
+array after its last reader.  A finished run holds u1, u2 and the
+lattice indices, 18 MiB at n = 512, and its traced peak (about 84 MiB)
+is reached in the accounting, over the 72 MiB the phases drew.  A
+released array is re-derived on access, bit for bit: the streams are
+counter-based Philox, so every draw is a pure function of (seed, tag,
+key).
 
 A transcript dump keeps only what cannot be derived: a header, the
 message grids u1 and u2 and the quantizer index stream, 18 MiB at
@@ -124,47 +131,127 @@ class MIReport:
     user2: MonteCarloEstimate
 
 
+class _Draw(NamedTuple):
+    """One drawn transcript array: the stream it is drawn from under the
+    run's seed, the shape after its leading (n, n), and whether it is
+    scaled by the per-antenna signal amplitude sqrt(P/2)."""
+
+    phase: int
+    tag: StreamTag
+    key: int
+    trailing: tuple
+    scaled: bool = False
+
+
+_DRAWS = {
+    "u1": _Draw(1, StreamTag.SCHEME_SIGNAL, 1, (2,), scaled=True),
+    "h1": _Draw(1, StreamTag.SCHEME_CHANNEL, 1, (2,)),
+    "g1": _Draw(1, StreamTag.SCHEME_CHANNEL, 2, (2,)),
+    "z11": _Draw(1, StreamTag.SCHEME_NOISE, 1, ()),
+    "z21": _Draw(1, StreamTag.SCHEME_NOISE, 2, ()),
+    "u2": _Draw(2, StreamTag.SCHEME_SIGNAL, 2, (2,), scaled=True),
+    "h2": _Draw(2, StreamTag.SCHEME_CHANNEL, 3, (2,)),
+    "g2": _Draw(2, StreamTag.SCHEME_CHANNEL, 4, (2,)),
+    "z12": _Draw(2, StreamTag.SCHEME_NOISE, 3, ()),
+    "z22": _Draw(2, StreamTag.SCHEME_NOISE, 4, ()),
+}
+"""Every array a run draws, by transcript name, and the one place its
+stream is named.  Under the run's seed the (StreamTag, key) pairs are
+
+    phase 1: u1 (SCHEME_SIGNAL, 1), h1 (SCHEME_CHANNEL, 1),
+             g1 (SCHEME_CHANNEL, 2), z11 (SCHEME_NOISE, 1), z21 (SCHEME_NOISE, 2)
+    phase 2: u2 (SCHEME_SIGNAL, 2), h2 (SCHEME_CHANNEL, 3),
+             g2 (SCHEME_CHANNEL, 4), z12 (SCHEME_NOISE, 3), z22 (SCHEME_NOISE, 4)
+
+``run_phases_1_2`` fills its arrays from these streams, and a released
+array is drawn again from the same stream, bit for bit.
+"""
+
+
+def _draw(cfg: SchemeConfig, name: str, out: np.ndarray | None = None) -> np.ndarray:
+    """The array ``name`` of a run at ``cfg``, drawn into ``out`` if given."""
+    d = _DRAWS[name]
+    return core.sample_cn01(core.stream(cfg.seed, d.tag, d.key), (cfg.n, cfg.n) + d.trailing,
+                            out=out, scale=math.sqrt(cfg.power / 2.0) if d.scaled else None)
+
+
+_RELEASED = object()  # stands in the instance dict for an array run_scheme let go
+
+
+def _kept(name: str, derive):
+    """Read-only transcript attribute ``name``: the array a stage stored in
+    the instance dict, ``derive(transcript)`` once ``run_scheme`` has
+    released it, and None before the stage that makes it has run."""
+
+    def get(self):
+        value = vars(self).get(name)
+        return derive(self) if value is _RELEASED else value
+
+    return property(get)
+
+
+def _drawn(name: str):
+    return _kept(name, lambda t: _draw(t.config, name))
+
+
+def _redeliver(t: "SchemeTranscript") -> np.ndarray:
+    # what the decoder reconstructs from the index stream with its own dither
+    decoder = quantizer.DitheredQuantizer(t.quant_step, dither_seed=t.config.seed)
+    return decoder.dequantize(t.quant_indices).reshape(t.config.n, t.config.n)
+
+
 @dataclass
 class SchemeTranscript:
     """Everything one simulated run produces, filled in phase order.
 
-    Only what was drawn is stored, plus the transmitter's overheard sums
-    and what phase 3 delivers: 14 arrays, 78 MiB at n = 512 (the lattice
-    indices are int32), plus the causality audit, whose 3n slots add
-    12 KiB.  The transmit grids, the receivers' observations, the
-    reconstructed observations and the quantization error are read-only
-    properties, computed on each access from the stored arrays (x1 and x2
-    are views of u1 and u2, the others fresh arrays).  Each reads None
-    until the stage that makes its inputs has run.
+    The draws (see ``_DRAWS``), the transmitter's overheard sums s21 and
+    s12 and phase 3's delivery are read-only attributes over the
+    instance dict, where the stages store them: 13 arrays, 76 MiB at
+    n = 512, plus the int32 lattice indices (2 MiB) and the causality
+    audit, whose 3n slots add 12 KiB.  ``run_scheme`` releases each of
+    them after its last reader except u1 and u2, so a finished run holds
+    what its dump holds, 18 MiB at n = 512.  A released attribute is
+    re-derived on every access, bit for bit and not cached: a draw from
+    its Philox stream through ``core.sample_cn01``, a sum through
+    ``_receive`` and the delivery as the decoder's ``dequantize`` of the
+    indices.  Callers that run the stages one at a time keep every array.
+
+    The transmit grids, the receivers' observations, the reconstructed
+    observations and the quantization error are read-only properties,
+    computed on each access (x1 and x2 are views of u1 and u2, the
+    others fresh arrays).  Each reads None until the stage that makes
+    its inputs has run.
     """
 
     config: SchemeConfig
-    # message-domain signal grids, (n, n, 2)
-    u1: np.ndarray = None
-    u2: np.ndarray = None
-    # channel rows per receiver and phase, (n, n, 2);  h -> receiver 1, g -> receiver 2
-    h1: np.ndarray = None
-    g1: np.ndarray = None
-    h2: np.ndarray = None
-    g2: np.ndarray = None
-    # receiver noises, (n, n);  index [receiver, phase]
-    z11: np.ndarray = None
-    z21: np.ndarray = None
-    z12: np.ndarray = None
-    z22: np.ndarray = None
-    # noiseless overheard sums
-    s21: np.ndarray = None
-    s12: np.ndarray = None
     # phase 3
     audit: CausalityAudit = None
     phase3_budget: int = None
     quant_step: float = None
     quant_indices: np.ndarray = None
-    delivered: np.ndarray = None
     reference: dict = field(default_factory=dict)
     # reconstruction
     stats: SchemeStats = None
     mi: MIReport = None
+
+    # message-domain signal grids, (n, n, 2)
+    u1 = _drawn("u1")
+    u2 = _drawn("u2")
+    # channel rows per receiver and phase, (n, n, 2);  h -> receiver 1, g -> receiver 2
+    h1 = _drawn("h1")
+    g1 = _drawn("g1")
+    h2 = _drawn("h2")
+    g2 = _drawn("g2")
+    # receiver noises, (n, n);  index [receiver, phase]
+    z11 = _drawn("z11")
+    z21 = _drawn("z21")
+    z12 = _drawn("z12")
+    z22 = _drawn("z22")
+    # noiseless overheard sums, (n, n)
+    s21 = _kept("s21", lambda t: _receive(t.g1, t.x1))
+    s12 = _kept("s12", lambda t: _receive(t.h2, t.x2))
+    # what phase 3 delivers, (n, n)
+    delivered = _kept("delivered", _redeliver)
 
     # transmit-domain signal grids, (n, n, 2): views of the message grids
     @property
@@ -206,6 +293,12 @@ class SchemeTranscript:
         return None if self.delivered is None else self.delivered - (self.s21 + self.s12)
 
 
+def _release(t: SchemeTranscript, *names: str) -> None:
+    """Let go of the arrays ``names``; each is re-derived on access from then on."""
+    for name in names:
+        vars(t)[name] = _RELEASED
+
+
 def interleave(u: np.ndarray) -> np.ndarray:
     """Swap block and time axes: out[b][t] = u[t][b].  Its own inverse.
 
@@ -225,9 +318,10 @@ def _receive(rows: np.ndarray, x: np.ndarray, out: np.ndarray | None = None) -> 
 def run_phases_1_2(cfg: SchemeConfig) -> SchemeTranscript:
     """Draw signals, channels and noises; transmit phases 1 and 2.
 
-    The transmitter keeps the noiseless overheard mixtures s21 = g1.x1
-    and s12 = h2.x2 for phase 3.  Only the draws and these sums are
-    stored; the receivers' direct (unit noise variance) observations of
+    Each phase draws its arrays of ``_DRAWS``, and the transmitter keeps
+    the noiseless overheard mixtures s21 = g1.x1 and s12 = h2.x2 for
+    phase 3.  Only the draws and these sums are stored, 72 MiB at
+    n = 512; the receivers' direct (unit noise variance) observations of
     both phases, y = row.x + z, are derived from them on access.
 
     The two phases draw from disjoint (tag, key) streams and share no
@@ -239,33 +333,19 @@ def run_phases_1_2(cfg: SchemeConfig) -> SchemeTranscript:
     not depend on the thread count.  ``cfg`` becomes ``transcript.config``.
     """
     n = cfg.n
-    amplitude = math.sqrt(cfg.power / 2.0)
     t = SchemeTranscript(config=cfg)
-    t.u1, t.h1, t.g1, t.u2, t.h2, t.g2 = (
-        np.empty((n, n, 2), dtype=np.complex128) for _ in range(6))
-    t.z11, t.z21, t.s21, t.z12, t.z22, t.s12 = (
-        np.empty((n, n), dtype=np.complex128) for _ in range(6))
+    stored = vars(t)
+    for name, d in _DRAWS.items():
+        stored[name] = np.empty((n, n) + d.trailing, dtype=np.complex128)
+    stored["s21"], stored["s12"] = (np.empty((n, n), dtype=np.complex128) for _ in range(2))
 
-    def draw(out, tag, key, scale=None):
-        core.sample_cn01(core.stream(cfg.seed, tag, key), out.shape, out=out, scale=scale)
+    def phase(number, rows, x, overheard):
+        for name, d in _DRAWS.items():
+            if d.phase == number:
+                _draw(cfg, name, out=stored[name])
+        _receive(rows, x, out=overheard)
 
-    def phase_1():
-        draw(t.u1, StreamTag.SCHEME_SIGNAL, 1, amplitude)
-        draw(t.h1, StreamTag.SCHEME_CHANNEL, 1)
-        draw(t.g1, StreamTag.SCHEME_CHANNEL, 2)
-        draw(t.z11, StreamTag.SCHEME_NOISE, 1)
-        draw(t.z21, StreamTag.SCHEME_NOISE, 2)
-        _receive(t.g1, t.x1, out=t.s21)
-
-    def phase_2():
-        draw(t.u2, StreamTag.SCHEME_SIGNAL, 2, amplitude)
-        draw(t.h2, StreamTag.SCHEME_CHANNEL, 3)
-        draw(t.g2, StreamTag.SCHEME_CHANNEL, 4)
-        draw(t.z12, StreamTag.SCHEME_NOISE, 3)
-        draw(t.z22, StreamTag.SCHEME_NOISE, 4)
-        _receive(t.h2, t.x2, out=t.s12)
-
-    tasks = (phase_1, phase_2)
+    tasks = (lambda: phase(1, t.g1, t.x1, t.s21), lambda: phase(2, t.h2, t.x2, t.s12))
     if capacity._thread_count(len(tasks)) > 1:
         with ThreadPoolExecutor(len(tasks)) as pool:
             for done in [pool.submit(task) for task in tasks]:
@@ -283,13 +363,14 @@ def phase3_budget(n: int, rq_value: float, c21_value: float, delta: float) -> in
     of rate c21 - delta; the budget is the ceiling of their quotient.
     Requires rq < c21 - delta, otherwise forwarding cannot keep up.
     """
-    margin = float(c21_value) - float(delta)
-    if margin <= 0.0 or float(rq_value) >= margin:
+    rq = _number(rq_value, "rq_value")
+    margin = _number(c21_value, "c21_value") - _number(delta, "delta")
+    if margin <= 0.0 or rq >= margin:
         raise DomainError(
-            f"phase-3 forwarding needs rq < c21 - delta, got rq = {rq_value:.6g}, "
+            f"phase-3 forwarding needs rq < c21 - delta, got rq = {rq:.6g}, "
             f"c21 - delta = {margin:.6g}"
         )
-    return math.ceil(n * float(rq_value) / margin)
+    return math.ceil(n * rq / margin)
 
 
 def run_phase_3(transcript: SchemeTranscript, ref_mc: MCConfig | None = None) -> SchemeTranscript:
@@ -300,7 +381,7 @@ def run_phase_3(transcript: SchemeTranscript, ref_mc: MCConfig | None = None) ->
     at the power and distortion of ``transcript.config``.  If rq does not
     clear c21 - delta, the forwarding link cannot keep up and the run aborts.
     """
-    if transcript.s21 is None or transcript.s12 is None:
+    if transcript.u1 is None:
         raise ValueError("phases 1 and 2 must run first")
     cfg = transcript.config
     n = cfg.n
@@ -329,7 +410,7 @@ def run_phase_3(transcript: SchemeTranscript, ref_mc: MCConfig | None = None) ->
     indices, recon = encoder.quantize(mixture.ravel())
     transcript.quant_step = step
     transcript.quant_indices = indices
-    transcript.delivered = recon.reshape(n, n)
+    vars(transcript)["delivered"] = recon.reshape(n, n)
     return transcript
 
 
@@ -375,7 +456,7 @@ def deinterleave_and_reconstruct(transcript: SchemeTranscript) -> SchemeTranscri
     the message domain, correlation against the transmit-signal
     coordinates and against the direct observation noises.
     """
-    if transcript.delivered is None:
+    if transcript.quant_indices is None:
         raise ValueError("phase 3 must run first")
     t = transcript
     n = t.config.n
@@ -418,9 +499,12 @@ def mi_accounting(transcript: SchemeTranscript) -> MIReport:
     For user 1 the rows are the grids (h1, g1) with noise variances
     (1, 1 + D); the grid average estimates the per-symbol rate and must
     agree with capacity.c22d at the power and distortion of ``transcript.config``.
+    It reads only the channel rows, so it can run as soon as phases 1
+    and 2 have, and ``run_scheme`` runs it then, before phase 3; its bits
+    do not depend on when it runs.
     """
-    if transcript.stats is None:
-        raise ValueError("reconstruction must run first")
+    if transcript.u1 is None:
+        raise ValueError("phases 1 and 2 must run first")
     t = transcript
     cfg = t.config
     count = cfg.n * cfg.n
@@ -443,9 +527,9 @@ def achieved_rate_pair(c22d_value: float, rq_value: float, c21_value: float):
     slots to (2 + rq/c21) n, so each user keeps a 1/(2 + rq/c21) share
     of its per-symbol rate.  When rq <= c21 this is at least c22d / 3.
     """
-    c22dv = float(c22d_value)
-    rqv = float(rq_value)
-    c21v = float(c21_value)
+    c22dv = _number(c22d_value, "c22d_value")
+    rqv = _number(rq_value, "rq_value")
+    c21v = _number(c21_value, "c21_value")
     if not math.isfinite(c22dv) or c22dv < 0.0:
         raise ValueError("c22d must be finite and nonnegative")
     if not math.isfinite(rqv) or rqv < 0.0:
@@ -464,11 +548,22 @@ def rate_floor(c22d_value: float, rq_value: float, c21_value: float):
 
 
 def run_scheme(cfg: SchemeConfig, ref_mc: MCConfig | None = None) -> SchemeTranscript:
-    """Full pipeline: phases 1-2, phase 3, reconstruction, accounting."""
+    """Full pipeline: phases 1-2, accounting, phase 3, reconstruction.
+
+    Each array is released right after its last reader: the channel rows
+    once ``mi_accounting`` has run, before phase 3 allocates, and the
+    noises, the overheard sums and the delivery after the reconstruction.
+    The finished transcript holds u1, u2 and the lattice indices, what
+    its dump holds (18 MiB at n = 512); every released array is
+    re-derived bit for bit on access.  The traced peak, about 84 MiB at
+    n = 512, is reached in ``mi_accounting`` over the 72 MiB of draws.
+    """
     t = run_phases_1_2(cfg)
+    mi_accounting(t)
+    _release(t, "h1", "g1", "h2", "g2")
     run_phase_3(t, ref_mc=ref_mc)
     deinterleave_and_reconstruct(t)
-    mi_accounting(t)
+    _release(t, "z11", "z21", "z12", "z22", "s21", "s12", "delivered")
     return t
 
 

@@ -739,3 +739,13 @@ def test_wyner_sampler_contract_enforced():
                                     lambda rng, n: np.full(n, -1.0), mc)
     with pytest.raises(ValueError):
         capacity.constant_gain(-2.0)
+    # numbers of any real type, but not strings, bools or None
+    for bad in ("0.5", True, None):
+        with pytest.raises(ValueError, match="gain must be a number"):
+            capacity.constant_gain(bad)
+        for name, args in (("signal_var", (bad, 1.0, 0.1)), ("noise_var", (1.0, bad, 0.1)),
+                           ("distortion", (1.0, 1.0, bad))):
+            with pytest.raises(ValueError, match=f"{name} must be a number"):
+                capacity.ergodic_wyner_rate(*args, capacity.constant_gain(0.5), mc)
+    assert capacity.ergodic_wyner_rate(np.int64(1), 1, np.float32(0.5),
+                                       capacity.constant_gain(np.int64(0)), mc) == 1.0

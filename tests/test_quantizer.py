@@ -22,6 +22,11 @@ def test_step_for_distortion():
         quantizer.step_for_distortion(0.0)
     with pytest.raises(ValueError):
         quantizer.step_for_distortion(-1.0)
+    # a number of any real type, but not a string, a bool or None
+    for bad in ("4", True, np.True_, None):
+        with pytest.raises(ValueError, match="distortion must be a number"):
+            quantizer.step_for_distortion(bad)
+    assert quantizer.step_for_distortion(np.int64(4)) == quantizer.step_for_distortion(4.0)
 
 
 def test_encoder_decoder_agree_bitwise():
@@ -203,6 +208,10 @@ def test_index_stream_write_validation():
         quantizer.write_indices(buf, 0.0, np.zeros((2, 2), dtype=np.int64))
     with pytest.raises(ValueError, match="int32"):
         quantizer.write_indices(buf, 1.0, np.array([[2**40, 0]], dtype=np.int64))
+    for bad in ("1.0", True, None):
+        with pytest.raises(ValueError, match="step must be a number"):
+            quantizer.write_indices(buf, bad, np.zeros((2, 2), dtype=np.int64))
+    assert buf.getvalue() == b""
 
 
 def test_index_stream_endianness_is_fixed():

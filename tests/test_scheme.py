@@ -148,9 +148,10 @@ def test_run_matches_frozen_bits(monkeypatch, cpus):
 
 
 def test_run_scheme_memory_is_bounded():
-    # the phases fill arrays the transcript keeps, and later stages hold
-    # only a few grid-sized temporaries at a time
-    cfg = SchemeConfig(n=256, power=10.0, seed=67)
+    # a finished run holds what its dump holds, and the peak stays near
+    # what phases 1-2 allocate: ten draws and two sums, 18 n^2 complex128
+    n = 256
+    cfg = SchemeConfig(n=n, power=10.0, seed=67)
     tracemalloc.start()
     try:
         t = scheme.run_scheme(cfg, ref_mc=MCConfig(samples=10_000, seed=67))
@@ -158,8 +159,10 @@ def test_run_scheme_memory_is_bounded():
     finally:
         tracemalloc.stop()
     held = [v for v in vars(t).values() if isinstance(v, np.ndarray)]
-    held += [v for v in vars(t.audit).values() if isinstance(v, np.ndarray)]
-    assert peak < 1.5 * sum(a.nbytes for a in held)
+    assert sum(a.nbytes for a in held) == (t.u1.nbytes + t.u2.nbytes
+                                           + t.quant_indices.nbytes)
+    phases = 18 * n * n * 16
+    assert peak <= 1.3 * phases
 
 
 def test_interleave_swaps_block_and_time():
@@ -240,6 +243,12 @@ def test_phase3_budget_needs_margin():
         scheme.phase3_budget(100, 2.5, 3.0, 0.5)
     with pytest.raises(DomainError):
         scheme.phase3_budget(100, 0.1, 0.2, 0.5)
+    # the rates and delta are numbers, not strings, bools or None
+    for bad in ("2.0", True, None):
+        for name, args in (("rq_value", (bad, 3.0, 0.5)), ("c21_value", (2.0, bad, 0.5)),
+                           ("delta", (2.0, 3.0, bad))):
+            with pytest.raises(ValueError, match=f"{name} must be a number"):
+                scheme.phase3_budget(100, *args)
 
 
 def test_run_phase_3_aborts_without_margin():
@@ -281,7 +290,7 @@ def _run_stages(count):
 @pytest.mark.parametrize("stages, call, message", [
     (0, lambda t: scheme.run_phase_3(t, ref_mc=REF), "phases 1 and 2"),
     (1, scheme.deinterleave_and_reconstruct, "phase 3 must run first"),
-    (2, scheme.mi_accounting, "reconstruction must run first"),
+    (0, scheme.mi_accounting, "phases 1 and 2 must run first"),
     (3, scheme.summary, "full pipeline"),
     (2, scheme.check_stats, "before checking statistics"),
     (1, lambda t: scheme.dump_transcript(t, io.BytesIO()), "before dumping"),
@@ -293,8 +302,7 @@ def test_stage_guard_rejects_missing_input(stages, call, message):
         call(t)
 
 
-STORED = {"u1", "u2", "h1", "g1", "h2", "g2", "z11", "z21", "z12", "z22",
-          "s21", "s12", "delivered", "quant_indices"}
+STORED = {"u1", "u2", "quant_indices"}
 
 
 def test_transcript_stores_draws_and_derives_the_rest(run128):
@@ -326,6 +334,51 @@ def test_transcript_stores_draws_and_derives_the_rest(run128):
     # before phase 3 nothing is delivered, so nothing is reconstructed
     early = scheme.run_phases_1_2(SchemeConfig(n=4, power=2.0, seed=23))
     assert early.ytilde21 is None and early.ytilde12 is None and early.quant_error is None
+
+
+RELEASED = ("h1", "g1", "h2", "g2", "z11", "z21", "z12", "z22", "s21", "s12", "delivered")
+
+
+@pytest.mark.parametrize("n", [1, 2, 17])
+def test_run_scheme_re_derives_what_it_released(monkeypatch, n):
+    cfg = SchemeConfig(n=n, power=10.0, seed=73)
+    ref = MCConfig(samples=2000, seed=73)
+    # stages run one at a time keep every array
+    kept = scheme.run_phases_1_2(cfg)
+    scheme.run_phase_3(kept, ref_mc=ref)
+    scheme.deinterleave_and_reconstruct(kept)
+    every = STORED | set(RELEASED)
+    assert {k for k, v in vars(kept).items() if isinstance(v, np.ndarray)} == every
+    t = scheme.run_scheme(cfg, ref_mc=ref)
+    for name in every:
+        assert np.array_equal(getattr(t, name), getattr(kept, name)), name
+    # a released draw is drawn again, through the sampler, on every access
+    calls = []
+    sampler = core.sample_cn01
+
+    def counting(*args, **kwargs):
+        calls.append(args)
+        return sampler(*args, **kwargs)
+
+    monkeypatch.setattr(core, "sample_cn01", counting)
+    assert t.h1 is not t.h1
+    assert len(calls) == 2
+    assert {k for k, v in vars(t).items() if isinstance(v, np.ndarray)} == STORED
+
+
+def test_mi_bits_do_not_depend_on_when_it_runs():
+    cfg = SchemeConfig(n=17, power=10.0, seed=79)
+
+    def bits(mi):
+        return [(e.value.hex(), e.stderr.hex()) for e in (mi.user1, mi.user2)]
+
+    early = scheme.run_phases_1_2(cfg)
+    before = bits(scheme.mi_accounting(early))
+    late = scheme.run_phases_1_2(cfg)
+    scheme.run_phase_3(late, ref_mc=REF)
+    scheme.deinterleave_and_reconstruct(late)
+    assert bits(scheme.mi_accounting(late)) == before
+    assert bits(scheme.run_scheme(cfg, ref_mc=REF).mi) == before
 
 
 def test_causality_audit(run128):
@@ -457,6 +510,11 @@ def test_achieved_rate_pair_validation():
         scheme.achieved_rate_pair(1.0, -1.0, 1.0)
     with pytest.raises(ValueError):
         scheme.achieved_rate_pair(1.0, 1.0, 0.0)
+    for bad in ("1.0", True, None):
+        for name, args in (("c22d_value", (bad, 1.0, 1.0)), ("rq_value", (1.0, bad, 1.0)),
+                           ("c21_value", (1.0, 1.0, bad))):
+            with pytest.raises(ValueError, match=f"{name} must be a number"):
+                scheme.achieved_rate_pair(*args)
 
 
 def test_rate_floor_requires_forwardable_rate():
