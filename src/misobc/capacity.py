@@ -34,6 +34,15 @@ workers * (4 + k) * 2^16 * 8 bytes at any sample count; with the
 default that grows with the host's CPU count.  A power at which a rate
 argument overflows a double raises ``DomainError``.
 
+``estimate`` runs in two private steps, so that ``scheme.run_scheme``
+can do its own work in between.  ``_start`` validates, allocates the
+scratch sets and, with w > 1 workers, submits every block to a pool of
+w - 1 threads; ``_finish`` makes the calling thread the last worker: it
+runs every block no pool thread has started, collects the others, adds
+the block sums in block order, shuts the pool down and checks for
+overflow.  With one worker ``_start`` submits nothing and ``_finish``
+runs every block inline.
+
 ``c21_oracle`` and ``rq_oracle`` evaluate c21 and rq in closed form, as
 sums of scaled exponential integrals e^z E_m(z) computed with the
 standard library alone, as references for the estimator.  Result
@@ -52,7 +61,6 @@ import math
 import os
 import queue
 from concurrent.futures import ThreadPoolExecutor
-from contextlib import nullcontext
 from dataclasses import dataclass
 from typing import Callable, NamedTuple
 
@@ -98,8 +106,9 @@ class MCConfig:
     ``workers`` is the number of threads over the fixed sample blocks;
     None (the default) means one per usable CPU.  Either way no more
     threads run, and no more scratch sets are allocated, than there are
-    usable CPUs or blocks, and one block or one worker runs in the
-    caller's thread.
+    usable CPUs or blocks, and the caller's thread is one of the
+    workers: w workers start a pool of w - 1 threads, and one block or
+    one worker starts none.
     Each scratch set holds (4 + k) * 2^16 float64 values for k
     quantities; the calling thread allocates one per worker before any
     block runs.  Results do not depend on the worker count; they are
@@ -261,17 +270,23 @@ class Estimates:
     mean_cov: np.ndarray
 
 
-def estimate(
-    quantities: tuple[str, ...],
-    grid: PowerGrid,
-    mc: MCConfig | None = None,
-    distortion: float | None = None,
-) -> tuple[Estimates, ...]:
-    """Sample means, in bits, of every quantity at every grid power over one
-    shared ensemble.  ``distortion`` applies to c22d and rq; giving one to
-    c21 alone is an error.  A DomainError names the first quantity and
-    power whose sums are not finite, which happens once c lin + c^2 quad
-    overflows a double (c21 and rq near P = 1e308, c22d near 1e154)."""
+class _Pending(NamedTuple):
+    """An ``estimate`` call between ``_start`` and ``_finish``: the block
+    function, the blocks, and per block its pool future or None."""
+
+    quantities: tuple[str, ...]
+    grid: PowerGrid
+    mc: MCConfig
+    block: Callable
+    jobs: list
+    futures: list
+    pool: ThreadPoolExecutor | None
+
+
+def _start(quantities, grid, mc, distortion) -> _Pending:
+    """Validate, allocate the scratch sets in the calling thread and, with
+    w > 1 workers, submit every block to a new pool of w - 1 threads;
+    with one worker nothing runs until ``_finish`` runs the blocks."""
     mc = mc or MCConfig()
     if distortion is not None and set(quantities) == {"c21"}:
         raise ValueError("c21 takes no distortion parameter")
@@ -300,7 +315,7 @@ def estimate(
             v = rows[:, :count]
             s1 = np.empty((npow, nker))
             s2 = np.empty((npow, nker, nker))
-            # a rate argument that overflows is reported below, as a DomainError
+            # a rate argument that overflows is reported by _finish, as a DomainError
             with np.errstate(over="ignore", invalid="ignore"):
                 for j, power in enumerate(grid.points):
                     for i, (scale, lin, quad) in enumerate(polys):
@@ -320,14 +335,36 @@ def estimate(
             scratch.put((flat, rows))
         return s1, s2
 
-    S1 = np.zeros((npow, nker))
-    S2 = np.zeros((npow, nker, nker))
-    with ThreadPoolExecutor(workers) if workers > 1 else nullcontext() as pool:
-        # map yields in block order, so the totals do not depend on workers;
-        # one worker runs in this thread, which is faster than a pool thread
-        for s1, s2 in (pool.map if pool else map)(block, jobs):
+    if workers == 1:
+        return _Pending(quantities, grid, mc, block, jobs, [None] * len(jobs), None)
+    # the thread that calls _finish is the last worker
+    pool = ThreadPoolExecutor(workers - 1)
+    try:
+        futures = [pool.submit(block, job) for job in jobs]
+    except BaseException:
+        pool.shutdown(cancel_futures=True)
+        raise
+    return _Pending(quantities, grid, mc, block, jobs, futures, pool)
+
+
+def _finish(pending: _Pending) -> tuple[Estimates, ...]:
+    """Run in this thread every block that no pool thread has started,
+    collect the others, add the block sums in block order, so the totals
+    do not depend on the worker count, and shut the pool down, on error
+    too; then turn the totals into estimates or raise the DomainError."""
+    quantities, grid, mc = pending.quantities, pending.grid, pending.mc
+    S1 = np.zeros((len(grid.points), len(quantities)))
+    S2 = np.zeros((len(grid.points), len(quantities), len(quantities)))
+    try:
+        sums = [pending.block(job) if future is None or future.cancel() else None
+                for job, future in zip(pending.jobs, pending.futures)]
+        for block_sums, future in zip(sums, pending.futures):
+            s1, s2 = block_sums or future.result()
             S1 += s1
             S2 += s2
+    finally:
+        if pending.pool is not None:
+            pending.pool.shutdown(cancel_futures=True)
     finite = np.isfinite(S1) & np.isfinite(np.diagonal(S2, axis1=1, axis2=2))
     if not finite.all():
         j, i = np.argwhere(~finite)[0]
@@ -344,6 +381,24 @@ def estimate(
                            for v, e in zip(values[j], stderr[j])), mean_cov[j])
         for j, p in enumerate(grid.points)
     )
+
+
+def estimate(
+    quantities: tuple[str, ...],
+    grid: PowerGrid,
+    mc: MCConfig | None = None,
+    distortion: float | None = None,
+) -> tuple[Estimates, ...]:
+    """Sample means, in bits, of every quantity at every grid power over one
+    shared ensemble.  ``distortion`` applies to c22d and rq; giving one to
+    c21 alone is an error.  A DomainError names the first quantity and
+    power whose sums are not finite, which happens once c lin + c^2 quad
+    overflows a double (c21 and rq near P = 1e308, c22d near 1e154).
+
+    The call is ``_finish(_start(...))``: a caller with other work, such
+    as ``scheme.run_scheme``, does it between the two steps while the
+    pool runs blocks, and then runs the blocks the pool has not started."""
+    return _finish(_start(quantities, grid, mc, distortion))
 
 
 def c21(power: float, mc: MCConfig | None = None) -> MonteCarloEstimate:

@@ -24,11 +24,17 @@ threads, filling arrays the caller allocated, so a run is bit-identical
 for any thread count.  The stages store only the draws, the overheard
 sums and phase 3's output; everything else is derived on access.
 
-``run_scheme`` runs the mutual-information accounting right after
-phases 1 and 2, since it reads only the channel rows, and releases each
+``run_scheme`` starts phase 3's reference estimate right after phases 1
+and 2 and collects it last: with more than one estimator worker its
+blocks run on the estimator's pool while the calling thread does the
+mutual-information accounting (which reads only the channel rows), the
+quantization and the reconstruction, then runs the blocks the pool has
+not started, and sets the phase-3 budget.
+Every array is allocated in the calling thread.  It releases each
 array after its last reader.  A finished run holds u1, u2 and the
-lattice indices, 18 MiB at n = 512, and its traced peak (about 84 MiB)
-is reached in the accounting, over the 72 MiB the phases drew.  A
+lattice indices, 18 MiB at n = 512, and its traced peak (about 83 MiB
+with the default reference on two CPUs) is reached in the accounting,
+over the 72 MiB the phases drew and the reference's scratch sets.  A
 released array is re-derived on access, bit for bit: the streams are
 counter-based Philox, so every draw is a pure function of (seed, tag,
 key).
@@ -215,6 +221,8 @@ class SchemeTranscript:
     its Philox stream through ``core.sample_cn01``, a sum through
     ``_receive`` and the delivery as the decoder's ``dequantize`` of the
     indices.  Callers that run the stages one at a time keep every array.
+    A caller that reads a released array more than once, say element by
+    element in a loop, binds it once (``h1 = t.h1``) and reads that.
 
     The transmit grids, the receivers' observations, the reconstructed
     observations and the quantization error are read-only properties,
@@ -373,32 +381,34 @@ def phase3_budget(n: int, rq_value: float, c21_value: float, delta: float) -> in
     return math.ceil(n * rq / margin)
 
 
-def run_phase_3(transcript: SchemeTranscript, ref_mc: MCConfig | None = None) -> SchemeTranscript:
-    """Quantize the overheard mixtures and deliver them error-free.
-
-    The phase-3 symbol budget per block is ceil(n rq / (c21 - delta)),
-    with rq and c21 estimated under ``ref_mc`` (default: the run's seed)
-    at the power and distortion of ``transcript.config``.  If rq does not
-    clear c21 - delta, the forwarding link cannot keep up and the run aborts.
-    """
-    if transcript.u1 is None:
-        raise ValueError("phases 1 and 2 must run first")
+def _reference(transcript: SchemeTranscript, ref_mc: MCConfig | None) -> capacity._Pending:
+    """Start the estimate of c21, c22d and rq that sizes phase 3, under
+    ``ref_mc`` (default: the run's seed) at the run's power and distortion."""
     cfg = transcript.config
-    n = cfg.n
-    mc = ref_mc or MCConfig(seed=cfg.seed)
-    (point,) = capacity.estimate(("c21", "c22d", "rq"), PowerGrid.single(cfg.power), mc,
-                                 cfg.distortion)
+    return capacity._start(("c21", "c22d", "rq"), PowerGrid.single(cfg.power),
+                           ref_mc or MCConfig(seed=cfg.seed), cfg.distortion)
+
+
+def _set_budget(transcript: SchemeTranscript, reference: capacity._Pending) -> None:
+    """Finish the reference estimate, store it and size phase 3 from it."""
+    (point,) = capacity._finish(reference)
     c21e, c22de, rqe = point.estimates
     transcript.reference = {"c21": c21e, "c22d": c22de, "rq": rqe}
-
+    cfg = transcript.config
     try:
-        transcript.phase3_budget = phase3_budget(n, rqe.value, c21e.value, cfg.delta)
+        transcript.phase3_budget = phase3_budget(cfg.n, rqe.value, c21e.value, cfg.delta)
     except DomainError as err:
         raise DomainError(f"{err} at P = {cfg.power:g}, D = {cfg.distortion:g}") from err
 
+
+def _quantize(transcript: SchemeTranscript) -> None:
+    """Log the causality audit, quantize the overheard mixtures and store
+    the indices and the delivery."""
     # The encoder reads the phase-1/2 coefficients of block b when its
     # phase 3 starts; log the slot of each phase's last coefficient, which
     # binds, to make causality auditable.
+    cfg = transcript.config
+    n = cfg.n
     base = 3 * n * np.arange(n, dtype=np.int64)
     coeff_slots = np.stack((base + n - 1, base + 2 * n - 1))[:, :, None]
     read_slots = base + 2 * n
@@ -411,6 +421,20 @@ def run_phase_3(transcript: SchemeTranscript, ref_mc: MCConfig | None = None) ->
     transcript.quant_step = step
     transcript.quant_indices = indices
     vars(transcript)["delivered"] = recon.reshape(n, n)
+
+
+def run_phase_3(transcript: SchemeTranscript, ref_mc: MCConfig | None = None) -> SchemeTranscript:
+    """Quantize the overheard mixtures and deliver them error-free.
+
+    The phase-3 symbol budget per block is ceil(n rq / (c21 - delta)),
+    with rq and c21 estimated under ``ref_mc`` (default: the run's seed)
+    at the power and distortion of ``transcript.config``.  If rq does not
+    clear c21 - delta, the forwarding link cannot keep up and the run aborts.
+    """
+    if transcript.u1 is None:
+        raise ValueError("phases 1 and 2 must run first")
+    _set_budget(transcript, _reference(transcript, ref_mc))
+    _quantize(transcript)
     return transcript
 
 
@@ -493,6 +517,11 @@ def deinterleave_and_reconstruct(transcript: SchemeTranscript) -> SchemeTranscri
     return transcript
 
 
+_MI_ROWS = 32
+"""Grid rows per ``core.logdet_capacity_term`` call in ``mi_accounting``,
+so its temporaries take 0.75 MiB at n = 512, not 12 MiB."""
+
+
 def mi_accounting(transcript: SchemeTranscript) -> MIReport:
     """Per-symbol mutual information of each user's effective 2x2 channel.
 
@@ -501,17 +530,25 @@ def mi_accounting(transcript: SchemeTranscript) -> MIReport:
     agree with capacity.c22d at the power and distortion of ``transcript.config``.
     It reads only the channel rows, so it can run as soon as phases 1
     and 2 have, and ``run_scheme`` runs it then, before phase 3; its bits
-    do not depend on when it runs.
+    do not depend on when it runs.  The log-det is evaluated over blocks
+    of ``_MI_ROWS`` grid rows into one (n, n) array, and the mean and
+    standard deviation are taken over the whole array, so the blocks
+    leave the bits as one whole-grid call would give them.
     """
     if transcript.u1 is None:
         raise ValueError("phases 1 and 2 must run first")
     t = transcript
     cfg = t.config
-    count = cfg.n * cfg.n
+    n = cfg.n
+    count = n * n
 
     def report(rows_direct, rows_overheard):
-        vals = core.logdet_capacity_term((rows_direct, rows_overheard), cfg.power,
-                                         (1.0, 1.0 + cfg.distortion)).ravel()
+        vals = np.empty((n, n))
+        for start in range(0, n, _MI_ROWS):
+            rows = slice(start, start + _MI_ROWS)
+            vals[rows] = core.logdet_capacity_term((rows_direct[rows], rows_overheard[rows]),
+                                                   cfg.power, (1.0, 1.0 + cfg.distortion))
+        vals = vals.ravel()
         stderr = float(np.std(vals, ddof=1) / math.sqrt(count)) if count > 1 else 0.0
         return MonteCarloEstimate(float(np.mean(vals)), stderr, count, cfg.seed)
 
@@ -550,20 +587,40 @@ def rate_floor(c22d_value: float, rq_value: float, c21_value: float):
 def run_scheme(cfg: SchemeConfig, ref_mc: MCConfig | None = None) -> SchemeTranscript:
     """Full pipeline: phases 1-2, accounting, phase 3, reconstruction.
 
+    The reference estimate of phase 3 starts right after phases 1 and 2
+    and is collected only after the reconstruction, so with more than
+    one worker its blocks run on the estimator's pool while this thread
+    does the accounting, the quantization and the reconstruction; this
+    thread then runs the blocks the pool has not started, and the
+    phase-3 budget is set last.  With one worker (the CLI's) every block
+    runs in this thread at that point.  Every array is allocated in this
+    thread.  If a stage raises, the reference is still finished first,
+    and its error, else the budget's, else the stage's is raised: the
+    first error of the stage order (reference, budget, quantization,
+    reconstruction).  No pool thread outlives the call.
+
     Each array is released right after its last reader: the channel rows
     once ``mi_accounting`` has run, before phase 3 allocates, and the
     noises, the overheard sums and the delivery after the reconstruction.
     The finished transcript holds u1, u2 and the lattice indices, what
     its dump holds (18 MiB at n = 512); every released array is
-    re-derived bit for bit on access.  The traced peak, about 84 MiB at
-    n = 512, is reached in ``mi_accounting`` over the 72 MiB of draws.
+    re-derived bit for bit on access.  The traced peak, about 83 MiB at
+    n = 512 with the default reference, is reached while the
+    accounting runs over the 72 MiB of draws beside the reference's
+    scratch sets.
     """
     t = run_phases_1_2(cfg)
-    mi_accounting(t)
-    _release(t, "h1", "g1", "h2", "g2")
-    run_phase_3(t, ref_mc=ref_mc)
-    deinterleave_and_reconstruct(t)
-    _release(t, "z11", "z21", "z12", "z22", "s21", "s12", "delivered")
+    reference = _reference(t, ref_mc)
+    try:
+        mi_accounting(t)
+        _release(t, "h1", "g1", "h2", "g2")
+        _quantize(t)
+        deinterleave_and_reconstruct(t)
+        _release(t, "z11", "z21", "z12", "z22", "s21", "s12", "delivered")
+    finally:
+        # the reference and the budget precede the other stages, so their
+        # errors win; finishing here also shuts the pool down on every path
+        _set_budget(t, reference)
     return t
 
 

@@ -334,8 +334,9 @@ def test_worker_count_is_capped_at_blocks(monkeypatch):
         assert run(1000, 10**6) == run(1000, 1)
     assert threading.active_count() == before
 
-    # three blocks start no more threads than there are usable CPUs or
-    # blocks, whatever was asked for
+    # three blocks run on no more threads than there are usable CPUs or
+    # blocks, whatever was asked for; the calling thread is one of them,
+    # so the pool holds one thread fewer
     real_pool = capacity.ThreadPoolExecutor
     samples = 2 * capacity._BLOCK + 1
     for cpus, threads in ((2, 2), (64, 3)):
@@ -349,7 +350,57 @@ def test_worker_count_is_capped_at_blocks(monkeypatch):
             patch.setattr(capacity, "_usable_cpus", lambda: cpus)
             patch.setattr(capacity, "ThreadPoolExecutor", recording_pool)
             assert run(samples, 10**6) == run(samples, 1)
-        assert sizes == [threads]
+        assert sizes == [threads - 1]
+
+
+def test_finishing_thread_runs_the_blocks_no_pool_thread_started(monkeypatch):
+    # with two workers the pool has one thread and the caller is the other:
+    # the pool's first block waits until the caller has run a block itself
+    monkeypatch.setattr(capacity, "_usable_cpus", lambda: 2)
+    caller = threading.get_ident()
+    ran = threading.Event()
+    in_caller = []
+    draw = capacity._draw_moments
+
+    def gated(rng, count, out=None):
+        if threading.get_ident() == caller:
+            in_caller.append(count)
+            ran.set()
+        else:
+            ran.wait(timeout=5)
+        return draw(rng, count, out=out)
+
+    monkeypatch.setattr(capacity, "_draw_moments", gated)
+    samples = 3 * capacity._BLOCK + 5
+    grid = PowerGrid.single(10.0)
+    (shared,) = capacity.estimate(("c21",), grid, MCConfig(samples=samples, seed=5))
+    assert in_caller
+    (inline,) = capacity.estimate(("c21",), grid, MCConfig(samples=samples, seed=5, workers=1))
+    assert shared.estimates == inline.estimates
+
+
+def test_failed_estimate_leaves_no_pool_thread(monkeypatch):
+    # a block's error and the DomainError both surface from estimate once
+    # every pool thread has stopped
+    monkeypatch.setattr(capacity, "_usable_cpus", lambda: 2)
+    mc = MCConfig(samples=3 * capacity._BLOCK + 5, seed=5)
+    grid = PowerGrid.single(1e200)
+    before = threading.active_count()
+    with pytest.raises(DomainError, match="c22d is not finite at P = 1e\\+200"):
+        capacity.estimate(("c21", "c22d", "rq"), grid, mc, 4.0)
+    assert threading.active_count() == before
+
+    draw = capacity._draw_moments
+
+    def failing(rng, count, out=None):
+        if count != capacity._BLOCK:  # the last, partial block
+            raise RuntimeError("block failed")
+        return draw(rng, count, out=out)
+
+    monkeypatch.setattr(capacity, "_draw_moments", failing)
+    with pytest.raises(RuntimeError, match="block failed"):
+        capacity.estimate(("c21",), PowerGrid.single(10.0), mc)
+    assert threading.active_count() == before
 
 
 def test_c22d_zero_distortion_is_classical_capacity():

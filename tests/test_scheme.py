@@ -4,6 +4,7 @@ import hashlib
 import io
 import json
 import math
+import threading
 import tracemalloc
 from dataclasses import fields
 
@@ -147,22 +148,27 @@ def test_run_matches_frozen_bits(monkeypatch, cpus):
         assert pools == [2] * len(FROZEN_RUNS)
 
 
-def test_run_scheme_memory_is_bounded():
+def test_run_scheme_memory_is_bounded(monkeypatch):
     # a finished run holds what its dump holds, and the peak stays near
-    # what phases 1-2 allocate: ten draws and two sums, 18 n^2 complex128
-    n = 256
-    cfg = SchemeConfig(n=n, power=10.0, seed=67)
-    tracemalloc.start()
-    try:
-        t = scheme.run_scheme(cfg, ref_mc=MCConfig(samples=10_000, seed=67))
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
-    held = [v for v in vars(t).values() if isinstance(v, np.ndarray)]
-    assert sum(a.nbytes for a in held) == (t.u1.nbytes + t.u2.nbytes
-                                           + t.quant_indices.nbytes)
-    phases = 18 * n * n * 16
-    assert peak <= 1.3 * phases
+    # what phases 1-2 allocate: ten draws and two sums, 18 n^2 complex128.
+    # At n = 512 the default reference runs beside the accounting with its
+    # two scratch sets (7 MiB); the accounting's row blocks keep the peak
+    # at 83 MiB, where one whole-grid log-det call would reach 94 MiB.
+    monkeypatch.setattr(capacity, "_usable_cpus", lambda: 2)
+    # n, reference (None: the default), bound as a multiple of phases 1-2
+    for n, ref, bound in ((256, MCConfig(samples=10_000, seed=67), 1.3), (512, None, 1.2)):
+        cfg = SchemeConfig(n=n, power=10.0, seed=67)
+        tracemalloc.start()
+        try:
+            t = scheme.run_scheme(cfg, ref_mc=ref)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        held = [v for v in vars(t).values() if isinstance(v, np.ndarray)]
+        assert sum(a.nbytes for a in held) == (t.u1.nbytes + t.u2.nbytes
+                                               + t.quant_indices.nbytes)
+        phases = 18 * n * n * 16
+        assert peak <= bound * phases, (n, peak)
 
 
 def test_interleave_swaps_block_and_time():
@@ -381,6 +387,88 @@ def test_mi_bits_do_not_depend_on_when_it_runs():
     assert bits(scheme.run_scheme(cfg, ref_mc=REF).mi) == before
 
 
+@pytest.mark.parametrize("n", [33, 100])
+def test_mi_row_blocks_match_one_whole_grid_call(n):
+    # n is no multiple of the row block, so the last block is partial
+    assert n % scheme._MI_ROWS
+    cfg = SchemeConfig(n=n, power=10.0, seed=83)
+    t = scheme.run_phases_1_2(cfg)
+
+    def whole(rows):
+        vals = core.logdet_capacity_term(rows, cfg.power, (1.0, 1.0 + cfg.distortion)).ravel()
+        return float(np.mean(vals)).hex(), float(np.std(vals, ddof=1) / n).hex()
+
+    mi = scheme.mi_accounting(t)
+    assert [(e.value.hex(), e.stderr.hex()) for e in (mi.user1, mi.user2)] == [
+        whole((t.h1, t.g1)), whole((t.g2, t.h2))]
+
+
+# a reference of four blocks, the last partial, under the default workers
+MULTI_BLOCK = 3 * capacity._BLOCK + 5
+
+
+def _recording_pools(monkeypatch, module, pools):
+    real_pool = module.ThreadPoolExecutor
+
+    def recording_pool(workers):
+        pools.append(workers)
+        return real_pool(workers)
+
+    monkeypatch.setattr(module, "ThreadPoolExecutor", recording_pool)
+
+
+@pytest.mark.parametrize("cpus", [1, 2])
+def test_overlapped_reference_keeps_the_bits(monkeypatch, cpus):
+    monkeypatch.setattr(capacity, "_usable_cpus", lambda: cpus)
+    cfg = SchemeConfig(n=16, power=10.0, seed=89)
+    ref = MCConfig(samples=MULTI_BLOCK, seed=89)
+
+    def outputs(t):
+        buf = io.BytesIO()
+        scheme.dump_transcript(t, buf)
+        return json.dumps(scheme.summary(t), sort_keys=True), buf.getvalue()
+
+    staged = scheme.run_phases_1_2(cfg)
+    scheme.mi_accounting(staged)
+    scheme.run_phase_3(staged, ref_mc=ref)
+    scheme.deinterleave_and_reconstruct(staged)
+
+    phase_pools, estimator_pools = [], []
+    _recording_pools(monkeypatch, scheme, phase_pools)
+    _recording_pools(monkeypatch, capacity, estimator_pools)
+    before = threading.active_count()
+    t = scheme.run_scheme(cfg, ref_mc=ref)
+    assert threading.active_count() == before
+    # on two CPUs one two-thread pool for the phases and one pool for the
+    # reference, whose one thread runs beside the caller; none on one CPU
+    assert (phase_pools, estimator_pools) == (([2], [1]) if cpus == 2 else ([], []))
+
+    (point,) = capacity.estimate(("c21", "c22d", "rq"), capacity.PowerGrid.single(cfg.power),
+                                 ref, cfg.distortion)
+    assert [(e.value.hex(), e.stderr.hex()) for e in t.reference.values()] == [
+        (e.value.hex(), e.stderr.hex()) for e in point.estimates]
+    assert outputs(t) == outputs(staged)
+
+
+# at P = 1e200 the accounting's log-dets are infinite and its std warns
+@pytest.mark.filterwarnings("ignore:invalid value encountered:RuntimeWarning")
+@pytest.mark.parametrize("cpus", [1, 2])
+@pytest.mark.parametrize("power, error, message", [
+    # the reference overflows, and so would the quantizer: the reference's error wins
+    (1e200, DomainError, "c22d is not finite"),
+    (0.1, DomainError, "phase-3 forwarding needs rq < c21 - delta"),
+    (1e22, ValueError, "lattice coordinates overflow int32"),
+])
+def test_run_scheme_raises_the_first_error_in_stage_order(monkeypatch, cpus, power, error,
+                                                          message):
+    monkeypatch.setattr(capacity, "_usable_cpus", lambda: cpus)
+    cfg = SchemeConfig(n=8, power=power, seed=97)
+    before = threading.active_count()
+    with pytest.raises(error, match=message):
+        scheme.run_scheme(cfg, ref_mc=MCConfig(samples=MULTI_BLOCK, seed=97))
+    assert threading.active_count() == before
+
+
 def test_causality_audit(run128):
     _, t = run128
     assert t.audit.ok()
@@ -458,10 +546,11 @@ def test_mi_matches_direct_log_det():
     cfg = SchemeConfig(n=8, power=5.0, distortion=4.0, seed=37)
     t = scheme.run_scheme(cfg, ref_mc=REF)
     sigma = np.diag([1.0, 1.0 + cfg.distortion])
+    h1, g1 = t.h1, t.g1  # released by run_scheme: each access re-draws the grid
     total = 0.0
     for b in range(cfg.n):
         for tt in range(cfg.n):
-            h = np.array([t.h1[b, tt], t.g1[b, tt]])
+            h = np.array([h1[b, tt], g1[b, tt]])
             m = np.eye(2) + (cfg.power / 2.0) * np.linalg.inv(sigma) @ h @ h.conj().T
             total += np.linalg.slogdet(m)[1] / math.log(2.0)
     assert t.mi.user1.value == pytest.approx(total / cfg.n**2, rel=1e-10)
