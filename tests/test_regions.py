@@ -71,6 +71,28 @@ def test_half_plane_validation():
         HalfPlane(1.0, 1.0, math.inf)
 
 
+@pytest.mark.parametrize("bad", ["2", True, None, np.True_],
+                         ids=["string", "bool", "none", "numpy_bool"])
+def test_region_inputs_must_be_numbers(bad):
+    # a string, bool or None is refused with the argument's name, not
+    # read through float() or left to raise a TypeError
+    outer = regions.outer_region(3.0)
+    for name, call in (("a", lambda v: HalfPlane(v, 1.0, 1.0)),
+                       ("b", lambda v: HalfPlane(1.0, v, 1.0)),
+                       ("c", lambda v: HalfPlane(1.0, 1.0, v)),
+                       ("c21_value", regions.outer_region),
+                       ("c21_value", lambda v: regions.achievable_region(v, 1.0)),
+                       ("c22d_value", lambda v: regions.achievable_region(1.0, v)),
+                       ("tau", lambda v: regions.erode(outer, v)),
+                       ("c21_value", lambda v: regions.gap_closed_form(v, 1.0)),
+                       ("c22d_value", lambda v: regions.gap_closed_form(1.0, v))):
+        with pytest.raises(ValueError, match=f"^{name} must be a number"):
+            call(bad)
+    # any real number type, NumPy's too, is still read as a float
+    assert regions.outer_region(np.int64(3)) == outer
+    assert regions.erode(outer, np.float32(0.5)) == regions.erode(outer, 0.5)
+
+
 def test_region_requires_bounding_constraints():
     with pytest.raises(ValueError):
         RateRegion((HalfPlane(1.0, 0.0, 2.0),))

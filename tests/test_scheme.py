@@ -6,6 +6,7 @@ import json
 import math
 import threading
 import tracemalloc
+import warnings
 from dataclasses import fields
 
 import numpy as np
@@ -23,6 +24,21 @@ REF = MCConfig(samples=20_000, seed=7)
 def run128():
     cfg = SchemeConfig(n=128, power=10.0, distortion=4.0, seed=31)
     return cfg, scheme.run_scheme(cfg, ref_mc=REF)
+
+
+def _staged(cfg, ref=REF):
+    """The pipeline one stage at a time, which keeps every array."""
+    t = scheme.run_phases_1_2(cfg)
+    scheme.mi_accounting(t)
+    scheme.run_phase_3(t, ref_mc=ref)
+    scheme.deinterleave_and_reconstruct(t)
+    return t
+
+
+@pytest.fixture(scope="module")
+def staged128(run128):
+    cfg, _ = run128
+    return cfg, _staged(cfg)
 
 
 def test_config_validation():
@@ -282,8 +298,11 @@ def test_pipeline_stage_order_is_enforced():
 
 
 def _run_stages(count):
-    """A transcript after the first ``count`` pipeline stages."""
+    """A transcript after the first ``count`` pipeline stages, or after
+    ``run_scheme`` if ``count`` is None."""
     cfg = SchemeConfig(n=4, power=2.0, seed=23)
+    if count is None:
+        return scheme.run_scheme(cfg, ref_mc=REF)
     t = scheme.run_phases_1_2(cfg) if count else scheme.SchemeTranscript(config=cfg)
     if count > 1:
         scheme.run_phase_3(t, ref_mc=REF)
@@ -292,7 +311,7 @@ def _run_stages(count):
     return t
 
 
-# each call one stage before its input exists
+# each call one stage before its input exists, or after run_scheme released it
 @pytest.mark.parametrize("stages, call, message", [
     (0, lambda t: scheme.run_phase_3(t, ref_mc=REF), "phases 1 and 2"),
     (1, scheme.deinterleave_and_reconstruct, "phase 3 must run first"),
@@ -300,8 +319,12 @@ def _run_stages(count):
     (3, scheme.summary, "full pipeline"),
     (2, scheme.check_stats, "before checking statistics"),
     (1, lambda t: scheme.dump_transcript(t, io.BytesIO()), "before dumping"),
+    (None, lambda t: scheme.run_phase_3(t, ref_mc=REF), "s21 is None"),
+    (None, scheme.deinterleave_and_reconstruct, "delivered is None"),
+    (None, scheme.mi_accounting, "h1 is None"),
 ], ids=["run_phase_3", "deinterleave_and_reconstruct", "mi_accounting", "summary",
-        "check_stats", "dump_transcript"])
+        "check_stats", "dump_transcript", "run_phase_3_after_run_scheme",
+        "deinterleave_and_reconstruct_after_run_scheme", "mi_accounting_after_run_scheme"])
 def test_stage_guard_rejects_missing_input(stages, call, message):
     t = _run_stages(stages)
     with pytest.raises(ValueError, match=message):
@@ -309,11 +332,17 @@ def test_stage_guard_rejects_missing_input(stages, call, message):
 
 
 STORED = {"u1", "u2", "quant_indices"}
+RELEASED = ("h1", "g1", "h2", "g2", "z11", "z21", "z12", "z22", "s21", "s12", "delivered")
+DERIVED = ("x1", "x2", "y11", "y21", "y12", "y22", "ytilde21", "ytilde12", "quant_error")
 
 
-def test_transcript_stores_draws_and_derives_the_rest(run128):
-    cfg, t = run128
-    assert {k for k, v in vars(t).items() if isinstance(v, np.ndarray)} == STORED
+def _arrays(t):
+    return {k for k, v in vars(t).items() if isinstance(v, np.ndarray)}
+
+
+def test_transcript_stores_draws_and_derives_the_rest(staged128):
+    cfg, t = staged128
+    assert _arrays(t) == STORED | set(RELEASED)
     assert np.shares_memory(t.x1, t.u1) and np.shares_memory(t.x2, t.u2)
     with pytest.raises(AttributeError):
         t.x1 = t.u1
@@ -331,6 +360,7 @@ def test_transcript_stores_draws_and_derives_the_rest(run128):
         "ytilde21": t.delivered - y12, "ytilde12": t.delivered - y21,
         "quant_error": t.delivered - (t.s21 + t.s12),
     }
+    assert set(derived) == set(DERIVED)
     for name, expect in derived.items():
         assert np.array_equal(getattr(t, name), expect), name
     assert np.array_equal(t.s21, receive(t.g1, x1))
@@ -342,34 +372,21 @@ def test_transcript_stores_draws_and_derives_the_rest(run128):
     assert early.ytilde21 is None and early.ytilde12 is None and early.quant_error is None
 
 
-RELEASED = ("h1", "g1", "h2", "g2", "z11", "z21", "z12", "z22", "s21", "s12", "delivered")
-
-
 @pytest.mark.parametrize("n", [1, 2, 17])
-def test_run_scheme_re_derives_what_it_released(monkeypatch, n):
+def test_run_scheme_releases_what_it_no_longer_reads(n):
     cfg = SchemeConfig(n=n, power=10.0, seed=73)
     ref = MCConfig(samples=2000, seed=73)
-    # stages run one at a time keep every array
-    kept = scheme.run_phases_1_2(cfg)
-    scheme.run_phase_3(kept, ref_mc=ref)
-    scheme.deinterleave_and_reconstruct(kept)
-    every = STORED | set(RELEASED)
-    assert {k for k, v in vars(kept).items() if isinstance(v, np.ndarray)} == every
+    kept = _staged(cfg, ref)
     t = scheme.run_scheme(cfg, ref_mc=ref)
-    for name in every:
+    # the two runs agree on what run_scheme keeps and on every result
+    assert _arrays(t) == STORED
+    for name in STORED:
         assert np.array_equal(getattr(t, name), getattr(kept, name)), name
-    # a released draw is drawn again, through the sampler, on every access
-    calls = []
-    sampler = core.sample_cn01
-
-    def counting(*args, **kwargs):
-        calls.append(args)
-        return sampler(*args, **kwargs)
-
-    monkeypatch.setattr(core, "sample_cn01", counting)
-    assert t.h1 is not t.h1
-    assert len(calls) == 2
-    assert {k for k, v in vars(t).items() if isinstance(v, np.ndarray)} == STORED
+    assert (t.stats, t.mi, t.reference, t.phase3_budget) == (
+        kept.stats, kept.mi, kept.reference, kept.phase3_budget)
+    # a released array reads None, and so does every view made from one
+    for name in RELEASED + DERIVED[2:]:
+        assert getattr(t, name) is None, name
 
 
 def test_mi_bits_do_not_depend_on_when_it_runs():
@@ -450,8 +467,6 @@ def test_overlapped_reference_keeps_the_bits(monkeypatch, cpus):
     assert outputs(t) == outputs(staged)
 
 
-# at P = 1e200 the accounting's log-dets are infinite and its std warns
-@pytest.mark.filterwarnings("ignore:invalid value encountered:RuntimeWarning")
 @pytest.mark.parametrize("cpus", [1, 2])
 @pytest.mark.parametrize("power, error, message", [
     # the reference overflows, and so would the quantizer: the reference's error wins
@@ -497,8 +512,8 @@ def test_tampered_audit_is_caught():
     assert audit.min_margin() == 0
 
 
-def test_reconstruction_identities(run128):
-    _, t = run128
+def test_reconstruction_identities(staged128):
+    _, t = staged128
     assert np.allclose(t.ytilde21, t.s21 + t.quant_error - t.z12)
     assert np.allclose(t.ytilde12, t.s12 + t.quant_error - t.z21)
     assert np.allclose(t.delivered - (t.s21 + t.s12), t.quant_error)
@@ -544,16 +559,25 @@ def test_check_stats_flags_bad_variance(run128):
 
 def test_mi_matches_direct_log_det():
     cfg = SchemeConfig(n=8, power=5.0, distortion=4.0, seed=37)
-    t = scheme.run_scheme(cfg, ref_mc=REF)
+    t = _staged(cfg)
     sigma = np.diag([1.0, 1.0 + cfg.distortion])
-    h1, g1 = t.h1, t.g1  # released by run_scheme: each access re-draws the grid
     total = 0.0
     for b in range(cfg.n):
         for tt in range(cfg.n):
-            h = np.array([h1[b, tt], g1[b, tt]])
+            h = np.array([t.h1[b, tt], t.g1[b, tt]])
             m = np.eye(2) + (cfg.power / 2.0) * np.linalg.inv(sigma) @ h @ h.conj().T
             total += np.linalg.slogdet(m)[1] / math.log(2.0)
     assert t.mi.user1.value == pytest.approx(total / cfg.n**2, rel=1e-10)
+
+
+def test_mi_overflow_is_a_domain_error_not_a_warning():
+    # at P = 1e200 every log-det is infinite; np.std over them would warn
+    t = scheme.run_phases_1_2(SchemeConfig(n=8, power=1e200, seed=9))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(DomainError, match=r"mutual information is not finite at P = 1e\+200"):
+            scheme.mi_accounting(t)
+    assert t.mi is None
 
 
 def test_mi_agrees_with_ergodic_capacity(run128):
@@ -566,7 +590,7 @@ def test_mi_agrees_with_ergodic_capacity(run128):
 
 def test_mi_collapses_to_single_row_at_huge_distortion():
     cfg = SchemeConfig(n=64, power=10.0, distortion=1e6, seed=43)
-    t = scheme.run_scheme(cfg, ref_mc=REF)
+    t = _staged(cfg)
     direct = float(np.mean(core.logdet_capacity_term((t.h1,), cfg.power, (1.0,))))
     assert abs(t.mi.user1.value - direct) < 1e-3
 
@@ -599,16 +623,21 @@ def test_achieved_rate_pair_validation():
         scheme.achieved_rate_pair(1.0, -1.0, 1.0)
     with pytest.raises(ValueError):
         scheme.achieved_rate_pair(1.0, 1.0, 0.0)
-    for bad in ("1.0", True, None):
-        for name, args in (("c22d_value", (bad, 1.0, 1.0)), ("rq_value", (1.0, bad, 1.0)),
-                           ("c21_value", (1.0, 1.0, bad))):
-            with pytest.raises(ValueError, match=f"{name} must be a number"):
-                scheme.achieved_rate_pair(*args)
+    for fn in (scheme.achieved_rate_pair, scheme.rate_floor):
+        for bad in ("1.0", True, None):
+            for name, args in (("c22d_value", (bad, 1.0, 1.0)), ("rq_value", (1.0, bad, 1.0)),
+                               ("c21_value", (1.0, 1.0, bad))):
+                with pytest.raises(ValueError, match=f"{name} must be a number"):
+                    fn(*args)
 
 
 def test_rate_floor_requires_forwardable_rate():
     assert scheme.rate_floor(3.0, 2.5, 2.0) is None
     assert scheme.rate_floor(3.0, 2.0, 2.0) == 1.0
+    # the range checks of achieved_rate_pair
+    for args in ((3.0, 2.0, 0.0), (-1.0, 1.0, 1.0), (1.0, -1.0, 1.0), (math.inf, 1.0, 1.0)):
+        with pytest.raises(ValueError, match="must be finite"):
+            scheme.rate_floor(*args)
 
 
 def test_summary_layout(run128):
