@@ -136,7 +136,8 @@ class RateRegion:
         return len(self._vertices) == 0
 
     def contains(self, point, tol: float = GEOM_TOL) -> bool:
-        x, y = float(point[0]), float(point[1])
+        x, y = _number(point[0], "point"), _number(point[1], "point")
+        tol = _number(tol, "tol")
         if x < -tol or y < -tol:
             return False
         return all(h.a * x + h.b * y <= h.c + tol for h in self.constraints)
@@ -269,6 +270,7 @@ def erode(region: RateRegion, tau: float) -> RateRegion:
 
 def is_subset(inner: RateRegion, outer: RateRegion, tol: float = GEOM_TOL) -> bool:
     """Vertex-against-constraint containment test for convex regions."""
+    tol = _number(tol, "tol")
     if inner.is_empty():
         return True
     if outer.is_empty():
@@ -287,6 +289,7 @@ def per_user_gap(outer: RateRegion, inner: RateRegion, tol: float = BISECT_TOL) 
     erode(outer, tau) inside inner, and no tau smaller by more than tol
     does.
     """
+    tol = _number(tol, "tol")
     if not is_subset(inner, outer):
         raise ValueError("inner region must be contained in the outer region")
     if is_subset(outer, inner):

@@ -21,22 +21,26 @@ and every later stage reads it from ``transcript.config``, so a run has
 one power, distortion and seed throughout.  Phases 1 and 2 draw from
 disjoint (tag, key) streams, all named in ``_DRAWS``, on up to two
 threads, filling arrays the caller allocated, so a run is bit-identical
-for any thread count.  The stages store only the draws, the overheard
-sums and phase 3's output; everything else is derived on access.
+for any thread count.  The channel rows are drawn in blocks of
+``_MI_ROWS`` grid rows, which gives the bits of one whole draw.  The
+stages store only the draws, the overheard sums and phase 3's output;
+everything else is derived on access.
 
-``run_scheme`` starts phase 3's reference estimate right after phases 1
+``run_scheme`` never holds a channel grid: each phase thread draws its
+channel rows block by block into one buffer and forms, in the same
+pass, the block's overheard sums and its user's mutual-information
+log-dets.  It starts phase 3's reference estimate right after phases 1
 and 2 and collects it last: with more than one estimator worker its
-blocks run on the estimator's pool while the calling thread does the
-mutual-information accounting (which reads only the channel rows), the
-quantization and the reconstruction, then runs the blocks the pool has
-not started, and sets the phase-3 budget.
-Every array is allocated in the calling thread.  It releases each
-array after its last reader, setting its field to None.  A finished
-run holds u1, u2 and the lattice indices, 18 MiB at n = 512, and its
-traced peak (about 83 MiB with the default reference on two CPUs) is
-reached in the accounting, over the 72 MiB the phases drew and the
-reference's scratch sets.  Callers that run the stages one at a time
-keep every array.
+blocks run on the estimator's pool while the calling thread reduces
+the log-dets, quantizes and reconstructs, then runs the blocks the pool
+has not started, and sets the phase-3 budget.
+Every grid-sized array is allocated in the calling thread.  It releases
+each array after its last reader, setting its field to None.  A
+finished run holds u1, u2 and the lattice indices, 18 MiB at n = 512,
+and its traced peak (about 65 MiB with the default reference on two
+CPUs) is reached in the reconstruction, over the 46 MiB the transcript
+then holds and the reference's scratch sets.  Callers that run the
+stages one at a time keep every array.
 
 A transcript dump keeps only what cannot be derived: a header, the
 message grids u1 and u2 and the quantizer index stream, 18 MiB at
@@ -172,11 +176,23 @@ stream is named.  Under the run's seed the (StreamTag, key) pairs are
 """
 
 
-def _draw(cfg: SchemeConfig, name: str, out: np.ndarray) -> np.ndarray:
-    """Draw the array ``name`` of a run at ``cfg`` into ``out``."""
+_CHANNELS = {1: ("h1", "g1"), 2: ("g2", "h2")}
+"""Each phase's channel rows as (direct, overheard): the rows from its
+user to its own receiver and to the other one.  They are also the two
+rows of that user's effective channel in ``mi_accounting``."""
+
+
+def _stream(cfg: SchemeConfig, name: str) -> np.random.Generator:
     d = _DRAWS[name]
-    return core.sample_cn01(core.stream(cfg.seed, d.tag, d.key), (cfg.n, cfg.n) + d.trailing,
-                            out=out, scale=math.sqrt(cfg.power / 2.0) if d.scaled else None)
+    return core.stream(cfg.seed, d.tag, d.key)
+
+
+def _draw(cfg: SchemeConfig, name: str, out: np.ndarray, rng=None) -> np.ndarray:
+    """Draw the array ``name`` of a run at ``cfg`` into ``out``, or, given
+    ``rng``, the stream of ``name``, its next ``len(out)`` grid rows."""
+    d = _DRAWS[name]
+    return core.sample_cn01(_stream(cfg, name) if rng is None else rng, out.shape, out=out,
+                            scale=math.sqrt(cfg.power / 2.0) if d.scaled else None)
 
 
 @dataclass
@@ -187,12 +203,14 @@ class SchemeTranscript:
     s12 and phase 3's delivery are plain array fields, None until the
     stage that makes them has run: 13 arrays, 76 MiB at n = 512, plus
     the int32 lattice indices (2 MiB) and the causality audit, whose 3n
-    slots add 12 KiB.  ``run_scheme`` releases each of them after its
-    last reader except u1 and u2, setting the field to None, so a
-    finished run holds what its dump holds, 18 MiB at n = 512, and
-    ``mi_accounting``, ``run_phase_3`` or ``deinterleave_and_reconstruct``
-    called on it raises ValueError.  Callers that run the stages one at
-    a time keep every array.
+    slots add 12 KiB.  ``run_scheme`` never fills the channel rows h1,
+    g1, h2 and g2, so its transcript peaks at 9 arrays, 44 MiB at
+    n = 512, and it releases each of them after its last reader except
+    u1 and u2, setting the field to None.  A finished run thus holds
+    what its dump holds, 18 MiB at n = 512, and ``mi_accounting``,
+    ``run_phase_3`` or ``deinterleave_and_reconstruct`` called on it
+    raises ValueError.  Callers that run the stages one at a time keep
+    every array.
 
     The transmit grids, the receivers' observations, the reconstructed
     observations and the quantization error are read-only properties,
@@ -293,7 +311,7 @@ def _receive(rows: np.ndarray, x: np.ndarray, out: np.ndarray | None = None) -> 
     return np.einsum("bta,bta->bt", rows, x, out=out)
 
 
-def run_phases_1_2(cfg: SchemeConfig) -> SchemeTranscript:
+def run_phases_1_2(cfg: SchemeConfig, _logdets=None) -> SchemeTranscript:
     """Draw signals, channels and noises; transmit phases 1 and 2.
 
     Each phase draws its arrays of ``_DRAWS``, and the transmitter keeps
@@ -302,28 +320,58 @@ def run_phases_1_2(cfg: SchemeConfig) -> SchemeTranscript:
     n = 512; the receivers' direct (unit noise variance) observations of
     both phases, y = row.x + z, are derived from them on access.
 
+    A phase draws its message grid and noises whole and its two channel
+    arrays (``_CHANNELS``) in blocks of ``_MI_ROWS`` grid rows, each from
+    its own stream, which gives the bits of one whole draw; the same pass
+    forms the block's rows of the overheard sum.  ``run_scheme`` passes
+    ``_logdets``, an empty list that receives one (n, n) float array per
+    user: then the channel rows are not kept but drawn into one block
+    buffer per phase, and each block's log-det rows for the phase's user
+    (see ``mi_accounting``) go into that user's array, so no channel grid
+    is ever held.
+
     The two phases draw from disjoint (tag, key) streams and share no
     array, so they run as two tasks: on two threads when at least two
     CPUs are usable, otherwise one after the other in the caller's
     thread with no pool.  Every array is allocated here, in the calling
     thread, and the tasks only fill them in place (``core.sample_cn01``
-    with ``out=``), so the phases make no temporaries and their bits do
-    not depend on the thread count.  ``cfg`` becomes ``transcript.config``.
+    with ``out=``), so the phases make no grid-sized temporaries and
+    their bits do not depend on the thread count.  ``cfg`` becomes
+    ``transcript.config``.
     """
     n = cfg.n
+    keep = _logdets is None
     t = SchemeTranscript(config=cfg)
-    for name, d in _DRAWS.items():
-        setattr(t, name, np.empty((n, n) + d.trailing, dtype=np.complex128))
-    # the sums after the draws: allocated first, they raised peak RSS 4% (heap layout)
+    # Message grids first, then noises, sums and log-dets, so that what
+    # run_scheme releases lies in one span of the heap after u1 and u2:
+    # the other orders tried raised simulate's peak RSS by 4-21%.
+    for name, d in sorted(_DRAWS.items(), key=lambda item: item[1].tag):
+        if keep or d.tag != StreamTag.SCHEME_CHANNEL:
+            setattr(t, name, np.empty((n, n) + d.trailing, dtype=np.complex128))
     t.s21, t.s12 = (np.empty((n, n), dtype=np.complex128) for _ in range(2))
+    if not keep:
+        _logdets += [np.empty((n, n)) for _ in _CHANNELS]
+        buffers = [np.empty((2, min(n, _MI_ROWS), n, 2), dtype=np.complex128) for _ in _CHANNELS]
 
-    def phase(number, rows, x, overheard):
+    def phase(number, x, overheard):
+        channels = _CHANNELS[number]
         for name, d in _DRAWS.items():
-            if d.phase == number:
+            if d.phase == number and name not in channels:
                 _draw(cfg, name, getattr(t, name))
-        _receive(rows, x, out=overheard)
+        streams = [_stream(cfg, name) for name in channels]
+        for start in range(0, n, _MI_ROWS):
+            block = slice(start, min(start + _MI_ROWS, n))
+            if keep:
+                rows = [getattr(t, name)[block] for name in channels]
+            else:
+                rows = buffers[number - 1][:, :block.stop - start]
+            for name, rng, out in zip(channels, streams, rows):
+                _draw(cfg, name, out, rng)
+            _receive(rows[1], x[block], out=overheard[block])
+            if not keep:
+                _logdet_rows(cfg, *rows, out=_logdets[number - 1][block])
 
-    tasks = (lambda: phase(1, t.g1, t.x1, t.s21), lambda: phase(2, t.h2, t.x2, t.s12))
+    tasks = (lambda: phase(1, t.x1, t.s21), lambda: phase(2, t.x2, t.s12))
     if capacity._thread_count(len(tasks)) > 1:
         with ThreadPoolExecutor(len(tasks)) as pool:
             for done in [pool.submit(task) for task in tasks]:
@@ -440,7 +488,7 @@ def _corr(a: _Moments, b: _Moments) -> float:
     return float(abs(num) / math.sqrt(va * vb))
 
 
-def deinterleave_and_reconstruct(transcript: SchemeTranscript) -> SchemeTranscript:
+def deinterleave_and_reconstruct(transcript: SchemeTranscript, _out=None) -> SchemeTranscript:
     """Each receiver strips its own phase observation from the delivery.
 
     Receiver 1 forms ytilde21 = delivered - y12 = s21 + (quantization
@@ -448,14 +496,23 @@ def deinterleave_and_reconstruct(transcript: SchemeTranscript) -> SchemeTranscri
     of variance 1 + D; receiver 2 symmetrically.  The residuals are then
     de-interleaved and summarized: variances, lag-1 autocorrelation in
     the message domain, correlation against the transmit-signal
-    coordinates and against the direct observation noises.
+    coordinates and against the direct observation noises.  Each
+    residual, (delivered - (s12 + z12)) - s21 for user 1, is formed in
+    one buffer; ``run_scheme``, which releases the noises next, passes
+    ``_out = (z12, z21)`` so that each residual overwrites the noise it
+    consumes.
     """
     if transcript.delivered is None:
         raise ValueError("phase 3 must run first (delivered is None: not made or released)")
     t = transcript
     n = t.config.n
-    resid1 = _moments(t.ytilde21 - t.s21)
-    resid2 = _moments(t.ytilde12 - t.s12)
+    resid = []
+    for heard, noise, own, out in zip((t.s12, t.s21), (t.z12, t.z21), (t.s21, t.s12),
+                                      _out or (None, None)):
+        r = np.add(heard, noise, out=out)
+        np.subtract(t.delivered, r, out=r)
+        resid.append(_moments(np.subtract(r, own, out=r)))
+    resid1, resid2 = resid
 
     def lag1(resid):
         if n < 2:
@@ -488,8 +545,36 @@ def deinterleave_and_reconstruct(transcript: SchemeTranscript) -> SchemeTranscri
 
 
 _MI_ROWS = 32
-"""Grid rows per ``core.logdet_capacity_term`` call in ``mi_accounting``,
-so its temporaries take 0.75 MiB at n = 512, not 12 MiB."""
+"""Grid rows per channel block of phases 1 and 2 and per
+``core.logdet_capacity_term`` call, so the block buffers take 0.5 MiB
+per phase and the log-det temporaries 0.75 MiB at n = 512, not 12 MiB."""
+
+
+def _logdet_rows(cfg: SchemeConfig, direct: np.ndarray, overheard: np.ndarray,
+                 out: np.ndarray) -> None:
+    """The log-det rate of each symbol's effective channel, rows (direct,
+    overheard) with noise variances (1, 1 + D), into ``out``, one
+    ``core.logdet_capacity_term`` call per ``_MI_ROWS`` grid rows."""
+    for start in range(0, len(out), _MI_ROWS):
+        rows = slice(start, start + _MI_ROWS)
+        out[rows] = core.logdet_capacity_term((direct[rows], overheard[rows]),
+                                              cfg.power, (1.0, 1.0 + cfg.distortion))
+
+
+def _mi_report(cfg: SchemeConfig, logdets) -> MIReport:
+    """Each user's mean log-det and its standard error over the grid."""
+    count = cfg.n * cfg.n
+
+    def estimate(vals):
+        vals = vals.ravel()
+        mean = float(np.mean(vals))
+        if not math.isfinite(mean):  # checked before np.std, which warns on inf - inf
+            raise DomainError(f"mutual information is not finite at P = {cfg.power:g}")
+        stderr = float(np.std(vals, ddof=1) / math.sqrt(count)) if count > 1 else 0.0
+        return MonteCarloEstimate(mean, stderr, count, cfg.seed)
+
+    user1, user2 = logdets
+    return MIReport(user1=estimate(user1), user2=estimate(user2))
 
 
 def mi_accounting(transcript: SchemeTranscript) -> MIReport:
@@ -498,38 +583,24 @@ def mi_accounting(transcript: SchemeTranscript) -> MIReport:
     For user 1 the rows are the grids (h1, g1) with noise variances
     (1, 1 + D); the grid average estimates the per-symbol rate and must
     agree with capacity.c22d at the power and distortion of ``transcript.config``.
-    It reads only the channel rows, so it can run as soon as phases 1
-    and 2 have, and ``run_scheme`` runs it then, before phase 3; its bits
-    do not depend on when it runs.  The log-det is evaluated over blocks
-    of ``_MI_ROWS`` grid rows into one (n, n) array, and the mean and
-    standard deviation are taken over the whole array, so the blocks
-    leave the bits as one whole-grid call would give them.  A mean that
-    is not finite, at a power where the log-dets overflow a double,
-    raises a DomainError.
+    It reads only the channel rows, which a transcript keeps when its
+    phases ran on their own; ``run_scheme`` keeps none and forms the same
+    log-dets block by block while the phases draw them.  The log-det is
+    evaluated over blocks of ``_MI_ROWS`` grid rows into one (n, n) array
+    per user, and the mean and standard deviation are taken over the
+    whole array, so the bits are those of one whole-grid call, wherever
+    and whenever the blocks ran.  A mean that is not finite, at a power
+    where the log-dets overflow a double, raises a DomainError.
     """
     if transcript.h1 is None:
         raise ValueError("phases 1 and 2 must run first (h1 is None: not drawn or released)")
     t = transcript
     cfg = t.config
-    n = cfg.n
-    count = n * n
-
-    def report(rows_direct, rows_overheard):
-        vals = np.empty((n, n))
-        for start in range(0, n, _MI_ROWS):
-            rows = slice(start, start + _MI_ROWS)
-            vals[rows] = core.logdet_capacity_term((rows_direct[rows], rows_overheard[rows]),
-                                                   cfg.power, (1.0, 1.0 + cfg.distortion))
-        vals = vals.ravel()
-        mean = float(np.mean(vals))
-        if not math.isfinite(mean):  # checked before np.std, which warns on inf - inf
-            raise DomainError(f"mutual information is not finite at P = {cfg.power:g}")
-        stderr = float(np.std(vals, ddof=1) / math.sqrt(count)) if count > 1 else 0.0
-        return MonteCarloEstimate(mean, stderr, count, cfg.seed)
-
-    mi = MIReport(user1=report(t.h1, t.g1), user2=report(t.g2, t.h2))
-    transcript.mi = mi
-    return mi
+    logdets = [np.empty((cfg.n, cfg.n)) for _ in _CHANNELS]
+    for channels, out in zip(_CHANNELS.values(), logdets):
+        _logdet_rows(cfg, *(getattr(t, name) for name in channels), out=out)
+    t.mi = _mi_report(cfg, logdets)
+    return t.mi
 
 
 def _rates(c22d_value, rq_value, c21_value) -> tuple[float, float, float]:
@@ -569,35 +640,40 @@ def rate_floor(c22d_value: float, rq_value: float, c21_value: float):
 def run_scheme(cfg: SchemeConfig, ref_mc: MCConfig | None = None) -> SchemeTranscript:
     """Full pipeline: phases 1-2, accounting, phase 3, reconstruction.
 
+    Phases 1 and 2 draw their channel rows block by block and form each
+    block's mutual-information log-dets in the same pass, so no channel
+    grid is ever held (see ``run_phases_1_2``); the log-dets, one (n, n)
+    float array per user, are reduced to ``transcript.mi`` afterwards.
     The reference estimate of phase 3 starts right after phases 1 and 2
     and is collected only after the reconstruction, so with more than
     one worker its blocks run on the estimator's pool while this thread
-    does the accounting, the quantization and the reconstruction; this
-    thread then runs the blocks the pool has not started, and the
-    phase-3 budget is set last.  With one worker (the CLI's) every block
-    runs in this thread at that point.  Every array is allocated in this
+    reduces the log-dets, quantizes and reconstructs; this thread then
+    runs the blocks the pool has not started, and the phase-3 budget is
+    set last.  With one worker (the CLI's) every block runs in this
+    thread at that point.  Every grid-sized array is allocated in this
     thread.  If a stage raises, the reference is still finished first,
     and its error, else the budget's, else the stage's is raised: the
-    first error of the stage order (reference, budget, quantization,
-    reconstruction).  No pool thread outlives the call.
+    first error of the stage order (reference, budget, accounting,
+    quantization, reconstruction).  No pool thread outlives the call.
 
-    Each array is released right after its last reader: the channel rows
-    once ``mi_accounting`` has run, before phase 3 allocates, and the
-    noises, the overheard sums and the delivery after the reconstruction.
+    Each array is released right after its last reader: the log-dets
+    once reduced, and the noises, the overheard sums and the delivery
+    after the reconstruction, whose residuals overwrite z12 and z21.
     The finished transcript holds u1, u2 and the lattice indices, what
     its dump holds (18 MiB at n = 512); every released field reads None,
-    and so does every property derived from one.  The traced peak, about
-    83 MiB at n = 512 with the default reference, is reached while the
-    accounting runs over the 72 MiB of draws beside the reference's
-    scratch sets.
+    and so does every property derived from one.  The traced peak at
+    n = 512 with the default reference, about 65 MiB on two CPUs and
+    61 MiB on one, is reached in the reconstruction, over the 46 MiB the
+    transcript then holds and the reference's scratch sets.
     """
-    t = run_phases_1_2(cfg)
+    logdets = []
+    t = run_phases_1_2(cfg, _logdets=logdets)
     reference = _reference(t, ref_mc)
     try:
-        mi_accounting(t)
-        _release(t, "h1", "g1", "h2", "g2")
+        t.mi = _mi_report(cfg, logdets)
+        del logdets
         _quantize(t)
-        deinterleave_and_reconstruct(t)
+        deinterleave_and_reconstruct(t, _out=(t.z12, t.z21))
         _release(t, "z11", "z21", "z12", "z22", "s21", "s12", "delivered")
     finally:
         # the reference and the budget precede the other stages, so their

@@ -59,24 +59,30 @@ def test_tracer_records_certify_spans():
 def test_tracer_records_simulate_draws_and_log_dets():
     # the scheme draws and accounts through the public names the tracer wraps
     tracing = load_tracing()
-    originals = (core.sample_cn01, core.logdet_capacity_term, scheme.mi_accounting)
-    n = 8
-    cfg = scheme.SchemeConfig(n=n, power=10.0, seed=5)
-    tracer = tracing.Tracer()
-    tracer.install()
-    try:
-        scheme.run_scheme(cfg, ref_mc=MCConfig(samples=1000, seed=3))
-    finally:
-        tracer.uninstall()
-    assert (core.sample_cn01, core.logdet_capacity_term, scheme.mi_accounting) == originals
+    originals = (core.sample_cn01, core.logdet_capacity_term, scheme.run_phases_1_2)
+    # at n = 8 each channel array is one row block, at n = 64 two
+    for n, blocks in ((8, 1), (64, 2)):
+        assert -(-n // scheme._MI_ROWS) == blocks
+        cfg = scheme.SchemeConfig(n=n, power=10.0, seed=5)
+        tracer = tracing.Tracer()
+        tracer.install()
+        try:
+            scheme.run_scheme(cfg, ref_mc=MCConfig(samples=1000, seed=3))
+        finally:
+            tracer.uninstall()
+        assert (core.sample_cn01, core.logdet_capacity_term, scheme.run_phases_1_2) == originals
 
-    # per phase u, h and g hold 2 n^2 draws each and the two noises n^2
-    # each; the overheard sums are computed, not drawn
-    assert tracer.counts["core.sample_cn01.draws"] == 16 * n * n
-    spans = tracer.export()
-    logdets = [s for s in spans if s["name"] == "core.logdet_capacity_term"]
-    assert len(logdets) == 2  # one per user
-    assert {spans[s["parent"]]["name"] for s in logdets} == {"scheme.mi_accounting"}
-    draws = [s for s in spans if s["name"] == "core.sample_cn01"]
-    assert len(draws) == 10
-    assert {spans[s["parent"]]["name"] for s in draws} == {"scheme.run_phases_1_2"}
+        # per phase u, h and g hold 2 n^2 draws each and the two noises n^2
+        # each; the overheard sums are computed, not drawn
+        assert tracer.counts["core.sample_cn01.draws"] == 16 * n * n
+        spans = tracer.export()
+        # u and the two noises are drawn whole, h and g one row block at a time
+        draws = [s for s in spans if s["name"] == "core.sample_cn01"]
+        assert len(draws) == 6 + 4 * blocks
+        assert {spans[s["parent"]]["name"] for s in draws} == {"scheme.run_phases_1_2"}
+        # each phase forms its user's log-dets block by block as it draws
+        # the channel rows, so run_scheme never calls mi_accounting
+        logdets = [s for s in spans if s["name"] == "core.logdet_capacity_term"]
+        assert len(logdets) == 2 * blocks
+        assert {spans[s["parent"]]["name"] for s in logdets} == {"scheme.run_phases_1_2"}
+        assert not [s for s in spans if s["name"] == "scheme.mi_accounting"]
