@@ -81,6 +81,17 @@ def _open_out(path):
             yield fp
 
 
+def _touch(path) -> bool:
+    """Check that ``path`` can be written without truncating it: create it
+    if it is missing, and say whether this call created it."""
+    try:
+        open(path, "xb").close()
+    except FileExistsError:
+        open(path, "ab").close()
+        return False
+    return True
+
+
 def _config(args) -> dict:
     """Every parsed flag but the output paths, and the subcommand."""
     cfg = {k: v for k, v in vars(args).items()
@@ -257,19 +268,26 @@ def cmd_simulate(args) -> int:
         delta=args.delta,
         seed=args.seed,
     )
+    ref_mc = _mc_from(args)
     # an unwritable output path fails here, before the run costs anything;
-    # appending creates a missing file but keeps an existing one until the
-    # run has succeeded
-    for path in (None if args.output == "-" else args.output, args.dump):
-        if path is not None:
-            open(path, "ab").close()
-    transcript = scheme.run_scheme(run_cfg, ref_mc=_mc_from(args))
-    report = scheme.summary(transcript)
-    with _open_out(args.output) as fp:
-        _write_json(fp, {"config": _config(args), "report": report})
-    if args.dump is not None:
-        with open(args.dump, "wb") as fp:
-            scheme.dump_transcript(transcript, fp)
+    # an existing file is kept until the run has succeeded, and a file this
+    # run created is removed if the run ends with exit 2 or 3
+    created = []
+    try:
+        for path in (None if args.output == "-" else args.output, args.dump):
+            if path is not None and _touch(path):
+                created.append(path)
+        transcript = scheme.run_scheme(run_cfg, ref_mc=ref_mc)
+        report = scheme.summary(transcript)
+        with _open_out(args.output) as fp:
+            _write_json(fp, {"config": _config(args), "report": report})
+        if args.dump is not None:
+            with open(args.dump, "wb") as fp:
+                scheme.dump_transcript(transcript, fp)
+    except (ValueError, OSError):  # what main reports with exit 2 or 3
+        for path in created:
+            Path(path).unlink(missing_ok=True)
+        raise
     if args.assert_stats:
         problems = scheme.check_stats(transcript)
         if problems:

@@ -36,11 +36,12 @@ the log-dets, quantizes and reconstructs, then runs the blocks the pool
 has not started, and sets the phase-3 budget.
 Every grid-sized array is allocated in the calling thread.  It releases
 each array after its last reader, setting its field to None.  A
-finished run holds u1, u2 and the lattice indices, 18 MiB at n = 512,
-and its traced peak (about 65 MiB with the default reference on two
-CPUs) is reached in the reconstruction, over the 46 MiB the transcript
-then holds and the reference's scratch sets.  Callers that run the
-stages one at a time keep every array.
+finished run holds u1, u2 and the lattice indices, 18 MiB at n = 512.
+Its traced peak, about 62 MiB with the default reference on two CPUs,
+is reached both in the quantization and in the reconstruction, which
+forms every statistic in two grid-sized scratch buffers (8 MiB) over
+the 46 MiB the transcript then holds and the reference's scratch sets.
+Callers that run the stages one at a time keep every array.
 
 A transcript dump keeps only what cannot be derived: a header, the
 message grids u1 and u2 and the quantizer index stream, 18 MiB at
@@ -456,31 +457,48 @@ def run_phase_3(transcript: SchemeTranscript, ref_mc: MCConfig | None = None) ->
     return transcript
 
 
-def _power(a: np.ndarray) -> float:
-    """E|a|^2 over every entry of a complex array."""
-    p = a.real**2
-    p += a.imag**2
-    return float(np.mean(p))
+def _complex_scratch(h: np.ndarray, shape: tuple) -> np.ndarray:
+    """The first prod(shape) complex values of the float scratch ``h``, shaped."""
+    return h.view(np.complex128)[:math.prod(shape)].reshape(shape)
+
+
+def _power(a: np.ndarray, h: np.ndarray) -> float:
+    """E|a|^2 over every entry of a complex array: the squares of its real
+    and imaginary parts are formed in the two float halves of ``h``."""
+    half = h.size // 2
+    re, im = h[:a.size], h[half:half + a.size]
+    np.square(a.real, out=re.reshape(a.shape))
+    np.square(a.imag, out=im.reshape(a.shape))
+    return float(np.mean(np.add(re, im, out=re)))
 
 
 class _Moments(NamedTuple):
-    """A complex sequence, raveled, with its mean and E|.|^2."""
+    """A complex sequence with its mean and E|.|^2."""
 
     seq: np.ndarray
     mean: complex
     power: float
 
 
-def _moments(a: np.ndarray) -> _Moments:
-    a = np.asarray(a).ravel()
-    return _Moments(a, a.mean(), _power(a))
+def _moments(seq: np.ndarray, h: np.ndarray) -> _Moments:
+    """``seq``'s mean, taken over a contiguous array in its C order (a
+    strided ``seq`` is copied into ``h`` first), and its power, which
+    overwrites ``h``."""
+    flat = seq
+    if not seq.flags.c_contiguous:
+        flat = _complex_scratch(h, seq.shape)
+        flat[...] = seq
+    mean = flat.ravel().mean()
+    return _Moments(seq, mean, _power(seq, h))
 
 
-def _corr(a: _Moments, b: _Moments) -> float:
-    """Magnitude of the Pearson correlation of two complex sequences."""
-    prod = np.conj(b.seq)
+def _corr(a: _Moments, b: _Moments, h: np.ndarray) -> float:
+    """Magnitude of the Pearson correlation of two complex sequences of one
+    shape; the product conj(b)·a is formed in ``h``."""
+    prod = _complex_scratch(h, a.seq.shape)
+    np.conjugate(b.seq, out=prod)
     np.multiply(a.seq, prod, out=prod)
-    num = np.mean(prod) - a.mean * np.conj(b.mean)
+    num = prod.ravel().mean() - a.mean * np.conj(b.mean)
     va = a.power - (a.mean.real**2 + a.mean.imag**2)
     vb = b.power - (b.mean.real**2 + b.mean.imag**2)
     if va <= 0.0 or vb <= 0.0:
@@ -501,45 +519,57 @@ def deinterleave_and_reconstruct(transcript: SchemeTranscript, _out=None) -> Sch
     one buffer; ``run_scheme``, which releases the noises next, passes
     ``_out = (z12, z21)`` so that each residual overwrites the noise it
     consumes.
+
+    Beyond the residuals, every statistic is formed in two grid-sized
+    scratch buffers allocated once per call, 8 MiB at n = 512: ``c``, n^2
+    complex values, holds one strided sequence gathered contiguous (each
+    transmit-antenna coordinate, for both users, then each de-interleaved
+    residual, whose lag-1 views read it) and at last the quantization
+    error; ``h``, 2n^2 floats, takes the squares of a power in its two
+    halves, or a correlation's product conj(b)·a, or a strided sequence
+    copied for its mean.  Each mean is one mean over a contiguous array
+    in the sequence's C order, so the statistics have the bits of
+    whole-array formulas.
     """
     if transcript.delivered is None:
         raise ValueError("phase 3 must run first (delivered is None: not made or released)")
     t = transcript
     n = t.config.n
+    c = np.empty((n, n), dtype=np.complex128)
+    h = np.empty(2 * n * n)
     resid = []
     for heard, noise, own, out in zip((t.s12, t.s21), (t.z12, t.z21), (t.s21, t.s12),
                                       _out or (None, None)):
         r = np.add(heard, noise, out=out)
         np.subtract(t.delivered, r, out=r)
-        resid.append(_moments(np.subtract(r, own, out=r)))
+        resid.append(_moments(np.subtract(r, own, out=r), h))
     resid1, resid2 = resid
 
     def lag1(resid):
         if n < 2:
             return 0.0
-        msg = interleave(resid.reshape(n, n))  # message domain
-        return _corr(_moments(msg[:, 1:]), _moments(msg[:, :-1]))
+        np.copyto(c, interleave(resid.seq))  # message domain
+        return _corr(_moments(c[:, 1:], h), _moments(c[:, :-1], h), h)
 
-    # each transmit-signal coordinate is raveled once, for both users
-    signal1 = [_corr(resid1, _moments(t.s21))]
-    signal2 = [_corr(resid2, _moments(t.s12))]
+    signal1 = [_corr(resid1, _moments(t.s21, h), h)]
+    signal2 = [_corr(resid2, _moments(t.s12, h), h)]
     for x in (t.x1, t.x2):
         for antenna in (0, 1):
-            ref = _moments(x[..., antenna])
-            signal1.append(_corr(resid1, ref))
-            signal2.append(_corr(resid2, ref))
-    del ref  # a grid-sized copy, not needed while the statistics below run
+            np.copyto(c, x[..., antenna])
+            ref = _moments(c, h)
+            signal1.append(_corr(resid1, ref, h))
+            signal2.append(_corr(resid2, ref, h))
 
     t.stats = SchemeStats(
         noise_var_user1=resid1.power,
         noise_var_user2=resid2.power,
-        autocorr_user1=lag1(resid1.seq),
-        autocorr_user2=lag1(resid2.seq),
+        autocorr_user1=lag1(resid1),
+        autocorr_user2=lag1(resid2),
         signal_corr_user1=max(signal1),
         signal_corr_user2=max(signal2),
-        noise_cross_corr_user1=_corr(resid1, _moments(t.z11)),
-        noise_cross_corr_user2=_corr(resid2, _moments(t.z22)),
-        quant_error_var=_power(t.quant_error),
+        noise_cross_corr_user1=_corr(resid1, _moments(t.z11, h), h),
+        noise_cross_corr_user2=_corr(resid2, _moments(t.z22, h), h),
+        quant_error_var=_power(np.subtract(t.delivered, np.add(t.s21, t.s12, out=c), out=c), h),
     )
     return transcript
 
@@ -662,9 +692,10 @@ def run_scheme(cfg: SchemeConfig, ref_mc: MCConfig | None = None) -> SchemeTrans
     The finished transcript holds u1, u2 and the lattice indices, what
     its dump holds (18 MiB at n = 512); every released field reads None,
     and so does every property derived from one.  The traced peak at
-    n = 512 with the default reference, about 65 MiB on two CPUs and
-    61 MiB on one, is reached in the reconstruction, over the 46 MiB the
-    transcript then holds and the reference's scratch sets.
+    n = 512 with the default reference, about 62 MiB on two CPUs and
+    58 MiB on one, is reached in the quantization and again in the
+    reconstruction, whose two scratch grids (8 MiB) come over the 46 MiB
+    the transcript then holds and the reference's scratch sets.
     """
     logdets = []
     t = run_phases_1_2(cfg, _logdets=logdets)

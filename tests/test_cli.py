@@ -299,6 +299,21 @@ def test_simulate_abort_keeps_existing_outputs(capsys, tmp_path):
     assert dump.read_bytes() == b"earlier dump"
 
 
+@pytest.mark.parametrize("flags, dump, code", [
+    (["--power", "0.05", "--samples", "2000"], "new.bin", 3),  # forwarding cannot keep up
+    (["--power", "10", "--samples", "0"], "new.bin", 3),  # rejected before the run
+    (["--power", "10", *FAST], "plain/out", 2),  # the dump path lies below a regular file
+], ids=["infeasible_forwarding", "zero_samples", "unwritable_dump"])
+def test_simulate_abort_removes_the_outputs_it_created(capsys, tmp_path, flags, dump, code):
+    (tmp_path / "plain").write_text("")
+    got, out, _ = run(capsys, ["simulate", "--n", "4", *flags, "--output",
+                               str(tmp_path / "new.json"), "--dump", str(tmp_path / dump)])
+    assert got == code
+    assert out == ""
+    assert [p.name for p in tmp_path.iterdir()] == ["plain"]
+    assert (tmp_path / "plain").read_text() == ""
+
+
 def test_rd_waterfill_single_source(capsys):
     code, out, _ = run(capsys, ["rd", "--mode", "waterfill",
                                 "--const-sigma2", "4", "--budget", "1"])
