@@ -34,18 +34,15 @@ workers * (4 + k) * 2^16 * 8 bytes at any sample count; with the
 default that grows with the host's CPU count.  A power at which a rate
 argument overflows a double raises ``DomainError``.
 
-``estimate`` runs in two private steps, so that ``scheme.run_scheme``
-can do its own work in between.  ``_start`` validates, allocates the
-scratch sets and, with w > 1 workers, submits every block to a pool of
-w - 1 threads; ``_finish`` makes the calling thread the last worker: it
-runs every block no pool thread has started, collects the others, adds
-the block sums in block order, shuts the pool down and checks for
-overflow.  With one worker ``_start`` submits nothing and ``_finish``
-runs every block inline.
+With w > 1 workers ``estimate`` submits every block to a pool of w - 1
+threads and the calling thread is the last worker: it runs every block
+no pool thread has started and collects the others.  With one worker
+every block runs inline and no pool is started.
 
-``c21_oracle`` and ``rq_oracle`` evaluate c21 and rq in closed form, as
-sums of scaled exponential integrals e^z E_m(z) computed with the
-standard library alone, as references for the estimator.  Result
+``c21_oracle``, ``c22d_oracle`` and ``rq_oracle`` evaluate the three
+quantities in closed form, as sums of scaled exponential integrals
+e^z E_m(z) computed with the standard library alone: references for
+the estimator, and the rates that size the scheme's phase 3.  Result
 tables write CSV and JSON through one path: ``write_csv`` and the
 ``_Table`` base class, which ``regions`` shares.
 
@@ -270,23 +267,24 @@ class Estimates:
     mean_cov: np.ndarray
 
 
-class _Pending(NamedTuple):
-    """An ``estimate`` call between ``_start`` and ``_finish``: the block
-    function, the blocks, and per block its pool future or None."""
+def estimate(
+    quantities: tuple[str, ...],
+    grid: PowerGrid,
+    mc: MCConfig | None = None,
+    distortion: float | None = None,
+) -> tuple[Estimates, ...]:
+    """Sample means, in bits, of every quantity at every grid power over one
+    shared ensemble.  ``distortion`` applies to c22d and rq; giving one to
+    c21 alone is an error.  A DomainError names the first quantity and
+    power whose sums are not finite, which happens once c lin + c^2 quad
+    overflows a double (c21 and rq near P = 1e308, c22d near 1e154).
 
-    quantities: tuple[str, ...]
-    grid: PowerGrid
-    mc: MCConfig
-    block: Callable
-    jobs: list
-    futures: list
-    pool: ThreadPoolExecutor | None
-
-
-def _start(quantities, grid, mc, distortion) -> _Pending:
-    """Validate, allocate the scratch sets in the calling thread and, with
-    w > 1 workers, submit every block to a new pool of w - 1 threads;
-    with one worker nothing runs until ``_finish`` runs the blocks."""
+    The scratch sets are allocated in the calling thread.  With w > 1
+    workers every block is submitted to a pool of w - 1 threads, and the
+    calling thread is the last worker: it runs every block no pool thread
+    has started and collects the others.  The block sums are added in
+    block order, so the totals do not depend on the worker count, and the
+    pool is shut down on every path, on error too."""
     mc = mc or MCConfig()
     if distortion is not None and set(quantities) == {"c21"}:
         raise ValueError("c21 takes no distortion parameter")
@@ -315,7 +313,7 @@ def _start(quantities, grid, mc, distortion) -> _Pending:
             v = rows[:, :count]
             s1 = np.empty((npow, nker))
             s2 = np.empty((npow, nker, nker))
-            # a rate argument that overflows is reported by _finish, as a DomainError
+            # a rate argument that overflows is reported below, as a DomainError
             with np.errstate(over="ignore", invalid="ignore"):
                 for j, power in enumerate(grid.points):
                     for i, (scale, lin, quad) in enumerate(polys):
@@ -335,36 +333,21 @@ def _start(quantities, grid, mc, distortion) -> _Pending:
             scratch.put((flat, rows))
         return s1, s2
 
-    if workers == 1:
-        return _Pending(quantities, grid, mc, block, jobs, [None] * len(jobs), None)
-    # the thread that calls _finish is the last worker
-    pool = ThreadPoolExecutor(workers - 1)
+    S1 = np.zeros((npow, nker))
+    S2 = np.zeros((npow, nker, nker))
+    pool = ThreadPoolExecutor(workers - 1) if workers > 1 else None
     try:
-        futures = [pool.submit(block, job) for job in jobs]
-    except BaseException:
-        pool.shutdown(cancel_futures=True)
-        raise
-    return _Pending(quantities, grid, mc, block, jobs, futures, pool)
-
-
-def _finish(pending: _Pending) -> tuple[Estimates, ...]:
-    """Run in this thread every block that no pool thread has started,
-    collect the others, add the block sums in block order, so the totals
-    do not depend on the worker count, and shut the pool down, on error
-    too; then turn the totals into estimates or raise the DomainError."""
-    quantities, grid, mc = pending.quantities, pending.grid, pending.mc
-    S1 = np.zeros((len(grid.points), len(quantities)))
-    S2 = np.zeros((len(grid.points), len(quantities), len(quantities)))
-    try:
-        sums = [pending.block(job) if future is None or future.cancel() else None
-                for job, future in zip(pending.jobs, pending.futures)]
-        for block_sums, future in zip(sums, pending.futures):
+        futures = ([pool.submit(block, job) for job in jobs] if pool is not None
+                   else [None] * len(jobs))
+        sums = [block(job) if future is None or future.cancel() else None
+                for job, future in zip(jobs, futures)]
+        for block_sums, future in zip(sums, futures):
             s1, s2 = block_sums or future.result()
             S1 += s1
             S2 += s2
     finally:
-        if pending.pool is not None:
-            pending.pool.shutdown(cancel_futures=True)
+        if pool is not None:
+            pool.shutdown(cancel_futures=True)
     finite = np.isfinite(S1) & np.isfinite(np.diagonal(S2, axis1=1, axis2=2))
     if not finite.all():
         j, i = np.argwhere(~finite)[0]
@@ -381,24 +364,6 @@ def _finish(pending: _Pending) -> tuple[Estimates, ...]:
                            for v, e in zip(values[j], stderr[j])), mean_cov[j])
         for j, p in enumerate(grid.points)
     )
-
-
-def estimate(
-    quantities: tuple[str, ...],
-    grid: PowerGrid,
-    mc: MCConfig | None = None,
-    distortion: float | None = None,
-) -> tuple[Estimates, ...]:
-    """Sample means, in bits, of every quantity at every grid power over one
-    shared ensemble.  ``distortion`` applies to c22d and rq; giving one to
-    c21 alone is an error.  A DomainError names the first quantity and
-    power whose sums are not finite, which happens once c lin + c^2 quad
-    overflows a double (c21 and rq near P = 1e308, c22d near 1e154).
-
-    The call is ``_finish(_start(...))``: a caller with other work, such
-    as ``scheme.run_scheme``, does it between the two steps while the
-    pool runs blocks, and then runs the blocks the pool has not started."""
-    return _finish(_start(quantities, grid, mc, distortion))
 
 
 def c21(power: float, mc: MCConfig | None = None) -> MonteCarloEstimate:
@@ -512,6 +477,66 @@ def rq_oracle(power: float, distortion: float) -> float:
     if z == 0.0:
         raise DomainError(f"rq is not finite at P = {p:g}: its rate argument overflows a double")
     return sum(_scaled_expint(m, z) for m in range(1, 5)) / LN2
+
+
+_C22D_SERIES_CUT = 0.5
+
+
+def c22d_oracle(power: float, distortion: float) -> float:
+    """Closed-form value of c22d, independent of the sampling path.
+
+    Whitening the noise makes c22d = E log2 det(I + (P/2) W), with W a
+    complex Wishart matrix of 2 degrees of freedom and covariance
+    diag(1, b), b = 1/(1 + D).  One unordered eigenvalue of W has density
+    g(x) = [b (x - b) e^-x - (x - 1) e^(-x/b)] / (2 b (1 - b)) (the
+    one-sided correlated case of Chiani, Win & Zanella, IEEE Trans. IT
+    2003), and integrating 2 ln(1 + P x/2) g(x) term by term gives, with
+    S_m(z) = e^z E_m(z), z1 = 2/P and z2 = 2 (1 + D)/P,
+
+        c22d ln 2 = S1(z1) + S1(z2) + ((1 + D) S2(z1) - S2(z2)) / D.
+
+    The last term is 0/0 at D = 0 and loses digits as D falls.  Where
+    D max(1, z1) < 1/2 it is summed instead as its Taylor series in D,
+    S2(z1) - sum over k >= 1 of z1^k S2^(k)(z1) D^(k-1) / k!, whose
+    derivatives follow from d S_m/dz = S_m - S_(m-1) and, for m <= 0,
+    S_m = (1 - m S_(m+1))/z; at D = 0 it is the limit
+    2 S1(z) + S2(z) + z (S1(z) - S2(z)).  Beyond z1 = 1e9 every S_m(w)
+    is 1/(w + m) to within m/w^2, as in ``_scaled_expint``, and the last
+    term is the rational function that gives, with D cancelled.  The
+    result is within 3e-14 relative of 40-digit mpmath for P from 1e-2
+    to 1e6 at D from 0 to 4; below P = 1e-2, z1 (S1 - S2) in the series
+    loses digits like 1/P (4e-11 at P = 1e-6, D = 0).  ``distortion`` is
+    checked as ``c22d`` checks it.  The value is finite for every finite
+    power, so unlike ``rq_oracle`` it raises no DomainError.
+    """
+    p = _oracle_power(power)
+    _check_quantity("c22d", distortion)
+    if p == 0.0:
+        return 0.0
+    d = float(distortion)
+    z, z2 = 2.0 / p, 2.0 * (1.0 + d) / p
+    if z > 1e9:
+        return (1.0 / (z + 1.0) + 1.0 / (z2 + 1.0)
+                + (2.0 + d + 2.0 / z) / ((z + 2.0) * (1.0 + d + 2.0 / z))) / LN2
+    edge = _scaled_expint(1, z) + _scaled_expint(1, z2)
+    if d * max(1.0, z) >= _C22D_SERIES_CUT:
+        return (edge + ((1.0 + d) * _scaled_expint(2, z) - _scaled_expint(2, z2)) / d) / LN2
+    # r[j] = z^(j-1) S_(2-j)(z) stays finite as z -> 0, and
+    # z^k S2^(k)(z) = sum over j of C(k, j) (-1)^j z^(k-j+1) r[j]
+    r = [_scaled_expint(2, z) / z, _scaled_expint(1, z)]
+    total = z * r[0]
+    dk = fact = 1.0
+    for k in range(1, _EXPINT_MAX_TERMS):
+        if k >= 2:
+            r.append(z ** (k - 2) + (k - 2) * r[-1])
+        fact *= k
+        term = dk * sum(math.comb(k, j) * (-1) ** j * z ** (k - j + 1) * r[j]
+                        for j in range(k + 1)) / fact
+        total -= term
+        dk *= d
+        if dk == 0.0 or abs(term) <= abs(total) * 2.0**-53:
+            return (edge + total) / LN2
+    raise ArithmeticError(f"the c22d series did not converge at P = {p!r}, D = {d!r}")
 
 
 @dataclass(frozen=True)

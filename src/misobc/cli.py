@@ -145,7 +145,7 @@ def _grid_from(args) -> PowerGrid:
 def _mc_from(args) -> MCConfig:
     from .capacity import MCConfig
 
-    # simulate and rd have no --workers and run one
+    # rd has no --workers and runs one; simulate only checks the result
     return MCConfig(samples=args.samples, seed=args.seed, workers=getattr(args, "workers", 1))
 
 
@@ -268,7 +268,9 @@ def cmd_simulate(args) -> int:
         delta=args.delta,
         seed=args.seed,
     )
-    ref_mc = _mc_from(args)
+    # --samples is checked as every command checks it, but no simulate stage
+    # reads it: phase 3 is sized from closed forms
+    _mc_from(args)
     # an unwritable output path fails here, before the run costs anything;
     # an existing file is kept until the run has succeeded, and a file this
     # run created is removed if the run ends with exit 2 or 3
@@ -277,7 +279,7 @@ def cmd_simulate(args) -> int:
         for path in (None if args.output == "-" else args.output, args.dump):
             if path is not None and _touch(path):
                 created.append(path)
-        transcript = scheme.run_scheme(run_cfg, ref_mc=ref_mc)
+        transcript = scheme.run_scheme(run_cfg)
         report = scheme.summary(transcript)
         with _open_out(args.output) as fp:
             _write_json(fp, {"config": _config(args), "report": report})
@@ -392,7 +394,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--distortion", type=float, default=4.0)
     p.add_argument("--delta", type=float, default=0.1)
     p.add_argument("--samples", type=int, default=DEFAULT_SAMPLES,
-                   help="samples for the reference capacity estimates")
+                   help="accepted, checked and echoed, but unused: the reference "
+                        "rates are exact")
     p.add_argument("--seed", type=_parse_seed, default=_default_seed())
     p.add_argument("--assert-stats", action="store_true",
                    help="exit 4 if noise/correlation invariants fail")

@@ -66,7 +66,7 @@ class DitheredQuantizer:
         self.samples_consumed += u.shape[0]
         return lattice.view(np.complex128).ravel()
 
-    def quantize(self, values) -> tuple[np.ndarray, np.ndarray]:
+    def quantize(self, values, out=None) -> tuple[np.ndarray, np.ndarray]:
         """Quantize a 1-D complex sequence.
 
         Returns (indices, reconstruction): indices is an (n, 2) int32
@@ -75,7 +75,9 @@ class DitheredQuantizer:
         sequence the decoder will produce from those indices with its own
         copy of the dither stream.  The reconstruction is a complex view
         of the float64 (n, 2) lattice buffer the samples are rounded in,
-        not a separate array.
+        not a separate array.  As in ``core.sample_cn01``, ``out`` is an
+        (n, 2) C-contiguous int32 array that receives the indices and is
+        returned; they are the values a fresh array would hold.
 
         A coordinate outside the int32 range (a sample of magnitude near
         2^31 steps) raises ValueError("lattice coordinates overflow
@@ -86,6 +88,9 @@ class DitheredQuantizer:
         x = np.asarray(values, dtype=np.complex128).ravel().view(np.float64)
         if not np.isfinite(x).all():
             raise ValueError("samples must be finite")
+        if out is not None and not (isinstance(out, np.ndarray) and out.dtype == np.int32
+                                    and out.flags.c_contiguous and out.shape == (x.size // 2, 2)):
+            raise ValueError(f"out must be a C-contiguous int32 array of shape ({x.size // 2}, 2)")
         u = self._next_dither(x.size // 2)
         # round-half-up of (x + u)/step; the half-open dither interval keeps
         # the error in [-step/2, step/2) exactly
@@ -95,7 +100,10 @@ class DitheredQuantizer:
         np.ceil(q, out=q)
         if q.size and (q.min() < INT32_MIN or q.max() > INT32_MAX):
             raise ValueError("lattice coordinates overflow int32")
-        return q.astype(np.int32), self._reconstruct(q, u)
+        if out is None:
+            out = np.empty(q.shape, dtype=np.int32)
+        np.copyto(out, q, casting="unsafe")
+        return out, self._reconstruct(q, u)
 
     def dequantize(self, indices) -> np.ndarray:
         """Reconstruct a complex sequence from (n, 2) lattice indices."""

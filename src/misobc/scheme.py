@@ -26,22 +26,23 @@ for any thread count.  The channel rows are drawn in blocks of
 stages store only the draws, the overheard sums and phase 3's output;
 everything else is derived on access.
 
-``run_scheme`` never holds a channel grid: each phase thread draws its
-channel rows block by block into one buffer and forms, in the same
-pass, the block's overheard sums and its user's mutual-information
-log-dets.  It starts phase 3's reference estimate right after phases 1
-and 2 and collects it last: with more than one estimator worker its
-blocks run on the estimator's pool while the calling thread reduces
-the log-dets, quantizes and reconstructs, then runs the blocks the pool
-has not started, and sets the phase-3 budget.
-Every grid-sized array is allocated in the calling thread.  It releases
+Phase 3's symbol budget depends only on (n, P, D, delta): it is sized
+from the closed forms ``capacity.c21_oracle``, ``c22d_oracle`` and
+``rq_oracle``, which are also the transcript's ``reference``.  No stage
+draws a Monte Carlo ensemble.
+
+``run_scheme`` sizes phase 3 before it draws anything, so an infeasible
+configuration costs no draws.  It never holds a channel grid: each
+phase thread draws its channel rows block by block into one buffer and
+forms, in the same pass, the block's overheard sums and its user's
+mutual-information log-dets.  Every grid-sized array is allocated in
+the calling thread, the ones a finished run keeps first.  It releases
 each array after its last reader, setting its field to None.  A
 finished run holds u1, u2 and the lattice indices, 18 MiB at n = 512.
-Its traced peak, about 62 MiB with the default reference on two CPUs,
-is reached both in the quantization and in the reconstruction, which
-forms every statistic in two grid-sized scratch buffers (8 MiB) over
-the 46 MiB the transcript then holds and the reference's scratch sets.
-Callers that run the stages one at a time keep every array.
+Its traced peak, about 54 MiB at n = 512, is reached both in the
+quantization and in the reconstruction, which forms every statistic in
+two grid-sized scratch buffers (8 MiB) over the 46 MiB the transcript
+then holds.  Callers that run the stages one at a time keep every array.
 
 A transcript dump keeps only what cannot be derived: a header, the
 message grids u1 and u2 and the quantizer index stream, 18 MiB at
@@ -62,7 +63,7 @@ import numpy as np
 
 from . import (DEFAULT_SEED, MAX_BLOCKS, DomainError, _integer, _number, _round12, _seed,
                capacity, core, quantizer)
-from .capacity import MCConfig, MonteCarloEstimate, PowerGrid
+from .capacity import MCConfig, MonteCarloEstimate
 from .core import StreamTag
 
 _DUMP_MAGIC = b"MBT2"
@@ -211,7 +212,12 @@ class SchemeTranscript:
     what its dump holds, 18 MiB at n = 512, and ``mi_accounting``,
     ``run_phase_3`` or ``deinterleave_and_reconstruct`` called on it
     raises ValueError.  Callers that run the stages one at a time keep
-    every array.
+    every array.  ``run_phases_1_2`` allocates the lattice indices next
+    to u1 and u2, and phase 3 fills them; until then they are a private
+    buffer and ``quant_indices`` reads None.
+
+    ``reference`` maps c21, c22d and rq to their exact values (floats,
+    in bits) at the run's power and distortion, which size phase 3.
 
     The transmit grids, the receivers' observations, the reconstructed
     observations and the quantization error are read-only properties,
@@ -246,6 +252,7 @@ class SchemeTranscript:
     quant_step: float = None
     quant_indices: np.ndarray = None
     reference: dict = field(default_factory=dict)
+    _indices: np.ndarray = field(default=None, init=False, repr=False)
     # reconstruction
     stats: SchemeStats = None
     mi: MIReport = None
@@ -321,15 +328,16 @@ def run_phases_1_2(cfg: SchemeConfig, _logdets=None) -> SchemeTranscript:
     n = 512; the receivers' direct (unit noise variance) observations of
     both phases, y = row.x + z, are derived from them on access.
 
-    A phase draws its message grid and noises whole and its two channel
-    arrays (``_CHANNELS``) in blocks of ``_MI_ROWS`` grid rows, each from
-    its own stream, which gives the bits of one whole draw; the same pass
-    forms the block's rows of the overheard sum.  ``run_scheme`` passes
-    ``_logdets``, an empty list that receives one (n, n) float array per
-    user: then the channel rows are not kept but drawn into one block
-    buffer per phase, and each block's log-det rows for the phase's user
-    (see ``mi_accounting``) go into that user's array, so no channel grid
-    is ever held.
+    The lattice-index buffer that phase 3 fills is allocated right after
+    u1 and u2.  A phase draws its message grid and noises whole and its
+    two channel arrays (``_CHANNELS``) in blocks of ``_MI_ROWS`` grid
+    rows, each from its own stream, which gives the bits of one whole
+    draw; the same pass forms the block's rows of the overheard sum.
+    ``run_scheme`` passes ``_logdets``, an empty list that receives one
+    (n, n) float array per user: then the channel rows are not kept but
+    drawn into one block buffer per phase, and each block's log-det rows
+    for the phase's user (see ``mi_accounting``) go into that user's
+    array, so no channel grid is ever held.
 
     The two phases draw from disjoint (tag, key) streams and share no
     array, so they run as two tasks: on two threads when at least two
@@ -343,12 +351,20 @@ def run_phases_1_2(cfg: SchemeConfig, _logdets=None) -> SchemeTranscript:
     n = cfg.n
     keep = _logdets is None
     t = SchemeTranscript(config=cfg)
-    # Message grids first, then noises, sums and log-dets, so that what
-    # run_scheme releases lies in one span of the heap after u1 and u2:
-    # the other orders tried raised simulate's peak RSS by 4-21%.
+
+    def grid(name):
+        setattr(t, name, np.empty((n, n) + _DRAWS[name].trailing, dtype=np.complex128))
+
+    # What a finished run keeps first (the message grids, then the lattice
+    # indices), then noises, sums and log-dets, so that what run_scheme
+    # releases lies in one span of the heap above them: the other orders
+    # tried raised simulate's peak RSS by 4-21%.
+    grid("u1")
+    grid("u2")
+    t._indices = np.empty((n * n, 2), dtype=np.int32)
     for name, d in sorted(_DRAWS.items(), key=lambda item: item[1].tag):
-        if keep or d.tag != StreamTag.SCHEME_CHANNEL:
-            setattr(t, name, np.empty((n, n) + d.trailing, dtype=np.complex128))
+        if d.tag == StreamTag.SCHEME_NOISE or (keep and d.tag == StreamTag.SCHEME_CHANNEL):
+            grid(name)
     t.s21, t.s12 = (np.empty((n, n), dtype=np.complex128) for _ in range(2))
     if not keep:
         _logdets += [np.empty((n, n)) for _ in _CHANNELS]
@@ -400,24 +416,17 @@ def phase3_budget(n: int, rq_value: float, c21_value: float, delta: float) -> in
     return math.ceil(n * rq / margin)
 
 
-def _reference(transcript: SchemeTranscript, ref_mc: MCConfig | None) -> capacity._Pending:
-    """Start the estimate of c21, c22d and rq that sizes phase 3, under
-    ``ref_mc`` (default: the run's seed) at the run's power and distortion."""
-    cfg = transcript.config
-    return capacity._start(("c21", "c22d", "rq"), PowerGrid.single(cfg.power),
-                           ref_mc or MCConfig(seed=cfg.seed), cfg.distortion)
-
-
-def _set_budget(transcript: SchemeTranscript, reference: capacity._Pending) -> None:
-    """Finish the reference estimate, store it and size phase 3 from it."""
-    (point,) = capacity._finish(reference)
-    c21e, c22de, rqe = point.estimates
-    transcript.reference = {"c21": c21e, "c22d": c22de, "rq": rqe}
-    cfg = transcript.config
+def _size_phase_3(cfg: SchemeConfig) -> tuple[dict, int]:
+    """The exact c21, c22d and rq at the power and distortion of ``cfg``,
+    and the phase-3 budget they give, or its DomainError."""
+    reference = {"c21": capacity.c21_oracle(cfg.power),
+                 "c22d": capacity.c22d_oracle(cfg.power, cfg.distortion),
+                 "rq": capacity.rq_oracle(cfg.power, cfg.distortion)}
     try:
-        transcript.phase3_budget = phase3_budget(cfg.n, rqe.value, c21e.value, cfg.delta)
+        budget = phase3_budget(cfg.n, reference["rq"], reference["c21"], cfg.delta)
     except DomainError as err:
         raise DomainError(f"{err} at P = {cfg.power:g}, D = {cfg.distortion:g}") from err
+    return reference, budget
 
 
 def _quantize(transcript: SchemeTranscript) -> None:
@@ -436,23 +445,26 @@ def _quantize(transcript: SchemeTranscript) -> None:
     mixture = transcript.s21 + transcript.s12
     step = quantizer.step_for_distortion(cfg.distortion)
     encoder = quantizer.DitheredQuantizer(step, dither_seed=cfg.seed)
-    indices, recon = encoder.quantize(mixture.ravel())
+    indices, recon = encoder.quantize(mixture.ravel(), out=transcript._indices)
+    transcript._indices = None
     transcript.quant_step = step
     transcript.quant_indices = indices
     transcript.delivered = recon.reshape(n, n)
 
 
-def run_phase_3(transcript: SchemeTranscript, ref_mc: MCConfig | None = None) -> SchemeTranscript:
+def run_phase_3(transcript: SchemeTranscript) -> SchemeTranscript:
     """Quantize the overheard mixtures and deliver them error-free.
 
     The phase-3 symbol budget per block is ceil(n rq / (c21 - delta)),
-    with rq and c21 estimated under ``ref_mc`` (default: the run's seed)
-    at the power and distortion of ``transcript.config``.  If rq does not
-    clear c21 - delta, the forwarding link cannot keep up and the run aborts.
+    with the exact rq and c21 (``capacity.rq_oracle`` and ``c21_oracle``)
+    at the power and distortion of ``transcript.config``; they and the
+    exact c22d become ``transcript.reference``.  If rq does not clear
+    c21 - delta, the forwarding link cannot keep up and the run aborts
+    with a DomainError before anything is quantized.
     """
     if transcript.s21 is None:
         raise ValueError("phases 1 and 2 must run first (s21 is None: not made or released)")
-    _set_budget(transcript, _reference(transcript, ref_mc))
+    transcript.reference, transcript.phase3_budget = _size_phase_3(transcript.config)
     _quantize(transcript)
     return transcript
 
@@ -668,23 +680,21 @@ def rate_floor(c22d_value: float, rq_value: float, c21_value: float):
 
 
 def run_scheme(cfg: SchemeConfig, ref_mc: MCConfig | None = None) -> SchemeTranscript:
-    """Full pipeline: phases 1-2, accounting, phase 3, reconstruction.
+    """Full pipeline: phase-3 budget, phases 1-2, accounting, phase 3,
+    reconstruction.
 
-    Phases 1 and 2 draw their channel rows block by block and form each
-    block's mutual-information log-dets in the same pass, so no channel
-    grid is ever held (see ``run_phases_1_2``); the log-dets, one (n, n)
-    float array per user, are reduced to ``transcript.mi`` afterwards.
-    The reference estimate of phase 3 starts right after phases 1 and 2
-    and is collected only after the reconstruction, so with more than
-    one worker its blocks run on the estimator's pool while this thread
-    reduces the log-dets, quantizes and reconstructs; this thread then
-    runs the blocks the pool has not started, and the phase-3 budget is
-    set last.  With one worker (the CLI's) every block runs in this
-    thread at that point.  Every grid-sized array is allocated in this
-    thread.  If a stage raises, the reference is still finished first,
-    and its error, else the budget's, else the stage's is raised: the
-    first error of the stage order (reference, budget, accounting,
-    quantization, reconstruction).  No pool thread outlives the call.
+    The phase-3 budget and ``transcript.reference`` come first, from the
+    closed forms at the run's power and distortion (see ``run_phase_3``),
+    so an infeasible configuration raises its DomainError before anything
+    is drawn.  ``ref_mc`` is accepted for existing callers and read by
+    nothing.  Phases 1 and 2 draw their channel rows block by block and
+    form each block's mutual-information log-dets in the same pass, so no
+    channel grid is ever held (see ``run_phases_1_2``); the log-dets, one
+    (n, n) float array per user, are reduced to ``transcript.mi``
+    afterwards.  Every grid-sized array is allocated in this thread.  A
+    failing stage raises the first error of the stage order (budget,
+    accounting, quantization, reconstruction), and no pool thread
+    outlives the call.
 
     Each array is released right after its last reader: the log-dets
     once reduced, and the noises, the overheard sums and the delivery
@@ -692,24 +702,19 @@ def run_scheme(cfg: SchemeConfig, ref_mc: MCConfig | None = None) -> SchemeTrans
     The finished transcript holds u1, u2 and the lattice indices, what
     its dump holds (18 MiB at n = 512); every released field reads None,
     and so does every property derived from one.  The traced peak at
-    n = 512 with the default reference, about 62 MiB on two CPUs and
-    58 MiB on one, is reached in the quantization and again in the
-    reconstruction, whose two scratch grids (8 MiB) come over the 46 MiB
-    the transcript then holds and the reference's scratch sets.
+    n = 512, about 54 MiB, is reached in the quantization and again in
+    the reconstruction, whose two scratch grids (8 MiB) come over the
+    46 MiB the transcript then holds.
     """
+    reference, budget = _size_phase_3(cfg)
     logdets = []
     t = run_phases_1_2(cfg, _logdets=logdets)
-    reference = _reference(t, ref_mc)
-    try:
-        t.mi = _mi_report(cfg, logdets)
-        del logdets
-        _quantize(t)
-        deinterleave_and_reconstruct(t, _out=(t.z12, t.z21))
-        _release(t, "z11", "z21", "z12", "z22", "s21", "s12", "delivered")
-    finally:
-        # the reference and the budget precede the other stages, so their
-        # errors win; finishing here also shuts the pool down on every path
-        _set_budget(t, reference)
+    t.reference, t.phase3_budget = reference, budget
+    t.mi = _mi_report(cfg, logdets)
+    del logdets
+    _quantize(t)
+    deinterleave_and_reconstruct(t, _out=(t.z12, t.z21))
+    _release(t, "z11", "z21", "z12", "z22", "s21", "s12", "delivered")
     return t
 
 
@@ -728,8 +733,8 @@ def summary(transcript: SchemeTranscript) -> dict:
     if t.stats is None or t.mi is None:
         raise ValueError("run the full pipeline before summarizing")
     ref = t.reference
-    pair = achieved_rate_pair(ref["c22d"].value, ref["rq"].value, ref["c21"].value)
-    floor = rate_floor(ref["c22d"].value, ref["rq"].value, ref["c21"].value)
+    pair = achieved_rate_pair(ref["c22d"], ref["rq"], ref["c21"])
+    floor = rate_floor(ref["c22d"], ref["rq"], ref["c21"])
     r12 = _round12
     return {
         "config": asdict(t.config),
@@ -743,7 +748,7 @@ def summary(transcript: SchemeTranscript) -> dict:
         "mi_user1": _estimate_dict(t.mi.user1),
         "mi_user2": _estimate_dict(t.mi.user2),
         "achieved_rate_pair": [r12(pair[0]), r12(pair[1])],
-        "reference": {name: _estimate_dict(est) for name, est in ref.items()},
+        "reference": {name: r12(value) for name, value in ref.items()},
         "diagnostics": {
             "quant_error_var": r12(t.stats.quant_error_var),
             "residual_signal_corr": {

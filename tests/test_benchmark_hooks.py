@@ -67,7 +67,7 @@ def test_tracer_records_simulate_draws_and_log_dets():
         tracer = tracing.Tracer()
         tracer.install()
         try:
-            scheme.run_scheme(cfg, ref_mc=MCConfig(samples=1000, seed=3))
+            scheme.run_scheme(cfg)
         finally:
             tracer.uninstall()
         assert (core.sample_cn01, core.logdet_capacity_term, scheme.run_phases_1_2) == originals

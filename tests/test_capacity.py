@@ -32,6 +32,24 @@ GOLDEN_C21 = {
     10000.0: 12.89794953860777,
 }
 
+# Values of c22d, the 2x2 log-det rate with the second row's noise at 1 + D,
+# frozen from 40-digit mpmath quadrature of 2 log2(1 + P x/2) against the
+# density of one unordered eigenvalue of the whitened Wishart matrix (at
+# D = 0 the uncorrelated one, (x^2 - 2x + 2) e^-x / 2), not from the closed
+# form that c22d_oracle evaluates
+GOLDEN_C22D = {
+    (0.01, 0.0): 0.028570295567855993,
+    (1.0, 0.0): 1.6850269814064778,
+    (10.0, 0.0): 5.5492275690056257,
+    (100.0, 0.0): 11.290998452146249,
+    (10000.0, 0.0): 24.357498974023007,
+    (0.01, 4.0): 0.017187065550364705,
+    (1.0, 4.0): 1.1231074226227764,
+    (10.0, 4.0): 4.1339643923652381,
+    (100.0, 4.0): 9.2360240788788595,
+    (10000.0, 4.0): 22.043282057217514,
+}
+
 FAST = MCConfig(samples=200_000, seed=901)
 
 
@@ -139,6 +157,100 @@ def test_rq_oracle_edge_cases():
         capacity.rq_oracle(10.0, 5e-324)
 
 
+def test_c22d_oracle_matches_golden_values():
+    for (power, distortion), expect in GOLDEN_C22D.items():
+        assert capacity.c22d_oracle(power, distortion) == pytest.approx(expect, rel=1e-14,
+                                                                         abs=0.0)
+
+
+def _c22d_closed_form(mpmath, power, distortion):
+    """The closed form of c22d_oracle in the working precision; its D = 0 limit
+    at D = 0."""
+    s = lambda m, z: mpmath.exp(z) * mpmath.expint(m, z)  # noqa: E731
+    d = mpmath.mpf(distortion)
+    z1 = 2 / mpmath.mpf(power)
+    z2 = z1 * (1 + d)
+    if d == 0:
+        return (2 * s(1, z1) + s(2, z1) + z1 * (s(1, z1) - s(2, z1))) / mpmath.log(2)
+    return (s(1, z1) + s(1, z2) + ((1 + d) * s(2, z1) - s(2, z2)) / d) / mpmath.log(2)
+
+
+# 33 log-spaced powers from 1e-2 to 1e6, plus both sides of the kernel's
+# switch from series to fraction at z1 = 2/P = 1
+C22D_POWERS = [10.0 ** (k / 4 - 2) for k in range(33)] + [2.0, math.nextafter(2.0, 0.0), 1.9]
+
+
+@pytest.mark.parametrize("distortion", [0.0, 1e-8, 1e-4, 5e-4, 2e-3, 0.1, 0.3, 0.5, 2.4, 4.0])
+def test_c22d_oracle_matches_the_closed_form_in_40_digits(distortion):
+    # Taylor series in D where D max(1, 2/P) < 1/2, the closed form elsewhere:
+    # D <= 2e-3 takes the series at every power here, D >= 0.5 the closed
+    # form, and D = 0.1 and 0.3 each take both.  The largest relative error
+    # measured over these cases is 2.5e-14 (P = 0.01, D = 5e-3 on a denser
+    # grid), from the cancellation in z1 (S1 - S2) near D = 0 at low power.
+    mpmath = pytest.importorskip("mpmath")
+    with mpmath.workdps(40):
+        expect = [float(_c22d_closed_form(mpmath, p, distortion)) for p in C22D_POWERS]
+    got = [capacity.c22d_oracle(p, distortion) for p in C22D_POWERS]
+    assert got == pytest.approx(expect, rel=4e-14, abs=0.0)
+    series = [distortion * max(1.0, 2.0 / p) < capacity._C22D_SERIES_CUT for p in C22D_POWERS]
+    if distortion in (0.1, 0.3):
+        assert any(series) and not all(series)
+
+
+def test_c22d_oracle_edge_cases():
+    assert capacity.c22d_oracle(0.0, 4.0) == capacity.c22d_oracle(0.0, 0.0) == 0.0
+    assert capacity.c22d_oracle(np.float32(10.0), 4) == capacity.c22d_oracle(10.0, 4.0)
+    for power in ("10", True, None):
+        with pytest.raises(ValueError, match="power must be a number"):
+            capacity.c22d_oracle(power, 4.0)
+    for power in (-1.0, math.inf, math.nan):
+        with pytest.raises(ValueError, match="power must be finite and nonnegative"):
+            capacity.c22d_oracle(power, 4.0)
+    for d in (-1.0, math.inf, math.nan):
+        with pytest.raises(ValueError, match="distortion must be finite and nonnegative for c22d"):
+            capacity.c22d_oracle(1.0, d)
+    with pytest.raises(ValueError, match="distortion for c22d must be a number"):
+        capacity.c22d_oracle(1.0, None)
+    # finite and increasing in P at every distortion, from a subnormal power
+    # (2/P overflows) past the 1/(w + m) regime of z1 > 1e9 to the largest
+    # doubles, where the estimator's rate argument would overflow
+    for d in (0.0, 5e-324, 1e-8, 4.0, 1e300):
+        values = [capacity.c22d_oracle(p, d)
+                  for p in (5e-324, 1e-300, 1e-12, 1.9e-9, 2e-9, 1e-3, 1e300, 1.7e308)]
+        assert all(math.isfinite(v) and v >= 0.0 for v in values), d
+        assert values == sorted(values), d
+    # decreasing in the distortion, continuous across the series cut
+    assert [capacity.c22d_oracle(10.0, d) for d in (0.0, 1.0, 4.0, 16.0)] == sorted(
+        [capacity.c22d_oracle(10.0, d) for d in (0.0, 1.0, 4.0, 16.0)], reverse=True)
+    below, above = (capacity.c22d_oracle(1.0, d) for d in (math.nextafter(0.5, 0.0), 0.5))
+    assert below == pytest.approx(above, rel=1e-13)
+
+
+def test_estimator_is_calibrated_against_the_oracles():
+    # over 64 seeds at each power the z-scores of c22d and of tau against
+    # their exact values must look standard normal: the mean within 3.89/8
+    # of 0 (a false-alarm rate of 1e-4) and the sum of squares in the
+    # central 1 - 2e-4 of chi^2(64) (2e-4), so a correct estimator fails
+    # one of the twelve checks with probability at most 1.8e-3.  tau's
+    # stderr is gap_sweep's delta method with the paired covariance;
+    # without the covariance the sums of squares are 16-26, below 30.2.
+    grid = PowerGrid((0.1, 10.0, 1e3))
+    exact = {p: (capacity.c21_oracle(p), capacity.c22d_oracle(p, 4.0)) for p in grid.points}
+    z = {(q, p): [] for q in ("c22d", "tau") for p in grid.points}
+    for seed in range(1, 65):
+        for row in regions.gap_sweep(4.0, grid, MCConfig(samples=2**17, seed=seed)).rows:
+            c21x, c22dx = exact[row.power]
+            z["c22d", row.power].append((row.c22d.value - c22dx) / row.c22d.stderr)
+            tau = regions.gap_closed_form(c21x, c22dx)[0]
+            z["tau", row.power].append((row.tau - tau) / row.tau_stderr)
+    lo, hi = stats.chi2.ppf([1e-4, 1.0 - 1e-4], 64)
+    mean_bound = stats.norm.ppf(1.0 - 0.5e-4) / 8.0
+    for key, scores in z.items():
+        scores = np.array(scores)
+        assert abs(scores.mean()) < mean_bound, (key, scores.mean())
+        assert lo < np.sum(scores**2) < hi, (key, np.sum(scores**2))
+
+
 def test_rq_estimator_tracks_oracle():
     powers = (0.1, 10.0, 1e4)
     table = capacity.sweep("rq", PowerGrid(powers), MCConfig(samples=10**6, seed=907),
@@ -157,6 +269,8 @@ def test_oracles_load_no_scipy():
              "from misobc import capacity\n"
              "capacity.c21_oracle(10)\n"
              "capacity.rq_oracle(10, 4)\n"
+             "capacity.c22d_oracle(10, 4)\n"
+             "capacity.c22d_oracle(10, 0)\n"
              "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))\n")
     done = subprocess.run([sys.executable, "-c", probe], capture_output=True, text=True,
                           env=env, check=True, timeout=120)
@@ -354,8 +468,9 @@ def test_worker_count_is_capped_at_blocks(monkeypatch):
 
 
 def test_finishing_thread_runs_the_blocks_no_pool_thread_started(monkeypatch):
-    # with two workers the pool has one thread and the caller is the other:
-    # the pool's first block waits until the caller has run a block itself
+    # with two workers estimate's pool has one thread and the calling thread
+    # is the other, which runs every block the pool has not started: the
+    # pool's first block waits until the caller has run a block itself
     monkeypatch.setattr(capacity, "_usable_cpus", lambda: 2)
     caller = threading.get_ident()
     ran = threading.Event()

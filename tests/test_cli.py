@@ -131,9 +131,10 @@ def test_rq_ratio_below_one_at_certified_distortion(capsys):
                  "error: c22d is not finite at P = 1e+160", id="capacity"),
     pytest.param(["rq", "--power", "1e308", "--assert-le-one"],
                  "error: c21 is not finite at P = 1e+308", id="rq"),
-    # the accounting's log-dets overflow too, but raise before NumPy warns
+    # the exact reference stays finite; the accounting's log-dets overflow,
+    # and raise before NumPy warns
     pytest.param(["simulate", "--n", "8", "--power", "1e200", "--seed", "9"],
-                 "error: c22d is not finite at P = 1e+200", id="simulate"),
+                 "error: mutual information is not finite at P = 1e+200", id="simulate"),
 ])
 def test_overflowing_estimate_exits_3(argv, message):
     # in a fresh interpreter, so a NumPy warning would reach stderr; before,
@@ -554,7 +555,7 @@ GOLDEN_SHA256 = {
         "d0e3a4a59b15e24294aa55d996465f7f470121257f6e0bdf0f4a8bd2fe880e5c"),
     "simulate": (["simulate", "--n", "16", "--power", "10", "--output", f"{OUT}/report.json",
                   "--dump", f"{OUT}/run.bin", *GOLDEN],
-        "65d4504a017ce5f352deb6c8220a598c887df87529d518f84d9a77abad539187"),
+        "b70287e2adae42ec66d63600ec94351e7240fea534bc1a81926442241199be6b"),
     "rd_waterfill": (["rd", "--mode", "waterfill", "--sigma2-list", "1,4,9", "--budget", "1"],
         "beb811d8d68b6cad49431740fb8a445935c25d4f949f5e3bc7e5d78d6179dff0"),
     "rd_wyner_json": (["rd", "--mode", "wyner", "--sigx2", "1", "--sigu2", "1", "--gain-rayleigh",
@@ -587,7 +588,7 @@ HELP_SHA256 = {
     "rq": "067f70372f0e402732e73a10b777bc71c4c825d4df1b597124aecae42e4eb04d",
     "region": "119dc4abfb8582b442e7ed52b25d5dda34c232a1b76531723ee1bc519b1cbb50",
     "gap": "803c51a60d78f94a53ba2fefeab6878381f4258bc72926063bb3c391ca56bd40",
-    "simulate": "b39ee79be6cae9e987758fc7271e2bebe54dcfbd13f925b4263a4bdcd22330fd",
+    "simulate": "f3b5bdad46d5e3461de6adeae20a938c8994207265efeac8fd8083ef88d68541",
     "rd": "33e7465373d855753e52f48838fe2bdbb61b0a5e89b0fc20f3b8abf719c0a23c",
 }
 

@@ -78,6 +78,23 @@ def test_quantize_allocates_three_buffers_of_the_input_size():
     assert peak < 2.75 * x.nbytes
 
 
+def test_quantize_fills_the_index_array_it_is_given():
+    # the indices a fresh array would hold, in the caller's array, and the
+    # same reconstruction; an unfit array is refused before any dither is drawn
+    x = 40.0 * core.sample_cn01(core.stream(108, 0), 3000)
+    idx, recon = DitheredQuantizer(1.5, dither_seed=3).quantize(x)
+    out = np.full((3000, 2), 7, dtype=np.int32)
+    enc = DitheredQuantizer(1.5, dither_seed=3)
+    got, got_recon = enc.quantize(x, out=out)
+    assert got is out
+    assert np.array_equal(out, idx) and np.array_equal(got_recon, recon)
+    for bad in (np.empty((3000, 2), dtype=np.int64), np.empty((2999, 2), dtype=np.int32),
+                np.empty((2, 3000), dtype=np.int32).T, [[0, 0]] * 3000):
+        with pytest.raises(ValueError, match="out must be a C-contiguous int32 array"):
+            enc.quantize(x, out=bad)
+    assert enc.samples_consumed == 3000
+
+
 def test_error_is_bounded_by_half_step():
     rng = core.stream(103, 0)
     x = 10.0 * core.sample_cn01(rng, 20_000)
