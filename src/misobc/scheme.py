@@ -16,33 +16,32 @@ independence statistics of the reconstructed observations.  Phase-3
 delivery is modeled error-free at its analytic symbol budget, which
 enters the rate accounting only.
 
+``run_scheme`` is the scheme's four stages in order: ``run_phases_1_2``,
+``mi_accounting``, ``run_phase_3`` and ``deinterleave_and_reconstruct``.
 ``run_phases_1_2`` stores the run's ``SchemeConfig`` in the transcript,
 and every later stage reads it from ``transcript.config``, so a run has
 one power, distortion and seed throughout.  Phases 1 and 2 draw from
 disjoint (tag, key) streams, all named in ``_DRAWS``, on up to two
 threads, filling arrays the caller allocated, so a run is bit-identical
-for any thread count.  The channel rows are drawn in blocks of
-``_MI_ROWS`` grid rows, which gives the bits of one whole draw.  The
-stages store only the draws, the overheard sums and phase 3's output;
-everything else is derived on access.
+for any thread count.
 
 Phase 3's symbol budget depends only on (n, P, D, delta): it is sized
 from the closed forms ``capacity.c21_oracle``, ``c22d_oracle`` and
 ``rq_oracle``, which are also the transcript's ``reference``.  No stage
-draws a Monte Carlo ensemble.
+draws a Monte Carlo ensemble.  ``run_phases_1_2`` sizes phase 3 before
+it draws anything, so an infeasible configuration costs no draws.
 
-``run_scheme`` sizes phase 3 before it draws anything, so an infeasible
-configuration costs no draws.  It never holds a channel grid: each
-phase thread draws its channel rows block by block into one buffer and
-forms, in the same pass, the block's overheard sums and its user's
-mutual-information log-dets.  Every grid-sized array is allocated in
-the calling thread, the ones a finished run keeps first.  It releases
-each array after its last reader, setting its field to None.  A
-finished run holds u1, u2 and the lattice indices, 18 MiB at n = 512.
-Its traced peak, about 54 MiB at n = 512, is reached both in the
-quantization and in the reconstruction, which forms every statistic in
-two grid-sized scratch buffers (8 MiB) over the 46 MiB the transcript
-then holds.  Callers that run the stages one at a time keep every array.
+No stage holds a channel grid: each phase thread draws its channel rows
+in blocks of ``_MI_ROWS`` grid rows into one buffer, which gives the
+bits of one whole draw, and forms, in the same pass, the block's
+overheard sums and its user's mutual-information log-dets.  Every
+grid-sized array is allocated in the calling thread, the ones a finished
+run keeps first.  Each stage releases what it consumes, setting its
+field to None.  A finished run holds u1, u2 and the lattice indices,
+18 MiB at n = 512.  Its traced peak, about 54 MiB at n = 512, is reached
+both in the quantization and in the reconstruction, which forms every
+statistic in two grid-sized scratch buffers (8 MiB) over the 46 MiB the
+transcript then holds.
 
 A transcript dump keeps only what cannot be derived: a header, the
 message grids u1 and u2 and the quantizer index stream, 18 MiB at
@@ -181,7 +180,14 @@ stream is named.  Under the run's seed the (StreamTag, key) pairs are
 _CHANNELS = {1: ("h1", "g1"), 2: ("g2", "h2")}
 """Each phase's channel rows as (direct, overheard): the rows from its
 user to its own receiver and to the other one.  They are also the two
-rows of that user's effective channel in ``mi_accounting``."""
+rows of that user's effective channel, whose log-dets ``run_phases_1_2``
+forms for ``mi_accounting``."""
+
+
+_MI_ROWS = 32
+"""Grid rows per channel block of phases 1 and 2 and per
+``core.logdet_capacity_term`` call, so the block buffers take 0.5 MiB
+per phase and the log-det temporaries 0.75 MiB at n = 512, not 12 MiB."""
 
 
 def _stream(cfg: SchemeConfig, name: str) -> np.random.Generator:
@@ -199,43 +205,34 @@ def _draw(cfg: SchemeConfig, name: str, out: np.ndarray, rng=None) -> np.ndarray
 
 @dataclass
 class SchemeTranscript:
-    """Everything one simulated run produces, filled in phase order.
+    """Everything one simulated run produces, filled in stage order.
 
-    The draws (see ``_DRAWS``), the transmitter's overheard sums s21 and
-    s12 and phase 3's delivery are plain array fields, None until the
-    stage that makes them has run: 13 arrays, 76 MiB at n = 512, plus
-    the int32 lattice indices (2 MiB) and the causality audit, whose 3n
-    slots add 12 KiB.  ``run_scheme`` never fills the channel rows h1,
-    g1, h2 and g2, so its transcript peaks at 9 arrays, 44 MiB at
-    n = 512, and it releases each of them after its last reader except
-    u1 and u2, setting the field to None.  A finished run thus holds
-    what its dump holds, 18 MiB at n = 512, and ``mi_accounting``,
-    ``run_phase_3`` or ``deinterleave_and_reconstruct`` called on it
-    raises ValueError.  Callers that run the stages one at a time keep
-    every array.  ``run_phases_1_2`` allocates the lattice indices next
+    The message grids and noises (see ``_DRAWS``), the transmitter's
+    overheard sums s21 and s12 and phase 3's delivery are plain array
+    fields, None until the stage that makes them has run: at most 9
+    arrays, 44 MiB at n = 512.  ``logdets`` holds each user's (n, n)
+    float log-dets, 4 MiB at n = 512, from phases 1-2 until
+    ``mi_accounting`` reduces them to ``mi``.  The channel rows are
+    never stored.  Each stage releases what it consumes, setting the
+    field to None, so a finished run holds what its dump holds, 18 MiB
+    at n = 512, and ``mi_accounting``, ``run_phase_3`` or
+    ``deinterleave_and_reconstruct`` called on it raises ValueError.
+    ``run_phases_1_2`` allocates the int32 lattice indices (2 MiB) next
     to u1 and u2, and phase 3 fills them; until then they are a private
-    buffer and ``quant_indices`` reads None.
+    buffer and ``quant_indices`` reads None.  The causality audit's 3n
+    slots add 12 KiB.
 
     ``reference`` maps c21, c22d and rq to their exact values (floats,
     in bits) at the run's power and distortion, which size phase 3.
 
-    The transmit grids, the receivers' observations, the reconstructed
-    observations and the quantization error are read-only properties,
-    computed on each access (x1 and x2 are views of u1 and u2, the
-    others fresh arrays).  Each reads None until the stage that makes
-    its inputs has run, and all but x1 and x2 read None once
-    ``run_scheme`` has released their inputs.
+    The transmit grids x1 and x2 are read-only properties, ``interleave``
+    views of u1 and u2 that read None until phases 1-2 have run.
     """
 
     config: SchemeConfig
     # message-domain signal grids, (n, n, 2)
     u1: np.ndarray = None
     u2: np.ndarray = None
-    # channel rows per receiver and phase, (n, n, 2);  h -> receiver 1, g -> receiver 2
-    h1: np.ndarray = None
-    g1: np.ndarray = None
-    h2: np.ndarray = None
-    g2: np.ndarray = None
     # receiver noises, (n, n);  index [receiver, phase]
     z11: np.ndarray = None
     z21: np.ndarray = None
@@ -244,6 +241,8 @@ class SchemeTranscript:
     # noiseless overheard sums, (n, n)
     s21: np.ndarray = None
     s12: np.ndarray = None
+    # each user's effective-channel log-dets, two (n, n) float arrays
+    logdets: tuple = None
     # what phase 3 delivers, (n, n)
     delivered: np.ndarray = None
     # phase 3
@@ -266,42 +265,6 @@ class SchemeTranscript:
     def x2(self):
         return None if self.u2 is None else interleave(self.u2)
 
-    # receiver observations, (n, n);  index [receiver, phase]
-    @property
-    def y11(self):
-        return None if self.h1 is None else _receive(self.h1, self.x1) + self.z11
-
-    @property
-    def y21(self):
-        return None if self.s21 is None else self.s21 + self.z21
-
-    @property
-    def y12(self):
-        return None if self.s12 is None else self.s12 + self.z12
-
-    @property
-    def y22(self):
-        return None if self.g2 is None else _receive(self.g2, self.x2) + self.z22
-
-    # what each receiver keeps of the delivery once its own observation is gone
-    @property
-    def ytilde21(self):
-        return None if self.delivered is None else self.delivered - self.y12
-
-    @property
-    def ytilde12(self):
-        return None if self.delivered is None else self.delivered - self.y21
-
-    @property
-    def quant_error(self):
-        return None if self.delivered is None else self.delivered - (self.s21 + self.s12)
-
-
-def _release(t: SchemeTranscript, *names: str) -> None:
-    """Let go of the arrays ``names``: each field reads None from then on."""
-    for name in names:
-        setattr(t, name, None)
-
 
 def interleave(u: np.ndarray) -> np.ndarray:
     """Swap block and time axes: out[b][t] = u[t][b].  Its own inverse.
@@ -314,30 +277,23 @@ def interleave(u: np.ndarray) -> np.ndarray:
     return np.swapaxes(u, 0, 1)
 
 
-def _receive(rows: np.ndarray, x: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
-    # y[b, t] = <rows[b, t], x[b, t]> without conjugation
-    return np.einsum("bta,bta->bt", rows, x, out=out)
+def run_phases_1_2(cfg: SchemeConfig) -> SchemeTranscript:
+    """Size phase 3, then draw signals, channels and noises and transmit
+    phases 1 and 2.
 
+    The phase-3 budget and ``transcript.reference`` come first, from the
+    closed forms at the run's power and distortion (``_size_phase_3``):
+    if rq does not clear c21 - delta, the forwarding link cannot keep up
+    and the DomainError is raised before a single stream is opened.
 
-def run_phases_1_2(cfg: SchemeConfig, _logdets=None) -> SchemeTranscript:
-    """Draw signals, channels and noises; transmit phases 1 and 2.
-
-    Each phase draws its arrays of ``_DRAWS``, and the transmitter keeps
-    the noiseless overheard mixtures s21 = g1.x1 and s12 = h2.x2 for
-    phase 3.  Only the draws and these sums are stored, 72 MiB at
-    n = 512; the receivers' direct (unit noise variance) observations of
-    both phases, y = row.x + z, are derived from them on access.
-
-    The lattice-index buffer that phase 3 fills is allocated right after
-    u1 and u2.  A phase draws its message grid and noises whole and its
-    two channel arrays (``_CHANNELS``) in blocks of ``_MI_ROWS`` grid
-    rows, each from its own stream, which gives the bits of one whole
-    draw; the same pass forms the block's rows of the overheard sum.
-    ``run_scheme`` passes ``_logdets``, an empty list that receives one
-    (n, n) float array per user: then the channel rows are not kept but
-    drawn into one block buffer per phase, and each block's log-det rows
-    for the phase's user (see ``mi_accounting``) go into that user's
-    array, so no channel grid is ever held.
+    Each phase draws its arrays of ``_DRAWS``: the message grid and the
+    two noises whole, the two channel arrays (``_CHANNELS``) in blocks of
+    ``_MI_ROWS`` grid rows into one block buffer, each from its own
+    stream, which gives the bits of one whole draw.  The same pass forms
+    the block's rows of the overheard mixture the transmitter keeps for
+    phase 3 (s21 = g1.x1, s12 = h2.x2) and of its user's log-dets (see
+    ``mi_accounting``) in ``transcript.logdets``, so no channel grid is
+    ever held.
 
     The two phases draw from disjoint (tag, key) streams and share no
     array, so they run as two tasks: on two threads when at least two
@@ -345,30 +301,29 @@ def run_phases_1_2(cfg: SchemeConfig, _logdets=None) -> SchemeTranscript:
     thread with no pool.  Every array is allocated here, in the calling
     thread, and the tasks only fill them in place (``core.sample_cn01``
     with ``out=``), so the phases make no grid-sized temporaries and
-    their bits do not depend on the thread count.  ``cfg`` becomes
-    ``transcript.config``.
+    their bits do not depend on the thread count.  The block buffers go
+    when the phases end.  ``cfg`` becomes ``transcript.config``.
     """
+    reference, budget = _size_phase_3(cfg)
     n = cfg.n
-    keep = _logdets is None
-    t = SchemeTranscript(config=cfg)
+    t = SchemeTranscript(config=cfg, phase3_budget=budget, reference=reference)
 
     def grid(name):
         setattr(t, name, np.empty((n, n) + _DRAWS[name].trailing, dtype=np.complex128))
 
     # What a finished run keeps first (the message grids, then the lattice
-    # indices), then noises, sums and log-dets, so that what run_scheme
-    # releases lies in one span of the heap above them: the other orders
+    # indices), then noises, sums and log-dets, so that what the stages
+    # release lies in one span of the heap above them: the other orders
     # tried raised simulate's peak RSS by 4-21%.
     grid("u1")
     grid("u2")
     t._indices = np.empty((n * n, 2), dtype=np.int32)
-    for name, d in sorted(_DRAWS.items(), key=lambda item: item[1].tag):
-        if d.tag == StreamTag.SCHEME_NOISE or (keep and d.tag == StreamTag.SCHEME_CHANNEL):
+    for name, d in _DRAWS.items():
+        if d.tag == StreamTag.SCHEME_NOISE:
             grid(name)
     t.s21, t.s12 = (np.empty((n, n), dtype=np.complex128) for _ in range(2))
-    if not keep:
-        _logdets += [np.empty((n, n)) for _ in _CHANNELS]
-        buffers = [np.empty((2, min(n, _MI_ROWS), n, 2), dtype=np.complex128) for _ in _CHANNELS]
+    t.logdets = tuple(np.empty((n, n)) for _ in _CHANNELS)
+    buffers = [np.empty((2, min(n, _MI_ROWS), n, 2), dtype=np.complex128) for _ in _CHANNELS]
 
     def phase(number, x, overheard):
         channels = _CHANNELS[number]
@@ -378,15 +333,13 @@ def run_phases_1_2(cfg: SchemeConfig, _logdets=None) -> SchemeTranscript:
         streams = [_stream(cfg, name) for name in channels]
         for start in range(0, n, _MI_ROWS):
             block = slice(start, min(start + _MI_ROWS, n))
-            if keep:
-                rows = [getattr(t, name)[block] for name in channels]
-            else:
-                rows = buffers[number - 1][:, :block.stop - start]
+            rows = buffers[number - 1][:, :block.stop - start]
             for name, rng, out in zip(channels, streams, rows):
                 _draw(cfg, name, out, rng)
-            _receive(rows[1], x[block], out=overheard[block])
-            if not keep:
-                _logdet_rows(cfg, *rows, out=_logdets[number - 1][block])
+            # overheard[b, t] = <row[b, t], x[b, t]> without conjugation
+            np.einsum("bta,bta->bt", rows[1], x[block], out=overheard[block])
+            t.logdets[number - 1][block] = core.logdet_capacity_term(
+                rows, cfg.power, (1.0, 1.0 + cfg.distortion))
 
     tasks = (lambda: phase(1, t.x1, t.s21), lambda: phase(2, t.x2, t.s12))
     if capacity._thread_count(len(tasks)) > 1:
@@ -429,9 +382,18 @@ def _size_phase_3(cfg: SchemeConfig) -> tuple[dict, int]:
     return reference, budget
 
 
-def _quantize(transcript: SchemeTranscript) -> None:
-    """Log the causality audit, quantize the overheard mixtures and store
-    the indices and the delivery."""
+def run_phase_3(transcript: SchemeTranscript) -> SchemeTranscript:
+    """Quantize the overheard mixtures and deliver them error-free.
+
+    Logs the causality audit, then quantizes s21 + s12 with the dithered
+    quantizer of distortion D, dithered from the run's seed, into the
+    lattice-index buffer that ``run_phases_1_2`` allocated, and stores
+    the indices, the step and the delivery.  The symbol budget that
+    carries them, ``transcript.phase3_budget``, was sized before phases
+    1 and 2 drew anything.
+    """
+    if transcript.s21 is None:
+        raise ValueError("phases 1 and 2 must run first (s21 is None: not made or released)")
     # The encoder reads the phase-1/2 coefficients of block b when its
     # phase 3 starts; log the slot of each phase's last coefficient, which
     # binds, to make causality auditable.
@@ -450,22 +412,6 @@ def _quantize(transcript: SchemeTranscript) -> None:
     transcript.quant_step = step
     transcript.quant_indices = indices
     transcript.delivered = recon.reshape(n, n)
-
-
-def run_phase_3(transcript: SchemeTranscript) -> SchemeTranscript:
-    """Quantize the overheard mixtures and deliver them error-free.
-
-    The phase-3 symbol budget per block is ceil(n rq / (c21 - delta)),
-    with the exact rq and c21 (``capacity.rq_oracle`` and ``c21_oracle``)
-    at the power and distortion of ``transcript.config``; they and the
-    exact c22d become ``transcript.reference``.  If rq does not clear
-    c21 - delta, the forwarding link cannot keep up and the run aborts
-    with a DomainError before anything is quantized.
-    """
-    if transcript.s21 is None:
-        raise ValueError("phases 1 and 2 must run first (s21 is None: not made or released)")
-    transcript.reference, transcript.phase3_budget = _size_phase_3(transcript.config)
-    _quantize(transcript)
     return transcript
 
 
@@ -518,7 +464,7 @@ def _corr(a: _Moments, b: _Moments, h: np.ndarray) -> float:
     return float(abs(num) / math.sqrt(va * vb))
 
 
-def deinterleave_and_reconstruct(transcript: SchemeTranscript, _out=None) -> SchemeTranscript:
+def deinterleave_and_reconstruct(transcript: SchemeTranscript) -> SchemeTranscript:
     """Each receiver strips its own phase observation from the delivery.
 
     Receiver 1 forms ytilde21 = delivered - y12 = s21 + (quantization
@@ -527,10 +473,10 @@ def deinterleave_and_reconstruct(transcript: SchemeTranscript, _out=None) -> Sch
     de-interleaved and summarized: variances, lag-1 autocorrelation in
     the message domain, correlation against the transmit-signal
     coordinates and against the direct observation noises.  Each
-    residual, (delivered - (s12 + z12)) - s21 for user 1, is formed in
-    one buffer; ``run_scheme``, which releases the noises next, passes
-    ``_out = (z12, z21)`` so that each residual overwrites the noise it
-    consumes.
+    residual, (delivered - (s12 + z12)) - s21 for user 1, overwrites
+    the noise it consumes, z12 for user 1 and z21 for user 2.  Once the
+    statistics are formed, the noises, the overheard sums and the
+    delivery are released.
 
     Beyond the residuals, every statistic is formed in two grid-sized
     scratch buffers allocated once per call, 8 MiB at n = 512: ``c``, n^2
@@ -550,9 +496,8 @@ def deinterleave_and_reconstruct(transcript: SchemeTranscript, _out=None) -> Sch
     c = np.empty((n, n), dtype=np.complex128)
     h = np.empty(2 * n * n)
     resid = []
-    for heard, noise, own, out in zip((t.s12, t.s21), (t.z12, t.z21), (t.s21, t.s12),
-                                      _out or (None, None)):
-        r = np.add(heard, noise, out=out)
+    for heard, noise, own in zip((t.s12, t.s21), (t.z12, t.z21), (t.s21, t.s12)):
+        r = np.add(heard, noise, out=noise)
         np.subtract(t.delivered, r, out=r)
         resid.append(_moments(np.subtract(r, own, out=r), h))
     resid1, resid2 = resid
@@ -583,28 +528,29 @@ def deinterleave_and_reconstruct(transcript: SchemeTranscript, _out=None) -> Sch
         noise_cross_corr_user2=_corr(resid2, _moments(t.z22, h), h),
         quant_error_var=_power(np.subtract(t.delivered, np.add(t.s21, t.s12, out=c), out=c), h),
     )
+    for name in ("z11", "z21", "z12", "z22", "s21", "s12", "delivered"):
+        setattr(t, name, None)
     return transcript
 
 
-_MI_ROWS = 32
-"""Grid rows per channel block of phases 1 and 2 and per
-``core.logdet_capacity_term`` call, so the block buffers take 0.5 MiB
-per phase and the log-det temporaries 0.75 MiB at n = 512, not 12 MiB."""
+def mi_accounting(transcript: SchemeTranscript) -> MIReport:
+    """Per-symbol mutual information of each user's effective 2x2 channel.
 
-
-def _logdet_rows(cfg: SchemeConfig, direct: np.ndarray, overheard: np.ndarray,
-                 out: np.ndarray) -> None:
-    """The log-det rate of each symbol's effective channel, rows (direct,
-    overheard) with noise variances (1, 1 + D), into ``out``, one
-    ``core.logdet_capacity_term`` call per ``_MI_ROWS`` grid rows."""
-    for start in range(0, len(out), _MI_ROWS):
-        rows = slice(start, start + _MI_ROWS)
-        out[rows] = core.logdet_capacity_term((direct[rows], overheard[rows]),
-                                              cfg.power, (1.0, 1.0 + cfg.distortion))
-
-
-def _mi_report(cfg: SchemeConfig, logdets) -> MIReport:
-    """Each user's mean log-det and its standard error over the grid."""
+    For user 1 the rows are (h1, g1) with noise variances
+    (1, 1 + D); the grid average estimates the per-symbol rate and must
+    agree with capacity.c22d at the power and distortion of ``transcript.config``.
+    Phases 1 and 2 formed the log-dets block by block while they drew the
+    channel rows, one (n, n) array per user in ``transcript.logdets``.
+    Each array's mean and standard error are taken over the whole array,
+    so the bits are those of one whole-grid call, wherever and whenever
+    the blocks ran; then the log-dets are released.  A mean that is not
+    finite, at a power where the log-dets overflow a double, raises a
+    DomainError.
+    """
+    if transcript.logdets is None:
+        raise ValueError("phases 1 and 2 must run first (logdets is None: not made or released)")
+    t = transcript
+    cfg = t.config
     count = cfg.n * cfg.n
 
     def estimate(vals):
@@ -615,33 +561,9 @@ def _mi_report(cfg: SchemeConfig, logdets) -> MIReport:
         stderr = float(np.std(vals, ddof=1) / math.sqrt(count)) if count > 1 else 0.0
         return MonteCarloEstimate(mean, stderr, count, cfg.seed)
 
-    user1, user2 = logdets
-    return MIReport(user1=estimate(user1), user2=estimate(user2))
-
-
-def mi_accounting(transcript: SchemeTranscript) -> MIReport:
-    """Per-symbol mutual information of each user's effective 2x2 channel.
-
-    For user 1 the rows are the grids (h1, g1) with noise variances
-    (1, 1 + D); the grid average estimates the per-symbol rate and must
-    agree with capacity.c22d at the power and distortion of ``transcript.config``.
-    It reads only the channel rows, which a transcript keeps when its
-    phases ran on their own; ``run_scheme`` keeps none and forms the same
-    log-dets block by block while the phases draw them.  The log-det is
-    evaluated over blocks of ``_MI_ROWS`` grid rows into one (n, n) array
-    per user, and the mean and standard deviation are taken over the
-    whole array, so the bits are those of one whole-grid call, wherever
-    and whenever the blocks ran.  A mean that is not finite, at a power
-    where the log-dets overflow a double, raises a DomainError.
-    """
-    if transcript.h1 is None:
-        raise ValueError("phases 1 and 2 must run first (h1 is None: not drawn or released)")
-    t = transcript
-    cfg = t.config
-    logdets = [np.empty((cfg.n, cfg.n)) for _ in _CHANNELS]
-    for channels, out in zip(_CHANNELS.values(), logdets):
-        _logdet_rows(cfg, *(getattr(t, name) for name in channels), out=out)
-    t.mi = _mi_report(cfg, logdets)
+    user1, user2 = t.logdets
+    t.mi = MIReport(user1=estimate(user1), user2=estimate(user2))
+    t.logdets = None
     return t.mi
 
 
@@ -680,42 +602,27 @@ def rate_floor(c22d_value: float, rq_value: float, c21_value: float):
 
 
 def run_scheme(cfg: SchemeConfig, ref_mc: MCConfig | None = None) -> SchemeTranscript:
-    """Full pipeline: phase-3 budget, phases 1-2, accounting, phase 3,
-    reconstruction.
+    """Full pipeline: ``run_phases_1_2``, ``mi_accounting``,
+    ``run_phase_3`` and ``deinterleave_and_reconstruct``, in that order,
+    on one transcript.
 
-    The phase-3 budget and ``transcript.reference`` come first, from the
-    closed forms at the run's power and distortion (see ``run_phase_3``),
-    so an infeasible configuration raises its DomainError before anything
-    is drawn.  ``ref_mc`` is accepted for existing callers and read by
-    nothing.  Phases 1 and 2 draw their channel rows block by block and
-    form each block's mutual-information log-dets in the same pass, so no
-    channel grid is ever held (see ``run_phases_1_2``); the log-dets, one
-    (n, n) float array per user, are reduced to ``transcript.mi``
-    afterwards.  Every grid-sized array is allocated in this thread.  A
-    failing stage raises the first error of the stage order (budget,
-    accounting, quantization, reconstruction), and no pool thread
-    outlives the call.
+    Phase 3 is sized before anything is drawn, so an infeasible
+    configuration raises its DomainError at once.  ``ref_mc`` is
+    accepted for existing callers and read by nothing.  A failing stage
+    raises the first error of the stage order (budget, accounting,
+    quantization, reconstruction), and no pool thread outlives the call.
 
-    Each array is released right after its last reader: the log-dets
-    once reduced, and the noises, the overheard sums and the delivery
-    after the reconstruction, whose residuals overwrite z12 and z21.
-    The finished transcript holds u1, u2 and the lattice indices, what
-    its dump holds (18 MiB at n = 512); every released field reads None,
-    and so does every property derived from one.  The traced peak at
+    Each stage releases what it consumes, so the finished transcript
+    holds u1, u2 and the lattice indices, what its dump holds (18 MiB at
+    n = 512), and every released field reads None.  The traced peak at
     n = 512, about 54 MiB, is reached in the quantization and again in
     the reconstruction, whose two scratch grids (8 MiB) come over the
     46 MiB the transcript then holds.
     """
-    reference, budget = _size_phase_3(cfg)
-    logdets = []
-    t = run_phases_1_2(cfg, _logdets=logdets)
-    t.reference, t.phase3_budget = reference, budget
-    t.mi = _mi_report(cfg, logdets)
-    del logdets
-    _quantize(t)
-    deinterleave_and_reconstruct(t, _out=(t.z12, t.z21))
-    _release(t, "z11", "z21", "z12", "z22", "s21", "s12", "delivered")
-    return t
+    t = run_phases_1_2(cfg)
+    mi_accounting(t)
+    run_phase_3(t)
+    return deinterleave_and_reconstruct(t)
 
 
 def _estimate_dict(e: MonteCarloEstimate) -> dict:

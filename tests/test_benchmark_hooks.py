@@ -56,6 +56,10 @@ def test_tracer_records_certify_spans():
     assert tracer.counts["capacity.kernel_evals"] == 1000 + 2 * (1000 * 2 * 2)
 
 
+STAGES = ("scheme.run_phases_1_2", "scheme.mi_accounting", "scheme.run_phase_3",
+          "scheme.deinterleave_and_reconstruct")
+
+
 def test_tracer_records_simulate_draws_and_log_dets():
     # the scheme draws and accounts through the public names the tracer wraps
     tracing = load_tracing()
@@ -81,8 +85,11 @@ def test_tracer_records_simulate_draws_and_log_dets():
         assert len(draws) == 6 + 4 * blocks
         assert {spans[s["parent"]]["name"] for s in draws} == {"scheme.run_phases_1_2"}
         # each phase forms its user's log-dets block by block as it draws
-        # the channel rows, so run_scheme never calls mi_accounting
+        # the channel rows, and mi_accounting only reduces them
         logdets = [s for s in spans if s["name"] == "core.logdet_capacity_term"]
         assert len(logdets) == 2 * blocks
         assert {spans[s["parent"]]["name"] for s in logdets} == {"scheme.run_phases_1_2"}
-        assert not [s for s in spans if s["name"] == "scheme.mi_accounting"]
+        # run_scheme is its four stages, each run once, directly inside it
+        stages = [s for s in spans if s["name"] in STAGES]
+        assert Counter(s["name"] for s in stages) == Counter(STAGES)
+        assert {spans[s["parent"]]["name"] for s in stages} == {"scheme.run_scheme"}

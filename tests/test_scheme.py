@@ -24,12 +24,40 @@ def run128():
 
 
 def _staged(cfg):
-    """The pipeline one stage at a time, which keeps every array."""
+    """The pipeline one stage at a time, as run_scheme runs it."""
     t = scheme.run_phases_1_2(cfg)
     scheme.mi_accounting(t)
     scheme.run_phase_3(t)
     scheme.deinterleave_and_reconstruct(t)
     return t
+
+
+def _receive(rows, x):
+    return np.einsum("bta,bta->bt", rows, x)
+
+
+def _whole_run(cfg):
+    """A run at ``cfg`` rebuilt from whole draws, independently of how the
+    stages block, release or overwrite their arrays: every array of
+    ``_DRAWS`` drawn at once from its own stream, the transmit grids, the
+    overheard sums s21 = g1.x1 and s12 = h2.x2, the observations y21 and
+    y12 that the residuals strip, phase 3's delivery and lattice indices
+    from a fresh dithered quantizer, the quantization error and each
+    user's residual."""
+    n = cfg.n
+    ref = {name: scheme._draw(cfg, name, np.empty((n, n) + d.trailing, dtype=np.complex128))
+           for name, d in scheme._DRAWS.items()}
+    x1, x2 = np.swapaxes(ref["u1"], 0, 1), np.swapaxes(ref["u2"], 0, 1)
+    s21, s12 = _receive(ref["g1"], x1), _receive(ref["h2"], x2)
+    step = quantizer.step_for_distortion(cfg.distortion)
+    encoder = quantizer.DitheredQuantizer(step, dither_seed=cfg.seed)
+    indices, recon = encoder.quantize((s21 + s12).ravel())
+    delivered = recon.reshape(n, n)
+    y21, y12 = s21 + ref["z21"], s12 + ref["z12"]
+    ref.update(x1=x1, x2=x2, s21=s21, s12=s12, y21=y21, y12=y12, indices=indices,
+               delivered=delivered, quant_error=delivered - (s21 + s12),
+               resid1=(delivered - y12) - s21, resid2=(delivered - y21) - s12)
+    return ref
 
 
 @pytest.fixture(scope="module")
@@ -158,12 +186,14 @@ def test_run_matches_frozen_bits(monkeypatch, cpus):
 
 
 def test_run_scheme_memory_is_bounded(monkeypatch):
-    # a finished run holds what its dump holds, and the peak stays below
-    # what phases 1-2 hold when run on their own, with the channel rows:
-    # ten draws and two sums, 18 n^2 complex128.  run_scheme never holds a
-    # channel grid; its peak, over the message grids, noises, sums,
-    # delivery and indices, is reached in the quantization and again in
-    # the reconstruction's two scratch grids: about 54 MiB (0.75x) at
+    # a finished run holds what its dump holds.  The peak is measured
+    # against 18 n^2 complex128 values, 72 MiB at n = 512: the ten arrays
+    # a run draws (u1 and u2, 2 n^2 each, the four channel arrays, 2 n^2
+    # each, and the four noises) plus the two overheard sums, which is
+    # what phases 1-2 would hold if they kept every draw whole.  No stage
+    # holds a channel grid; the peak, over the message grids, noises,
+    # sums, delivery and indices, is reached in the quantization and again
+    # in the reconstruction's two scratch grids: about 54 MiB (0.75x) at
     # n = 512, on one CPU or two.
     for cpus in (1, 2):
         monkeypatch.setattr(capacity, "_usable_cpus", lambda: cpus)
@@ -208,22 +238,23 @@ def test_interleave_rejects_non_square():
 def test_phases_1_2_shapes_and_identities():
     cfg = SchemeConfig(n=6, power=2.0, seed=5)
     t = scheme.run_phases_1_2(cfg)
-    for grid in (t.u1, t.u2, t.x1, t.x2, t.h1, t.g1, t.h2, t.g2):
+    for grid in (t.u1, t.u2, t.x1, t.x2):
         assert grid.shape == (6, 6, 2)
-    for obs in (t.z11, t.z21, t.z12, t.z22, t.y11, t.y21, t.y12, t.y22,
-                t.s21, t.s12):
+    for obs in (t.z11, t.z21, t.z12, t.z22, t.s21, t.s12, *t.logdets):
         assert obs.shape == (6, 6)
     assert np.array_equal(t.x1, scheme.interleave(t.u1))
     assert np.array_equal(t.x2, scheme.interleave(t.u2))
-    assert np.allclose(t.y11, np.einsum("bta,bta->bt", t.h1, t.x1) + t.z11)
-    assert np.allclose(t.y21, t.s21 + t.z21)
-    assert np.allclose(t.y12, t.s12 + t.z12)
-    assert np.allclose(t.y22, np.einsum("bta,bta->bt", t.g2, t.x2) + t.z22)
+    ref = _whole_run(cfg)
+    for name in ("u1", "u2", "z11", "z21", "z12", "z22"):
+        assert np.array_equal(getattr(t, name), ref[name]), name
+    fresh = core.sample_cn01(core.stream(cfg.seed, 6, 2), out=np.empty_like(t.z21))
+    assert np.array_equal(t.z21, fresh)
     # overheard mixtures are plain inner products of rows and inputs
     for b in range(6):
         for tt in range(6):
-            manual = t.g1[b, tt, 0] * t.x1[b, tt, 0] + t.g1[b, tt, 1] * t.x1[b, tt, 1]
-            assert abs(t.s21[b, tt] - manual) < 1e-12
+            for sum_, rows, x in ((t.s21, ref["g1"], t.x1), (t.s12, ref["h2"], t.x2)):
+                manual = rows[b, tt, 0] * x[b, tt, 0] + rows[b, tt, 1] * x[b, tt, 1]
+                assert abs(sum_[b, tt] - manual) < 1e-12
 
 
 def test_phases_1_2_deterministic():
@@ -231,8 +262,9 @@ def test_phases_1_2_deterministic():
     a = scheme.run_phases_1_2(cfg)
     b = scheme.run_phases_1_2(cfg)
     assert np.array_equal(a.u1, b.u1)
-    assert np.array_equal(a.g2, b.g2)
-    assert np.array_equal(a.y22, b.y22)
+    assert np.array_equal(a.z22, b.z22)
+    assert np.array_equal(a.s12, b.s12)
+    assert all(np.array_equal(x, y) for x, y in zip(a.logdets, b.logdets))
 
 
 def test_transmit_power_is_split_across_antennas():
@@ -242,12 +274,6 @@ def test_transmit_power_is_split_across_antennas():
     assert per_antenna == pytest.approx(cfg.power / 2.0, rel=0.05)
     # the overheard mixture then carries the full transmit power
     assert np.mean(np.abs(t.s21) ** 2) == pytest.approx(cfg.power, rel=0.05)
-
-
-def test_vanishing_power_leaves_unit_noise():
-    cfg = SchemeConfig(n=128, power=1e-12, seed=17)
-    t = scheme.run_phases_1_2(cfg)
-    assert np.mean(np.abs(t.y11) ** 2) == pytest.approx(1.0, rel=0.05)
 
 
 def test_phase3_budget_quotient():
@@ -267,14 +293,6 @@ def test_phase3_budget_needs_margin():
                            ("delta", (2.0, 3.0, bad))):
             with pytest.raises(ValueError, match=f"{name} must be a number"):
                 scheme.phase3_budget(100, *args)
-
-
-def test_run_phase_3_aborts_without_margin():
-    cfg = SchemeConfig(n=8, power=10.0, distortion=4.0, delta=3.0, seed=19)
-    t = scheme.run_phases_1_2(cfg)
-    with pytest.raises(DomainError, match="at P = 10"):
-        scheme.run_phase_3(t)
-    assert t.quant_indices is None and t.delivered is None
 
 
 def test_pipeline_stage_order_is_enforced():
@@ -318,7 +336,7 @@ def _run_stages(count):
     (1, lambda t: scheme.dump_transcript(t, io.BytesIO()), "before dumping"),
     (None, scheme.run_phase_3, "s21 is None"),
     (None, scheme.deinterleave_and_reconstruct, "delivered is None"),
-    (None, scheme.mi_accounting, "h1 is None"),
+    (None, scheme.mi_accounting, "logdets is None"),
 ], ids=["run_phase_3", "deinterleave_and_reconstruct", "mi_accounting", "summary",
         "check_stats", "dump_transcript", "run_phase_3_after_run_scheme",
         "deinterleave_and_reconstruct_after_run_scheme", "mi_accounting_after_run_scheme"])
@@ -329,44 +347,26 @@ def test_stage_guard_rejects_missing_input(stages, call, message):
 
 
 STORED = {"u1", "u2", "quant_indices"}
-RELEASED = ("h1", "g1", "h2", "g2", "z11", "z21", "z12", "z22", "s21", "s12", "delivered")
-DERIVED = ("x1", "x2", "y11", "y21", "y12", "y22", "ytilde21", "ytilde12", "quant_error")
+RELEASED = ("logdets", "z11", "z21", "z12", "z22", "s21", "s12", "delivered")
+DERIVED = ("x1", "x2")
 
 
 def _arrays(t):
     return {k for k, v in vars(t).items() if isinstance(v, np.ndarray)}
 
 
-def test_transcript_stores_draws_and_derives_the_rest(staged128):
-    cfg, t = staged128
-    assert _arrays(t) == STORED | set(RELEASED)
+def test_transcript_stores_draws_and_derives_the_rest(run128, staged128):
+    # the stages run one at a time hold what run_scheme holds and give its bits
+    _, run = run128
+    _, t = staged128
+    assert _arrays(t) == STORED
+    assert _bits(t) == _bits(run)
     assert np.shares_memory(t.x1, t.u1) and np.shares_memory(t.x2, t.u2)
     with pytest.raises(AttributeError):
         t.x1 = t.u1
-
-    def receive(rows, x):
-        return np.einsum("bta,bta->bt", rows, x)
-
-    x1, x2 = np.swapaxes(t.u1, 0, 1), np.swapaxes(t.u2, 0, 1)
-    y12 = t.s12 + t.z12
-    y21 = t.s21 + t.z21
-    derived = {
-        "x1": x1, "x2": x2,
-        "y11": receive(t.h1, x1) + t.z11, "y21": y21,
-        "y12": y12, "y22": receive(t.g2, x2) + t.z22,
-        "ytilde21": t.delivered - y12, "ytilde12": t.delivered - y21,
-        "quant_error": t.delivered - (t.s21 + t.s12),
-    }
-    assert set(derived) == set(DERIVED)
-    for name, expect in derived.items():
-        assert np.array_equal(getattr(t, name), expect), name
-    assert np.array_equal(t.s21, receive(t.g1, x1))
-    assert np.array_equal(t.s12, receive(t.h2, x2))
-    fresh = core.sample_cn01(core.stream(cfg.seed, 6, 2), out=np.empty_like(t.z21))
-    assert np.array_equal(t.z21, fresh)
-    # before phase 3 nothing is delivered, so nothing is reconstructed
-    early = scheme.run_phases_1_2(SchemeConfig(n=4, power=2.0, seed=23))
-    assert early.ytilde21 is None and early.ytilde12 is None and early.quant_error is None
+    for name in DERIVED:
+        u = getattr(t, "u" + name[1:])
+        assert np.array_equal(getattr(t, name), np.swapaxes(u, 0, 1)), name
 
 
 @pytest.mark.parametrize("n", [1, 2, 17])
@@ -380,21 +380,23 @@ def test_run_scheme_releases_what_it_no_longer_reads(n):
         assert np.array_equal(getattr(t, name), getattr(kept, name)), name
     assert (t.stats, t.mi, t.reference, t.phase3_budget) == (
         kept.stats, kept.mi, kept.reference, kept.phase3_budget)
-    # a released array reads None, and so does every view made from one
-    for name in RELEASED + DERIVED[2:]:
+    # a released array reads None
+    for name in RELEASED:
         assert getattr(t, name) is None, name
 
 
 @pytest.mark.parametrize("cpus", [1, 2])
 @pytest.mark.parametrize("n", [33, 100])
 def test_run_scheme_matches_the_stages_bit_for_bit(monkeypatch, n, cpus):
-    # run_scheme draws the channel rows in blocks and forms the log-dets
-    # and the residuals in its own buffers; a last row block that is
-    # partial must leave every bit as the stages run one at a time give it
+    # run_scheme is the four stages: with a partial last row block, on one
+    # CPU or two, the stages run one at a time hold what it holds and give
+    # every bit it gives
     assert n % scheme._MI_ROWS
     monkeypatch.setattr(capacity, "_usable_cpus", lambda: cpus)
     cfg = SchemeConfig(n=n, power=10.0, seed=101)
-    assert _bits(scheme.run_scheme(cfg)) == _bits(_staged(cfg))
+    staged = _staged(cfg)
+    assert _arrays(staged) == STORED
+    assert _bits(scheme.run_scheme(cfg)) == _bits(staged)
 
 
 def _whole_power(a):
@@ -409,11 +411,10 @@ def _whole_moments(a):
     return a, a.mean(), _whole_power(a)
 
 
-def _whole_array_stats(t):
-    """SchemeStats of a transcript that keeps every array, by whole-array
-    formulas: each sequence raveled, its power from two squared
-    temporaries, each correlation from a full conjugate product."""
-    n = t.config.n
+def _whole_array_stats(ref, n):
+    """SchemeStats of a ``_whole_run`` reference by whole-array formulas:
+    each sequence raveled, its power from two squared temporaries, each
+    correlation from a full conjugate product."""
 
     def corr(a, b):
         (seq_a, mean_a, power_a), (seq_b, mean_b, power_b) = a, b
@@ -430,18 +431,18 @@ def _whole_array_stats(t):
         msg = np.swapaxes(r.reshape(n, n), 0, 1)
         return corr(_whole_moments(msg[:, 1:]), _whole_moments(msg[:, :-1])) if n > 1 else 0.0
 
-    resid1, resid2 = _whole_moments(t.ytilde21 - t.s21), _whole_moments(t.ytilde12 - t.s12)
-    refs = [_whole_moments(x[..., antenna]) for x in (t.x1, t.x2) for antenna in (0, 1)]
+    resid1, resid2 = _whole_moments(ref["resid1"]), _whole_moments(ref["resid2"])
+    refs = [_whole_moments(x[..., antenna]) for x in (ref["x1"], ref["x2"]) for antenna in (0, 1)]
     return scheme.SchemeStats(
         noise_var_user1=resid1[2],
         noise_var_user2=resid2[2],
         autocorr_user1=lag1(resid1[0]),
         autocorr_user2=lag1(resid2[0]),
-        signal_corr_user1=max(corr(resid1, ref) for ref in [_whole_moments(t.s21)] + refs),
-        signal_corr_user2=max(corr(resid2, ref) for ref in [_whole_moments(t.s12)] + refs),
-        noise_cross_corr_user1=corr(resid1, _whole_moments(t.z11)),
-        noise_cross_corr_user2=corr(resid2, _whole_moments(t.z22)),
-        quant_error_var=_whole_power(t.quant_error),
+        signal_corr_user1=max(corr(resid1, r) for r in [_whole_moments(ref["s21"])] + refs),
+        signal_corr_user2=max(corr(resid2, r) for r in [_whole_moments(ref["s12"])] + refs),
+        noise_cross_corr_user1=corr(resid1, _whole_moments(ref["z11"])),
+        noise_cross_corr_user2=corr(resid2, _whole_moments(ref["z22"])),
+        quant_error_var=_whole_power(ref["quant_error"]),
     )
 
 
@@ -449,16 +450,13 @@ def _whole_array_stats(t):
 def test_reconstruction_stats_have_the_whole_array_bits(n):
     # the statistics are formed in two reused scratch buffers, and each
     # mean over a contiguous array in the sequence's C order, so they keep
-    # the bits of the whole-array formulas, staged and in run_scheme
+    # the bits of the whole-array formulas over whole draws
     cfg = SchemeConfig(n=n, power=10.0, seed=107)
-    staged = _staged(cfg)
 
     def bits(stats):
         return [getattr(stats, f.name).hex() for f in fields(stats)]
 
-    expect = bits(_whole_array_stats(staged))
-    assert bits(staged.stats) == expect
-    assert bits(scheme.run_scheme(cfg).stats) == expect
+    assert bits(scheme.run_scheme(cfg).stats) == bits(_whole_array_stats(_whole_run(cfg), n))
 
 
 def test_moments_take_each_mean_over_a_contiguous_copy():
@@ -483,7 +481,7 @@ def test_reconstruction_allocates_two_scratch_grids():
     scheme.run_phase_3(t)
     tracemalloc.start()
     try:
-        scheme.deinterleave_and_reconstruct(t, _out=(t.z12, t.z21))
+        scheme.deinterleave_and_reconstruct(t)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
@@ -510,15 +508,15 @@ def test_mi_row_blocks_match_one_whole_grid_call(n):
     # n is no multiple of the row block, so the last block is partial
     assert n % scheme._MI_ROWS
     cfg = SchemeConfig(n=n, power=10.0, seed=83)
-    t = scheme.run_phases_1_2(cfg)
+    ref = _whole_run(cfg)
 
     def whole(rows):
         vals = core.logdet_capacity_term(rows, cfg.power, (1.0, 1.0 + cfg.distortion)).ravel()
         return float(np.mean(vals)).hex(), float(np.std(vals, ddof=1) / n).hex()
 
-    mi = scheme.mi_accounting(t)
+    mi = scheme.run_scheme(cfg).mi
     assert [(e.value.hex(), e.stderr.hex()) for e in (mi.user1, mi.user2)] == [
-        whole((t.h1, t.g1)), whole((t.g2, t.h2))]
+        whole((ref["h1"], ref["g1"])), whole((ref["g2"], ref["h2"]))]
 
 
 def test_run_scheme_sizes_phase_3_from_the_closed_forms(monkeypatch):
@@ -538,7 +536,8 @@ def test_run_scheme_sizes_phase_3_from_the_closed_forms(monkeypatch):
 
 
 def test_infeasible_run_draws_nothing(monkeypatch):
-    # the budget is checked before phases 1 and 2 open a single stream
+    # the budget is checked before phases 1 and 2 open a single stream,
+    # whether they run on their own or in run_scheme
     streams = []
     real_stream = core.stream
 
@@ -547,8 +546,12 @@ def test_infeasible_run_draws_nothing(monkeypatch):
         return real_stream(*key)
 
     monkeypatch.setattr(core, "stream", counting_stream)
-    with pytest.raises(DomainError, match="phase-3 forwarding needs rq < c21 - delta"):
-        scheme.run_scheme(SchemeConfig(n=8, power=0.1, distortion=4.0, seed=97))
+    for stage in (scheme.run_scheme, scheme.run_phases_1_2):
+        with pytest.raises(DomainError, match="phase-3 forwarding needs rq < c21 - delta"):
+            stage(SchemeConfig(n=8, power=0.1, distortion=4.0, seed=97))
+        # a margin delta that rq cannot clear at P = 10
+        with pytest.raises(DomainError, match="at P = 10, D = 4"):
+            stage(SchemeConfig(n=8, power=10.0, distortion=4.0, delta=3.0, seed=19))
     assert streams == []
     scheme.run_scheme(SchemeConfig(n=8, power=10.0, distortion=4.0, seed=97))
     assert streams
@@ -600,11 +603,19 @@ def test_tampered_audit_is_caught():
     assert audit.min_margin() == 0
 
 
-def test_reconstruction_identities(staged128):
-    _, t = staged128
-    assert np.allclose(t.ytilde21, t.s21 + t.quant_error - t.z12)
-    assert np.allclose(t.ytilde12, t.s12 + t.quant_error - t.z21)
-    assert np.allclose(t.delivered - (t.s21 + t.s12), t.quant_error)
+def test_reconstruction_identities(run128):
+    # each receiver strips its own observation from the delivery and keeps
+    # its partner's overheard signal through the quantization error less
+    # its own noise: ytilde21 = s21 + e - z12, ytilde12 = s12 + e - z21
+    cfg, t = run128
+    ref = _whole_run(cfg)
+    e = ref["quant_error"]
+    assert np.array_equal(t.quant_indices, ref["indices"])
+    assert np.allclose(ref["delivered"] - ref["y12"], ref["s21"] + e - ref["z12"])
+    assert np.allclose(ref["delivered"] - ref["y21"], ref["s12"] + e - ref["z21"])
+    assert t.stats.noise_var_user1 == pytest.approx(_whole_power(e - ref["z12"]), rel=1e-12)
+    assert t.stats.noise_var_user2 == pytest.approx(_whole_power(e - ref["z21"]), rel=1e-12)
+    assert t.stats.quant_error_var == pytest.approx(_whole_power(e), rel=1e-12)
 
 
 def test_residual_statistics(run128):
@@ -647,15 +658,18 @@ def test_check_stats_flags_bad_variance(run128):
 
 def test_mi_matches_direct_log_det():
     cfg = SchemeConfig(n=8, power=5.0, distortion=4.0, seed=37)
-    t = _staged(cfg)
+    mi = scheme.run_scheme(cfg).mi
+    ref = _whole_run(cfg)
     sigma = np.diag([1.0, 1.0 + cfg.distortion])
-    total = 0.0
-    for b in range(cfg.n):
-        for tt in range(cfg.n):
-            h = np.array([t.h1[b, tt], t.g1[b, tt]])
-            m = np.eye(2) + (cfg.power / 2.0) * np.linalg.inv(sigma) @ h @ h.conj().T
-            total += np.linalg.slogdet(m)[1] / math.log(2.0)
-    assert t.mi.user1.value == pytest.approx(total / cfg.n**2, rel=1e-10)
+    # each user's effective channel: its direct row, then its overheard row
+    for estimate, (direct, overheard) in ((mi.user1, ("h1", "g1")), (mi.user2, ("g2", "h2"))):
+        total = 0.0
+        for b in range(cfg.n):
+            for tt in range(cfg.n):
+                h = np.array([ref[direct][b, tt], ref[overheard][b, tt]])
+                m = np.eye(2) + (cfg.power / 2.0) * np.linalg.inv(sigma) @ h @ h.conj().T
+                total += np.linalg.slogdet(m)[1] / math.log(2.0)
+        assert estimate.value == pytest.approx(total / cfg.n**2, rel=1e-10)
 
 
 def test_mi_overflow_is_a_domain_error_not_a_warning():
@@ -678,9 +692,11 @@ def test_mi_agrees_with_ergodic_capacity(run128):
 
 def test_mi_collapses_to_single_row_at_huge_distortion():
     cfg = SchemeConfig(n=64, power=10.0, distortion=1e6, seed=43)
-    t = _staged(cfg)
-    direct = float(np.mean(core.logdet_capacity_term((t.h1,), cfg.power, (1.0,))))
-    assert abs(t.mi.user1.value - direct) < 1e-3
+    mi = scheme.run_scheme(cfg).mi
+    ref = _whole_run(cfg)
+    for estimate, direct in ((mi.user1, "h1"), (mi.user2, "g2")):
+        single = float(np.mean(core.logdet_capacity_term((ref[direct],), cfg.power, (1.0,))))
+        assert abs(estimate.value - single) < 1e-3
 
 
 def test_achieved_rate_pair_endpoints():
