@@ -34,10 +34,9 @@ workers * (4 + k) * 2^16 * 8 bytes at any sample count; with the
 default that grows with the host's CPU count.  A power at which a rate
 argument overflows a double raises ``DomainError``.
 
-With w > 1 workers ``estimate`` submits every block to a pool of w - 1
-threads and the calling thread is the last worker: it runs every block
-no pool thread has started and collects the others.  With one worker
-every block runs inline and no pool is started.
+``estimate`` runs its blocks through ``core.run_tasks``: w > 1 workers
+are w pool threads, and one worker or one block runs inline in the
+calling thread with no pool.
 
 ``c21_oracle``, ``c22d_oracle`` and ``rq_oracle`` evaluate the three
 quantities in closed form, as sums of scaled exponential integrals
@@ -55,9 +54,7 @@ one-level rate) are in :mod:`misobc.rd`.
 from __future__ import annotations
 
 import math
-import os
 import queue
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from typing import Callable, NamedTuple
 
@@ -103,9 +100,8 @@ class MCConfig:
     ``workers`` is the number of threads over the fixed sample blocks;
     None (the default) means one per usable CPU.  Either way no more
     threads run, and no more scratch sets are allocated, than there are
-    usable CPUs or blocks, and the caller's thread is one of the
-    workers: w workers start a pool of w - 1 threads, and one block or
-    one worker starts none.
+    usable CPUs or blocks: w workers run on w pool threads, and one
+    worker or one block runs inline in the calling thread.
     Each scratch set holds (4 + k) * 2^16 float64 values for k
     quantities; the calling thread allocates one per worker before any
     block runs.  Results do not depend on the worker count; they are
@@ -130,20 +126,6 @@ class MCConfig:
         if w < 1:
             raise ValueError("workers must be at least 1")
         object.__setattr__(self, "workers", w)
-
-
-def _usable_cpus() -> int:
-    """CPUs this process may run on."""
-    try:
-        return len(os.sched_getaffinity(0))
-    except AttributeError:  # no affinity call on this platform
-        return os.cpu_count() or 1
-
-
-def _thread_count(tasks: int, requested: int | None = None) -> int:
-    """Threads to run ``tasks`` independent tasks on: ``requested`` (None:
-    as many as there are tasks), never more than the usable CPUs or the tasks."""
-    return min(requested or tasks, _usable_cpus(), tasks)
 
 
 @dataclass(frozen=True)
@@ -279,12 +261,11 @@ def estimate(
     power whose sums are not finite, which happens once c lin + c^2 quad
     overflows a double (c21 and rq near P = 1e308, c22d near 1e154).
 
-    The scratch sets are allocated in the calling thread.  With w > 1
-    workers every block is submitted to a pool of w - 1 threads, and the
-    calling thread is the last worker: it runs every block no pool thread
-    has started and collects the others.  The block sums are added in
-    block order, so the totals do not depend on the worker count, and the
-    pool is shut down on every path, on error too."""
+    The scratch sets are allocated in the calling thread, and the blocks
+    run through ``core.run_tasks``: on w pool threads for w > 1 workers,
+    inline for one.  The block sums are added in block order, so the
+    totals do not depend on the worker count, and an error surfaces only
+    once every pool thread has stopped."""
     mc = mc or MCConfig()
     if distortion is not None and set(quantities) == {"c21"}:
         raise ValueError("c21 takes no distortion parameter")
@@ -293,7 +274,7 @@ def estimate(
     npow = len(grid.points)
     nker = len(quantities)
     jobs = _blocks(mc.samples)
-    workers = _thread_count(len(jobs), mc.workers)
+    workers = core.thread_count(len(jobs), mc.workers)
 
     # one scratch set per worker, allocated here in the calling thread
     # (pool threads would take them from their own malloc arenas); a block
@@ -335,19 +316,9 @@ def estimate(
 
     S1 = np.zeros((npow, nker))
     S2 = np.zeros((npow, nker, nker))
-    pool = ThreadPoolExecutor(workers - 1) if workers > 1 else None
-    try:
-        futures = ([pool.submit(block, job) for job in jobs] if pool is not None
-                   else [None] * len(jobs))
-        sums = [block(job) if future is None or future.cancel() else None
-                for job, future in zip(jobs, futures)]
-        for block_sums, future in zip(sums, futures):
-            s1, s2 = block_sums or future.result()
-            S1 += s1
-            S2 += s2
-    finally:
-        if pool is not None:
-            pool.shutdown(cancel_futures=True)
+    for s1, s2 in core.run_tasks(block, jobs, workers):
+        S1 += s1
+        S2 += s2
     finite = np.isfinite(S1) & np.isfinite(np.diagonal(S2, axis1=1, axis2=2))
     if not finite.all():
         j, i = np.argwhere(~finite)[0]
@@ -573,30 +544,20 @@ def sweep(
     return SweepTable(quantity, None if distortion is None else float(distortion), rows)
 
 
-@dataclass(frozen=True)
-class PairedPoint:
-    """Two estimates from identical draws plus the covariance of their means."""
-
-    power: float
-    first: MonteCarloEstimate
-    second: MonteCarloEstimate
-    mean_cov: float
-
-
 def paired_sweep(
     quantity_a: str,
     quantity_b: str,
     grid: PowerGrid | None = None,
     mc: MCConfig | None = None,
     distortion: float | None = None,
-) -> tuple[PairedPoint, ...]:
+) -> tuple[Estimates, ...]:
     """Sweep two quantities on the same draws, tracking paired covariance.
 
-    The covariance refers to the two sample means, already divided by
-    the sample count, ready for delta-method error propagation.
+    Each point's ``estimates`` are (quantity_a, quantity_b), and
+    ``mean_cov[0, 1]`` is the covariance of the two sample means, already
+    divided by the sample count, ready for delta-method error propagation.
     """
-    points = estimate((quantity_a, quantity_b), grid or PowerGrid.default(), mc, distortion)
-    return tuple(PairedPoint(e.power, *e.estimates, float(e.mean_cov[0, 1])) for e in points)
+    return estimate((quantity_a, quantity_b), grid or PowerGrid.default(), mc, distortion)
 
 
 @dataclass(frozen=True)
@@ -642,11 +603,12 @@ def ratio_sweep(
     pairs = paired_sweep("rq", "c21", grid, mc, distortion=distortion)
     rows = []
     for pt in pairs:
-        a, b = pt.first.value, pt.second.value
-        va, vb = pt.first.stderr**2, pt.second.stderr**2
+        first, second = pt.estimates
+        a, b = first.value, second.value
+        va, vb = first.stderr**2, second.stderr**2
         ratio = a / b
-        var = va / b**2 + (a * a) * vb / b**4 - 2.0 * a * pt.mean_cov / b**3
-        rows.append(RatioRow(pt.power, pt.first, pt.second, ratio, math.sqrt(max(var, 0.0))))
+        var = va / b**2 + (a * a) * vb / b**4 - 2.0 * a * float(pt.mean_cov[0, 1]) / b**3
+        rows.append(RatioRow(pt.power, first, second, ratio, math.sqrt(max(var, 0.0))))
     return RatioTable(float(distortion), tuple(rows))
 
 

@@ -11,6 +11,14 @@ Conventions shared by every module in this package:
   The first key entry is a ``StreamTag``, one per consumer, all listed
   in this module.
 
+Threads are started here only.  ``run_tasks`` computes independent
+tasks, the estimator's sample blocks and the scheme's two data phases,
+and returns their results in task order: on one pool thread per task,
+never more than there are usable CPUs, or inline in the calling thread
+when that comes to one.  Each task draws from its own stream into
+arrays its caller allocated, so the results do not depend on the
+thread count.
+
 One public function per primitive does the work: ``sample_cn01`` also
 fills a caller's array in place, and ``logdet_capacity_term`` takes the
 channel rows as separate arrays.  Determinants of the (at most 2x2)
@@ -21,10 +29,12 @@ paths free of per-sample LAPACK calls and is exact at these dimensions.
 from __future__ import annotations
 
 import enum
+import os
+from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 
-from . import DomainError  # noqa: F401  (re-exported: misobc.core.DomainError)
+from . import DomainError, _number  # noqa: F401  (re-exported: misobc.core.DomainError)
 
 LN2 = float(np.log(2.0))
 
@@ -42,6 +52,36 @@ class StreamTag(enum.IntEnum):
     SCHEME_SIGNAL = 4  # the scheme's message grids, one stream per user
     SCHEME_CHANNEL = 5  # the scheme's channel rows
     SCHEME_NOISE = 6  # the scheme's receiver noises
+
+
+def _usable_cpus() -> int:
+    """CPUs this process may run on."""
+    try:
+        return len(os.sched_getaffinity(0))
+    except AttributeError:  # no affinity call on this platform
+        return os.cpu_count() or 1
+
+
+def thread_count(tasks: int, requested: int | None = None) -> int:
+    """Threads that ``run_tasks`` runs ``tasks`` tasks on: ``requested`` (None:
+    as many as there are tasks), never more than the usable CPUs or the tasks."""
+    return min(requested or tasks, _usable_cpus(), tasks)
+
+
+def run_tasks(fn, items, workers: int | None = None) -> list:
+    """``[fn(item) for item in items]`` for a sequence ``items``, on
+    ``thread_count(len(items), workers)`` threads.
+
+    One thread means no pool: every task runs inline, in the calling
+    thread.  Otherwise the tasks run on a pool of that many threads and
+    the first error in item order is raised once every pool thread has
+    stopped; the tasks not yet started are cancelled.
+    """
+    threads = thread_count(len(items), workers)
+    if threads <= 1:
+        return [fn(item) for item in items]
+    with ThreadPoolExecutor(threads) as pool:
+        return list(pool.map(fn, items))
 
 
 def stream(seed: int, *key: int) -> np.random.Generator:
@@ -90,8 +130,10 @@ def logdet_capacity_term(rows, power, noise_vars):
     Evaluates log2 det(I_r + (power/2) S^(-1/2) H H^H S^(-1/2)) with
     S = diag(noise_vars) and ``rows`` the r in {1, 2} rows of H, arrays
     of one shape (..., 2); an (r, 2) matrix is its own rows.  Row r sees
-    additive noise of variance noise_vars[r].  The result is a float or
-    an array of the leading shape; H is never stacked into one array.
+    additive noise of variance noise_vars[r].  The power and each noise
+    variance are numbers as ``misobc._number`` takes them.  The result is
+    a float or an array of the leading shape; H is never stacked into
+    one array.
 
     The determinant is expanded in closed form: for r == 1 the argument
     of log2 is 1 + (power/2) |h|^2 / s0, and for r == 2 it is
@@ -104,12 +146,13 @@ def logdet_capacity_term(rows, power, noise_vars):
     r = len(rows)
     if r not in (1, 2) or len(shapes) != 1 or rows[0].shape[-1:] != (2,):
         raise ValueError(f"rows must be 1 or 2 arrays of one shape (..., 2), got {shapes}")
-    nv = np.asarray(noise_vars, dtype=float)
+    nv = np.asarray(noise_vars, dtype=object)
     if nv.shape != (r,):
         raise ValueError(f"noise_vars must hold {r} entries, got shape {nv.shape}")
+    nv = np.array([_number(v, "noise variance") for v in nv])
     if not np.all(np.isfinite(nv)) or np.any(nv <= 0.0):
         raise ValueError("noise variances must be positive and finite")
-    p = float(power)
+    p = _number(power, "power")
     if not np.isfinite(p) or p < 0.0:
         raise ValueError("power must be nonnegative and finite")
 

@@ -374,16 +374,17 @@ def gap_sweep(
 
     rows = []
     for pt in pairs:
+        first, second = pt.estimates
         try:
-            tau, d1, d2 = gap_closed_form(pt.first.value, pt.second.value)
+            tau, d1, d2 = gap_closed_form(first.value, second.value)
         except DomainError as err:
             raise DomainError(f"gap sweep aborted at P = {pt.power:.6g}: {err}") from err
         var = (
-            d1 * d1 * pt.first.stderr**2
-            + d2 * d2 * pt.second.stderr**2
-            + 2.0 * d1 * d2 * pt.mean_cov
+            d1 * d1 * first.stderr**2
+            + d2 * d2 * second.stderr**2
+            + 2.0 * d1 * d2 * float(pt.mean_cov[0, 1])
         )
-        rows.append(GapPoint(pt.power, pt.first, pt.second, tau, math.sqrt(max(var, 0.0))))
+        rows.append(GapPoint(pt.power, first, second, tau, math.sqrt(max(var, 0.0))))
     return GapReport(d, tuple(rows))
 
 

@@ -21,9 +21,9 @@ enters the rate accounting only.
 ``run_phases_1_2`` stores the run's ``SchemeConfig`` in the transcript,
 and every later stage reads it from ``transcript.config``, so a run has
 one power, distortion and seed throughout.  Phases 1 and 2 draw from
-disjoint (tag, key) streams, all named in ``_DRAWS``, on up to two
-threads, filling arrays the caller allocated, so a run is bit-identical
-for any thread count.
+disjoint (tag, key) streams, all named in ``_DRAWS``, as two tasks of
+``core.run_tasks`` (up to two threads), filling arrays the caller
+allocated, so a run is bit-identical for any thread count.
 
 Phase 3's symbol budget depends only on (n, P, D, delta): it is sized
 from the closed forms ``capacity.c21_oracle``, ``c22d_oracle`` and
@@ -54,7 +54,6 @@ from __future__ import annotations
 
 import math
 import struct
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import asdict, dataclass, field
 from typing import NamedTuple
 
@@ -296,13 +295,14 @@ def run_phases_1_2(cfg: SchemeConfig) -> SchemeTranscript:
     ever held.
 
     The two phases draw from disjoint (tag, key) streams and share no
-    array, so they run as two tasks: on two threads when at least two
-    CPUs are usable, otherwise one after the other in the caller's
-    thread with no pool.  Every array is allocated here, in the calling
-    thread, and the tasks only fill them in place (``core.sample_cn01``
-    with ``out=``), so the phases make no grid-sized temporaries and
-    their bits do not depend on the thread count.  The block buffers go
-    when the phases end.  ``cfg`` becomes ``transcript.config``.
+    array, so they run as two tasks of ``core.run_tasks``: on two threads
+    when at least two CPUs are usable, otherwise one after the other in
+    the caller's thread with no pool.  Every array is allocated here, in
+    the calling thread, and the tasks only fill them in place
+    (``core.sample_cn01`` with ``out=``), so the phases make no
+    grid-sized temporaries and their bits do not depend on the thread
+    count.  The block buffers go when the phases end.  ``cfg`` becomes
+    ``transcript.config``.
     """
     reference, budget = _size_phase_3(cfg)
     n = cfg.n
@@ -325,7 +325,8 @@ def run_phases_1_2(cfg: SchemeConfig) -> SchemeTranscript:
     t.logdets = tuple(np.empty((n, n)) for _ in _CHANNELS)
     buffers = [np.empty((2, min(n, _MI_ROWS), n, 2), dtype=np.complex128) for _ in _CHANNELS]
 
-    def phase(number, x, overheard):
+    def phase(job):
+        number, x, overheard = job
         channels = _CHANNELS[number]
         for name, d in _DRAWS.items():
             if d.phase == number and name not in channels:
@@ -341,14 +342,7 @@ def run_phases_1_2(cfg: SchemeConfig) -> SchemeTranscript:
             t.logdets[number - 1][block] = core.logdet_capacity_term(
                 rows, cfg.power, (1.0, 1.0 + cfg.distortion))
 
-    tasks = (lambda: phase(1, t.x1, t.s21), lambda: phase(2, t.x2, t.s12))
-    if capacity._thread_count(len(tasks)) > 1:
-        with ThreadPoolExecutor(len(tasks)) as pool:
-            for done in [pool.submit(task) for task in tasks]:
-                done.result()  # re-raises a task's error here
-    else:
-        for task in tasks:
-            task()
+    core.run_tasks(phase, ((1, t.x1, t.s21), (2, t.x2, t.s12)))
     return t
 
 

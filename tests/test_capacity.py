@@ -302,8 +302,9 @@ def test_worker_partitioning_is_deterministic():
     # bit-identical for any worker count (4 blocks, the last one partial)
     def estimates(workers):
         mc = MCConfig(samples=200_000, seed=11, workers=workers)
+        pairs = capacity.paired_sweep("c21", "c22d", PowerGrid((0.5, 50.0)), mc, distortion=4.0)
         return (capacity.c21(5.0, mc), capacity.c22d(5.0, 4.0, mc), capacity.rq(5.0, 4.0, mc),
-                capacity.paired_sweep("c21", "c22d", PowerGrid((0.5, 50.0)), mc, distortion=4.0))
+                [(e.estimates, e.mean_cov.tobytes()) for e in pairs])
 
     one = estimates(1)
     assert estimates(2) == one
@@ -371,7 +372,7 @@ def test_estimator_memory_is_bounded():
     # under the default workers there is at most one set per usable CPU:
     # the same 16 MiB on hosts with at most two, plus one set of a
     # two-quantity sweep for each CPU beyond two
-    workers = min(capacity._usable_cpus(), len(capacity._blocks(samples)))
+    workers = min(core._usable_cpus(), len(capacity._blocks(samples)))
     tracemalloc.start()
     try:
         capacity.paired_sweep("rq", "c21", PowerGrid.default(), MCConfig(samples=samples),
@@ -444,14 +445,13 @@ def test_worker_count_is_capped_at_blocks(monkeypatch):
 
     before = threading.active_count()
     with monkeypatch.context() as patch:
-        patch.setattr(capacity, "ThreadPoolExecutor", no_pool)
+        patch.setattr(core, "ThreadPoolExecutor", no_pool)
         assert run(1000, 10**6) == run(1000, 1)
     assert threading.active_count() == before
 
-    # three blocks run on no more threads than there are usable CPUs or
-    # blocks, whatever was asked for; the calling thread is one of them,
-    # so the pool holds one thread fewer
-    real_pool = capacity.ThreadPoolExecutor
+    # three blocks start no more threads than there are usable CPUs or
+    # blocks, whatever was asked for
+    real_pool = core.ThreadPoolExecutor
     samples = 2 * capacity._BLOCK + 1
     for cpus, threads in ((2, 2), (64, 3)):
         sizes = []
@@ -461,43 +461,16 @@ def test_worker_count_is_capped_at_blocks(monkeypatch):
             return real_pool(workers)
 
         with monkeypatch.context() as patch:
-            patch.setattr(capacity, "_usable_cpus", lambda: cpus)
-            patch.setattr(capacity, "ThreadPoolExecutor", recording_pool)
+            patch.setattr(core, "_usable_cpus", lambda: cpus)
+            patch.setattr(core, "ThreadPoolExecutor", recording_pool)
             assert run(samples, 10**6) == run(samples, 1)
-        assert sizes == [threads - 1]
-
-
-def test_finishing_thread_runs_the_blocks_no_pool_thread_started(monkeypatch):
-    # with two workers estimate's pool has one thread and the calling thread
-    # is the other, which runs every block the pool has not started: the
-    # pool's first block waits until the caller has run a block itself
-    monkeypatch.setattr(capacity, "_usable_cpus", lambda: 2)
-    caller = threading.get_ident()
-    ran = threading.Event()
-    in_caller = []
-    draw = capacity._draw_moments
-
-    def gated(rng, count, out=None):
-        if threading.get_ident() == caller:
-            in_caller.append(count)
-            ran.set()
-        else:
-            ran.wait(timeout=5)
-        return draw(rng, count, out=out)
-
-    monkeypatch.setattr(capacity, "_draw_moments", gated)
-    samples = 3 * capacity._BLOCK + 5
-    grid = PowerGrid.single(10.0)
-    (shared,) = capacity.estimate(("c21",), grid, MCConfig(samples=samples, seed=5))
-    assert in_caller
-    (inline,) = capacity.estimate(("c21",), grid, MCConfig(samples=samples, seed=5, workers=1))
-    assert shared.estimates == inline.estimates
+        assert sizes == [threads]
 
 
 def test_failed_estimate_leaves_no_pool_thread(monkeypatch):
     # a block's error and the DomainError both surface from estimate once
     # every pool thread has stopped
-    monkeypatch.setattr(capacity, "_usable_cpus", lambda: 2)
+    monkeypatch.setattr(core, "_usable_cpus", lambda: 2)
     mc = MCConfig(samples=3 * capacity._BLOCK + 5, seed=5)
     grid = PowerGrid.single(1e200)
     before = threading.active_count()
@@ -694,7 +667,7 @@ def test_paired_sweep_covariance_is_positive():
     pairs = capacity.paired_sweep("c21", "c22d", PowerGrid.single(10.0),
                                   MCConfig(samples=50_000, seed=8), distortion=4.0)
     assert len(pairs) == 1
-    assert pairs[0].mean_cov > 0.0
+    assert pairs[0].mean_cov[0, 1] > 0.0
 
 
 def test_ratio_sweep_pairing_tightens_errors():

@@ -1,6 +1,10 @@
-"""Random stream reproducibility and closed-form log-det arithmetic."""
+"""Random stream reproducibility, the task runner and closed-form log-det arithmetic."""
 
+import ast
 import math
+import threading
+import time
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -183,7 +187,83 @@ def test_logdet_input_validation():
         core.logdet_capacity_term(good, -1.0, (1.0, 1.0))
     with pytest.raises(ValueError):
         core.logdet_capacity_term(good, math.nan, (1.0, 1.0))
+    # power and noise variances are numbers as misobc._number takes them:
+    # no strings, bools or None
+    row = np.ones((1, 2), dtype=complex)
+    for power in ("10", True, np.True_, None):
+        with pytest.raises(ValueError, match="power must be a number"):
+            core.logdet_capacity_term(row, power, (1.0,))
+    for noise in (("1",), (True,), (None,)):
+        with pytest.raises(ValueError, match="noise variance must be a number"):
+            core.logdet_capacity_term(row, 1.0, noise)
+    with pytest.raises(ValueError, match="noise_vars must hold 1 entries"):
+        core.logdet_capacity_term(row, 1.0, "1")
 
 
 def test_domain_error_is_a_value_error():
     assert issubclass(core.DomainError, ValueError)
+
+
+def test_run_tasks_returns_results_in_item_order(monkeypatch):
+    # later items finish first on four threads; the results keep item order
+    monkeypatch.setattr(core, "_usable_cpus", lambda: 4)
+
+    def slow_first(k):
+        time.sleep(0.002 * (8 - k))
+        return k * k
+
+    assert core.run_tasks(slow_first, range(8)) == [k * k for k in range(8)]
+    assert core.run_tasks(slow_first, range(8), workers=2) == [k * k for k in range(8)]
+    assert core.run_tasks(slow_first, []) == []
+
+
+@pytest.mark.parametrize("cpus, items, workers", [(1, 5, None), (4, 1, None), (4, 5, 1)])
+def test_run_tasks_runs_inline_on_one_thread(monkeypatch, cpus, items, workers):
+    # one usable CPU, one item or one worker: no pool, every task in the caller
+    def no_pool(*args, **kwargs):
+        raise AssertionError("a thread pool was started for one thread")
+
+    monkeypatch.setattr(core, "_usable_cpus", lambda: cpus)
+    monkeypatch.setattr(core, "ThreadPoolExecutor", no_pool)
+    caller = threading.get_ident()
+    assert core.run_tasks(lambda k: (k, threading.get_ident()), range(items), workers) == [
+        (k, caller) for k in range(items)]
+
+
+def test_run_tasks_raises_the_first_error_once_its_threads_stop(monkeypatch):
+    # item 4 fails first in time, item 2 first in item order: item 2's error
+    # surfaces, and only after every pool thread has stopped
+    monkeypatch.setattr(core, "_usable_cpus", lambda: 3)
+
+    def task(k):
+        if k == 2:
+            time.sleep(0.05)
+            raise RuntimeError("item 2 failed")
+        if k == 4:
+            raise RuntimeError("item 4 failed")
+        return k
+
+    before = threading.active_count()
+    with pytest.raises(RuntimeError, match="item 2 failed"):
+        core.run_tasks(task, range(8))
+    assert threading.active_count() == before
+    monkeypatch.setattr(core, "_usable_cpus", lambda: 1)
+    with pytest.raises(RuntimeError, match="item 2 failed"):
+        core.run_tasks(task, range(8))
+
+
+def test_only_core_starts_threads():
+    # the thread policy lives in one module: only core imports
+    # concurrent.futures, and no other module defines _usable_cpus
+    for path in sorted(Path(core.__file__).parent.glob("*.py")):
+        tree = ast.parse(path.read_text(encoding="utf-8"))
+        imports = {alias.name for node in ast.walk(tree) if isinstance(node, ast.Import)
+                   for alias in node.names}
+        imports |= {node.module for node in ast.walk(tree)
+                    if isinstance(node, ast.ImportFrom) and node.module}
+        defines = {node.name for node in ast.walk(tree) if isinstance(node, ast.FunctionDef)}
+        if path.name == "core.py":
+            assert "concurrent.futures" in imports and "_usable_cpus" in defines
+        else:
+            assert not any(m.split(".")[0] == "concurrent" for m in imports), path.name
+            assert "_usable_cpus" not in defines, path.name

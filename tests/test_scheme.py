@@ -60,12 +60,6 @@ def _whole_run(cfg):
     return ref
 
 
-@pytest.fixture(scope="module")
-def staged128(run128):
-    cfg, _ = run128
-    return cfg, _staged(cfg)
-
-
 def test_config_validation():
     SchemeConfig(n=1, power=1.0)
     SchemeConfig(n=512, power=1.0)
@@ -165,8 +159,8 @@ def _bits(t):
 def test_run_matches_frozen_bits(monkeypatch, cpus):
     pools = []
     if cpus is not None:
-        monkeypatch.setattr(capacity, "_usable_cpus", lambda: cpus)
-        real_pool = scheme.ThreadPoolExecutor
+        monkeypatch.setattr(core, "_usable_cpus", lambda: cpus)
+        real_pool = core.ThreadPoolExecutor
 
         def recording_pool(workers):
             if cpus == 1:
@@ -174,8 +168,7 @@ def test_run_matches_frozen_bits(monkeypatch, cpus):
             pools.append(workers)
             return real_pool(workers)
 
-        monkeypatch.setattr(scheme, "ThreadPoolExecutor", recording_pool)
-        monkeypatch.setattr(capacity, "ThreadPoolExecutor", recording_pool)
+        monkeypatch.setattr(core, "ThreadPoolExecutor", recording_pool)
     for (n, power), frozen in FROZEN_RUNS.items():
         cfg = SchemeConfig(n=n, power=power, seed=29)
         t = scheme.run_scheme(cfg)
@@ -196,7 +189,7 @@ def test_run_scheme_memory_is_bounded(monkeypatch):
     # in the reconstruction's two scratch grids: about 54 MiB (0.75x) at
     # n = 512, on one CPU or two.
     for cpus in (1, 2):
-        monkeypatch.setattr(capacity, "_usable_cpus", lambda: cpus)
+        monkeypatch.setattr(core, "_usable_cpus", lambda: cpus)
         # n, bound as a multiple of phases 1-2
         for n, bound in ((256, 1.0), (512, 0.90)):
             cfg = SchemeConfig(n=n, power=10.0, seed=67)
@@ -355,48 +348,32 @@ def _arrays(t):
     return {k for k, v in vars(t).items() if isinstance(v, np.ndarray)}
 
 
-def test_transcript_stores_draws_and_derives_the_rest(run128, staged128):
-    # the stages run one at a time hold what run_scheme holds and give its bits
-    _, run = run128
-    _, t = staged128
-    assert _arrays(t) == STORED
-    assert _bits(t) == _bits(run)
-    assert np.shares_memory(t.x1, t.u1) and np.shares_memory(t.x2, t.u2)
-    with pytest.raises(AttributeError):
-        t.x1 = t.u1
-    for name in DERIVED:
-        u = getattr(t, "u" + name[1:])
-        assert np.array_equal(getattr(t, name), np.swapaxes(u, 0, 1)), name
-
-
-@pytest.mark.parametrize("n", [1, 2, 17])
-def test_run_scheme_releases_what_it_no_longer_reads(n):
-    cfg = SchemeConfig(n=n, power=10.0, seed=73)
-    kept = _staged(cfg)
-    t = scheme.run_scheme(cfg)
-    # the two runs agree on what run_scheme keeps and on every result
-    assert _arrays(t) == STORED
-    for name in STORED:
-        assert np.array_equal(getattr(t, name), getattr(kept, name)), name
-    assert (t.stats, t.mi, t.reference, t.phase3_budget) == (
-        kept.stats, kept.mi, kept.reference, kept.phase3_budget)
-    # a released array reads None
-    for name in RELEASED:
-        assert getattr(t, name) is None, name
-
-
 @pytest.mark.parametrize("cpus", [1, 2])
-@pytest.mark.parametrize("n", [33, 100])
+@pytest.mark.parametrize("n", [1, 2, 17, 33, 100])
 def test_run_scheme_matches_the_stages_bit_for_bit(monkeypatch, n, cpus):
-    # run_scheme is the four stages: with a partial last row block, on one
-    # CPU or two, the stages run one at a time hold what it holds and give
-    # every bit it gives
-    assert n % scheme._MI_ROWS
-    monkeypatch.setattr(capacity, "_usable_cpus", lambda: cpus)
+    # run_scheme is the four stages: from one block to a partial last row
+    # block, on one CPU or two, the stages run one at a time hold what it
+    # holds, release what it releases and give every bit it gives
+    monkeypatch.setattr(core, "_usable_cpus", lambda: cpus)
     cfg = SchemeConfig(n=n, power=10.0, seed=101)
-    staged = _staged(cfg)
-    assert _arrays(staged) == STORED
-    assert _bits(scheme.run_scheme(cfg)) == _bits(staged)
+    staged, t = _staged(cfg), scheme.run_scheme(cfg)
+    for run in (staged, t):
+        assert _arrays(run) == STORED
+        # a released array reads None
+        for name in RELEASED:
+            assert getattr(run, name) is None, name
+        # x1 and x2 are views of the message grids
+        for name in DERIVED:
+            u = getattr(run, "u" + name[1:])
+            assert np.shares_memory(getattr(run, name), u), name
+            assert np.array_equal(getattr(run, name), np.swapaxes(u, 0, 1)), name
+        with pytest.raises(AttributeError):
+            run.x1 = run.u1
+    for name in STORED:
+        assert np.array_equal(getattr(t, name), getattr(staged, name)), name
+    assert (t.stats, t.mi, t.reference, t.phase3_budget) == (
+        staged.stats, staged.mi, staged.reference, staged.phase3_budget)
+    assert _bits(t) == _bits(staged)
 
 
 def _whole_power(a):
@@ -532,7 +509,6 @@ def test_run_scheme_sizes_phase_3_from_the_closed_forms(monkeypatch):
     assert t.reference == exact and all(type(v) is float for v in t.reference.values())
     assert t.phase3_budget == scheme.phase3_budget(16, exact["rq"], exact["c21"], cfg.delta)
     assert _bits(scheme.run_scheme(cfg, ref_mc=MCConfig(samples=5, seed=1))) == _bits(t)
-    assert _bits(_staged(cfg)) == _bits(t)
 
 
 def test_infeasible_run_draws_nothing(monkeypatch):
@@ -567,7 +543,7 @@ def test_infeasible_run_draws_nothing(monkeypatch):
 ])
 def test_run_scheme_raises_the_first_error_in_stage_order(monkeypatch, cpus, power, error,
                                                           message):
-    monkeypatch.setattr(capacity, "_usable_cpus", lambda: cpus)
+    monkeypatch.setattr(core, "_usable_cpus", lambda: cpus)
     cfg = SchemeConfig(n=8, power=power, seed=97)
     before = threading.active_count()
     with pytest.raises(error, match=message):
