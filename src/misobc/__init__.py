@@ -5,7 +5,7 @@ transmission scheme with a fixed-distortion quantizer stays within a
 constant per-user gap of an outer bound at every transmit power:
 
 * :mod:`misobc.core`      reproducible random streams, closed-form
-  log-det arithmetic for 1x2 and 2x2 channels, and the task runner
+  log-det arithmetic for batches of 2x2 channels, and the task runner
   that every thread of the package runs under
 * :mod:`misobc.capacity`  ergodic rate curves, paired sweeps and the
   ergodic rate-distortion rate with decoder side information

@@ -45,10 +45,11 @@ the estimator, and the rates that size the scheme's phase 3.  Result
 tables write CSV and JSON through one path: ``write_csv`` and the
 ``_Table`` base class, which ``regions`` shares.
 
-The module also carries the ergodic conditional rate-distortion rate
-with decoder side information, which draws its gains from the seeded
-streams; the closed-form scalar helpers (reverse waterfilling and the
-one-level rate) are in :mod:`misobc.rd`.
+The module also carries ``ergodic_wyner_rate``, the ergodic conditional
+rate-distortion rate with decoder side information, at a gain that is a
+constant number or, for None, Rayleigh |CN(0, 1)| drawn from the seeded
+``StreamTag.CAPACITY_GAIN`` streams; the closed-form scalar helpers
+(reverse waterfilling and the one-level rate) are in :mod:`misobc.rd`.
 """
 
 from __future__ import annotations
@@ -56,7 +57,6 @@ from __future__ import annotations
 import math
 import queue
 from dataclasses import dataclass
-from typing import Callable, NamedTuple
 
 import numpy as np
 
@@ -140,13 +140,18 @@ class MonteCarloEstimate:
 
 @dataclass(frozen=True)
 class PowerGrid:
-    """Strictly increasing nonnegative transmit power points (linear scale),
-    numbers as ``misobc._number`` takes them (no strings or bools)."""
+    """Strictly increasing nonnegative transmit power points (linear scale):
+    an iterable of numbers as ``misobc._number`` takes them (no strings or
+    bools)."""
 
     points: tuple[float, ...]
 
     def __post_init__(self):
-        pts = tuple(_number(p, "grid point") for p in self.points)
+        try:
+            pts = tuple(_number(p, "grid point") for p in self.points)
+        except TypeError:
+            raise ValueError(f"grid points must be an iterable of numbers, "
+                             f"got {self.points!r}") from None
         if len(pts) == 0:
             raise ValueError("grid must contain at least one point")
         if any(not math.isfinite(p) or p < 0.0 for p in pts):
@@ -157,7 +162,11 @@ class PowerGrid:
 
     @staticmethod
     def default(num: int = 50, lo: float = 1e-2, hi: float = 1e4) -> "PowerGrid":
-        """``num`` log-spaced points from ``lo`` to ``hi``."""
+        """``num`` log-spaced points from ``lo`` to ``hi``: an integer as
+        ``misobc._integer`` takes it and two numbers as ``misobc._number``
+        takes them."""
+        num = _integer(num, "grid point count must be an integer")
+        lo, hi = _number(lo, "lo"), _number(hi, "hi")
         if num < 1:
             raise ValueError(f"grid needs at least one point, got {num}")
         if not 0.0 < lo < hi < math.inf:
@@ -169,17 +178,8 @@ class PowerGrid:
         return PowerGrid((power,))
 
 
-class ChannelMoments(NamedTuple):
-    """Sufficient statistics for one batch of 2x2 Rayleigh draws."""
-
-    norm1: np.ndarray  # squared norm of row 1
-    norm2: np.ndarray  # squared norm of row 2
-    det2: np.ndarray  # squared magnitude of the 2x2 determinant
-
-
-def _draw_moments(
-    rng: np.random.Generator, count: int, out: np.ndarray | None = None
-) -> ChannelMoments:
+def _draw_moments(rng: np.random.Generator, count: int,
+                  out: np.ndarray | None = None) -> np.ndarray:
     """Draw the moments of ``count`` i.i.d. 2x2 CN(0, 1) matrices, exactly.
 
     Every |h_ij|^2 is Exp(1), so norm1 = E1 + E2.  CN(0, I) rows are
@@ -190,13 +190,14 @@ def _draw_moments(
     and |det H|^2 = norm1 E4.
 
     The four Exp(1) rows are drawn into ``out`` (a C-ordered (4, count)
-    float64 array) if given and become (norm1, E2, norm2, det2) in place.
+    float64 array) if given and become (norm1, E2, norm2, det2) in place;
+    that (4, count) array is returned.
     """
     e = rng.standard_exponential((4, count), out=out)
     e[0] += e[1]
     e[2] += e[3]
     e[3] *= e[0]
-    return ChannelMoments(e[0], e[2], e[3])
+    return e
 
 
 def _check_quantity(quantity: str, distortion) -> None:
@@ -288,8 +289,8 @@ def estimate(
         index, count = job
         flat, rows = scratch.get()
         try:
-            m = flat[:4 * count].reshape(4, count)
-            _draw_moments(core.stream(mc.seed, StreamTag.CAPACITY_CHANNEL, index), count, out=m)
+            m = _draw_moments(core.stream(mc.seed, StreamTag.CAPACITY_CHANNEL, index), count,
+                              out=flat[:4 * count].reshape(4, count))
             polys = _rate_polys(m, quantities, distortion)
             v = rows[:, :count]
             s1 = np.empty((npow, nker))
@@ -616,43 +617,36 @@ def ratio_sweep(
 # Ergodic rate-distortion rate with decoder side information
 
 
-def constant_gain(value: float) -> Callable[[np.random.Generator, int], np.ndarray]:
-    """Gain sampler that always returns ``value`` (degenerate distribution)."""
-    v = _number(value, "gain")
-    if not math.isfinite(v) or v < 0.0:
+def _gain(value) -> float | None:
+    """A constant side-information gain as a float, checked, or None (Rayleigh)."""
+    if value is None:
+        return None
+    gain = _number(value, "gain")
+    if not math.isfinite(gain) or gain < 0.0:
         raise ValueError("gain must be finite and nonnegative")
-
-    def sampler(rng: np.random.Generator, count: int) -> np.ndarray:
-        return np.full(count, v)
-
-    return sampler
-
-
-def rayleigh_gain() -> Callable[[np.random.Generator, int], np.ndarray]:
-    """Gain sampler |z| with z ~ CN(0, 1)."""
-
-    def sampler(rng: np.random.Generator, count: int) -> np.ndarray:
-        return np.abs(core.sample_cn01(rng, count))
-
-    return sampler
+    return gain
 
 
 def ergodic_wyner_rate(
     signal_var: float,
     noise_var: float,
     distortion: float,
-    gain_sampler: Callable[[np.random.Generator, int], np.ndarray],
+    gain: float | None,
     mc: MCConfig | None = None,
 ) -> float:
     """Average rate to describe X at distortion D given Y = a X + U at the decoder.
 
-    X ~ N(0, signal_var), U ~ N(0, noise_var), and the gain a is drawn per
-    realization from ``gain_sampler(rng, count)``.  Each realization has
-    conditional variance cv = signal_var noise_var / (a^2 signal_var +
-    noise_var) and contributes log2(cv / D) bits; the distortion must
-    satisfy 0 < D <= cv for every realization, otherwise the quantity is
-    outside its validity domain.
+    X ~ N(0, signal_var), U ~ N(0, noise_var), and the gain a is ``gain``,
+    a finite nonnegative number, in every realization, or for None
+    |z| with z ~ CN(0, 1), drawn per realization: block k of the fixed
+    sample blocks comes from ``core.stream(seed, StreamTag.CAPACITY_GAIN,
+    k)``.  Each realization has conditional variance cv = signal_var
+    noise_var / (a^2 signal_var + noise_var) and contributes log2(cv / D)
+    bits; the distortion must satisfy 0 < D <= cv for every realization,
+    otherwise the quantity is outside its validity domain.  The gain is
+    checked first, then the variances and the distortion.
     """
+    gain = _gain(gain)
     sv = _number(signal_var, "signal_var")
     nv = _number(noise_var, "noise_var")
     d = _number(distortion, "distortion")
@@ -666,12 +660,11 @@ def ergodic_wyner_rate(
 
     total = 0.0
     for index, count in _blocks(mc.samples):
-        rng = core.stream(mc.seed, StreamTag.CAPACITY_GAIN, index)
-        a = np.asarray(gain_sampler(rng, count), dtype=float)
-        if a.shape != (count,):
-            raise ValueError("gain_sampler must return a 1-D array of the requested length")
-        if not np.all(np.isfinite(a)) or np.any(a < 0.0):
-            raise ValueError("gains must be finite and nonnegative")
+        if gain is None:
+            a = np.abs(core.sample_cn01(core.stream(mc.seed, StreamTag.CAPACITY_GAIN, index),
+                                        count))
+        else:
+            a = np.full(count, gain)
         cond_var = sv * nv / (a * a * sv + nv)
         if np.any(cond_var < d):
             raise DomainError(

@@ -37,7 +37,6 @@ from . import (
     GAP_BOUND,
     MAX_BLOCKS,
     MIN_CERTIFIED_DISTORTION,
-    DomainError,
     _fmt,
     _round12,
     check_gap_distortion,
@@ -332,10 +331,10 @@ def cmd_rd(args) -> int:
             raise UsageError("wyner mode needs --gain-const or --gain-rayleigh")
         from . import capacity
 
-        sampler = (capacity.constant_gain(args.gain_const)
-                   if args.gain_const is not None else capacity.rayleigh_gain())
-        rate = capacity.ergodic_wyner_rate(args.sigx2, args.sigu2, args.budget,
-                                           sampler, _mc_from(args))
+        # a bad gain is reported before a bad --samples or --seed
+        gain = capacity._gain(args.gain_const)
+        rate = capacity.ergodic_wyner_rate(args.sigx2, args.sigu2, args.budget, gain,
+                                           _mc_from(args))
     _emit(args, lambda fp: fp.write(_fmt(rate) + "\n"), {"rate": _round12(rate)})
     return EXIT_OK
 
@@ -446,10 +445,7 @@ def main(argv=None) -> int:
     except UsageError as err:
         print(f"usage error: {err}", file=sys.stderr)
         return EXIT_USAGE
-    except DomainError as err:
-        print(f"error: {err}", file=sys.stderr)
-        return EXIT_NUMERIC
-    except ValueError as err:
+    except ValueError as err:  # DomainError too
         print(f"error: {err}", file=sys.stderr)
         return EXIT_NUMERIC
     except OSError as err:

@@ -3,8 +3,10 @@
 Conventions shared by every module in this package:
 
 * A channel row (the path from the two transmit antennas to one receive
-  antenna) is a length-2 complex128 vector.
-* A transfer matrix is an (r, 2) complex128 array with r in {1, 2}.
+  antenna) is a length-2 complex128 vector, and a batch of rows an
+  (m..., 2) array.
+* A receiver's effective channel is a 2x2 transfer matrix, handled as
+  its two rows: two row batches of one shape.
 * Randomness comes from counter-based Philox streams keyed by a master
   seed plus an integer stream key, so every sample sequence is a pure
   function of (seed, key) and can be regenerated independently anywhere.
@@ -19,16 +21,18 @@ when that comes to one.  Each task draws from its own stream into
 arrays its caller allocated, so the results do not depend on the
 thread count.
 
-One public function per primitive does the work: ``sample_cn01`` also
-fills a caller's array in place, and ``logdet_capacity_term`` takes the
-channel rows as separate arrays.  Determinants of the (at most 2x2)
-matrices are evaluated in closed form.  That keeps the hot Monte Carlo
-paths free of per-sample LAPACK calls and is exact at these dimensions.
+One public function per primitive does the work: ``sample_cn01``
+returns an array, or fills a caller's array in place, and
+``logdet_capacity_term`` takes a batch of 2x2 channels as its two row
+arrays and returns an array.  The 2x2 determinants are evaluated in
+closed form.  That keeps the hot Monte Carlo paths free of per-sample
+LAPACK calls and is exact at this dimension.
 """
 
 from __future__ import annotations
 
 import enum
+import math
 import os
 from concurrent.futures import ThreadPoolExecutor
 
@@ -95,19 +99,18 @@ def stream(seed: int, *key: int) -> np.random.Generator:
     return np.random.Generator(np.random.Philox(ss))
 
 
-def sample_cn01(rng: np.random.Generator, size=None, *, out=None, scale=None):
+def sample_cn01(rng: np.random.Generator, size=None, *, out=None, scale=None) -> np.ndarray:
     """Draw circularly symmetric complex Gaussians with unit variance.
 
     Real and imaginary parts are independent N(0, 1/2), so E|z|^2 = 1;
-    ``scale``, if given, multiplies every draw.  Returns a complex scalar
-    for size=None, otherwise an ndarray of the requested shape.  As in
-    NumPy's ``standard_normal``, ``out`` is a C-contiguous complex128
-    array that is filled and returned, and ``size`` is then omitted or
-    equal to ``out.shape``.  The normal pairs are drawn and scaled in the
-    array's real and imaginary parts, so there are no temporaries and
-    the bits do not depend on who allocated the array.
+    ``scale``, if given, multiplies every draw.  Returns an ndarray of the
+    requested shape (0-d for size=None).  As in NumPy's
+    ``standard_normal``, ``out`` is a C-contiguous complex128 array that
+    is filled and returned, and ``size`` is then omitted or equal to
+    ``out.shape``.  The normal pairs are drawn and scaled in the array's
+    real and imaginary parts, so there are no temporaries and the bits do
+    not depend on who allocated the array.
     """
-    scalar = size is None and out is None
     shape = () if size is None else (size if isinstance(size, tuple) else (int(size),))
     if out is None:
         out = np.empty(shape, dtype=np.complex128)
@@ -121,52 +124,45 @@ def sample_cn01(rng: np.random.Generator, size=None, *, out=None, scale=None):
     pairs *= 1.0 / np.sqrt(2.0)
     if scale is not None:
         pairs *= scale
-    return complex(out) if scalar else out
+    return out
 
 
-def logdet_capacity_term(rows, power, noise_vars):
-    """Per-realization log-det rate of an r x 2 channel, in bits.
+def logdet_capacity_term(rows, power, noise_vars) -> np.ndarray:
+    """Per-realization log-det rate of a batch of 2 x 2 channels, in bits.
 
-    Evaluates log2 det(I_r + (power/2) S^(-1/2) H H^H S^(-1/2)) with
-    S = diag(noise_vars) and ``rows`` the r in {1, 2} rows of H, arrays
-    of one shape (..., 2); an (r, 2) matrix is its own rows.  Row r sees
-    additive noise of variance noise_vars[r].  The power and each noise
-    variance are numbers as ``misobc._number`` takes them.  The result is
-    a float or an array of the leading shape; H is never stacked into
-    one array.
+    Evaluates log2 det(I_2 + (power/2) S^(-1/2) H H^H S^(-1/2)) with
+    S = diag(noise_vars) and ``rows`` the two rows of H, two arrays of one
+    shape (m..., 2) with at least one leading axis; a single matrix h is
+    passed as the batch of one ``h[:, None]``.  Row r sees additive noise
+    of variance noise_vars[r].  The power and each noise variance are
+    numbers as ``misobc._number`` takes them.  The result is a float
+    array of the leading shape (m...); H is never stacked into one array.
 
-    The determinant is expanded in closed form: for r == 1 the argument
-    of log2 is 1 + (power/2) |h|^2 / s0, and for r == 2 it is
+    The determinant is expanded in closed form, the argument of log2 being
 
         1 + (power/2) (|row0|^2/s0 + |row1|^2/s1)
           + (power/2)^2 |det H|^2 / (s0 s1).
     """
     rows = [np.asarray(row, dtype=np.complex128) for row in rows]
     shapes = {row.shape for row in rows}
-    r = len(rows)
-    if r not in (1, 2) or len(shapes) != 1 or rows[0].shape[-1:] != (2,):
-        raise ValueError(f"rows must be 1 or 2 arrays of one shape (..., 2), got {shapes}")
+    if len(rows) != 2 or len(shapes) != 1 or rows[0].ndim < 2 or rows[0].shape[-1] != 2:
+        raise ValueError(f"rows must be 2 arrays of one shape (m..., 2), got {shapes}")
     nv = np.asarray(noise_vars, dtype=object)
-    if nv.shape != (r,):
-        raise ValueError(f"noise_vars must hold {r} entries, got shape {nv.shape}")
-    nv = np.array([_number(v, "noise variance") for v in nv])
-    if not np.all(np.isfinite(nv)) or np.any(nv <= 0.0):
+    if nv.shape != (2,):
+        raise ValueError(f"noise_vars must hold 2 entries, got shape {nv.shape}")
+    s0, s1 = (_number(v, "noise variance") for v in nv)
+    if not all(math.isfinite(v) and v > 0.0 for v in (s0, s1)):
         raise ValueError("noise variances must be positive and finite")
     p = _number(power, "power")
-    if not np.isfinite(p) or p < 0.0:
+    if not math.isfinite(p) or p < 0.0:
         raise ValueError("power must be nonnegative and finite")
 
-    c = p / 2.0
-    row0 = rows[0]
-    norm0 = np.abs(row0[..., 0]) ** 2
-    norm0 += np.abs(row0[..., 1]) ** 2
-    if r == 1:
-        out = np.log1p(c * norm0 / nv[0]) / LN2
-        return float(out) if np.ndim(out) == 0 else out
     # the terms accumulate in their first temporary, in the order of
     # c (norm0/s0 + norm1/s1) + (c c) det2 / (s0 s1)
-    row1 = rows[1]
-    s0, s1 = nv
+    c = p / 2.0
+    row0, row1 = rows
+    norm0 = np.abs(row0[..., 0]) ** 2
+    norm0 += np.abs(row0[..., 1]) ** 2
     norm1 = np.abs(row1[..., 0]) ** 2
     norm1 += np.abs(row1[..., 1]) ** 2
     det = row0[..., 0] * row1[..., 1]
@@ -181,8 +177,6 @@ def logdet_capacity_term(rows, power, noise_vars):
     arg *= c * c
     arg /= s0 * s1
     arg += norm0
-    if np.ndim(arg) == 0:  # one matrix: NumPy scalars, which have no out=
-        return float(np.log1p(arg) / LN2)
     np.log1p(arg, out=arg)
     arg /= LN2
     return arg

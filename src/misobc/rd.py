@@ -4,8 +4,10 @@ Exact reverse waterfilling over parallel Gaussian components and the
 rate of one fixed-step quantizer run at the budget everywhere.  Both are
 closed forms over a short list of variances, so this module works on
 Python floats and imports only the standard library: a command that
-prices a variance list loads no NumPy.  The ergodic rate with decoder
-side information draws samples and lives in :mod:`misobc.capacity`.
+prices a variance list loads no NumPy.  Where the rate overflows a
+double, both raise ``DomainError``, as ``capacity.estimate`` does for an
+overflowing rate.  The ergodic rate with decoder side information draws
+samples and lives in :mod:`misobc.capacity`.
 """
 
 from __future__ import annotations
@@ -13,7 +15,7 @@ from __future__ import annotations
 import math
 from itertools import accumulate
 
-from . import _number
+from . import DomainError, _number
 
 _LN2 = math.log(2.0)
 
@@ -36,6 +38,13 @@ def _rd_inputs(variance_samples, distortion_budget) -> tuple[list[float], float]
     return v, budget
 
 
+def _finite(rate: float) -> float:
+    if not math.isfinite(rate):
+        raise DomainError("the rate is not finite: a variance over the budget "
+                          "overflows a double")
+    return rate
+
+
 def rd_reverse_waterfill(variance_samples, distortion_budget: float) -> float:
     """Exact parallel-Gaussian rate at an average distortion budget, in bits.
 
@@ -44,9 +53,16 @@ def rd_reverse_waterfill(variance_samples, distortion_budget: float) -> float:
     exactly, in one pass over the sorted-prefix segments, no root finding.
     """
     v, budget = _rd_inputs(variance_samples, distortion_budget)
-
     n = len(v)
-    if math.fsum(v) / n <= budget:
+    try:
+        mean = math.fsum(v) / n
+    except OverflowError:
+        # the rate is scale-free: price v / n at budget / n, whose sums
+        # all stay below the mean variance
+        v = [x / n for x in v]
+        budget /= n
+        mean = math.fsum(v)
+    if mean <= budget:
         return 0.0
     s = sorted(v)
     slack = 1e-12 * max(1.0, s[-1])
@@ -61,7 +77,7 @@ def rd_reverse_waterfill(variance_samples, distortion_budget: float) -> float:
             break
     else:
         raise ValueError("no consistent water level found, inputs out of range")
-    return math.fsum(math.log2(x / level) for x in s if x > level) / n
+    return _finite(math.fsum(math.log2(x / level) for x in s if x > level) / n)
 
 
 def rd_suboptimal(variance_samples, distortion_budget: float) -> float:
@@ -72,4 +88,4 @@ def rd_suboptimal(variance_samples, distortion_budget: float) -> float:
     rate, sample by sample.
     """
     v, budget = _rd_inputs(variance_samples, distortion_budget)
-    return math.fsum(math.log1p(x / budget) for x in v) / len(v) / _LN2
+    return _finite(math.fsum(math.log1p(x / budget) for x in v) / len(v) / _LN2)

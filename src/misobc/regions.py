@@ -12,6 +12,10 @@ which shifts every boundary line inward by tau along both coordinates.
 ``per_user_gap`` finds it by bisection for any pair of regions; for the
 outer and achievable regions of the scheme, ``gap_closed_form`` gives it
 and its gradient exactly.
+
+Tolerances are fixed module constants, not arguments: every geometric
+comparison allows ``GEOM_TOL``, and the bisection stops within
+``BISECT_TOL`` of the gap.
 """
 
 from __future__ import annotations
@@ -76,10 +80,10 @@ def _convex_hull(points):
     return lower[:-1] + upper[:-1]
 
 
-def _dedupe(points, tol):
+def _dedupe(points):
     kept = []
     for p in points:
-        if all(abs(p[0] - q[0]) > tol or abs(p[1] - q[1]) > tol for q in kept):
+        if all(abs(p[0] - q[0]) > GEOM_TOL or abs(p[1] - q[1]) > GEOM_TOL for q in kept):
             kept.append(p)
     return kept
 
@@ -122,7 +126,7 @@ class RateRegion:
             x, y = max(x, 0.0), max(y, 0.0)
             if all(h.a * x + h.b * y <= h.c + GEOM_TOL for h in cons):
                 feas.append((x, y))
-        feas = _dedupe(feas, GEOM_TOL)
+        feas = _dedupe(feas)
         if not feas:
             return ()
         return tuple(_convex_hull(feas))
@@ -135,12 +139,12 @@ class RateRegion:
     def is_empty(self) -> bool:
         return len(self._vertices) == 0
 
-    def contains(self, point, tol: float = GEOM_TOL) -> bool:
+    def contains(self, point) -> bool:
+        """Whether ``point`` lies in the region, to ``GEOM_TOL``."""
         x, y = _number(point[0], "point"), _number(point[1], "point")
-        tol = _number(tol, "tol")
-        if x < -tol or y < -tol:
+        if x < -GEOM_TOL or y < -GEOM_TOL:
             return False
-        return all(h.a * x + h.b * y <= h.c + tol for h in self.constraints)
+        return all(h.a * x + h.b * y <= h.c + GEOM_TOL for h in self.constraints)
 
     def max_coordinate(self) -> float:
         if self.is_empty():
@@ -163,7 +167,7 @@ class RateRegion:
         if np.any(pts < -GEOM_TOL):
             raise ValueError("points must lie in the nonnegative quadrant")
         pts = np.maximum(pts, 0.0)
-        hull = _convex_hull(_dedupe([tuple(p) for p in pts], GEOM_TOL))
+        hull = _convex_hull(_dedupe([tuple(p) for p in pts]))
 
         xmax = float(max(p[0] for p in hull))
         ymax = float(max(p[1] for p in hull))
@@ -268,28 +272,27 @@ def erode(region: RateRegion, tau: float) -> RateRegion:
     )
 
 
-def is_subset(inner: RateRegion, outer: RateRegion, tol: float = GEOM_TOL) -> bool:
-    """Vertex-against-constraint containment test for convex regions."""
-    tol = _number(tol, "tol")
+def is_subset(inner: RateRegion, outer: RateRegion) -> bool:
+    """Vertex-against-constraint containment test for convex regions, to
+    ``GEOM_TOL``."""
     if inner.is_empty():
         return True
     if outer.is_empty():
         return False
     return all(
-        h.a * x + h.b * y <= h.c + tol
+        h.a * x + h.b * y <= h.c + GEOM_TOL
         for x, y in inner.vertices
         for h in outer.constraints
     )
 
 
-def per_user_gap(outer: RateRegion, inner: RateRegion, tol: float = BISECT_TOL) -> float:
+def per_user_gap(outer: RateRegion, inner: RateRegion) -> float:
     """Smallest erosion of ``outer`` that fits inside ``inner``, by bisection.
 
     Requires inner to be contained in outer.  The returned tau satisfies
-    erode(outer, tau) inside inner, and no tau smaller by more than tol
-    does.
+    erode(outer, tau) inside inner, and no tau smaller by more than
+    ``BISECT_TOL`` does.
     """
-    tol = _number(tol, "tol")
     if not is_subset(inner, outer):
         raise ValueError("inner region must be contained in the outer region")
     if is_subset(outer, inner):
@@ -298,7 +301,7 @@ def per_user_gap(outer: RateRegion, inner: RateRegion, tol: float = BISECT_TOL) 
     hi = outer.max_coordinate() + 1.0
     if not is_subset(erode(outer, hi), inner):
         raise ValueError("erosion bracket failed, regions are inconsistent")
-    while hi - lo > tol:
+    while hi - lo > BISECT_TOL:
         mid = 0.5 * (lo + hi)
         if is_subset(erode(outer, mid), inner):
             hi = mid

@@ -351,10 +351,20 @@ def phase3_budget(n: int, rq_value: float, c21_value: float, delta: float) -> in
 
     The n overheard samples per block cost n rq bits, carried by a link
     of rate c21 - delta; the budget is the ceiling of their quotient.
-    Requires rq < c21 - delta, otherwise forwarding cannot keep up.
+    n is an integer of at least 1, rq and c21 are checked as
+    ``achieved_rate_pair`` checks them, and delta is finite and
+    nonnegative, else a ValueError.  Requires rq < c21 - delta, otherwise
+    forwarding cannot keep up and a DomainError is raised.
     """
-    rq = _number(rq_value, "rq_value")
-    margin = _number(c21_value, "c21_value") - _number(delta, "delta")
+    n = _integer(n, "n must be an integer")
+    if n < 1:
+        raise ValueError(f"n must be at least 1, got {n}")
+    rq = _rate(rq_value, "rq")
+    c21 = _rate(c21_value, "c21", positive=True)
+    delta = _number(delta, "delta")
+    if not math.isfinite(delta) or delta < 0.0:
+        raise ValueError("delta must be finite and nonnegative")
+    margin = c21 - delta
     if margin <= 0.0 or rq >= margin:
         raise DomainError(
             f"phase-3 forwarding needs rq < c21 - delta, got rq = {rq:.6g}, "
@@ -451,11 +461,15 @@ def _corr(a: _Moments, b: _Moments, h: np.ndarray) -> float:
     np.conjugate(b.seq, out=prod)
     np.multiply(a.seq, prod, out=prod)
     num = prod.ravel().mean() - a.mean * np.conj(b.mean)
-    va = a.power - (a.mean.real**2 + a.mean.imag**2)
-    vb = b.power - (b.mean.real**2 + b.mean.imag**2)
+    va = float(a.power - (a.mean.real**2 + a.mean.imag**2))
+    vb = float(b.power - (b.mean.real**2 + b.mean.imag**2))
     if va <= 0.0 or vb <= 0.0:
         return 0.0
-    return float(abs(num) / math.sqrt(va * vb))
+    # va * vb passes the largest double once the variances reach about
+    # 1.3e154; only then are the square roots taken apart
+    vv = va * vb
+    scale = math.sqrt(vv) if math.isfinite(vv) else math.sqrt(va) * math.sqrt(vb)
+    return float(abs(num) / scale)
 
 
 def deinterleave_and_reconstruct(transcript: SchemeTranscript) -> SchemeTranscript:
@@ -561,19 +575,20 @@ def mi_accounting(transcript: SchemeTranscript) -> MIReport:
     return t.mi
 
 
+def _rate(value, name: str, positive: bool = False) -> float:
+    """The rate ``name`` (its argument is ``name``_value) as a float: a
+    number, finite, positive if ``positive`` and else nonnegative, or a
+    ValueError."""
+    v = _number(value, f"{name}_value")
+    if not math.isfinite(v) or v < 0.0 or (positive and v == 0.0):
+        raise ValueError(f"{name} must be finite and {'positive' if positive else 'nonnegative'}")
+    return v
+
+
 def _rates(c22d_value, rq_value, c21_value) -> tuple[float, float, float]:
     """c22d, rq and c21 as floats: numbers, finite, c21 positive and the
     others nonnegative, else a ValueError."""
-    c22dv = _number(c22d_value, "c22d_value")
-    rqv = _number(rq_value, "rq_value")
-    c21v = _number(c21_value, "c21_value")
-    if not math.isfinite(c22dv) or c22dv < 0.0:
-        raise ValueError("c22d must be finite and nonnegative")
-    if not math.isfinite(rqv) or rqv < 0.0:
-        raise ValueError("rq must be finite and nonnegative")
-    if not math.isfinite(c21v) or c21v <= 0.0:
-        raise ValueError("c21 must be finite and positive")
-    return c22dv, rqv, c21v
+    return _rate(c22d_value, "c22d"), _rate(rq_value, "rq"), _rate(c21_value, "c21", True)
 
 
 def achieved_rate_pair(c22d_value: float, rq_value: float, c21_value: float):

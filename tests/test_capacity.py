@@ -338,12 +338,13 @@ def test_point_estimates_share_one_ensemble():
 
 def test_moment_draw_matches_gaussian_matrices():
     n = 200_000
-    direct = capacity._draw_moments(core.stream(5, 0), n)
+    # the (norm1, E2, norm2, det2) rows, without the spare E2
+    direct = capacity._draw_moments(core.stream(5, 0), n)[[0, 2, 3]]
     h = core.sample_cn01(core.stream(6, 0), (n, 2, 2))
     det = h[:, 0, 0] * h[:, 1, 1] - h[:, 0, 1] * h[:, 1, 0]
     built = (np.sum(np.abs(h[:, 0]) ** 2, axis=1), np.sum(np.abs(h[:, 1]) ** 2, axis=1),
              np.abs(det) ** 2)
-    for name, x, y in zip(capacity.ChannelMoments._fields, direct, built):
+    for name, x, y in zip(("norm1", "norm2", "det2"), direct, built):
         assert stats.ks_2samp(x, y).pvalue > 1e-3, name
     # all three have mean 2; the row norms are independent Gamma(2, 1) and
     # |det|^2 = norm1 E4 with E4 ~ Exp(1) a summand of norm2, so
@@ -602,6 +603,20 @@ def test_power_grid_validation():
     for power in (True, np.True_, "10", None):
         with pytest.raises(ValueError, match="grid point must be a number"):
             PowerGrid.single(power)
+    # the default grid's count is an integer and its ends are numbers, as
+    # misobc._integer and misobc._number take them
+    for kwargs, message in (({"num": 2.5}, "grid point count must be an integer, got 2.5"),
+                            ({"num": "3"}, "grid point count must be an integer, got '3'"),
+                            ({"num": True}, "grid point count must be an integer, got True"),
+                            ({"lo": "1"}, "lo must be a number, got '1'"),
+                            ({"hi": None}, "hi must be a number, got None")):
+        with pytest.raises(ValueError, match=message):
+            PowerGrid.default(**kwargs)
+    assert PowerGrid.default(np.int64(3), np.float32(1.0), 100).points == \
+        PowerGrid.default(3, 1.0, 100.0).points
+    for points in (5.0, None, 3):
+        with pytest.raises(ValueError, match="grid points must be an iterable of numbers"):
+            PowerGrid(points)
     grid = PowerGrid((np.float32(0.5), np.int64(5), 50))
     assert grid.points == (0.5, 5.0, 50.0) and all(type(p) is float for p in grid.points)
 
@@ -834,64 +849,81 @@ def test_rd_helpers_match_numpy_reference():
             assert abs(got - ref) <= 1e-13 * abs(ref), (v, budget, got, ref)
 
 
+def test_rd_helpers_raise_domain_error_where_a_double_overflows():
+    # the variances' sum overflows, but their mean and both rates are finite
+    for fn in (rd.rd_reverse_waterfill, rd.rd_suboptimal):
+        assert fn([1e308, 1e308], 1.0) == pytest.approx(math.log2(1e308), rel=1e-15)
+    # the rate is scale-free, so the scaled-down list prices the same
+    assert rd.rd_reverse_waterfill([1.5e308, 1e300, 1.7e308], 1e307) == pytest.approx(
+        rd.rd_reverse_waterfill([1.5e8, 1.0, 1.7e8], 1e7), rel=1e-15)
+    assert rd.rd_reverse_waterfill([1.5e308, 1.5e308], 1e308) == pytest.approx(
+        math.log2(1.5), rel=1e-15)
+    # a variance over the budget overflows, and so does the rate
+    for fn, budget in ((rd.rd_reverse_waterfill, 1e-308), (rd.rd_suboptimal, 1e-300)):
+        with pytest.raises(DomainError, match="rate is not finite"):
+            fn([1e308], budget)
+    # short of the overflow both rates stay finite
+    assert rd.rd_reverse_waterfill([1e308, 1e307], 1.0) == pytest.approx(
+        (math.log2(1e308) + math.log2(1e307)) / 2.0, rel=1e-12)
+    assert rd.rd_suboptimal([1e300], 1e-5) == pytest.approx(math.log2(1e305), rel=1e-12)
+
+
 def test_wyner_zero_gain_recovers_plain_rate():
     # a = 0: the side observation is pure noise, conditional variance is
     # the source variance itself
     mc = MCConfig(samples=1000, seed=4)
-    got = capacity.ergodic_wyner_rate(2.0, 3.0, 0.5, capacity.constant_gain(0.0), mc)
+    got = capacity.ergodic_wyner_rate(2.0, 3.0, 0.5, 0.0, mc)
     assert got == 2.0
 
 
 def test_wyner_distortion_at_conditional_variance_is_free():
     cv = 1.0 * 1.0 / (1.0 + 1.0)
     mc = MCConfig(samples=1000, seed=4)
-    assert capacity.ergodic_wyner_rate(1.0, 1.0, cv, capacity.constant_gain(1.0), mc) == 0.0
+    assert capacity.ergodic_wyner_rate(1.0, 1.0, cv, 1.0, mc) == 0.0
 
 
 def test_wyner_constant_gain_static_formula():
     sv, nv, a = 1.5, 0.75, 2.0
     cv = sv * nv / (a * a * sv + nv)
     mc = MCConfig(samples=1000, seed=4)
-    got = capacity.ergodic_wyner_rate(sv, nv, cv / 2.0, capacity.constant_gain(a), mc)
+    got = capacity.ergodic_wyner_rate(sv, nv, cv / 2.0, a, mc)
     assert got == pytest.approx(1.0, abs=1e-15)
     # halving the distortion costs exactly one more bit
-    got2 = capacity.ergodic_wyner_rate(sv, nv, cv / 4.0, capacity.constant_gain(a), mc)
+    got2 = capacity.ergodic_wyner_rate(sv, nv, cv / 4.0, a, mc)
     assert got2 == pytest.approx(2.0, abs=1e-14)
 
 
 def test_wyner_rejects_excess_distortion():
     with pytest.raises(DomainError):
-        capacity.ergodic_wyner_rate(1.0, 1.0, 0.6, capacity.constant_gain(1.0),
-                                    MCConfig(samples=100, seed=4))
+        capacity.ergodic_wyner_rate(1.0, 1.0, 0.6, 1.0, MCConfig(samples=100, seed=4))
     with pytest.raises(DomainError):
-        capacity.ergodic_wyner_rate(1.0, 1.0, 0.0, capacity.constant_gain(1.0),
-                                    MCConfig(samples=100, seed=4))
+        capacity.ergodic_wyner_rate(1.0, 1.0, 0.0, 1.0, MCConfig(samples=100, seed=4))
 
 
 def test_wyner_random_gain_monotone_in_distortion():
     mc = MCConfig(samples=20_000, seed=12)
-    r1 = capacity.ergodic_wyner_rate(1.0, 1.0, 0.05, capacity.rayleigh_gain(), mc)
-    r2 = capacity.ergodic_wyner_rate(1.0, 1.0, 0.02, capacity.rayleigh_gain(), mc)
+    r1 = capacity.ergodic_wyner_rate(1.0, 1.0, 0.05, None, mc)
+    r2 = capacity.ergodic_wyner_rate(1.0, 1.0, 0.02, None, mc)
     assert 0.0 < r1 < r2
 
 
-def test_wyner_sampler_contract_enforced():
+def test_wyner_gain_validation():
+    # the gain is a finite nonnegative number, or None for a Rayleigh gain
     mc = MCConfig(samples=100, seed=4)
-    with pytest.raises(ValueError):
-        capacity.ergodic_wyner_rate(1.0, 1.0, 0.1,
-                                    lambda rng, n: np.zeros((n, 2)), mc)
-    with pytest.raises(ValueError):
-        capacity.ergodic_wyner_rate(1.0, 1.0, 0.1,
-                                    lambda rng, n: np.full(n, -1.0), mc)
-    with pytest.raises(ValueError):
-        capacity.constant_gain(-2.0)
-    # numbers of any real type, but not strings, bools or None
-    for bad in ("0.5", True, None):
+    for bad in (-2.0, math.inf, math.nan):
+        with pytest.raises(ValueError, match="gain must be finite and nonnegative"):
+            capacity.ergodic_wyner_rate(1.0, 1.0, 0.1, bad, mc)
+    # numbers of any real type, but not strings or bools
+    for bad in ("0.5", True, np.True_):
         with pytest.raises(ValueError, match="gain must be a number"):
-            capacity.constant_gain(bad)
+            capacity.ergodic_wyner_rate(1.0, 1.0, 0.1, bad, mc)
+    for bad in ("0.5", True, None):
         for name, args in (("signal_var", (bad, 1.0, 0.1)), ("noise_var", (1.0, bad, 0.1)),
                            ("distortion", (1.0, 1.0, bad))):
             with pytest.raises(ValueError, match=f"{name} must be a number"):
-                capacity.ergodic_wyner_rate(*args, capacity.constant_gain(0.5), mc)
+                capacity.ergodic_wyner_rate(*args, 0.5, mc)
     assert capacity.ergodic_wyner_rate(np.int64(1), 1, np.float32(0.5),
-                                       capacity.constant_gain(np.int64(0)), mc) == 1.0
+                                       np.int64(0), mc) == 1.0
+    # the gain is checked before the variances and the distortion
+    with pytest.raises(ValueError, match="gain must be finite and nonnegative"):
+        capacity.ergodic_wyner_rate(None, -1.0, 0.0, -1.0, mc)

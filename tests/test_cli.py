@@ -362,6 +362,28 @@ def test_rd_wyner_rejects_oversized_budget(capsys):
     assert "error" in err
 
 
+@pytest.mark.parametrize("mode", ["waterfill", "suboptimal"])
+def test_rd_prices_variances_whose_sum_overflows(capsys, mode):
+    # the sum 2e308 overflows a double, the mean and the rate do not
+    code, out, err = run(capsys, ["rd", "--mode", mode, "--sigma2-list", "1e308,1e308",
+                                  "--budget", "1"])
+    assert code == 0 and err == ""
+    assert out.splitlines()[-1] == "1023.15385323"
+
+
+@pytest.mark.parametrize("flags", [
+    ["--mode", "waterfill", "--const-sigma2", "1e308", "--budget", "1e-308"],
+    ["--mode", "suboptimal", "--sigma2-list", "1e308,1e308", "--budget", "1e-300"],
+], ids=["waterfill", "suboptimal"])
+def test_rd_overflow_is_a_numeric_abort(capsys, flags):
+    # an overflowing rate ends with exit 3 and one error line, not an inf
+    code, out, err = run(capsys, ["rd", *flags])
+    assert code == 3
+    assert out == ""
+    assert len(err.splitlines()) == 1 and err.startswith("error: ")
+    assert "rate is not finite" in err
+
+
 def test_rd_malformed_variance_list_is_a_usage_error(capsys):
     code, out, err = run(capsys, ["rd", "--mode", "waterfill",
                                   "--sigma2-list", "1,a", "--budget", "1"])

@@ -89,16 +89,13 @@ def test_region_inputs_must_be_numbers(bad):
                        ("c22d_value", lambda v: regions.gap_closed_form(1.0, v)),
                        ("point", lambda v: outer.contains((v, v))),
                        ("point", lambda v: outer.contains((v, 0))),
-                       ("point", lambda v: outer.contains((0, v))),
-                       ("tol", lambda v: outer.contains((1.0, 1.0), tol=v)),
-                       ("tol", lambda v: regions.is_subset(inner, outer, tol=v)),
-                       ("tol", lambda v: regions.per_user_gap(outer, inner, tol=v))):
+                       ("point", lambda v: outer.contains((0, v)))):
         with pytest.raises(ValueError, match=f"^{name} must be a number"):
             call(bad)
     # any real number type, NumPy's too, is still read as a float
     assert regions.outer_region(np.int64(3)) == outer
     assert regions.erode(outer, np.float32(0.5)) == regions.erode(outer, 0.5)
-    assert outer.contains((np.int64(1), np.float32(1.0)), tol=np.float64(0.0))
+    assert outer.contains((np.int64(1), np.float32(1.0)))
 
 
 def test_region_requires_bounding_constraints():

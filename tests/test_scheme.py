@@ -280,6 +280,25 @@ def test_phase3_budget_needs_margin():
         scheme.phase3_budget(100, 2.5, 3.0, 0.5)
     with pytest.raises(DomainError):
         scheme.phase3_budget(100, 0.1, 0.2, 0.5)
+    # n is an integer of at least 1, rq and c21 are checked as the rate
+    # pair checks them, and delta is finite and nonnegative
+    for bad in ("4", 2.5, True, None):
+        with pytest.raises(ValueError, match="n must be an integer"):
+            scheme.phase3_budget(bad, 0.1, 1.0, 0.1)
+    for bad in (0, -1):
+        with pytest.raises(ValueError, match="n must be at least 1"):
+            scheme.phase3_budget(bad, 0.1, 1.0, 0.1)
+    for bad in (math.nan, math.inf, -0.5):
+        with pytest.raises(ValueError, match="rq must be finite and nonnegative"):
+            scheme.phase3_budget(100, bad, 1.0, 0.1)
+    for bad in (math.nan, math.inf, 0.0, -1.0):
+        with pytest.raises(ValueError, match="c21 must be finite and positive"):
+            scheme.phase3_budget(100, 0.1, bad, 0.1)
+    for bad in (math.nan, math.inf, -0.1):
+        with pytest.raises(ValueError, match="delta must be finite and nonnegative"):
+            scheme.phase3_budget(100, 0.1, 1.0, bad)
+    # a zero margin delta is legal, and n takes any integer type
+    assert scheme.phase3_budget(np.int64(10), 0.5, 1.0, 0.0) == 5
     # the rates and delta are numbers, not strings, bools or None
     for bad in ("2.0", True, None):
         for name, args in (("rq_value", (bad, 3.0, 0.5)), ("c21_value", (2.0, bad, 0.5)),
@@ -666,12 +685,28 @@ def test_mi_agrees_with_ergodic_capacity(run128):
     assert abs(t.mi.user2.value - ref.value) < tol
 
 
+def test_correlations_survive_a_huge_distortion():
+    # the residual variances pass 1e154, so the product of two of them
+    # overflows a double: the correlations must neither warn nor read 0,
+    # and, being scale free, match a run at a moderate huge distortion
+    def stats(distortion):
+        return scheme.run_scheme(SchemeConfig(n=16, power=10.0, distortion=distortion)).stats
+
+    huge, moderate = stats(1e200), stats(1e100)
+    assert huge.autocorr_user1 > 0.04
+    for name in ("autocorr_user1", "autocorr_user2", "signal_corr_user1", "signal_corr_user2",
+                 "noise_cross_corr_user1", "noise_cross_corr_user2"):
+        assert getattr(huge, name) == pytest.approx(getattr(moderate, name), rel=1e-12), name
+
+
 def test_mi_collapses_to_single_row_at_huge_distortion():
     cfg = SchemeConfig(n=64, power=10.0, distortion=1e6, seed=43)
     mi = scheme.run_scheme(cfg).mi
     ref = _whole_run(cfg)
     for estimate, direct in ((mi.user1, "h1"), (mi.user2, "g2")):
-        single = float(np.mean(core.logdet_capacity_term((ref[direct],), cfg.power, (1.0,))))
+        # the direct row alone: log2(1 + (P/2) |h|^2)
+        norm = np.sum(np.abs(ref[direct]) ** 2, axis=-1)
+        single = float(np.mean(np.log1p(cfg.power / 2.0 * norm) / math.log(2.0)))
         assert abs(estimate.value - single) < 1e-3
 
 
