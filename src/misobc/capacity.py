@@ -56,6 +56,7 @@ from __future__ import annotations
 
 import math
 import queue
+import sys
 from dataclasses import dataclass
 
 import numpy as np
@@ -596,7 +597,9 @@ def ratio_sweep(
 
     Paired sampling makes the ratio error bars much smaller than the
     quotient of the individual ones; the stderr combines both variances
-    and their covariance by the delta method.
+    and their covariance by the delta method.  A power at which c21**4,
+    a term of that error bar, falls below the smallest normal double
+    (c21 below about 1.2e-77) raises ``DomainError``.
     """
     grid = grid or PowerGrid.default()
     if any(p <= 0.0 for p in grid.points):
@@ -606,6 +609,9 @@ def ratio_sweep(
     for pt in pairs:
         first, second = pt.estimates
         a, b = first.value, second.value
+        if b**4 < sys.float_info.min:
+            raise DomainError(f"c21 is too small at P = {pt.power:g}: "
+                              "the ratio's error bar underflows a double")
         va, vb = first.stderr**2, second.stderr**2
         ratio = a / b
         var = va / b**2 + (a * a) * vb / b**4 - 2.0 * a * float(pt.mean_cov[0, 1]) / b**3

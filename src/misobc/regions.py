@@ -2,8 +2,8 @@
 
 A region is an intersection of half-planes a R1 + b R2 <= c with a, b >= 0,
 further cut by R1 >= 0 and R2 >= 0.  Every region handled here is convex,
-bounded and downward closed, so it is fully described either by its
-constraint list or by its vertex polygon; both directions are provided.
+bounded and downward closed, so its constraint list fixes it and its
+vertex polygon is enumerated from that list.
 
 The per-user gap between an outer region and an achievable region is the
 smallest uniform erosion of the outer region that fits inside the
@@ -11,11 +11,13 @@ achievable one.  Erosion acts on constraints as c -> c - (a + b) tau,
 which shifts every boundary line inward by tau along both coordinates.
 ``per_user_gap`` finds it by bisection for any pair of regions; for the
 outer and achievable regions of the scheme, ``gap_closed_form`` gives it
-and its gradient exactly.
+and its gradient exactly, with no polygon built.
 
-Tolerances are fixed module constants, not arguments: every geometric
-comparison allows ``GEOM_TOL``, and the bisection stops within
-``BISECT_TOL`` of the gap.
+Tolerances are fixed module constants, not arguments.  A region's
+geometric comparisons allow ``GEOM_TOL * min(1, s)``, where s is its
+largest axis intercept |c| / max(a, b), so regions at rates far below 1
+keep their shape; a test against two regions allows the larger of their
+two tolerances.  The bisection stops within ``BISECT_TOL`` of the gap.
 """
 
 from __future__ import annotations
@@ -23,8 +25,6 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from itertools import combinations
-
-import numpy as np
 
 from . import (GAP_BOUND, MIN_CERTIFIED_DISTORTION, DomainError, _number, capacity,
                check_gap_distortion)
@@ -80,10 +80,10 @@ def _convex_hull(points):
     return lower[:-1] + upper[:-1]
 
 
-def _dedupe(points):
+def _dedupe(points, tol):
     kept = []
     for p in points:
-        if all(abs(p[0] - q[0]) > GEOM_TOL or abs(p[1] - q[1]) > GEOM_TOL for q in kept):
+        if all(abs(p[0] - q[0]) > tol or abs(p[1] - q[1]) > tol for q in kept):
             kept.append(p)
     return kept
 
@@ -103,8 +103,13 @@ class RateRegion:
         object.__setattr__(self, "constraints", cons)
         object.__setattr__(self, "_vertices", self._enumerate_vertices())
 
+    @property
+    def tol(self) -> float:
+        """Geometric tolerance, ``GEOM_TOL`` scaled down to the region's reach."""
+        return GEOM_TOL * min(1.0, max(abs(h.c) / max(h.a, h.b) for h in self.constraints))
+
     def _enumerate_vertices(self):
-        cons = self.constraints
+        cons, tol = self.constraints, self.tol
         cands = [(0.0, 0.0)]
         for h in cons:
             if h.a > 0.0:
@@ -121,12 +126,12 @@ class RateRegion:
 
         feas = []
         for x, y in cands:
-            if x < -GEOM_TOL or y < -GEOM_TOL:
+            if x < -tol or y < -tol:
                 continue
             x, y = max(x, 0.0), max(y, 0.0)
-            if all(h.a * x + h.b * y <= h.c + GEOM_TOL for h in cons):
+            if all(h.a * x + h.b * y <= h.c + tol for h in cons):
                 feas.append((x, y))
-        feas = _dedupe(feas)
+        feas = _dedupe(feas, tol)
         if not feas:
             return ()
         return tuple(_convex_hull(feas))
@@ -139,57 +144,10 @@ class RateRegion:
     def is_empty(self) -> bool:
         return len(self._vertices) == 0
 
-    def contains(self, point) -> bool:
-        """Whether ``point`` lies in the region, to ``GEOM_TOL``."""
-        x, y = _number(point[0], "point"), _number(point[1], "point")
-        if x < -GEOM_TOL or y < -GEOM_TOL:
-            return False
-        return all(h.a * x + h.b * y <= h.c + GEOM_TOL for h in self.constraints)
-
     def max_coordinate(self) -> float:
         if self.is_empty():
             return 0.0
         return max(max(x, y) for x, y in self._vertices)
-
-    @classmethod
-    def from_vertices(cls, points) -> "RateRegion":
-        """Rebuild a constraint description from a vertex polygon.
-
-        The result describes the same set (to geometric tolerance); its
-        constraint list is not required to match the one the vertices
-        came from.
-        """
-        pts = np.asarray(points, dtype=float)
-        if pts.ndim != 2 or pts.shape[1] != 2 or pts.shape[0] == 0:
-            raise ValueError("points must be a nonempty (m, 2) array")
-        if not np.all(np.isfinite(pts)):
-            raise ValueError("points must be finite")
-        if np.any(pts < -GEOM_TOL):
-            raise ValueError("points must lie in the nonnegative quadrant")
-        pts = np.maximum(pts, 0.0)
-        hull = _convex_hull(_dedupe([tuple(p) for p in pts]))
-
-        xmax = float(max(p[0] for p in hull))
-        ymax = float(max(p[1] for p in hull))
-        cons = [HalfPlane(1.0, 0.0, xmax), HalfPlane(0.0, 1.0, ymax)]
-        if len(hull) >= 3:
-            m = len(hull)
-            for i in range(m):
-                px, py = hull[i]
-                qx, qy = hull[(i + 1) % m]
-                # outward normal of a counterclockwise edge
-                na, nb = qy - py, px - qx
-                norm = math.hypot(na, nb)
-                if norm == 0.0:
-                    continue
-                na, nb = na / norm, nb / norm
-                if na < -GEOM_TOL or nb < -GEOM_TOL:
-                    continue
-                na, nb = max(na, 0.0), max(nb, 0.0)
-                if na == 0.0 and nb == 0.0:
-                    continue
-                cons.append(HalfPlane(na, nb, max(na * px + nb * py, na * qx + nb * qy)))
-        return cls(tuple(cons))
 
 
 def outer_region(c21_value: float) -> RateRegion:
@@ -200,11 +158,11 @@ def outer_region(c21_value: float) -> RateRegion:
     return RateRegion((HalfPlane(1.0, 2.0, 2.0 * c), HalfPlane(2.0, 1.0, 2.0 * c)))
 
 
-def achievable_region(c21_value: float, c22d_value: float) -> RateRegion:
-    """Region {R1 + alpha R2 <= c21, alpha R1 + R2 <= c21}, alpha = 3 c21 / c22d - 1.
+def _achievable_rates(c21_value, c22d_value) -> tuple[float, float]:
+    """(c21, c22d) as floats, both finite and positive with 3 c21 >= c22d.
 
-    Needs 3 c21 >= c22d so that alpha is nonnegative; running the
-    quantizer at distortion 4 or more guarantees that at every power.
+    Running the quantizer at distortion 4 or more guarantees the last
+    condition at every power.
     """
     c1 = _number(c21_value, "c21_value")
     c2 = _number(c22d_value, "c22d_value")
@@ -212,13 +170,21 @@ def achievable_region(c21_value: float, c22d_value: float) -> RateRegion:
         raise ValueError("c21 must be finite and positive")
     if not math.isfinite(c2) or c2 <= 0.0:
         raise ValueError("c22d must be finite and positive")
-    ratio = 3.0 * c1 / c2
-    if ratio < 1.0 - 1e-12:
+    if 3.0 * c1 / c2 < 1.0 - 1e-12:
         raise DomainError(
             f"achievable region needs 3*c21 >= c22d, got 3*{c1:.6g} < {c2:.6g}; "
             "quantizer distortion of at least 4 guarantees the sign"
         )
-    alpha = max(ratio - 1.0, 0.0)
+    return c1, c2
+
+
+def achievable_region(c21_value: float, c22d_value: float) -> RateRegion:
+    """Region {R1 + alpha R2 <= c21, alpha R1 + R2 <= c21}, alpha = 3 c21 / c22d - 1.
+
+    Needs 3 c21 >= c22d so that alpha is nonnegative.
+    """
+    c1, c2 = _achievable_rates(c21_value, c22d_value)
+    alpha = max(3.0 * c1 / c2 - 1.0, 0.0)
     return RateRegion((HalfPlane(1.0, alpha, c1), HalfPlane(alpha, 1.0, c1)))
 
 
@@ -253,7 +219,7 @@ def corner_points(region: RateRegion) -> CornerPoints:
     spread = max(
         max(abs(p[0] - q[0]), abs(p[1] - q[1])) for p in pts for q in pts
     )
-    return CornerPoints((s, s), (bx, by), (cx, cy), degenerate=spread <= GEOM_TOL)
+    return CornerPoints((s, s), (bx, by), (cx, cy), degenerate=spread <= region.tol)
 
 
 def erode(region: RateRegion, tau: float) -> RateRegion:
@@ -274,13 +240,14 @@ def erode(region: RateRegion, tau: float) -> RateRegion:
 
 def is_subset(inner: RateRegion, outer: RateRegion) -> bool:
     """Vertex-against-constraint containment test for convex regions, to
-    ``GEOM_TOL``."""
+    the larger of their two tolerances."""
     if inner.is_empty():
         return True
     if outer.is_empty():
         return False
+    tol = max(inner.tol, outer.tol)
     return all(
-        h.a * x + h.b * y <= h.c + GEOM_TOL
+        h.a * x + h.b * y <= h.c + tol
         for x, y in inner.vertices
         for h in outer.constraints
     )
@@ -344,10 +311,13 @@ def gap_closed_form(c21_value: float, c22d_value: float) -> tuple[float, float, 
     The eroded outer region keeps its symmetric vertex at (2 c21 - 3 tau)/3
     and its axis vertices at c21 - 3 tau/2.  The symmetric one binds while
     c22d >= c21, the axis ones (alpha > 2) below.
+
+    The achievable region lies in the outer one iff its symmetric corner
+    (c22d/3, c22d/3) does, that is iff c22d <= 2 c21, to the tolerance
+    ``is_subset`` allows these two regions; its axis corners always fit.
     """
-    c1 = _number(c21_value, "c21_value")
-    c2 = _number(c22d_value, "c22d_value")
-    if not is_subset(achievable_region(c1, c2), outer_region(c1)):
+    c1, c2 = _achievable_rates(c21_value, c22d_value)
+    if c2 > 2.0 * c1 + GEOM_TOL * min(1.0, c1):
         raise ValueError("inner region must be contained in the outer region")
     if c2 >= c1:
         return max(0.0, (2.0 * c1 - c2) / 3.0), 2.0 / 3.0, -1.0 / 3.0

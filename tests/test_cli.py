@@ -13,7 +13,6 @@ import pytest
 
 import misobc
 from misobc import capacity, cli, core, regions, scheme
-from misobc.regions import RateRegion
 
 FAST = ["--samples", "20000", "--seed", "9"]
 
@@ -172,16 +171,34 @@ def test_region_writes_noted_files(capsys, tmp_path):
         assert lines[1] == "R1,R2"
         return [tuple(map(float, ln.split(","))) for ln in lines[2:]]
 
-    outer = RateRegion.from_vertices(load_vertices("outer_vertices.csv"))
-    inner = RateRegion.from_vertices(load_vertices("achievable_vertices.csv"))
-    assert regions.is_subset(inner, outer)
-
+    # both polygons lie in the outer region of the printed c21, to the
+    # 12 significant digits the files carry
+    c21 = float(re.search(r"c21 = ([0-9.eE+-]+)", out).group(1))
     c22d = float(re.search(r"c22d = ([0-9.eE+-]+)", out).group(1))
+    outer = regions.outer_region(c21)
+    for name in ("outer_vertices.csv", "achievable_vertices.csv"):
+        points = load_vertices(name)
+        assert len(points) >= 3
+        for x, y in points:
+            assert x >= 0.0 and y >= 0.0
+            for h in outer.constraints:
+                assert h.a * x + h.b * y <= h.c + 1e-9, (name, x, y)
     corner_lines = (tmp_path / "corners.csv").read_text().splitlines()
     label, ax, ay = corner_lines[2].split(",")
     assert label == "A"
     assert float(ax) == pytest.approx(c22d / 3.0, abs=1e-9)
     assert float(ax) == float(ay)
+
+
+@pytest.mark.parametrize("power", ["1e-100", "5e-324", "1e-80"])
+def test_rq_underflowing_error_bar_exits_3(capsys, power):
+    # c21**4 in the ratio's error bar underflows: before, 1e-80 printed a
+    # wrong stderr and the smaller powers raised ZeroDivisionError
+    code, out, err = run(capsys, ["rq", "--power", power, "--samples", "1000"])
+    assert code == 3
+    assert out == ""
+    assert err.startswith(f"error: c21 is too small at P = {float(power):g}: ")
+    assert err.count("\n") == 1
 
 
 def test_gap_csv_flags_max_row(capsys):

@@ -1,7 +1,9 @@
 """Region polytopes, erosion algebra and the per-user gap search."""
 
+import ast
 import io
 import math
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -54,13 +56,6 @@ def random_region(rng) -> RateRegion:
     return RateRegion(tuple(cons))
 
 
-def hausdorff(pts_a, pts_b) -> float:
-    a = np.asarray(pts_a, dtype=float)
-    b = np.asarray(pts_b, dtype=float)
-    d = np.sqrt(((a[:, None, :] - b[None, :, :]) ** 2).sum(-1))
-    return max(d.min(axis=1).max(), d.min(axis=0).max())
-
-
 def test_half_plane_validation():
     HalfPlane(1.0, 0.0, -2.0)  # negative offset encodes emptiness
     with pytest.raises(ValueError):
@@ -86,16 +81,13 @@ def test_region_inputs_must_be_numbers(bad):
                        ("c22d_value", lambda v: regions.achievable_region(1.0, v)),
                        ("tau", lambda v: regions.erode(outer, v)),
                        ("c21_value", lambda v: regions.gap_closed_form(v, 1.0)),
-                       ("c22d_value", lambda v: regions.gap_closed_form(1.0, v)),
-                       ("point", lambda v: outer.contains((v, v))),
-                       ("point", lambda v: outer.contains((v, 0))),
-                       ("point", lambda v: outer.contains((0, v)))):
+                       ("c22d_value", lambda v: regions.gap_closed_form(1.0, v))):
         with pytest.raises(ValueError, match=f"^{name} must be a number"):
             call(bad)
     # any real number type, NumPy's too, is still read as a float
     assert regions.outer_region(np.int64(3)) == outer
     assert regions.erode(outer, np.float32(0.5)) == regions.erode(outer, 0.5)
-    assert outer.contains((np.int64(1), np.float32(1.0)))
+    assert regions.achievable_region(np.int64(3), np.float32(4.5)) == inner
 
 
 def test_region_requires_bounding_constraints():
@@ -141,6 +133,28 @@ def test_achievable_region_shapes():
     assert len(quad2.vertices) == 4
     assert (1.5, 0.0) in quad2.vertices
     assert (1.0, 1.0) in quad2.vertices
+
+
+@pytest.mark.parametrize("c1", [1e-10, 2.9e-8, 1e-6])
+def test_small_rate_regions_keep_their_shape(c1):
+    # the tolerance scales with the region's reach, so regions at tiny
+    # rates keep every vertex: an absolute 1e-9 merged them into (0, 0)
+    def same(verts, expected):
+        assert len(verts) == len(expected)
+        for p, q in zip(verts, expected):
+            assert p == pytest.approx(q, rel=1e-12, abs=0.0)
+
+    outer = regions.outer_region(c1)
+    same(outer.vertices, [(0.0, 0.0), (c1, 0.0), (2.0 * c1 / 3.0, 2.0 * c1 / 3.0), (0.0, c1)])
+    assert not regions.corner_points(outer).degenerate
+    for ratio in (0.8, 1.2, 1.52, 1.8):
+        c2 = ratio * c1
+        alpha = 3.0 / ratio - 1.0
+        reach = c1 / max(1.0, alpha)
+        inner = regions.achievable_region(c1, c2)
+        same(inner.vertices, [(0.0, 0.0), (reach, 0.0), (c2 / 3.0, c2 / 3.0), (0.0, reach)])
+        assert not regions.corner_points(inner).degenerate
+        assert regions.is_subset(inner, outer)
 
 
 def test_achievable_region_precondition():
@@ -191,35 +205,6 @@ def test_vertices_satisfy_constraints():
             assert x >= 0.0 and y >= 0.0
             for h in region.constraints:
                 assert h.a * x + h.b * y <= h.c + 1e-9
-
-
-def test_from_vertices_round_trip():
-    rng = np.random.default_rng(408)
-    for _ in range(50):
-        region = random_region(rng)
-        rebuilt = RateRegion.from_vertices(region.vertices)
-        assert hausdorff(region.vertices, rebuilt.vertices) < 1e-9
-
-
-def test_from_vertices_degenerate_inputs():
-    point = RateRegion.from_vertices([(0.0, 0.0)])
-    assert point.vertices == ((0.0, 0.0),)
-    seg = RateRegion.from_vertices([(0.0, 0.0), (2.0, 0.0)])
-    assert seg.vertices == ((0.0, 0.0), (2.0, 0.0))
-    assert seg.contains((1.0, 0.0))
-    assert not seg.contains((1.0, 0.5))
-    with pytest.raises(ValueError):
-        RateRegion.from_vertices(np.zeros((0, 2)))
-    with pytest.raises(ValueError):
-        RateRegion.from_vertices([(-1.0, 0.0)])
-
-
-def test_contains():
-    outer = regions.outer_region(3.0)
-    assert outer.contains((0.0, 0.0))
-    assert outer.contains((2.0, 2.0))
-    assert not outer.contains((2.1, 2.1))
-    assert not outer.contains((-0.5, 0.0))
 
 
 def test_erode_semigroup_exact_on_dyadic_offsets():
@@ -366,6 +351,53 @@ def test_gap_closed_form_rejects_what_bisection_rejects():
         assert bisection.type is closed.type is err
 
 
+def test_gap_closed_form_rejects_where_is_subset_does():
+    # containment is one inequality, c22d <= 2 c21 to the outer region's
+    # tolerance; it must agree with the vertex test on both sides of the
+    # edge at every scale, and where D = 0 pushes c22d/c21 towards 2
+    rng = np.random.default_rng(415)
+    pairs = []
+    for _ in range(1500):
+        c1 = float(10.0 ** rng.uniform(-10.0, 3.0))
+        pairs.append((c1, c1 * float(rng.uniform(0.2, 2.9))))
+        tol = regions.GEOM_TOL * min(1.0, c1)
+        pairs.append((c1, 2.0 * c1 + float(rng.uniform(-3.0, 3.0)) * tol))
+    pairs += [(capacity.c21_oracle(p), capacity.c22d_oracle(p, 0.0))
+              for p in np.logspace(-4.0, 10.0, 57).tolist()]
+    rejected = 0
+    for c1, c2 in pairs:
+        inside = regions.is_subset(regions.achievable_region(c1, c2), regions.outer_region(c1))
+        try:
+            regions.gap_closed_form(c1, c2)
+        except ValueError as err:
+            assert type(err) is ValueError
+            assert not inside, (c1, c2)
+            rejected += 1
+        else:
+            assert inside, (c1, c2)
+    assert 0 < rejected < len(pairs)
+
+
+def test_gap_sweep_builds_no_polytope(monkeypatch):
+    def no_vertices(self):
+        raise AssertionError("gap_sweep enumerated a polygon")
+
+    monkeypatch.setattr(RateRegion, "_enumerate_vertices", no_vertices)
+    report = regions.gap_sweep(4.0, PowerGrid((1.0, 10.0)), MCConfig(samples=2000, seed=6))
+    assert len(report.rows) == 2
+    with pytest.raises(AssertionError):
+        regions.outer_region(1.0)
+
+
+def test_regions_imports_no_numpy():
+    tree = ast.parse(Path(regions.__file__).read_text(encoding="utf-8"))
+    imports = {alias.name for node in ast.walk(tree) if isinstance(node, ast.Import)
+               for alias in node.names}
+    imports |= {node.module for node in ast.walk(tree)
+                if isinstance(node, ast.ImportFrom) and node.module}
+    assert not any(m.split(".")[0] == "numpy" for m in imports)
+
+
 def test_gap_sweep_small_grid():
     grid = PowerGrid((1.0, 10.0, 100.0))
     mc = MCConfig(samples=20_000, seed=6)
@@ -406,7 +438,7 @@ def test_gap_report_serialization():
 
 def test_corner_tie_breaks():
     # rectangle: B is the max-R1 vertex nearest the axis, C the max-R2 one
-    rect = RateRegion.from_vertices([(0.0, 0.0), (2.0, 0.0), (2.0, 1.0), (0.0, 1.0)])
+    rect = RateRegion((HalfPlane(1.0, 0.0, 2.0), HalfPlane(0.0, 1.0, 1.0)))
     corners = regions.corner_points(rect)
     assert corners.max_r1 == (2.0, 0.0)
     assert corners.max_r2 == (0.0, 1.0)
@@ -421,8 +453,9 @@ def test_vertex_csv_round_trip():
     lines = buf.getvalue().splitlines()
     assert lines[0] == "R1,R2"
     pts = [tuple(map(float, ln.split(","))) for ln in lines[1:]]
-    rebuilt = RateRegion.from_vertices(pts)
-    assert hausdorff(region.vertices, rebuilt.vertices) < 1e-9
+    assert len(pts) == len(region.vertices) == 4
+    for p, q in zip(pts, region.vertices):
+        assert p == pytest.approx(q, rel=1e-11, abs=0.0)
 
 
 def test_corner_csv_format():
