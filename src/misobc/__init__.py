@@ -2,7 +2,7 @@
 
 The package certifies, numerically, that a three-phase retrospective
 transmission scheme with a fixed-distortion quantizer stays within a
-constant per-user gap of an outer bound at every transmit power:
+constant per-user gap of an outer bound on a power grid:
 
 * :mod:`misobc.core`      reproducible random streams, closed-form
   log-det arithmetic for batches of 2x2 channels, and the task runner
@@ -26,9 +26,10 @@ gap distortion below the certified floor without loading NumPy; each
 subcommand loads the modules it runs, and
 ``rd --mode waterfill|suboptimal`` loads only :mod:`misobc.rd`.  The
 error type, the constants that the command line shows in its flags and
-help, number formatting, the validators of number, integer and seed
-arguments and the gap distortion check are defined here, once, and the
-numerical modules import them from here.
+help, number formatting, the validators of number, real (finite and
+nonnegative or positive), integer and seed arguments and the gap
+distortion check are defined here, once, and the numerical modules
+import them from here.
 """
 
 import math
@@ -79,6 +80,15 @@ def _number(value, name: str) -> float:
     raise ValueError(f"{name} must be a number, got {value!r}")
 
 
+def _real(value, name: str, positive: bool = False) -> float:
+    """``_number(value, name)`` if it is finite and nonnegative, or positive
+    when ``positive``; else a ValueError naming ``name``."""
+    v = _number(value, name)
+    if not math.isfinite(v) or v < 0.0 or (positive and v == 0.0):
+        raise ValueError(f"{name} must be finite and {'positive' if positive else 'nonnegative'}")
+    return v
+
+
 def _integer(value, message: str) -> int:
     """``value`` as an int: any integer type, NumPy's too, but not a bool,
     float or string, which raise ValueError(f"{message}, got {value!r}")."""
@@ -108,9 +118,7 @@ def check_gap_distortion(distortion, allow_small: bool = False,
     ValueError is raised.  A refusal below the floor tells the caller to
     pass ``override``, the spelling of the override in the caller's terms.
     """
-    d = _number(distortion, "distortion")
-    if not math.isfinite(d) or d <= 0.0:
-        raise ValueError("distortion must be finite and positive")
+    d = _real(distortion, "distortion", positive=True)
     if d < MIN_CERTIFIED_DISTORTION and not allow_small:
         raise ValueError(
             f"distortion {d:g} is below the certified choice "

@@ -32,7 +32,8 @@ worker before any block runs, and the blocks of one ``estimate`` call
 take turns with them, so for k quantities transient memory is
 workers * (4 + k) * 2^16 * 8 bytes at any sample count; with the
 default that grows with the host's CPU count.  A power at which a rate
-argument overflows a double raises ``DomainError``.
+argument overflows a double, or a nonzero estimate's squared error bar
+underflows one, raises ``DomainError``.
 
 ``estimate`` runs its blocks through ``core.run_tasks``: w > 1 workers
 are w pool threads, and one worker or one block runs inline in the
@@ -61,8 +62,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from . import (DEFAULT_SAMPLES, DEFAULT_SEED, DomainError, _fmt, _integer, _number, _round12,
-               _seed, core)
+from . import (DEFAULT_SAMPLES, DEFAULT_SEED, DomainError, _fmt, _integer, _number, _real,
+               _round12, _seed, core)
 from .core import LN2, StreamTag
 
 QUANTITIES = ("c21", "c22d", "rq")
@@ -142,21 +143,19 @@ class MonteCarloEstimate:
 @dataclass(frozen=True)
 class PowerGrid:
     """Strictly increasing nonnegative transmit power points (linear scale):
-    an iterable of numbers as ``misobc._number`` takes them (no strings or
+    an iterable of numbers as ``misobc._real`` takes them (no strings or
     bools)."""
 
     points: tuple[float, ...]
 
     def __post_init__(self):
         try:
-            pts = tuple(_number(p, "grid point") for p in self.points)
+            pts = tuple(_real(p, "grid point") for p in self.points)
         except TypeError:
             raise ValueError(f"grid points must be an iterable of numbers, "
                              f"got {self.points!r}") from None
         if len(pts) == 0:
             raise ValueError("grid must contain at least one point")
-        if any(not math.isfinite(p) or p < 0.0 for p in pts):
-            raise ValueError("grid points must be finite and nonnegative")
         if any(b <= a for a, b in zip(pts, pts[1:])):
             raise ValueError("grid points must be strictly increasing")
         object.__setattr__(self, "points", pts)
@@ -204,12 +203,8 @@ def _draw_moments(rng: np.random.Generator, count: int,
 def _check_quantity(quantity: str, distortion) -> None:
     if quantity not in QUANTITIES:
         raise ValueError(f"unknown quantity {quantity!r}, expected one of {QUANTITIES}")
-    if quantity == "c21":
-        return
-    d = _number(distortion, f"distortion for {quantity}")
-    if not math.isfinite(d) or d < 0.0 or (quantity == "rq" and d == 0.0):
-        sign = "positive" if quantity == "rq" else "nonnegative"
-        raise ValueError(f"distortion must be finite and {sign} for {quantity}")
+    if quantity != "c21":
+        _real(distortion, f"distortion for {quantity}", positive=quantity == "rq")
 
 
 def _rate_polys(m: np.ndarray, quantities, distortion) -> list:
@@ -261,7 +256,10 @@ def estimate(
     shared ensemble.  ``distortion`` applies to c22d and rq; giving one to
     c21 alone is an error.  A DomainError names the first quantity and
     power whose sums are not finite, which happens once c lin + c^2 quad
-    overflows a double (c21 and rq near P = 1e308, c22d near 1e154).
+    overflows a double (c21 and rq near P = 1e308, c22d near 1e154), and
+    likewise, for more than one sample, the first nonzero estimate whose
+    squared error bar falls below the smallest normal double, where its
+    squared terms underflow (c21 below about P = 1e-151 at 10^6 samples).
 
     The scratch sets are allocated in the calling thread, and the blocks
     run through ``core.run_tasks``: on w pool threads for w > 1 workers,
@@ -331,7 +329,13 @@ def estimate(
     values = S1 / (n * LN2)
     # one sample gives S2 == S1 S1 exactly, hence a zero covariance
     mean_cov = (S2 - S1[:, :, None] * S1[:, None, :] / n) / (max(n - 1, 1) * n * LN2 * LN2)
-    stderr = np.sqrt(np.maximum(np.diagonal(mean_cov, axis1=1, axis2=2), 0.0))
+    var = np.diagonal(mean_cov, axis1=1, axis2=2)
+    tiny = (S1 != 0.0) & (var < sys.float_info.min) & (n > 1)
+    if tiny.any():
+        j, i = np.argwhere(tiny)[0]
+        raise DomainError(f"{quantities[i]} is too small at P = {grid.points[j]:g}: "
+                          "its error bar underflows a double")
+    stderr = np.sqrt(np.maximum(var, 0.0))
     return tuple(
         Estimates(p, tuple(MonteCarloEstimate(float(v), float(e), n, mc.seed)
                            for v, e in zip(values[j], stderr[j])), mean_cov[j])
@@ -408,13 +412,6 @@ def _scaled_expint(m: int, z: float) -> float:
     raise ArithmeticError(f"e^z E_{m}(z) did not converge at z = {z!r}")
 
 
-def _oracle_power(power) -> float:
-    p = _number(power, "power")
-    if not math.isfinite(p) or p < 0.0:
-        raise ValueError("power must be finite and nonnegative")
-    return p
-
-
 def c21_oracle(power: float) -> float:
     """Closed-form value of c21, independent of the sampling path.
 
@@ -426,7 +423,7 @@ def c21_oracle(power: float) -> float:
     50-digit mpmath for powers from 1e-6 to 1e6, and finite and
     nonnegative for every finite power.
     """
-    p = _oracle_power(power)
+    p = _real(power, "power")
     if p == 0.0:
         return 0.0
     z = 2.0 / p
@@ -442,7 +439,7 @@ def rq_oracle(power: float, distortion: float) -> float:
     it.  A DomainError is raised where z underflows to 0, that is where
     the rate argument overflows a double, as the estimator does there.
     """
-    p = _oracle_power(power)
+    p = _real(power, "power")
     _check_quantity("rq", distortion)
     if p == 0.0:
         return 0.0
@@ -482,7 +479,7 @@ def c22d_oracle(power: float, distortion: float) -> float:
     checked as ``c22d`` checks it.  The value is finite for every finite
     power, so unlike ``rq_oracle`` it raises no DomainError.
     """
-    p = _oracle_power(power)
+    p = _real(power, "power")
     _check_quantity("c22d", distortion)
     if p == 0.0:
         return 0.0
@@ -625,12 +622,7 @@ def ratio_sweep(
 
 def _gain(value) -> float | None:
     """A constant side-information gain as a float, checked, or None (Rayleigh)."""
-    if value is None:
-        return None
-    gain = _number(value, "gain")
-    if not math.isfinite(gain) or gain < 0.0:
-        raise ValueError("gain must be finite and nonnegative")
-    return gain
+    return None if value is None else _real(value, "gain")
 
 
 def ergodic_wyner_rate(
@@ -653,13 +645,9 @@ def ergodic_wyner_rate(
     checked first, then the variances and the distortion.
     """
     gain = _gain(gain)
-    sv = _number(signal_var, "signal_var")
-    nv = _number(noise_var, "noise_var")
+    sv = _real(signal_var, "signal_var", positive=True)
+    nv = _real(noise_var, "noise_var", positive=True)
     d = _number(distortion, "distortion")
-    if not math.isfinite(sv) or sv <= 0.0:
-        raise ValueError("signal_var must be finite and positive")
-    if not math.isfinite(nv) or nv <= 0.0:
-        raise ValueError("noise_var must be finite and positive")
     if not math.isfinite(d) or d <= 0.0:
         raise DomainError("distortion must satisfy 0 < D <= conditional variance")
     mc = mc or MCConfig()

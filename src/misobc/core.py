@@ -32,13 +32,12 @@ LAPACK calls and is exact at this dimension.
 from __future__ import annotations
 
 import enum
-import math
 import os
 from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 
-from . import DomainError, _number  # noqa: F401  (re-exported: misobc.core.DomainError)
+from . import DomainError, _real  # noqa: F401  (re-exported: misobc.core.DomainError)
 
 LN2 = float(np.log(2.0))
 
@@ -135,8 +134,9 @@ def logdet_capacity_term(rows, power, noise_vars) -> np.ndarray:
     shape (m..., 2) with at least one leading axis; a single matrix h is
     passed as the batch of one ``h[:, None]``.  Row r sees additive noise
     of variance noise_vars[r].  The power and each noise variance are
-    numbers as ``misobc._number`` takes them.  The result is a float
-    array of the leading shape (m...); H is never stacked into one array.
+    read by ``misobc._real``, the power nonnegative and the variances
+    positive.  The result is a float array of the leading shape (m...);
+    H is never stacked into one array.
 
     The determinant is expanded in closed form, the argument of log2 being
 
@@ -150,12 +150,8 @@ def logdet_capacity_term(rows, power, noise_vars) -> np.ndarray:
     nv = np.asarray(noise_vars, dtype=object)
     if nv.shape != (2,):
         raise ValueError(f"noise_vars must hold 2 entries, got shape {nv.shape}")
-    s0, s1 = (_number(v, "noise variance") for v in nv)
-    if not all(math.isfinite(v) and v > 0.0 for v in (s0, s1)):
-        raise ValueError("noise variances must be positive and finite")
-    p = _number(power, "power")
-    if not math.isfinite(p) or p < 0.0:
-        raise ValueError("power must be nonnegative and finite")
+    s0, s1 = (_real(v, "noise variance", positive=True) for v in nv)
+    p = _real(power, "power")
 
     # the terms accumulate in their first temporary, in the order of
     # c (norm0/s0 + norm1/s1) + (c c) det2 / (s0 s1)

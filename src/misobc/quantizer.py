@@ -21,7 +21,7 @@ import struct
 
 import numpy as np
 
-from . import _number, _seed, core
+from . import _real, _seed, core
 
 _MAGIC = b"DLQ1"
 _HEADER = struct.Struct("<4sdI")
@@ -32,20 +32,14 @@ INT32_MAX = 2**31 - 1
 
 def step_for_distortion(distortion: float) -> float:
     """Lattice step achieving mean squared error ``distortion`` per complex sample."""
-    d = _number(distortion, "distortion")
-    if not math.isfinite(d) or d <= 0.0:
-        raise ValueError("distortion must be finite and positive")
-    return math.sqrt(6.0 * d)
+    return math.sqrt(6.0 * _real(distortion, "distortion", positive=True))
 
 
 class DitheredQuantizer:
     """One end of a subtractive dithered scalar quantizer link."""
 
     def __init__(self, step: float, dither_seed: int):
-        s = _number(step, "step")
-        if not math.isfinite(s) or s <= 0.0:
-            raise ValueError("step must be finite and positive")
-        self.step = s
+        self.step = _real(step, "step", positive=True)
         # a master seed under the rule MCConfig and SchemeConfig apply
         self.dither_seed = _seed(dither_seed, "dither_seed")
         self._rng = core.stream(self.dither_seed, core.StreamTag.QUANTIZER_DITHER)
@@ -133,10 +127,7 @@ def write_indices(fp, step: float, indices) -> None:
         raise ValueError("sample count overflows the uint32 header field")
     if q.size and (q.min() < INT32_MIN or q.max() > INT32_MAX):
         raise ValueError("lattice coordinates overflow int32")
-    s = _number(step, "step")
-    if not math.isfinite(s) or s <= 0.0:
-        raise ValueError("step must be finite and positive")
-    fp.write(_HEADER.pack(_MAGIC, s, q.shape[0]))
+    fp.write(_HEADER.pack(_MAGIC, _real(step, "step", positive=True), q.shape[0]))
     fp.write(np.ascontiguousarray(q, dtype="<i4").data)
 
 

@@ -15,7 +15,7 @@ from __future__ import annotations
 import math
 from itertools import accumulate
 
-from . import DomainError, _number
+from . import DomainError, _number, _real
 
 _LN2 = math.log(2.0)
 
@@ -30,12 +30,9 @@ def _rd_inputs(variance_samples, distortion_budget) -> tuple[list[float], float]
                          f"got {variance_samples!r}") from None
     if not v:
         raise ValueError("need at least one variance sample")
-    if not all(math.isfinite(x) and x >= 0.0 for x in v):
-        raise ValueError("variances must be finite and nonnegative")
-    budget = _number(distortion_budget, "distortion_budget")
-    if not math.isfinite(budget) or budget <= 0.0:
-        raise ValueError("distortion budget must be finite and positive")
-    return v, budget
+    for x in v:
+        _real(x, "variances")
+    return v, _real(distortion_budget, "distortion_budget", positive=True)
 
 
 def _finite(rate: float) -> float:

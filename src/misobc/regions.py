@@ -17,7 +17,9 @@ Tolerances are fixed module constants, not arguments.  A region's
 geometric comparisons allow ``GEOM_TOL * min(1, s)``, where s is its
 largest axis intercept |c| / max(a, b), so regions at rates far below 1
 keep their shape; a test against two regions allows the larger of their
-two tolerances.  The bisection stops within ``BISECT_TOL`` of the gap.
+two tolerances.  The bisection stops within ``BISECT_TOL * min(1, s)``
+of the gap, s the outer region's largest axis intercept, so gaps far
+below 1 keep their digits too.
 """
 
 from __future__ import annotations
@@ -26,7 +28,7 @@ import math
 from dataclasses import dataclass
 from itertools import combinations
 
-from . import (GAP_BOUND, MIN_CERTIFIED_DISTORTION, DomainError, _number, capacity,
+from . import (GAP_BOUND, MIN_CERTIFIED_DISTORTION, DomainError, _number, _real, capacity,
                check_gap_distortion)
 from .capacity import MCConfig, MonteCarloEstimate, PowerGrid, _Table, write_csv
 
@@ -104,9 +106,15 @@ class RateRegion:
         object.__setattr__(self, "_vertices", self._enumerate_vertices())
 
     @property
+    def _scale(self) -> float:
+        """min(1, s), s the largest axis intercept |c| / max(a, b) over the
+        constraints: the factor the region's tolerances scale by."""
+        return min(1.0, max(abs(h.c) / max(h.a, h.b) for h in self.constraints))
+
+    @property
     def tol(self) -> float:
         """Geometric tolerance, ``GEOM_TOL`` scaled down to the region's reach."""
-        return GEOM_TOL * min(1.0, max(abs(h.c) / max(h.a, h.b) for h in self.constraints))
+        return GEOM_TOL * self._scale
 
     def _enumerate_vertices(self):
         cons, tol = self.constraints, self.tol
@@ -152,9 +160,7 @@ class RateRegion:
 
 def outer_region(c21_value: float) -> RateRegion:
     """Weighted outer bound {R1 + 2 R2 <= 2 c21, 2 R1 + R2 <= 2 c21}."""
-    c = _number(c21_value, "c21_value")
-    if not math.isfinite(c) or c < 0.0:
-        raise ValueError("c21 must be finite and nonnegative")
+    c = _real(c21_value, "c21_value")
     return RateRegion((HalfPlane(1.0, 2.0, 2.0 * c), HalfPlane(2.0, 1.0, 2.0 * c)))
 
 
@@ -164,12 +170,8 @@ def _achievable_rates(c21_value, c22d_value) -> tuple[float, float]:
     Running the quantizer at distortion 4 or more guarantees the last
     condition at every power.
     """
-    c1 = _number(c21_value, "c21_value")
-    c2 = _number(c22d_value, "c22d_value")
-    if not math.isfinite(c1) or c1 <= 0.0:
-        raise ValueError("c21 must be finite and positive")
-    if not math.isfinite(c2) or c2 <= 0.0:
-        raise ValueError("c22d must be finite and positive")
+    c1 = _real(c21_value, "c21_value", positive=True)
+    c2 = _real(c22d_value, "c22d_value", positive=True)
     if 3.0 * c1 / c2 < 1.0 - 1e-12:
         raise DomainError(
             f"achievable region needs 3*c21 >= c22d, got 3*{c1:.6g} < {c2:.6g}; "
@@ -230,9 +232,7 @@ def erode(region: RateRegion, tau: float) -> RateRegion:
     eroding by s + t whenever the arithmetic is exact.  An erosion deep
     enough to empty the region is representable (offsets go negative).
     """
-    t = _number(tau, "tau")
-    if not math.isfinite(t) or t < 0.0:
-        raise ValueError("tau must be finite and nonnegative")
+    t = _real(tau, "tau")
     return RateRegion(
         tuple(HalfPlane(h.a, h.b, h.c - (h.a + h.b) * t) for h in region.constraints)
     )
@@ -258,7 +258,8 @@ def per_user_gap(outer: RateRegion, inner: RateRegion) -> float:
 
     Requires inner to be contained in outer.  The returned tau satisfies
     erode(outer, tau) inside inner, and no tau smaller by more than
-    ``BISECT_TOL`` does.
+    ``BISECT_TOL * min(1, s)`` does, s the outer region's largest axis
+    intercept (or by more than one ulp where s = 0).
     """
     if not is_subset(inner, outer):
         raise ValueError("inner region must be contained in the outer region")
@@ -268,7 +269,8 @@ def per_user_gap(outer: RateRegion, inner: RateRegion) -> float:
     hi = outer.max_coordinate() + 1.0
     if not is_subset(erode(outer, hi), inner):
         raise ValueError("erosion bracket failed, regions are inconsistent")
-    while hi - lo > BISECT_TOL:
+    stop = BISECT_TOL * outer._scale
+    while hi - lo > max(stop, math.ulp(hi)):
         mid = 0.5 * (lo + hi)
         if is_subset(erode(outer, mid), inner):
             hi = mid

@@ -59,7 +59,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from . import (DEFAULT_SEED, MAX_BLOCKS, DomainError, _integer, _number, _round12, _seed,
+from . import (DEFAULT_SEED, MAX_BLOCKS, DomainError, _integer, _real, _round12, _seed,
                capacity, core, quantizer)
 from .capacity import MCConfig, MonteCarloEstimate
 from .core import StreamTag
@@ -88,10 +88,7 @@ class SchemeConfig:
             raise ValueError(f"n must be between 1 and {MAX_BLOCKS}")
         object.__setattr__(self, "n", n)
         for name in ("power", "distortion", "delta"):
-            value = _number(getattr(self, name), name)
-            if not math.isfinite(value) or value <= 0.0:
-                raise ValueError(f"{name} must be finite and positive")
-            object.__setattr__(self, name, value)
+            object.__setattr__(self, name, _real(getattr(self, name), name, positive=True))
         object.__setattr__(self, "seed", _seed(self.seed))
 
 
@@ -359,11 +356,9 @@ def phase3_budget(n: int, rq_value: float, c21_value: float, delta: float) -> in
     n = _integer(n, "n must be an integer")
     if n < 1:
         raise ValueError(f"n must be at least 1, got {n}")
-    rq = _rate(rq_value, "rq")
-    c21 = _rate(c21_value, "c21", positive=True)
-    delta = _number(delta, "delta")
-    if not math.isfinite(delta) or delta < 0.0:
-        raise ValueError("delta must be finite and nonnegative")
+    rq = _real(rq_value, "rq_value")
+    c21 = _real(c21_value, "c21_value", positive=True)
+    delta = _real(delta, "delta")
     margin = c21 - delta
     if margin <= 0.0 or rq >= margin:
         raise DomainError(
@@ -575,20 +570,11 @@ def mi_accounting(transcript: SchemeTranscript) -> MIReport:
     return t.mi
 
 
-def _rate(value, name: str, positive: bool = False) -> float:
-    """The rate ``name`` (its argument is ``name``_value) as a float: a
-    number, finite, positive if ``positive`` and else nonnegative, or a
-    ValueError."""
-    v = _number(value, f"{name}_value")
-    if not math.isfinite(v) or v < 0.0 or (positive and v == 0.0):
-        raise ValueError(f"{name} must be finite and {'positive' if positive else 'nonnegative'}")
-    return v
-
-
 def _rates(c22d_value, rq_value, c21_value) -> tuple[float, float, float]:
     """c22d, rq and c21 as floats: numbers, finite, c21 positive and the
     others nonnegative, else a ValueError."""
-    return _rate(c22d_value, "c22d"), _rate(rq_value, "rq"), _rate(c21_value, "c21", True)
+    return (_real(c22d_value, "c22d_value"), _real(rq_value, "rq_value"),
+            _real(c21_value, "c21_value", positive=True))
 
 
 def achieved_rate_pair(c22d_value: float, rq_value: float, c21_value: float):

@@ -143,11 +143,11 @@ def test_rq_oracle_edge_cases():
         with pytest.raises(ValueError, match="power must be finite and nonnegative"):
             capacity.rq_oracle(power, 4.0)
     for d in (0.0, -1.0, math.inf, math.nan):
-        with pytest.raises(ValueError, match="distortion must be finite and positive for rq"):
+        with pytest.raises(ValueError, match="distortion for rq must be finite and positive"):
             capacity.rq_oracle(1.0, d)
     with pytest.raises(ValueError, match="distortion for rq must be a number"):
         capacity.rq_oracle(1.0, None)
-    with pytest.raises(ValueError, match="distortion must be finite and positive for rq"):
+    with pytest.raises(ValueError, match="distortion for rq must be finite and positive"):
         capacity.rq_oracle(0.0, 0.0)
     values = [capacity.rq_oracle(p, 4.0) for p in (5e-324, 1e-300, 1e300)]
     assert all(math.isfinite(v) and v >= 0.0 for v in values)
@@ -207,7 +207,7 @@ def test_c22d_oracle_edge_cases():
         with pytest.raises(ValueError, match="power must be finite and nonnegative"):
             capacity.c22d_oracle(power, 4.0)
     for d in (-1.0, math.inf, math.nan):
-        with pytest.raises(ValueError, match="distortion must be finite and nonnegative for c22d"):
+        with pytest.raises(ValueError, match="distortion for c22d must be finite and nonnegative"):
             capacity.c22d_oracle(1.0, d)
     with pytest.raises(ValueError, match="distortion for c22d must be a number"):
         capacity.c22d_oracle(1.0, None)
@@ -569,6 +569,25 @@ def test_overflowing_rate_is_a_domain_error(quantities, points, distortion, blam
     mc = MCConfig(samples=1000, seed=5, workers=1)
     with pytest.raises(DomainError, match=f"^{re.escape(blamed)}: "):
         capacity.estimate(quantities, PowerGrid(points), mc, distortion)
+
+
+@pytest.mark.parametrize("quantity", capacity.QUANTITIES)
+def test_underflowing_error_bar_is_a_domain_error(quantity):
+    # below about P = 1e-152 (at 10^3 samples) the error bar's squared terms underflow:
+    # the stderr used to come out as 0, or wrong in its leading digits
+    mc = MCConfig(samples=1000, seed=5, workers=1)
+    d = None if quantity == "c21" else 4.0
+    with pytest.raises(DomainError, match=f"^{quantity} is too small at P = 1e-160: "):
+        capacity.estimate((quantity,), PowerGrid.single(1e-160), mc, d)
+    # above it the relative error bar is that of any small power
+    small, tiny = (capacity.estimate((quantity,), PowerGrid.single(p), mc, d)[0].estimates[0]
+                   for p in (1e-100, 1e-150))
+    assert tiny.stderr / tiny.value == pytest.approx(small.stderr / small.value, rel=1e-9)
+    # zero power is exact, and one sample has no error bar at any power
+    zero = capacity.estimate((quantity,), PowerGrid((0.0, 1.0)), mc, d)[0].estimates[0]
+    assert (zero.value, zero.stderr) == (0.0, 0.0)
+    one = capacity.estimate((quantity,), PowerGrid.single(1e-160), MCConfig(samples=1), d)
+    assert one[0].estimates[0].stderr == 0.0
 
 
 def test_unknown_quantity_rejected():

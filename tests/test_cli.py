@@ -201,6 +201,16 @@ def test_rq_underflowing_error_bar_exits_3(capsys, power):
     assert err.count("\n") == 1
 
 
+def test_gap_underflowing_error_bar_exits_3(capsys):
+    # the squared terms of c21's error bar underflow: before, the stderr
+    # columns printed 0
+    code, out, err = run(capsys, ["gap", "--power", "1e-300", "--samples", "1000"])
+    assert code == 3
+    assert out == ""
+    assert err.startswith("error: c21 is too small at P = 1e-300: ")
+    assert err.count("\n") == 1
+
+
 def test_gap_csv_flags_max_row(capsys):
     code, out, _ = run(capsys, ["gap", "--power", "10", *FAST])
     assert code == 0

@@ -297,6 +297,15 @@ def test_per_user_gap_zero_for_equal_regions():
         regions.per_user_gap(outer, box)
 
 
+def test_per_user_gap_ends_for_an_outer_region_of_reach_0():
+    # outer_region(0) is the origin alone, so the bisection's stop scales to
+    # 0; it still ends, one ulp above the gap
+    point = regions.outer_region(0.0)
+    empty = regions.erode(regions.outer_region(1.0), 5.0)
+    assert empty.is_empty()
+    assert regions.per_user_gap(point, empty) == 5e-324
+
+
 def test_per_user_gap_requires_containment():
     outer = regions.outer_region(3.0)
     inner = regions.achievable_region(3.0, 4.5)
@@ -312,16 +321,25 @@ def random_rate_pairs(rng, count):
 
 
 def test_gap_closed_form_matches_bisection():
+    # the bisection stops within BISECT_TOL * min(1, c21), so it checks the
+    # closed form relatively at rates as small as c21 = 1e-10, too
     rng = np.random.default_rng(413)
+    pairs = list(random_rate_pairs(rng, 200))
+    pairs += [(c1 * s, c2 * s) for (c1, c2), s in zip(random_rate_pairs(rng, 100),
+                                                       np.logspace(-10, -1, 100) / 0.3)]
+    pairs.append((1e-10, 1.5e-10))
     below = 0
-    for c1, c2 in random_rate_pairs(rng, 200):
+    for c1, c2 in pairs:
         below += c2 < c1
         tau = regions.gap_closed_form(c1, c2)[0]
         outer = regions.outer_region(c1)
         inner = regions.achievable_region(c1, c2)
-        assert abs(tau - regions.per_user_gap(outer, inner)) <= regions.BISECT_TOL
-        assert tau == pytest.approx(closed_form_gap(c1, 3.0 * c1 / c2 - 1.0), abs=1e-12)
-    assert 0 < below < 200
+        bisected = regions.per_user_gap(outer, inner)
+        assert abs(tau - bisected) <= regions.BISECT_TOL * min(1.0, c1)
+        assert bisected == pytest.approx(tau, rel=1e-6, abs=0.0)
+        assert tau == pytest.approx(closed_form_gap(c1, 3.0 * c1 / c2 - 1.0),
+                                    abs=1e-12 * min(1.0, c1))
+    assert 0 < below < len(pairs)
     assert regions.gap_closed_form(2.0, 4.0)[0] == 0.0
 
 

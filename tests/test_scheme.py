@@ -289,10 +289,10 @@ def test_phase3_budget_needs_margin():
         with pytest.raises(ValueError, match="n must be at least 1"):
             scheme.phase3_budget(bad, 0.1, 1.0, 0.1)
     for bad in (math.nan, math.inf, -0.5):
-        with pytest.raises(ValueError, match="rq must be finite and nonnegative"):
+        with pytest.raises(ValueError, match="rq_value must be finite and nonnegative"):
             scheme.phase3_budget(100, bad, 1.0, 0.1)
     for bad in (math.nan, math.inf, 0.0, -1.0):
-        with pytest.raises(ValueError, match="c21 must be finite and positive"):
+        with pytest.raises(ValueError, match="c21_value must be finite and positive"):
             scheme.phase3_budget(100, 0.1, bad, 0.1)
     for bad in (math.nan, math.inf, -0.1):
         with pytest.raises(ValueError, match="delta must be finite and nonnegative"):
@@ -750,7 +750,9 @@ def test_rate_floor_requires_forwardable_rate():
     assert scheme.rate_floor(3.0, 2.5, 2.0) is None
     assert scheme.rate_floor(3.0, 2.0, 2.0) == 1.0
     # the range checks of achieved_rate_pair
-    for args in ((3.0, 2.0, 0.0), (-1.0, 1.0, 1.0), (1.0, -1.0, 1.0), (math.inf, 1.0, 1.0)):
+    for args in ((3.0, 2.0, 0.0), (-1.0, 1.0, 1.0), (1.0, -1.0, 1.0), (math.inf, 1.0, 1.0),
+                 (math.nan, 1.0, 1.0), (1.0, math.nan, 1.0), (1.0, math.inf, 1.0),
+                 (1.0, 1.0, math.nan), (1.0, 1.0, math.inf), (1.0, 1.0, -1.0)):
         with pytest.raises(ValueError, match="must be finite"):
             scheme.rate_floor(*args)
 
