@@ -23,11 +23,14 @@ on, from four i.i.d. Exp(1) variables (see ``_draw_moments``); no
 Gaussian matrix is formed (``core.sample_cn01`` and
 ``core.logdet_capacity_term`` serve the scheme).  Workers only schedule
 blocks and the per-block sums are added in block order, so every
-estimate is bit-identical for any worker count.  By default one worker runs per
-usable CPU; no call runs more workers than there are usable CPUs or
-blocks.  A block runs in a scratch set: the four Exp(1) rows, in which
-the moments and the kernel rows are built in place, and one row of
-log-rates per quantity.  The calling thread allocates one set per
+estimate is bit-identical for any worker count.  Each cross product
+sum v_i v_k of a block is one ``np.einsum`` reduction, not a BLAS dot
+whose summation split follows the BLAS thread count, so estimates are
+bit-identical under any BLAS thread setting too.  By default one
+worker runs per usable CPU; no call runs more workers than there are
+usable CPUs or blocks.  A block runs in a scratch set: the four Exp(1)
+rows, in which the moments and the kernel rows are built in place, and
+one row of log-rates per quantity.  The calling thread allocates one set per
 worker before any block runs, and the blocks of one ``estimate`` call
 take turns with them, so for k quantities transient memory is
 workers * (4 + k) * 2^16 * 8 bytes at any sample count; with the
@@ -106,10 +109,8 @@ class MCConfig:
     worker or one block runs inline in the calling thread.
     Each scratch set holds (4 + k) * 2^16 float64 values for k
     quantities; the calling thread allocates one per worker before any
-    block runs.  Results do not depend on the worker count; they are
-    bit-identical for a fixed BLAS thread setting, since the cross
-    products are BLAS dot products whose summation split follows
-    OpenBLAS's thread count.
+    block runs.  Results are bit-identical for any worker count and any
+    BLAS thread setting, since the package makes no BLAS call.
     """
 
     samples: int = DEFAULT_SAMPLES
@@ -309,7 +310,7 @@ def estimate(
                     for i in range(nker):
                         s1[j, i] = v[i].sum()
                         for k in range(i + 1):
-                            s2[j, i, k] = s2[j, k, i] = v[i] @ v[k]
+                            s2[j, i, k] = s2[j, k, i] = np.einsum("i,i->", v[i], v[k])
         finally:
             scratch.put((flat, rows))
         return s1, s2
@@ -642,7 +643,9 @@ def ergodic_wyner_rate(
     noise_var / (a^2 signal_var + noise_var) and contributes log2(cv / D)
     bits; the distortion must satisfy 0 < D <= cv for every realization,
     otherwise the quantity is outside its validity domain.  The gain is
-    checked first, then the variances and the distortion.
+    checked first, then the variances and the distortion.  A finite rate
+    is returned where signal_var noise_var, a^2 signal_var or cv / D
+    overflows a double.
     """
     gain = _gain(gain)
     sv = _real(signal_var, "signal_var", positive=True)
@@ -652,6 +655,10 @@ def ergodic_wyner_rate(
         raise DomainError("distortion must satisfy 0 < D <= conditional variance")
     mc = mc or MCConfig()
 
+    # where only an intermediate overflows, the rate is priced another way:
+    # cv as 1 / (a^2 / noise_var + 1 / signal_var), log2(cv / D) as a
+    # difference of logs
+    product = sv * nv
     total = 0.0
     for index, count in _blocks(mc.samples):
         if gain is None:
@@ -659,11 +666,18 @@ def ergodic_wyner_rate(
                                         count))
         else:
             a = np.full(count, gain)
-        cond_var = sv * nv / (a * a * sv + nv)
+        with np.errstate(over="ignore"):
+            denom = a * a * sv + nv
+            if math.isfinite(product) and np.isfinite(denom).all():
+                cond_var = product / denom
+            else:
+                cond_var = 1.0 / (a / nv * a + 1.0 / sv)
+            ratio = cond_var / d
         if np.any(cond_var < d):
             raise DomainError(
                 "distortion exceeds the conditional variance for some gain draw, "
                 "need 0 < D <= signal_var*noise_var/(a^2 signal_var + noise_var)"
             )
-        total += float(np.sum(np.log2(cond_var / d)))
+        rates = np.log2(ratio) if np.isfinite(ratio).all() else np.log2(cond_var) - math.log2(d)
+        total += float(np.sum(rates))
     return total / mc.samples

@@ -13,7 +13,9 @@ Conventions shared by every module in this package:
   The first key entry is a ``StreamTag``, one per consumer, all listed
   in this module.
 
-Threads are started here only.  ``run_tasks`` computes independent
+Threads are started here only, and ``run_tasks`` is the package's only
+parallel code: no module calls BLAS, whose own threads would split sums
+in an order set by the environment.  ``run_tasks`` computes independent
 tasks, the estimator's sample blocks and the scheme's two data phases,
 and returns their results in task order: on one pool thread per task,
 never more than there are usable CPUs, or inline in the calling thread

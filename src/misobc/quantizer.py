@@ -21,7 +21,7 @@ import struct
 
 import numpy as np
 
-from . import _real, _seed, core
+from . import DomainError, _real, _seed, core
 
 _MAGIC = b"DLQ1"
 _HEADER = struct.Struct("<4sdI")
@@ -31,8 +31,17 @@ INT32_MAX = 2**31 - 1
 
 
 def step_for_distortion(distortion: float) -> float:
-    """Lattice step achieving mean squared error ``distortion`` per complex sample."""
-    return math.sqrt(6.0 * _real(distortion, "distortion", positive=True))
+    """Lattice step achieving mean squared error ``distortion`` per complex sample.
+
+    A distortion above about 3e307, whose step overflows a double, raises
+    ``DomainError``.
+    """
+    d = _real(distortion, "distortion", positive=True)
+    step = math.sqrt(6.0 * d)
+    if step == math.inf:
+        raise DomainError(f"distortion {d:g} is too large: its quantizer step "
+                          "overflows a double")
+    return step
 
 
 class DitheredQuantizer:

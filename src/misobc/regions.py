@@ -259,14 +259,17 @@ def per_user_gap(outer: RateRegion, inner: RateRegion) -> float:
     Requires inner to be contained in outer.  The returned tau satisfies
     erode(outer, tau) inside inner, and no tau smaller by more than
     ``BISECT_TOL * min(1, s)`` does, s the outer region's largest axis
-    intercept (or by more than one ulp where s = 0).
+    intercept (or by more than one ulp where s = 0).  The bisection starts
+    from the largest vertex coordinate plus min(1, s), so it takes about
+    as many steps at any reach.
     """
     if not is_subset(inner, outer):
         raise ValueError("inner region must be contained in the outer region")
     if is_subset(outer, inner):
         return 0.0
+    # any erosion past the largest coordinate empties the region
     lo = 0.0
-    hi = outer.max_coordinate() + 1.0
+    hi = outer.max_coordinate() + (outer._scale or 1.0)
     if not is_subset(erode(outer, hi), inner):
         raise ValueError("erosion bracket failed, regions are inconsistent")
     stop = BISECT_TOL * outer._scale

@@ -28,8 +28,9 @@ allocated, so a run is bit-identical for any thread count.
 Phase 3's symbol budget depends only on (n, P, D, delta): it is sized
 from the closed forms ``capacity.c21_oracle``, ``c22d_oracle`` and
 ``rq_oracle``, which are also the transcript's ``reference``.  No stage
-draws a Monte Carlo ensemble.  ``run_phases_1_2`` sizes phase 3 before
-it draws anything, so an infeasible configuration costs no draws.
+draws a Monte Carlo ensemble.  ``run_phases_1_2`` sizes phase 3, its
+budget and its quantizer step, before it draws anything, so an
+infeasible configuration costs no draws.
 
 No stage holds a channel grid: each phase thread draws its channel rows
 in blocks of ``_MI_ROWS`` grid rows into one buffer, which gives the
@@ -277,10 +278,12 @@ def run_phases_1_2(cfg: SchemeConfig) -> SchemeTranscript:
     """Size phase 3, then draw signals, channels and noises and transmit
     phases 1 and 2.
 
-    The phase-3 budget and ``transcript.reference`` come first, from the
-    closed forms at the run's power and distortion (``_size_phase_3``):
-    if rq does not clear c21 - delta, the forwarding link cannot keep up
-    and the DomainError is raised before a single stream is opened.
+    The phase-3 budget, ``transcript.reference`` and the quantizer step
+    ``transcript.quant_step`` come first, from the closed forms at the
+    run's power and distortion (``_size_phase_3``): if rq does not clear
+    c21 - delta, the forwarding link cannot keep up, and if the step
+    overflows a double, the distortion cannot be met; either way the
+    DomainError is raised before a single stream is opened.
 
     Each phase draws its arrays of ``_DRAWS``: the message grid and the
     two noises whole, the two channel arrays (``_CHANNELS``) in blocks of
@@ -301,9 +304,9 @@ def run_phases_1_2(cfg: SchemeConfig) -> SchemeTranscript:
     count.  The block buffers go when the phases end.  ``cfg`` becomes
     ``transcript.config``.
     """
-    reference, budget = _size_phase_3(cfg)
+    reference, budget, step = _size_phase_3(cfg)
     n = cfg.n
-    t = SchemeTranscript(config=cfg, phase3_budget=budget, reference=reference)
+    t = SchemeTranscript(config=cfg, phase3_budget=budget, quant_step=step, reference=reference)
 
     def grid(name):
         setattr(t, name, np.empty((n, n) + _DRAWS[name].trailing, dtype=np.complex128))
@@ -368,9 +371,10 @@ def phase3_budget(n: int, rq_value: float, c21_value: float, delta: float) -> in
     return math.ceil(n * rq / margin)
 
 
-def _size_phase_3(cfg: SchemeConfig) -> tuple[dict, int]:
+def _size_phase_3(cfg: SchemeConfig) -> tuple[dict, int, float]:
     """The exact c21, c22d and rq at the power and distortion of ``cfg``,
-    and the phase-3 budget they give, or its DomainError."""
+    the phase-3 budget they give and the quantizer step, or the
+    DomainError of the budget, then of the step."""
     reference = {"c21": capacity.c21_oracle(cfg.power),
                  "c22d": capacity.c22d_oracle(cfg.power, cfg.distortion),
                  "rq": capacity.rq_oracle(cfg.power, cfg.distortion)}
@@ -378,7 +382,7 @@ def _size_phase_3(cfg: SchemeConfig) -> tuple[dict, int]:
         budget = phase3_budget(cfg.n, reference["rq"], reference["c21"], cfg.delta)
     except DomainError as err:
         raise DomainError(f"{err} at P = {cfg.power:g}, D = {cfg.distortion:g}") from err
-    return reference, budget
+    return reference, budget, quantizer.step_for_distortion(cfg.distortion)
 
 
 def run_phase_3(transcript: SchemeTranscript) -> SchemeTranscript:
@@ -387,9 +391,10 @@ def run_phase_3(transcript: SchemeTranscript) -> SchemeTranscript:
     Logs the causality audit, then quantizes s21 + s12 with the dithered
     quantizer of distortion D, dithered from the run's seed, into the
     lattice-index buffer that ``run_phases_1_2`` allocated, and stores
-    the indices, the step and the delivery.  The symbol budget that
-    carries them, ``transcript.phase3_budget``, was sized before phases
-    1 and 2 drew anything.
+    the indices and the delivery.  The step, ``transcript.quant_step``,
+    and the symbol budget that carries the indices,
+    ``transcript.phase3_budget``, were sized before phases 1 and 2 drew
+    anything.
     """
     if transcript.s21 is None:
         raise ValueError("phases 1 and 2 must run first (s21 is None: not made or released)")
@@ -404,11 +409,9 @@ def run_phase_3(transcript: SchemeTranscript) -> SchemeTranscript:
     transcript.audit = CausalityAudit(coeff_slots, read_slots)
 
     mixture = transcript.s21 + transcript.s12
-    step = quantizer.step_for_distortion(cfg.distortion)
-    encoder = quantizer.DitheredQuantizer(step, dither_seed=cfg.seed)
+    encoder = quantizer.DitheredQuantizer(transcript.quant_step, dither_seed=cfg.seed)
     indices, recon = encoder.quantize(mixture.ravel(), out=transcript._indices)
     transcript._indices = None
-    transcript.quant_step = step
     transcript.quant_indices = indices
     transcript.delivered = recon.reshape(n, n)
     return transcript

@@ -1,5 +1,6 @@
 """Ergodic rate estimators, paired sweeps and rate-distortion helpers."""
 
+import ast
 import io
 import math
 import os
@@ -390,47 +391,72 @@ def test_estimator_memory_is_bounded():
 FROZEN_GRID = (0.1, 10.0, 1000.0)
 FROZEN_RATIO = [  # rq, rq stderr, c21, c21 stderr, ratio, ratio stderr
     ("0x1.1e96f00ce8bebp-4", "0x1.3e4a05ab1112ap-14", "0x1.13fdc8b1909efp-3",
-     "0x1.a2c9583654774p-13", "0x1.09d4a09863227p-1", "0x1.1cd2e97dc7526p-11"),
-    ("0x1.3b3a9ba73a686p+1", "0x1.5fe562b4152a3p-10", "0x1.955cd11074b12p+1",
-     "0x1.17c8d508e1efap-9", "0x1.8e27bba6dda93p-1", "0x1.986398ee39c03p-12"),
-    ("0x1.1903409d71ceap+3", "0x1.c102901a1a0b5p-10", "0x1.32891fec06209p+3",
-     "0x1.52cbe4b5bbb0cp-9", "0x1.d55e9c80c830dp-1", "0x1.84933bf8f7f47p-13"),
+     "0x1.a2c9583654774p-13", "0x1.09d4a09863227p-1", "0x1.1cd2e97dc751ap-11"),
+    ("0x1.3b3a9ba73a686p+1", "0x1.5fe562b4152c3p-10", "0x1.955cd11074b12p+1",
+     "0x1.17c8d508e1efap-9", "0x1.8e27bba6dda93p-1", "0x1.986398ee39c47p-12"),
+    ("0x1.1903409d71ceap+3", "0x1.c102901a1a138p-10", "0x1.32891fec06209p+3",
+     "0x1.52cbe4b5bbae0p-9", "0x1.d55e9c80c830dp-1", "0x1.84933bf8f8077p-13"),
 ]
 FROZEN_GAP = [  # c21, c21 stderr, c22d, c22d stderr, tau, tau stderr
     ("0x1.13fdc8b1909efp-3", "0x1.a2c9583654774p-13", "0x1.4ba52b149923fp-3",
-     "0x1.a8c3776998341p-13", "0x1.25c88868b577fp-5", "0x1.1fa0373106e89p-14"),
+     "0x1.a8c377699833ep-13", "0x1.25c88868b577fp-5", "0x1.1fa0373106e99p-14"),
     ("0x1.955cd11074b12p+1", "0x1.17c8d508e1efap-9", "0x1.08944bd159411p+2",
-     "0x1.374891c86781ep-9", "0x1.776c0dfd9e803p-1", "0x1.cb877141e9cb3p-11"),
-    ("0x1.32891fec06209p+3", "0x1.52cbe4b5bbb0cp-9", "0x1.ef0c04679b728p+3",
-     "0x1.2be210859cf3ep-8", "0x1.3abb492bd77c5p+0", "0x1.90d6a5b7d2d41p-10"),
+     "0x1.374891c867830p-9", "0x1.776c0dfd9e803p-1", "0x1.cb877141e9cc7p-11"),
+    ("0x1.32891fec06209p+3", "0x1.52cbe4b5bbae0p-9", "0x1.ef0c04679b728p+3",
+     "0x1.2be210859cf3ep-8", "0x1.3abb492bd77c5p+0", "0x1.90d6a5b7d2e43p-10"),
 ]
 FROZEN_ESTIMATE = [  # (value, stderr) of c21, c22d, rq at P = 10
     ("0x1.955cd11074b12p+1", "0x1.17c8d508e1efap-9"),
-    ("0x1.08944bd159411p+2", "0x1.374891c86781ep-9"),
-    ("0x1.3b3a9ba73a686p+1", "0x1.5fe562b4152a3p-10"),
+    ("0x1.08944bd159411p+2", "0x1.374891c867830p-9"),
+    ("0x1.3b3a9ba73a686p+1", "0x1.5fe562b4152c3p-10"),
 ]
 FROZEN_COV = [
-    ["0x1.31c75de6eba12p-18", "0x1.1c685cc02f287p-18", "0x1.06025c81ccc78p-19"],
-    ["0x1.1c685cc02f287p-18", "0x1.7a8166c73f3c7p-18", "0x1.7a4963f8ec0d5p-19"],
-    ["0x1.06025c81ccc78p-19", "0x1.7a4963f8ec0d5p-19", "0x1.e3b6d2338e460p-20"],
+    ["0x1.31c75de6eba12p-18", "0x1.1c685cc02f287p-18", "0x1.06025c81ccc69p-19"],
+    ["0x1.1c685cc02f287p-18", "0x1.7a8166c73f3f2p-18", "0x1.7a4963f8ec0abp-19"],
+    ["0x1.06025c81ccc69p-19", "0x1.7a4963f8ec0abp-19", "0x1.e3b6d2338e4b6p-20"],
 ]
+
+
+def frozen_bits(workers):
+    """The frozen figures, as hex in the layout of FROZEN_RATIO, FROZEN_GAP,
+    FROZEN_ESTIMATE and FROZEN_COV, computed with ``workers`` workers."""
+    mc = MCConfig(samples=200_000, seed=23, workers=workers)
+    grid = PowerGrid(FROZEN_GRID)
+    ratio = [tuple(x.hex() for x in (r.rq.value, r.rq.stderr, r.c21.value, r.c21.stderr,
+                                     r.ratio, r.ratio_stderr))
+             for r in capacity.ratio_sweep(4.0, grid, mc).rows]
+    gap = [tuple(x.hex() for x in (r.c21.value, r.c21.stderr, r.c22d.value, r.c22d.stderr,
+                                   r.tau, r.tau_stderr))
+           for r in regions.gap_sweep(4.0, grid, mc).rows]
+    (point,) = capacity.estimate(("c21", "c22d", "rq"), PowerGrid.single(10.0), mc, 4.0)
+    return (ratio, gap, [(e.value.hex(), e.stderr.hex()) for e in point.estimates],
+            [[float(x).hex() for x in row] for row in point.mean_cov])
+
+
+def assert_frozen(bits):
+    ratio, gap, point, cov = bits
+    assert ratio == FROZEN_RATIO
+    assert gap == FROZEN_GAP
+    assert point == FROZEN_ESTIMATE
+    assert cov == FROZEN_COV
 
 
 @pytest.mark.parametrize("workers", [1, 2, None])
 def test_estimates_match_frozen_bits(workers):
-    mc = MCConfig(samples=200_000, seed=23, workers=workers)
-    grid = PowerGrid(FROZEN_GRID)
-    ratio = capacity.ratio_sweep(4.0, grid, mc)
-    assert [tuple(x.hex() for x in (r.rq.value, r.rq.stderr, r.c21.value, r.c21.stderr,
-                                    r.ratio, r.ratio_stderr))
-            for r in ratio.rows] == FROZEN_RATIO
-    gap = regions.gap_sweep(4.0, grid, mc)
-    assert [tuple(x.hex() for x in (r.c21.value, r.c21.stderr, r.c22d.value, r.c22d.stderr,
-                                    r.tau, r.tau_stderr))
-            for r in gap.rows] == FROZEN_GAP
-    (point,) = capacity.estimate(("c21", "c22d", "rq"), PowerGrid.single(10.0), mc, 4.0)
-    assert [(e.value.hex(), e.stderr.hex()) for e in point.estimates] == FROZEN_ESTIMATE
-    assert [[float(x).hex() for x in row] for row in point.mean_cov] == FROZEN_COV
+    assert_frozen(frozen_bits(workers))
+
+
+@pytest.mark.parametrize("blas_threads", ["1", "2"])
+def test_frozen_bits_hold_under_every_blas_thread_setting(blas_threads):
+    # OpenBLAS reads its thread count when NumPy loads, so each setting
+    # runs the frozen-bits check in an interpreter of its own
+    src = str(Path(misobc.__file__).resolve().parents[1])
+    env = dict(os.environ, OPENBLAS_NUM_THREADS=blas_threads, PYTHONPATH=os.pathsep.join(
+        p for p in (src, str(Path(__file__).parent), os.environ.get("PYTHONPATH")) if p))
+    probe = "from test_capacity import frozen_bits\nprint(repr(frozen_bits(2)))\n"
+    done = subprocess.run([sys.executable, "-c", probe], capture_output=True, text=True,
+                          env=env, check=True, timeout=120)
+    assert_frozen(ast.literal_eval(done.stdout))
 
 
 def test_worker_count_is_capped_at_blocks(monkeypatch):
@@ -911,6 +937,15 @@ def test_wyner_constant_gain_static_formula():
     got2 = capacity.ergodic_wyner_rate(sv, nv, cv / 4.0, a, mc)
     assert got2 == pytest.approx(2.0, abs=1e-14)
 
+
+def test_wyner_rate_is_finite_where_an_intermediate_overflows():
+    # a^2 signal_var passes the largest double, but cv is about
+    # noise_var / a^2 = 1e-10, so the rate is about log2(1e10)
+    mc = MCConfig(samples=10, seed=4)
+    rate = capacity.ergodic_wyner_rate(1e300, 1.0, 1e-20, 1e5, mc)
+    assert rate == pytest.approx(capacity.ergodic_wyner_rate(1e200, 1.0, 1e-20, 1e5, mc),
+                                 rel=1e-12)
+    assert rate == pytest.approx(math.log2(1e10), rel=1e-12)
 
 def test_wyner_rejects_excess_distortion():
     with pytest.raises(DomainError):

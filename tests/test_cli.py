@@ -2,6 +2,7 @@
 
 import hashlib
 import json
+import math
 import os
 import re
 import subprocess
@@ -315,6 +316,15 @@ def test_simulate_lattice_overflow_exits_3(capsys):
     assert "lattice coordinates overflow int32" in err
 
 
+
+def test_simulate_overflowing_quantizer_step_exits_3(capsys):
+    code, out, err = run(capsys, ["simulate", "--n", "4", "--power", "10",
+                                  "--distortion", "1e308"])
+    assert code == 3
+    assert out == ""
+    assert err.splitlines() == ["error: distortion 1e+308 is too large: "
+                                "its quantizer step overflows a double"]
+
 def test_simulate_abort_keeps_existing_outputs(capsys, tmp_path):
     output, dump = tmp_path / "report.json", tmp_path / "run.dump"
     output.write_text("earlier report\n")
@@ -370,6 +380,22 @@ def test_rd_wyner_constant_gain(capsys):
     assert code == 0
     assert float(out.splitlines()[1]) == 1.0
 
+
+
+@pytest.mark.parametrize("gain", [["--gain-const", "1"], ["--gain-rayleigh"]])
+def test_rd_wyner_prices_a_rate_whose_intermediates_overflow(capsys, gain):
+    # signal_var * noise_var overflows a double, but the rate is finite; it
+    # is scale-free, so the unit variances at budget 1e-301 price the same
+    code, out, _ = run(capsys, ["rd", "--mode", "wyner", "--sigx2", "1e300", "--sigu2", "1e300",
+                                *gain, "--budget", "0.1", "--samples", "10"])
+    assert code == 0
+    rate = float(out.splitlines()[1])
+    code, out, _ = run(capsys, ["rd", "--mode", "wyner", "--sigx2", "1", "--sigu2", "1",
+                                *gain, "--budget", "1e-301", "--samples", "10"])
+    assert code == 0
+    assert rate == pytest.approx(float(out.splitlines()[1]), rel=1e-12)
+    if gain[0] == "--gain-const":
+        assert rate == pytest.approx(math.log2(5e300), rel=1e-12)
 
 def test_rd_wyner_json_format(capsys):
     code, out, _ = run(capsys, ["rd", "--mode", "wyner", "--sigx2", "1",

@@ -251,3 +251,49 @@ def test_only_core_starts_threads():
         else:
             assert not any(m.split(".")[0] == "concurrent" for m in imports), path.name
             assert "_usable_cpus" not in defines, path.name
+
+
+BLAS_CALLS = {"dot", "vdot", "vecdot", "inner", "matmul", "tensordot"}
+
+
+def blas_uses(source):
+    """Every construct in ``source`` that may hand work to BLAS, whose thread
+    count is an environment setting: the @ operator (decorators are no
+    operator, so they pass), a call to one of BLAS_CALLS or into a linalg
+    module, and an einsum given ``optimize=``, which may route through
+    tensordot."""
+    found = []
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, (ast.BinOp, ast.AugAssign)) and isinstance(node.op, ast.MatMult):
+            found.append(ast.unparse(node))
+        elif isinstance(node, ast.ImportFrom) and (node.module or "").split(".")[-1] == "linalg":
+            found.append(ast.unparse(node))
+        elif isinstance(node, ast.Call):
+            func = node.func
+            name = func.attr if isinstance(func, ast.Attribute) else getattr(func, "id", None)
+            owner = func.value if isinstance(func, ast.Attribute) else None
+            owner = owner.attr if isinstance(owner, ast.Attribute) else getattr(owner, "id", None)
+            if (name in BLAS_CALLS or owner == "linalg"
+                    or name == "einsum" and any(k.arg == "optimize" for k in node.keywords)):
+                found.append(ast.unparse(node))
+    return found
+
+
+def test_blas_scan_tells_blas_calls_from_the_rest():
+    flagged = ("a @ b", "a @= b", "np.dot(a, b)", "a.dot(b)", "np.inner(a, b)",
+               "np.vecdot(a, b)", "np.matmul(a, b)", "np.tensordot(a, b, 1)",
+               "np.linalg.det(m)", "linalg.solve(m, b)", "from numpy.linalg import det",
+               'np.einsum("i,i->", a, b, optimize=False)')
+    for source in flagged:
+        assert blas_uses(source), source
+    passed = ("@decorator\ndef f():\n    pass", 'np.einsum("i,i->", a, b)',
+              "a * b", "v.sum()", "np.log1p(v, out=v)")
+    for source in passed:
+        assert not blas_uses(source), source
+
+
+def test_package_makes_no_blas_call():
+    # a BLAS reduction sums in an order set by OpenBLAS's thread count, so
+    # with none every result is the same under any BLAS thread setting
+    for path in sorted(Path(core.__file__).parent.glob("*.py")):
+        assert blas_uses(path.read_text(encoding="utf-8")) == [], path.name

@@ -8,7 +8,7 @@ import numpy as np
 import pytest
 from scipy import stats
 
-from misobc import core, quantizer
+from misobc import DomainError, core, quantizer
 from misobc.quantizer import DitheredQuantizer
 
 
@@ -28,6 +28,13 @@ def test_step_for_distortion():
             quantizer.step_for_distortion(bad)
     assert quantizer.step_for_distortion(np.int64(4)) == quantizer.step_for_distortion(4.0)
 
+
+
+def test_step_for_distortion_refuses_an_overflowing_step():
+    # 6 D overflows a double above about 3e307; the refusal names the distortion
+    assert math.isfinite(quantizer.step_for_distortion(2e307))
+    with pytest.raises(DomainError, match=r"distortion 1e\+308 is too large"):
+        quantizer.step_for_distortion(1e308)
 
 def test_encoder_decoder_agree_bitwise():
     rng = core.stream(100, 0)

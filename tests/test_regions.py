@@ -306,6 +306,27 @@ def test_per_user_gap_ends_for_an_outer_region_of_reach_0():
     assert regions.per_user_gap(point, empty) == 5e-324
 
 
+def test_per_user_gap_bisection_steps_do_not_grow_at_small_rates(monkeypatch):
+    # the bracket scales with the reach, as the stop does, so a gap far
+    # below 1 takes as many halvings as a gap near 1
+    erode = regions.erode
+
+    def erosions(c1):
+        count = 0
+
+        def counting(region, tau):
+            nonlocal count
+            count += 1
+            return erode(region, tau)
+
+        monkeypatch.setattr(regions, "erode", counting)
+        regions.per_user_gap(regions.outer_region(c1), regions.achievable_region(c1, 1.5 * c1))
+        monkeypatch.setattr(regions, "erode", erode)
+        return count
+
+    assert abs(erosions(1e-10) - erosions(1.0)) <= 2
+
+
 def test_per_user_gap_requires_containment():
     outer = regions.outer_region(3.0)
     inner = regions.achievable_region(3.0, 4.5)

@@ -552,6 +552,17 @@ def test_infeasible_run_draws_nothing(monkeypatch):
     assert streams
 
 
+
+def test_overflowing_quantizer_step_draws_nothing(monkeypatch):
+    # the step is sized with the budget, before phases 1 and 2 open a stream
+    def no_stream(*key):
+        raise AssertionError(f"stream {key} opened")
+
+    monkeypatch.setattr(core, "stream", no_stream)
+    for stage in (scheme.run_scheme, scheme.run_phases_1_2):
+        with pytest.raises(DomainError, match=r"distortion 1e\+308 is too large"):
+            stage(SchemeConfig(n=4, power=10.0, distortion=1e308, seed=3))
+
 @pytest.mark.parametrize("cpus", [1, 2])
 @pytest.mark.parametrize("power, error, message", [
     # the accounting's log-dets overflow, and so would the quantizer: the
