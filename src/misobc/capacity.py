@@ -18,25 +18,28 @@ differences get error bars far tighter than their individual ones.
 The ensemble is drawn in fixed blocks of 2^16 samples; block k comes
 from the Philox stream ``core.stream(seed, StreamTag.CAPACITY_CHANNEL,
 k)``, so the samples depend only on the seed and the sample count.
-Each sample is drawn directly as the three statistics the rates depend
-on, from four i.i.d. Exp(1) variables (see ``_draw_moments``); no
-Gaussian matrix is formed (``core.sample_cn01`` and
-``core.logdet_capacity_term`` serve the scheme).  Workers only schedule
-blocks and the per-block sums are added in block order, so every
-estimate is bit-identical for any worker count.  Each cross product
-sum v_i v_k of a block is one ``np.einsum`` reduction, not a BLAS dot
-whose summation split follows the BLAS thread count, so estimates are
-bit-identical under any BLAS thread setting too.  By default one
-worker runs per usable CPU; no call runs more workers than there are
-usable CPUs or blocks.  A block runs in a scratch set: the four Exp(1)
-rows, in which the moments and the kernel rows are built in place, and
-one row of log-rates per quantity.  The calling thread allocates one set per
-worker before any block runs, and the blocks of one ``estimate`` call
-take turns with them, so for k quantities transient memory is
-workers * (4 + k) * 2^16 * 8 bytes at any sample count; with the
-default that grows with the host's CPU count.  A power at which a rate
-argument overflows a double, or a nonzero estimate's squared error bar
-underflows one, raises ``DomainError``.
+Each sample is drawn directly as the statistics the rates depend on,
+from four i.i.d. Exp(1) variables, or two where c21 alone is asked for
+(see ``_build_block``); no Gaussian matrix is formed
+(``core.sample_cn01`` and ``core.logdet_capacity_term`` serve the
+scheme).  Workers only schedule blocks and the per-block sums are added
+in block order, so every estimate is bit-identical for any worker
+count.  Each cross product sum v_i v_k of a block is one ``np.einsum``
+reduction, not a BLAS dot whose summation split follows the BLAS thread
+count, so estimates are bit-identical under any BLAS thread setting
+too.  By default one worker runs per usable CPU; no call runs more
+workers than there are usable CPUs or blocks.  A block runs in one
+scratch array of ``_scratch_rows(quantities)`` rows of 2^16 doubles:
+the Exp(1) rows are drawn into it one at a time, the rate polynomials
+are built there in place, and the log-rates go to rows the polynomials
+no longer read.  That is 2 rows for c21, 3 for c22d or rq, 4 for
+(c21, rq), 5 for (c21, c22d) or (c22d, rq), and 7 for all three, in any
+order.  The calling thread allocates one array per worker before any
+block runs, and the blocks of one ``estimate`` call take turns with
+them, so transient memory is workers * rows * 2^16 * 8 bytes at any
+sample count; with the default that grows with the host's CPU count.
+A power at which a rate argument overflows a double, or a nonzero
+estimate's squared error bar underflows one, raises ``DomainError``.
 
 ``estimate`` runs its blocks through ``core.run_tasks``: w > 1 workers
 are w pool threads, and one worker or one block runs inline in the
@@ -104,13 +107,14 @@ class MCConfig:
     string is rejected with a ValueError that names the field.
     ``workers`` is the number of threads over the fixed sample blocks;
     None (the default) means one per usable CPU.  Either way no more
-    threads run, and no more scratch sets are allocated, than there are
+    threads run, and no more scratch arrays are allocated, than there are
     usable CPUs or blocks: w workers run on w pool threads, and one
     worker or one block runs inline in the calling thread.
-    Each scratch set holds (4 + k) * 2^16 float64 values for k
-    quantities; the calling thread allocates one per worker before any
-    block runs.  Results are bit-identical for any worker count and any
-    BLAS thread setting, since the package makes no BLAS call.
+    Each scratch array holds rows * 2^16 float64 values, from 2 rows for
+    c21 alone to 7 for all three quantities (``_scratch_rows``); the
+    calling thread allocates one per worker before any block runs.
+    Results are bit-identical for any worker count and any BLAS thread
+    setting, since the package makes no BLAS call.
     """
 
     samples: int = DEFAULT_SAMPLES
@@ -179,28 +183,6 @@ class PowerGrid:
         return PowerGrid((power,))
 
 
-def _draw_moments(rng: np.random.Generator, count: int,
-                  out: np.ndarray | None = None) -> np.ndarray:
-    """Draw the moments of ``count`` i.i.d. 2x2 CN(0, 1) matrices, exactly.
-
-    Every |h_ij|^2 is Exp(1), so norm1 = E1 + E2.  CN(0, I) rows are
-    invariant under unitary maps, so rotating row 2 by a unitary that
-    depends only on row 1, with first column (-h12, h11) / sqrt(norm1),
-    leaves its components i.i.d. CN(0, 1) and independent of row 1.  The
-    first rotated component is det H / sqrt(norm1), hence norm2 = E3 + E4
-    and |det H|^2 = norm1 E4.
-
-    The four Exp(1) rows are drawn into ``out`` (a C-ordered (4, count)
-    float64 array) if given and become (norm1, E2, norm2, det2) in place;
-    that (4, count) array is returned.
-    """
-    e = rng.standard_exponential((4, count), out=out)
-    e[0] += e[1]
-    e[2] += e[3]
-    e[3] *= e[0]
-    return e
-
-
 def _check_quantity(quantity: str, distortion) -> None:
     if quantity not in QUANTITIES:
         raise ValueError(f"unknown quantity {quantity!r}, expected one of {QUANTITIES}")
@@ -208,27 +190,71 @@ def _check_quantity(quantity: str, distortion) -> None:
         _real(distortion, f"distortion for {quantity}", positive=quantity == "rq")
 
 
-def _rate_polys(m: np.ndarray, quantities, distortion) -> list:
-    """Per-draw rate of each quantity as a polynomial in the power.
+# rows a quantity holds through a block: its rate polynomial's rows and its log-rate row
+_QUANTITY_ROWS = {"c21": 2, "c22d": 3, "rq": 2}
+
+
+def _scratch_rows(quantities) -> int:
+    """Rows of a block's scratch array for ``quantities``, distinct ones: the
+    rows each quantity holds, and at least the rows ``_build_block`` draws
+    into, two for c21 alone and three for the others."""
+    draw = 2 if set(quantities) == {"c21"} else 3
+    return max(draw, sum(_QUANTITY_ROWS[q] for q in quantities))
+
+
+def _build_block(rng: np.random.Generator, rows, quantities, distortion) -> tuple[list, list]:
+    """Draw one block of the channel ensemble into ``rows``, the
+    ``_scratch_rows(quantities)`` rows of a scratch array, and build each
+    quantity's rate polynomial there in place.
 
     The rate of one draw is ln(1 + c lin + c^2 quad) nats with c = scale * P;
-    each quantity gives (scale, lin, quad), quad None if linear.  The rows
-    are built in place in the moment rows m = (norm1, spare, norm2, det2):
-    c22d goes first, because rq's row overwrites norm2.
+    each quantity gives (scale, lin, quad), quad None if linear.  The
+    polynomials are read from the moments of a 2x2 CN(0, 1) matrix, drawn
+    exactly: every |h_ij|^2 is Exp(1), so norm1 = E1 + E2.  CN(0, I) rows
+    are invariant under unitary maps, so rotating row 2 by a unitary that
+    depends only on row 1, with first column (-h12, h11) / sqrt(norm1),
+    leaves its components i.i.d. CN(0, 1) and independent of row 1.  The
+    first rotated component is det H / sqrt(norm1), hence norm2 = E3 + E4
+    and |det H|^2 = norm1 E4.  The Exp(1) rows are drawn one at a time, in
+    stream order, and E3 and E4 only for c22d or rq; c22d's rows go first,
+    because rq's row overwrites norm2.  A row is taken when it is needed
+    and given back once nothing reads it, so E3 lands in E2's row.
+
+    Returns the polynomials in the order of ``quantities`` and one free row
+    per quantity for its log-rates.
     """
+    free = list(reversed(rows))
+
+    def draw():
+        row = free.pop()
+        rng.standard_exponential(out=row)
+        return row
+
     polys = {}
-    if "c22d" in quantities:
-        s2 = 1.0 + float(distortion)
-        np.divide(m[2], s2, out=m[1])
-        m[1] += m[0]
-        m[3] /= s2
-        polys["c22d"] = (0.5, m[1], m[3])
-    if "rq" in quantities:
-        m[2] += m[0]
-        polys["rq"] = (0.5 / float(distortion), m[2], None)
+    norm1, e2 = draw(), draw()
+    norm1 += e2
+    free.append(e2)
+    if set(quantities) != {"c21"}:
+        norm2, e4 = draw(), draw()
+        norm2 += e4
+        if "c22d" in quantities:
+            s2 = 1.0 + float(distortion)
+            e4 *= norm1  # |det H|^2
+            lin = free.pop() if "rq" in quantities else norm2
+            np.divide(norm2, s2, out=lin)
+            lin += norm1
+            e4 /= s2
+            polys["c22d"] = (0.5, lin, e4)
+        else:
+            free.append(e4)
+        if "rq" in quantities:
+            norm2 += norm1
+            polys["rq"] = (0.5 / float(distortion), norm2, None)
     if "c21" in quantities:
-        polys["c21"] = (0.5, m[0], None)
-    return [polys[q] for q in quantities]
+        polys["c21"] = (0.5, norm1, None)
+    else:
+        free.append(norm1)
+    return [polys[q] for q in quantities], [free.pop() for _ in quantities]
 
 
 def _blocks(samples: int) -> list[tuple[int, int]]:
@@ -262,11 +288,15 @@ def estimate(
     squared error bar falls below the smallest normal double, where its
     squared terms underflow (c21 below about P = 1e-151 at 10^6 samples).
 
-    The scratch sets are allocated in the calling thread, and the blocks
+    ``quantities`` are one or more distinct names; an empty or repeated
+    tuple raises ValueError before any sample is drawn.  The scratch
+    arrays are allocated in the calling thread, and the blocks
     run through ``core.run_tasks``: on w pool threads for w > 1 workers,
     inline for one.  The block sums are added in block order, so the
     totals do not depend on the worker count, and an error surfaces only
     once every pool thread has stopped."""
+    if not quantities or len(set(quantities)) != len(quantities):
+        raise ValueError(f"quantities must be one or more distinct names, got {quantities!r}")
     mc = mc or MCConfig()
     if distortion is not None and set(quantities) == {"c21"}:
         raise ValueError("c21 takes no distortion parameter")
@@ -277,42 +307,41 @@ def estimate(
     jobs = _blocks(mc.samples)
     workers = core.thread_count(len(jobs), mc.workers)
 
-    # one scratch set per worker, allocated here in the calling thread
-    # (pool threads would take them from their own malloc arenas); a block
-    # takes a free set, and at most ``workers`` blocks run at once
-    width = jobs[0][1]
+    # one scratch array per worker, sized to the quantities' rows and
+    # allocated here in the calling thread (pool threads would take it from
+    # their own malloc arenas); a block takes a free array, and at most
+    # ``workers`` blocks run at once
+    shape = (_scratch_rows(quantities), jobs[0][1])
     scratch = queue.SimpleQueue()
     for _ in range(workers):
-        scratch.put((np.empty(4 * width), np.empty((nker, width))))
+        scratch.put(np.empty(shape))
 
     def block(job):
         index, count = job
-        flat, rows = scratch.get()
+        rows = scratch.get()
         try:
-            m = _draw_moments(core.stream(mc.seed, StreamTag.CAPACITY_CHANNEL, index), count,
-                              out=flat[:4 * count].reshape(4, count))
-            polys = _rate_polys(m, quantities, distortion)
-            v = rows[:, :count]
+            polys, logs = _build_block(core.stream(mc.seed, StreamTag.CAPACITY_CHANNEL, index),
+                                       list(rows[:, :count]), quantities, distortion)
             s1 = np.empty((npow, nker))
             s2 = np.empty((npow, nker, nker))
             # a rate argument that overflows is reported below, as a DomainError
             with np.errstate(over="ignore", invalid="ignore"):
                 for j, power in enumerate(grid.points):
-                    for i, (scale, lin, quad) in enumerate(polys):
+                    for (scale, lin, quad), v in zip(polys, logs):
                         c = scale * power
                         if quad is None:
-                            np.multiply(lin, c, out=v[i])
+                            np.multiply(lin, c, out=v)
                         else:
-                            np.multiply(quad, c, out=v[i])
-                            v[i] += lin
-                            v[i] *= c
-                        np.log1p(v[i], out=v[i])
-                    for i in range(nker):
-                        s1[j, i] = v[i].sum()
+                            np.multiply(quad, c, out=v)
+                            v += lin
+                            v *= c
+                        np.log1p(v, out=v)
+                    for i, v in enumerate(logs):
+                        s1[j, i] = v.sum()
                         for k in range(i + 1):
-                            s2[j, i, k] = s2[j, k, i] = np.einsum("i,i->", v[i], v[k])
+                            s2[j, i, k] = s2[j, k, i] = np.einsum("i,i->", v, logs[k])
         finally:
-            scratch.put((flat, rows))
+            scratch.put(rows)
         return s1, s2
 
     S1 = np.zeros((npow, nker))

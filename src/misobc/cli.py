@@ -17,14 +17,16 @@ the modules it runs: ``capacity``, ``rq`` and ``rd --mode wyner`` load
 :mod:`misobc.capacity`, ``region`` and ``gap`` add :mod:`misobc.regions`,
 and ``simulate`` adds :mod:`misobc.scheme`.  Commands that draw no
 samples load no NumPy: ``rd --mode waterfill|suboptimal`` loads only the
-standard-library :mod:`misobc.rd`, and ``gap`` refuses a distortion below
-the certified floor before it loads anything.
+standard-library :mod:`misobc.rd`, ``gap`` refuses a distortion below
+the certified floor before it loads anything, and ``region`` likewise
+refuses a power that is not finite and positive.
 """
 
 from __future__ import annotations
 
 import argparse
 import json
+import math
 import os
 import sys
 from contextlib import contextmanager
@@ -202,6 +204,10 @@ def cmd_rq(args) -> int:
 
 
 def cmd_region(args) -> int:
+    # the refusal costs no NumPy; at zero power c21 is 0 and has no region
+    if not 0.0 < args.power < math.inf:
+        raise ValueError(f"region needs a finite, strictly positive power, "
+                         f"got --power {args.power:g}")
     from . import capacity, regions
     from .capacity import PowerGrid
 

@@ -2,6 +2,7 @@
 
 import ast
 import io
+import itertools
 import math
 import os
 import re
@@ -339,8 +340,13 @@ def test_point_estimates_share_one_ensemble():
 
 def test_moment_draw_matches_gaussian_matrices():
     n = 200_000
-    # the (norm1, E2, norm2, det2) rows, without the spare E2
-    direct = capacity._draw_moments(core.stream(5, 0), n)[[0, 2, 3]]
+    # at D = 0 the block's c21 and c22d polynomials are norm1, norm2 + norm1
+    # and det2; norm2 comes back to within a rounding of that sum
+    quantities = ("c21", "c22d")
+    rows = np.empty((capacity._scratch_rows(quantities), n))
+    ((_, norm1, _), (_, lin, det2)), _ = capacity._build_block(
+        core.stream(5, 0), list(rows), quantities, 0.0)
+    direct = (norm1, lin - norm1, det2)
     h = core.sample_cn01(core.stream(6, 0), (n, 2, 2))
     det = h[:, 0, 0] * h[:, 1, 1] - h[:, 0, 1] * h[:, 1, 0]
     built = (np.sum(np.abs(h[:, 0]) ** 2, axis=1), np.sum(np.abs(h[:, 1]) ** 2, axis=1),
@@ -359,30 +365,85 @@ def test_moment_draw_matches_gaussian_matrices():
             assert abs(prod.mean() - cov[a, b]) < 5.0 * prod.std() / math.sqrt(n), (a, b)
 
 
-def test_estimator_memory_is_bounded():
-    # a block runs in a reused scratch set of (4 + k) rows, so the peak does
-    # not grow with the sample count
-    samples = 4 * 10**6
-    tracemalloc.start()
-    try:
-        capacity.c21(10.0, MCConfig(samples=samples, workers=1))
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
-    assert peak < 16 * 2**20
+ROW_BYTES = capacity._BLOCK * 8
+QUANTITY_SETS = [q for k in (1, 2, 3) for q in itertools.combinations(capacity.QUANTITIES, k)]
 
-    # under the default workers there is at most one set per usable CPU:
-    # the same 16 MiB on hosts with at most two, plus one set of a
-    # two-quantity sweep for each CPU beyond two
-    workers = min(core._usable_cpus(), len(capacity._blocks(samples)))
+
+def traced_peak(fn, *args, **kwargs) -> int:
+    """Peak traced allocation of ``fn(*args, **kwargs)``, after one untraced
+    call has paid for the imports and caches of a first call."""
+    fn(*args, **kwargs)
     tracemalloc.start()
     try:
-        capacity.paired_sweep("rq", "c21", PowerGrid.default(), MCConfig(samples=samples),
-                              distortion=4.0)
-        peak = tracemalloc.get_traced_memory()[1]
+        fn(*args, **kwargs)
+        return tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert peak < 16 * 2**20 + max(workers - 2, 0) * (4 + 2) * capacity._BLOCK * 8
+
+
+def test_estimator_memory_is_bounded():
+    # a block runs in a reused scratch array of c21's two rows, so the peak
+    # does not grow with the sample count
+    samples = 4 * 10**6
+    peak = traced_peak(capacity.c21, 10.0, MCConfig(samples=samples, workers=1))
+    assert peak < 2.25 * ROW_BYTES
+
+    # under the default workers there is one array of the pair's four rows
+    # per usable CPU, and the per-block sums take under half a row
+    workers = min(core._usable_cpus(), len(capacity._blocks(samples)))
+    peak = traced_peak(capacity.paired_sweep, "rq", "c21", PowerGrid.default(),
+                       MCConfig(samples=samples), distortion=4.0)
+    assert peak < (4 * workers + 0.5) * ROW_BYTES
+
+
+@pytest.mark.parametrize("quantities", QUANTITY_SETS, ids="-".join)
+def test_block_scratch_peak_is_its_row_count(quantities):
+    # one worker holds one scratch array of _scratch_rows rows, and beyond
+    # it only small arrays, at a partial block and at several blocks alike
+    rows = capacity._scratch_rows(quantities)
+    distortion = None if quantities == ("c21",) else 4.0
+    for samples in (1000, 3 * capacity._BLOCK + 7):
+        peak = traced_peak(capacity.estimate, quantities, PowerGrid((1.0, 10.0)),
+                           MCConfig(samples=samples, workers=1), distortion)
+        used = min(samples, capacity._BLOCK) * 8
+        assert rows * used <= peak < rows * used + ROW_BYTES // 4, samples
+    # and the block needs every one of those rows
+    with pytest.raises(IndexError):
+        capacity._build_block(core.stream(1), list(np.empty((rows - 1, 8))), quantities, 4.0)
+
+
+@pytest.mark.parametrize("workers", [1, 2])
+def test_every_quantity_tuple_gets_its_single_bits(monkeypatch, workers):
+    # whatever rows a tuple's block holds, each quantity gets the bits of its
+    # single-quantity call, and the covariance the entries of the full joint
+    monkeypatch.setattr(core, "_usable_cpus", lambda: 2)
+    grid = PowerGrid((0.5, 20.0))
+    mc = MCConfig(samples=2 * capacity._BLOCK + 5, seed=13, workers=workers)
+    single = {q: capacity.estimate((q,), grid, MCConfig(samples=mc.samples, seed=13, workers=1),
+                                   None if q == "c21" else 4.0)
+              for q in capacity.QUANTITIES}
+    full = capacity.estimate(capacity.QUANTITIES, grid, mc, 4.0)
+    tuples = [q for k in (1, 2, 3) for q in itertools.permutations(capacity.QUANTITIES, k)]
+    assert len(tuples) == 15
+    for quantities in tuples:
+        points = capacity.estimate(quantities, grid, mc,
+                                   None if quantities == ("c21",) else 4.0)
+        at = [capacity.QUANTITIES.index(q) for q in quantities]
+        for j, point in enumerate(points):
+            assert point.estimates == tuple(single[q][j].estimates[0] for q in quantities), \
+                quantities
+            assert np.array_equal(point.mean_cov, full[j].mean_cov[np.ix_(at, at)]), quantities
+
+
+@pytest.mark.parametrize("quantities", [(), ("rq", "rq"), ("c21", "rq", "c21")])
+def test_estimate_refuses_empty_or_repeated_quantities(monkeypatch, quantities):
+    # the refusal comes before any stream is opened
+    def no_stream(*key):
+        raise AssertionError("a stream was opened")
+
+    monkeypatch.setattr(core, "stream", no_stream)
+    with pytest.raises(ValueError, match=re.escape(repr(quantities))):
+        capacity.estimate(quantities, PowerGrid.single(10.0), MCConfig(samples=10), 4.0)
 
 
 # float.hex of estimates at 200 000 samples (four blocks, the last partial),
@@ -505,14 +566,14 @@ def test_failed_estimate_leaves_no_pool_thread(monkeypatch):
         capacity.estimate(("c21", "c22d", "rq"), grid, mc, 4.0)
     assert threading.active_count() == before
 
-    draw = capacity._draw_moments
+    build = capacity._build_block
 
-    def failing(rng, count, out=None):
-        if count != capacity._BLOCK:  # the last, partial block
+    def failing(rng, rows, quantities, distortion):
+        if rows[0].size != capacity._BLOCK:  # the last, partial block
             raise RuntimeError("block failed")
-        return draw(rng, count, out=out)
+        return build(rng, rows, quantities, distortion)
 
-    monkeypatch.setattr(capacity, "_draw_moments", failing)
+    monkeypatch.setattr(capacity, "_build_block", failing)
     with pytest.raises(RuntimeError, match="block failed"):
         capacity.estimate(("c21",), PowerGrid.single(10.0), mc)
     assert threading.active_count() == before

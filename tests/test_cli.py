@@ -233,6 +233,19 @@ def test_gap_json_and_theorem_assertion(capsys):
     assert payload["max_tau"]["tau"] < regions.GAP_BOUND
 
 
+@pytest.mark.parametrize("power", ["0", "-1", "nan", "inf"])
+def test_region_refuses_a_power_without_a_region(capsys, tmp_path, power):
+    # refused before any draw, naming the flag; the output directory is not made
+    outdir = tmp_path / "region"
+    code, out, err = run(capsys, ["region", "--power", power, "--output-dir", str(outdir),
+                                  *FAST])
+    assert code == 3
+    assert out == ""
+    assert err == (f"error: region needs a finite, strictly positive power, "
+                   f"got --power {float(power):g}\n")
+    assert not outdir.exists()
+
+
 def test_gap_guards_small_distortion(capsys):
     code, out, err = run(capsys, ["gap", "--distortion", "3", "--power", "1", *FAST])
     assert code == 3
@@ -575,6 +588,7 @@ NO_NUMPY = ("numpy", *NUMERIC, "misobc.regions", "misobc.scheme")
                  NUMERIC + ("misobc.regions",), ("misobc.scheme",), id="region"),
     pytest.param(["gap", "--power", "10", *SMALL], 0,
                  NUMERIC + ("misobc.regions",), ("misobc.scheme",), id="gap"),
+    pytest.param(["region", "--power", "0", *SMALL], 3, (), NO_NUMPY, id="region_zero_power"),
     *(pytest.param(["gap", "--distortion", d, "--power", "10", *SMALL], 3, (), NO_NUMPY,
                    id=f"gap_refused_{d}") for d in ("2", "nan", "-1")),
     pytest.param(["simulate", "--n", "8", "--power", "10", *SMALL], 0,

@@ -1,11 +1,13 @@
-"""The README's documented session runs as written against the package."""
+"""The README's documented session runs as written against the package,
+and its estimator memory table matches the code."""
 
 import contextlib
 import io
+import itertools
 import re
 from pathlib import Path
 
-from misobc import GAP_BOUND
+from misobc import GAP_BOUND, capacity
 
 README = Path(__file__).resolve().parent.parent / "README.md"
 
@@ -27,3 +29,18 @@ def test_readme_minimal_session_runs():
     assert float(lines[1]) < GAP_BOUND
     pair = [float(x) for x in lines[2].strip("[]").split(",")]
     assert len(pair) == 2 and pair[0] == pair[1] > 0.0
+
+
+def test_readme_scratch_rows_match_the_estimator():
+    # one table row per set of quantities, with the rows _scratch_rows sizes
+    text = README.read_text(encoding="utf-8")
+    match = re.search(r"\| quantities \| rows \|\n\| -+ \| -+ \|\n((?:\|.*\|\n)+)", text)
+    assert match, "README has no quantities/rows table"
+    table = {}
+    for line in match.group(1).splitlines():
+        names, rows = (cell.strip() for cell in line.strip("|").split("|"))
+        table[frozenset(names.split(", "))] = int(rows)
+    sets = [q for k in (1, 2, 3) for q in itertools.combinations(capacity.QUANTITIES, k)]
+    assert len(table) == len(sets)
+    for quantities in sets:
+        assert table[frozenset(quantities)] == capacity._scratch_rows(quantities), quantities
