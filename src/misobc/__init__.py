@@ -7,8 +7,10 @@ constant per-user gap of an outer bound on a power grid:
 * :mod:`misobc.core`      reproducible random streams, closed-form
   log-det arithmetic for batches of 2x2 channels, and the task runner
   that every thread of the package runs under
-* :mod:`misobc.capacity`  ergodic rate curves, paired sweeps and the
+* :mod:`misobc.capacity`  Monte Carlo rate curves, paired sweeps and the
   ergodic rate-distortion rate with decoder side information
+* :mod:`misobc.oracles`   closed forms of the three rates c21, c22d and
+  rq, standard library only
 * :mod:`misobc.rd`        closed-form scalar rate-distortion helpers
   (reverse waterfilling and the one-level rate), standard library only
 * :mod:`misobc.quantizer` subtractive dithered scalar quantization with
@@ -19,17 +21,20 @@ constant per-user gap of an outer bound on a power grid:
   scheme with causality auditing and mutual-information accounting
 * :mod:`misobc.cli`       command line front end
 
-This module imports only :mod:`math` and :mod:`operator`, and
-:mod:`misobc.cli` nothing beyond the standard library, so the command
-line parses its flags, prints usage errors and ``--help``, and refuses a
-gap distortion below the certified floor without loading NumPy; each
-subcommand loads the modules it runs, and
+This module imports only :mod:`math` and :mod:`operator`.  At module
+level, :mod:`misobc.cli`, :mod:`misobc.rd`, :mod:`misobc.oracles` and
+:mod:`misobc.regions` import nothing beyond the standard library and each
+other, so the exact rates and the gap algebra run without NumPy, and the
+command line parses its flags, prints usage errors and ``--help``, and
+refuses a gap distortion below the certified floor without loading it;
+each subcommand loads the modules it runs, and
 ``rd --mode waterfill|suboptimal`` loads only :mod:`misobc.rd`.  The
-error type, the constants that the command line shows in its flags and
-help, number formatting, the validators of number, real (finite and
-nonnegative or positive), integer and seed arguments and the gap
-distortion check are defined here, once, and the numerical modules
-import them from here.
+error type, ``LN2``, the constants that the command line shows in its
+flags and help, number formatting and the CSV/JSON table writer
+(``write_csv`` and ``_Table``), the validators of number, real (finite
+and nonnegative or positive), integer and seed arguments and the gap
+distortion check are defined here, once, and the other modules import
+them from here.
 """
 
 import math
@@ -49,6 +54,8 @@ MIN_CERTIFIED_DISTORTION = 4.0
 # Largest number of blocks per phase that a scheme run accepts.
 MAX_BLOCKS = 512
 
+LN2 = math.log(2.0)
+
 
 class DomainError(ValueError):
     """Raised when inputs leave the validity domain of a quantity."""
@@ -62,6 +69,27 @@ def _fmt(x) -> str:
 def _round12(x: float) -> float:
     """``x`` rounded as ``_fmt`` writes it, for JSON output."""
     return float(_fmt(x))
+
+
+def write_csv(fp, columns, rows) -> None:
+    """A header of ``columns``, then one line per row of values: floats as
+    ``_fmt`` writes them, ints and labels as they are."""
+    fp.write(",".join(columns) + "\n")
+    for row in rows:
+        fp.write(",".join(_fmt(v) if isinstance(v, float) else str(v) for v in row) + "\n")
+
+
+class _Table:
+    """Result rows written as CSV or JSON under ``columns``; a table gives
+    ``columns`` and ``values(row)``, the row's cells in that order."""
+
+    def to_csv(self, fp) -> None:
+        write_csv(fp, self.columns, map(self.values, self.rows))
+
+    def to_json(self) -> list[dict]:
+        """One ``{column: value}`` record per row, floats rounded by ``_round12``."""
+        return [{c: _round12(v) if isinstance(v, float) else v
+                 for c, v in zip(self.columns, self.values(r))} for r in self.rows]
 
 
 def _is_bool(value) -> bool:

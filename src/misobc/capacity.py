@@ -36,8 +36,11 @@ no longer read.  That is 2 rows for c21, 3 for c22d or rq, 4 for
 (c21, rq), 5 for (c21, c22d) or (c22d, rq), and 7 for all three, in any
 order.  The calling thread allocates one array per worker before any
 block runs, and the blocks of one ``estimate`` call take turns with
-them, so transient memory is workers * rows * 2^16 * 8 bytes at any
-sample count; with the default that grows with the host's CPU count.
+them.  Each block's sums are added to the totals as it completes, in
+block order, and ``core.run_tasks`` keeps at most two blocks per worker
+in flight, so transient memory is workers * rows * 2^16 * 8 bytes plus
+a few small arrays per worker at any sample count; with the default
+that grows with the host's CPU count.
 A power at which a rate argument overflows a double, or a nonzero
 estimate's squared error bar underflows one, raises ``DomainError``.
 
@@ -45,11 +48,10 @@ estimate's squared error bar underflows one, raises ``DomainError``.
 are w pool threads, and one worker or one block runs inline in the
 calling thread with no pool.
 
-``c21_oracle``, ``c22d_oracle`` and ``rq_oracle`` evaluate the three
-quantities in closed form, as sums of scaled exponential integrals
-e^z E_m(z) computed with the standard library alone: references for
-the estimator, and the rates that size the scheme's phase 3.  Result
-tables write CSV and JSON through one path: ``write_csv`` and the
+The closed forms of the three quantities, the estimator's references,
+are in the standard-library :mod:`misobc.oracles`; ``c21_oracle``,
+``c22d_oracle`` and ``rq_oracle`` are also reachable here under their
+names.  Result tables write CSV and JSON through the package's
 ``_Table`` base class, which ``regions`` shares.
 
 The module also carries ``ergodic_wyner_rate``, the ergodic conditional
@@ -68,34 +70,14 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from . import (DEFAULT_SAMPLES, DEFAULT_SEED, DomainError, _fmt, _integer, _number, _real,
-               _round12, _seed, core)
-from .core import LN2, StreamTag
+from . import (DEFAULT_SAMPLES, DEFAULT_SEED, LN2, DomainError, _integer, _number, _real, _seed,
+               _Table, core)
+from .core import StreamTag
+from .oracles import c21_oracle, c22d_oracle, rq_oracle  # noqa: F401  (re-exported)
 
 QUANTITIES = ("c21", "c22d", "rq")
 
 _BLOCK = 2**16
-
-
-def write_csv(fp, columns, rows) -> None:
-    """A header of ``columns``, then one line per row of values: floats as
-    ``_fmt`` writes them, ints and labels as they are."""
-    fp.write(",".join(columns) + "\n")
-    for row in rows:
-        fp.write(",".join(_fmt(v) if isinstance(v, float) else str(v) for v in row) + "\n")
-
-
-class _Table:
-    """Result rows written as CSV or JSON under ``columns``; a table gives
-    ``columns`` and ``values(row)``, the row's cells in that order."""
-
-    def to_csv(self, fp) -> None:
-        write_csv(fp, self.columns, map(self.values, self.rows))
-
-    def to_json(self) -> list[dict]:
-        """One ``{column: value}`` record per row, floats rounded by ``_round12``."""
-        return [{c: _round12(v) if isinstance(v, float) else v
-                 for c, v in zip(self.columns, self.values(r))} for r in self.rows]
 
 
 @dataclass(frozen=True)
@@ -292,9 +274,10 @@ def estimate(
     tuple raises ValueError before any sample is drawn.  The scratch
     arrays are allocated in the calling thread, and the blocks
     run through ``core.run_tasks``: on w pool threads for w > 1 workers,
-    inline for one.  The block sums are added in block order, so the
-    totals do not depend on the worker count, and an error surfaces only
-    once every pool thread has stopped."""
+    inline for one.  Each block's sums are added as it completes, in
+    block order, so the totals do not depend on the worker count and no
+    block's sums are kept, and an error surfaces only once every pool
+    thread has stopped."""
     if not quantities or len(set(quantities)) != len(quantities):
         raise ValueError(f"quantities must be one or more distinct names, got {quantities!r}")
     mc = mc or MCConfig()
@@ -304,20 +287,21 @@ def estimate(
         _check_quantity(q, distortion)
     npow = len(grid.points)
     nker = len(quantities)
-    jobs = _blocks(mc.samples)
+    # block indices, not _blocks' (index, count) pairs, which take memory per block
+    jobs = range(-(-mc.samples // _BLOCK))
     workers = core.thread_count(len(jobs), mc.workers)
 
     # one scratch array per worker, sized to the quantities' rows and
     # allocated here in the calling thread (pool threads would take it from
     # their own malloc arenas); a block takes a free array, and at most
     # ``workers`` blocks run at once
-    shape = (_scratch_rows(quantities), jobs[0][1])
+    shape = (_scratch_rows(quantities), min(_BLOCK, mc.samples))
     scratch = queue.SimpleQueue()
     for _ in range(workers):
         scratch.put(np.empty(shape))
 
-    def block(job):
-        index, count = job
+    def block(index):
+        count = min(_BLOCK, mc.samples - index * _BLOCK)
         rows = scratch.get()
         try:
             polys, logs = _build_block(core.stream(mc.seed, StreamTag.CAPACITY_CHANNEL, index),
@@ -393,150 +377,6 @@ def rq(power: float, distortion: float, mc: MCConfig | None = None) -> MonteCarl
     Gamma(4, 1) distributed.
     """
     return estimate(("rq",), PowerGrid.single(power), mc, distortion)[0].estimates[0]
-
-
-_EULER = 0.5772156649015329
-_EXPINT_MAX_TERMS = 1000
-
-
-def _scaled_expint(m: int, z: float) -> float:
-    """e^z E_m(z), the scaled exponential integral, for an integer m >= 1
-    and z > 0, with the standard library alone.
-
-    For z <= 1 it sums the power series of E_m (A&S 5.1.12, with the
-    psi(m) term at index m - 1) and multiplies by e^z.  For z in
-    (1, 1e9] it evaluates the even form of the continued fraction
-    A&S 5.1.22 by the modified Lentz method, which yields the scaled
-    value directly, so nothing overflows.  Beyond 1e9 the value is
-    1/(z + m) to within m/z^2 relative (4e-18 at m = 4); that also covers
-    z near the largest double, where the fraction's 1/(z + m) is
-    subnormal and it stalls, and z = inf, where it would compute
-    inf * 0.  A sum or fraction that has not converged after 1000 terms
-    (a NaN z) raises ArithmeticError rather than looping on.
-    """
-    if z > 1e9:
-        return 1.0 / (z + m)
-    if z > 1.0:
-        b = z + m
-        c = 1e300  # Lentz's start, 1/tiny, for the fraction's zero leading term
-        d = h = 1.0 / b
-        for i in range(1, _EXPINT_MAX_TERMS):
-            a = -i * (m - 1 + i)
-            b += 2.0
-            d = 1.0 / (a * d + b)
-            c = b + a / c
-            delta = c * d
-            h *= delta
-            if abs(delta - 1.0) <= 2.0**-53:
-                return h
-    else:
-        psi = -_EULER + sum(1.0 / k for k in range(1, m))
-        total = 1.0 / (m - 1) if m > 1 else -_EULER - math.log(z)
-        fact = 1.0
-        for i in range(1, _EXPINT_MAX_TERMS):
-            fact *= -z / i
-            term = fact * (psi - math.log(z)) if i == m - 1 else -fact / (i - m + 1)
-            total += term
-            if abs(term) <= abs(total) * 2.0**-53:
-                return total * math.exp(z)
-    raise ArithmeticError(f"e^z E_{m}(z) did not converge at z = {z!r}")
-
-
-def c21_oracle(power: float) -> float:
-    """Closed-form value of c21, independent of the sampling path.
-
-    For X ~ Gamma(k, 1) with integer k, E ln(1 + a X) is the sum of
-    e^z E_m(z) over m = 1..k with z = 1/a.  c21 has k = 2 and
-    a = power/2, so it is (e^z E1(z) + e^z E2(z)) / ln 2 with z = 2/power:
-    two positive terms, which ``_scaled_expint`` evaluates with the
-    standard library alone.  The result is within 4e-15 relative of
-    50-digit mpmath for powers from 1e-6 to 1e6, and finite and
-    nonnegative for every finite power.
-    """
-    p = _real(power, "power")
-    if p == 0.0:
-        return 0.0
-    z = 2.0 / p
-    return (_scaled_expint(1, z) + _scaled_expint(2, z)) / LN2
-
-
-def rq_oracle(power: float, distortion: float) -> float:
-    """Closed-form value of rq, independent of the sampling path.
-
-    The fading gain of rq is Gamma(4, 1) and a = power/(2 distortion), so
-    rq is the sum of e^z E_m(z) over m = 1..4, divided by ln 2, with
-    z = 2 distortion/power.  ``distortion`` is checked as ``rq`` checks
-    it.  A DomainError is raised where z underflows to 0, that is where
-    the rate argument overflows a double, as the estimator does there.
-    """
-    p = _real(power, "power")
-    _check_quantity("rq", distortion)
-    if p == 0.0:
-        return 0.0
-    z = 2.0 * (float(distortion) / p)
-    if z == 0.0:
-        raise DomainError(f"rq is not finite at P = {p:g}: its rate argument overflows a double")
-    return sum(_scaled_expint(m, z) for m in range(1, 5)) / LN2
-
-
-_C22D_SERIES_CUT = 0.5
-
-
-def c22d_oracle(power: float, distortion: float) -> float:
-    """Closed-form value of c22d, independent of the sampling path.
-
-    Whitening the noise makes c22d = E log2 det(I + (P/2) W), with W a
-    complex Wishart matrix of 2 degrees of freedom and covariance
-    diag(1, b), b = 1/(1 + D).  One unordered eigenvalue of W has density
-    g(x) = [b (x - b) e^-x - (x - 1) e^(-x/b)] / (2 b (1 - b)) (the
-    one-sided correlated case of Chiani, Win & Zanella, IEEE Trans. IT
-    2003), and integrating 2 ln(1 + P x/2) g(x) term by term gives, with
-    S_m(z) = e^z E_m(z), z1 = 2/P and z2 = 2 (1 + D)/P,
-
-        c22d ln 2 = S1(z1) + S1(z2) + ((1 + D) S2(z1) - S2(z2)) / D.
-
-    The last term is 0/0 at D = 0 and loses digits as D falls.  Where
-    D max(1, z1) < 1/2 it is summed instead as its Taylor series in D,
-    S2(z1) - sum over k >= 1 of z1^k S2^(k)(z1) D^(k-1) / k!, whose
-    derivatives follow from d S_m/dz = S_m - S_(m-1) and, for m <= 0,
-    S_m = (1 - m S_(m+1))/z; at D = 0 it is the limit
-    2 S1(z) + S2(z) + z (S1(z) - S2(z)).  Beyond z1 = 1e9 every S_m(w)
-    is 1/(w + m) to within m/w^2, as in ``_scaled_expint``, and the last
-    term is the rational function that gives, with D cancelled.  The
-    result is within 3e-14 relative of 40-digit mpmath for P from 1e-2
-    to 1e6 at D from 0 to 4; below P = 1e-2, z1 (S1 - S2) in the series
-    loses digits like 1/P (4e-11 at P = 1e-6, D = 0).  ``distortion`` is
-    checked as ``c22d`` checks it.  The value is finite for every finite
-    power, so unlike ``rq_oracle`` it raises no DomainError.
-    """
-    p = _real(power, "power")
-    _check_quantity("c22d", distortion)
-    if p == 0.0:
-        return 0.0
-    d = float(distortion)
-    z, z2 = 2.0 / p, 2.0 * (1.0 + d) / p
-    if z > 1e9:
-        return (1.0 / (z + 1.0) + 1.0 / (z2 + 1.0)
-                + (2.0 + d + 2.0 / z) / ((z + 2.0) * (1.0 + d + 2.0 / z))) / LN2
-    edge = _scaled_expint(1, z) + _scaled_expint(1, z2)
-    if d * max(1.0, z) >= _C22D_SERIES_CUT:
-        return (edge + ((1.0 + d) * _scaled_expint(2, z) - _scaled_expint(2, z2)) / d) / LN2
-    # r[j] = z^(j-1) S_(2-j)(z) stays finite as z -> 0, and
-    # z^k S2^(k)(z) = sum over j of C(k, j) (-1)^j z^(k-j+1) r[j]
-    r = [_scaled_expint(2, z) / z, _scaled_expint(1, z)]
-    total = z * r[0]
-    dk = fact = 1.0
-    for k in range(1, _EXPINT_MAX_TERMS):
-        if k >= 2:
-            r.append(z ** (k - 2) + (k - 2) * r[-1])
-        fact *= k
-        term = dk * sum(math.comb(k, j) * (-1) ** j * z ** (k - j + 1) * r[j]
-                        for j in range(k + 1)) / fact
-        total -= term
-        dk *= d
-        if dk == 0.0 or abs(term) <= abs(total) * 2.0**-53:
-            return (edge + total) / LN2
-    raise ArithmeticError(f"the c22d series did not converge at P = {p!r}, D = {d!r}")
 
 
 @dataclass(frozen=True)

@@ -14,9 +14,10 @@ Importing this module loads no NumPy: the parser reads its defaults from
 the package, so a usage error or ``--help`` costs an interpreter start
 and argparse.  Each subcommand checks its flags first and then imports
 the modules it runs: ``capacity``, ``rq`` and ``rd --mode wyner`` load
-:mod:`misobc.capacity`, ``region`` and ``gap`` add :mod:`misobc.regions`,
-and ``simulate`` adds :mod:`misobc.scheme`.  Commands that draw no
-samples load no NumPy: ``rd --mode waterfill|suboptimal`` loads only the
+:mod:`misobc.capacity` (with :mod:`misobc.core`, :mod:`misobc.oracles`
+and NumPy), ``region`` and ``gap`` add :mod:`misobc.regions`, and
+``simulate`` adds :mod:`misobc.scheme`.  Commands that draw no samples
+load no NumPy: ``rd --mode waterfill|suboptimal`` loads only the
 standard-library :mod:`misobc.rd`, ``gap`` refuses a distortion below
 the certified floor before it loads anything, and ``region`` likewise
 refuses a power that is not finite and positive.

@@ -17,7 +17,8 @@ Threads are started here only, and ``run_tasks`` is the package's only
 parallel code: no module calls BLAS, whose own threads would split sums
 in an order set by the environment.  ``run_tasks`` computes independent
 tasks, the estimator's sample blocks and the scheme's two data phases,
-and returns their results in task order: on one pool thread per task,
+and yields their results in task order as they complete, with at most
+twice as many tasks in flight as threads: on one pool thread per task,
 never more than there are usable CPUs, or inline in the calling thread
 when that comes to one.  Each task draws from its own stream into
 arrays its caller allocated, so the results do not depend on the
@@ -35,13 +36,13 @@ from __future__ import annotations
 
 import enum
 import os
+from collections import deque
+from collections.abc import Iterator
 from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 
-from . import DomainError, _real  # noqa: F401  (re-exported: misobc.core.DomainError)
-
-LN2 = float(np.log(2.0))
+from . import LN2, DomainError, _real  # noqa: F401  (re-exported: misobc.core.DomainError)
 
 
 @enum.unique  # a repeated value fails the import: two consumers would draw the same numbers
@@ -73,20 +74,35 @@ def thread_count(tasks: int, requested: int | None = None) -> int:
     return min(requested or tasks, _usable_cpus(), tasks)
 
 
-def run_tasks(fn, items, workers: int | None = None) -> list:
-    """``[fn(item) for item in items]`` for a sequence ``items``, on
-    ``thread_count(len(items), workers)`` threads.
+def run_tasks(fn, items, workers: int | None = None) -> Iterator:
+    """Yield ``fn(item)`` for each item of the sequence ``items``, in item
+    order, computed on ``thread_count(len(items), workers)`` threads; the
+    tasks run only while the iterator is consumed.
 
-    One thread means no pool: every task runs inline, in the calling
-    thread.  Otherwise the tasks run on a pool of that many threads and
-    the first error in item order is raised once every pool thread has
-    stopped; the tasks not yet started are cancelled.
+    One thread means no pool: each task runs inline, in the calling
+    thread, when its result is asked for.  Otherwise the tasks run on a
+    pool of that many threads, at most twice as many tasks in flight as
+    threads, and each result is yielded once it and every result before
+    it are done, so results never pile up ahead of the caller.  The first
+    error in item order is raised once every pool thread has stopped; the
+    tasks not yet started are cancelled.
     """
     threads = thread_count(len(items), workers)
     if threads <= 1:
-        return [fn(item) for item in items]
+        yield from map(fn, items)
+        return
     with ThreadPoolExecutor(threads) as pool:
-        return list(pool.map(fn, items))
+        window = deque()
+        try:
+            for item in items:
+                if len(window) == 2 * threads:
+                    yield window.popleft().result()
+                window.append(pool.submit(fn, item))
+            while window:
+                yield window.popleft().result()
+        finally:
+            for future in window:
+                future.cancel()
 
 
 def stream(seed: int, *key: int) -> np.random.Generator:

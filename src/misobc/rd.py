@@ -15,9 +15,7 @@ from __future__ import annotations
 import math
 from itertools import accumulate
 
-from . import DomainError, _number, _real
-
-_LN2 = math.log(2.0)
+from . import LN2, DomainError, _number, _real
 
 
 def _rd_inputs(variance_samples, distortion_budget) -> tuple[list[float], float]:
@@ -85,4 +83,4 @@ def rd_suboptimal(variance_samples, distortion_budget: float) -> float:
     rate, sample by sample.
     """
     v, budget = _rd_inputs(variance_samples, distortion_budget)
-    return _finite(math.fsum(math.log1p(x / budget) for x in v) / len(v) / _LN2)
+    return _finite(math.fsum(math.log1p(x / budget) for x in v) / len(v) / LN2)

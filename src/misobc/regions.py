@@ -20,6 +20,13 @@ keep their shape; a test against two regions allows the larger of their
 two tolerances.  The bisection stops within ``BISECT_TOL * min(1, s)``
 of the gap, s the outer region's largest axis intercept, so gaps far
 below 1 keep their digits too.
+
+The module imports only the standard library and the package at module
+level; ``gap_sweep`` imports :mod:`misobc.capacity`, and with it NumPy,
+when it runs, so the gap algebra over the closed forms of
+:mod:`misobc.oracles` runs in a process that never loads NumPy.  The
+annotations that name :mod:`misobc.capacity` types (``MCConfig``,
+``MonteCarloEstimate``, ``PowerGrid``) are never evaluated.
 """
 
 from __future__ import annotations
@@ -28,9 +35,8 @@ import math
 from dataclasses import dataclass
 from itertools import combinations
 
-from . import (GAP_BOUND, MIN_CERTIFIED_DISTORTION, DomainError, _number, _real, capacity,
-               check_gap_distortion)
-from .capacity import MCConfig, MonteCarloEstimate, PowerGrid, _Table, write_csv
+from . import (GAP_BOUND, MIN_CERTIFIED_DISTORTION, DomainError, _number, _real, _Table,
+               check_gap_distortion, write_csv)
 
 GEOM_TOL = 1e-9
 BISECT_TOL = 1e-9
@@ -344,8 +350,10 @@ def gap_sweep(
     and includes their paired covariance, which the shared channel
     ensemble makes strongly positive.
     """
+    from . import capacity
+
     d = check_gap_distortion(distortion, allow_small_distortion)
-    grid = grid or PowerGrid.default()
+    grid = grid or capacity.PowerGrid.default()
     if any(p <= 0.0 for p in grid.points):
         raise ValueError("gap sweep needs strictly positive powers")
     pairs = capacity.paired_sweep("c21", "c22d", grid, mc, distortion=d)

@@ -26,7 +26,7 @@ disjoint (tag, key) streams, all named in ``_DRAWS``, as two tasks of
 allocated, so a run is bit-identical for any thread count.
 
 Phase 3's symbol budget depends only on (n, P, D, delta): it is sized
-from the closed forms ``capacity.c21_oracle``, ``c22d_oracle`` and
+from the closed forms ``oracles.c21_oracle``, ``c22d_oracle`` and
 ``rq_oracle``, which are also the transcript's ``reference``.  No stage
 draws a Monte Carlo ensemble.  ``run_phases_1_2`` sizes phase 3, its
 budget and its quantizer step, before it draws anything, so an
@@ -60,8 +60,8 @@ from typing import NamedTuple
 
 import numpy as np
 
-from . import (DEFAULT_SEED, MAX_BLOCKS, DomainError, _integer, _real, _round12, _seed,
-               capacity, core, quantizer)
+from . import (DEFAULT_SEED, MAX_BLOCKS, DomainError, _integer, _real, _round12, _seed, core,
+               oracles, quantizer)
 from .capacity import MCConfig, MonteCarloEstimate
 from .core import StreamTag
 
@@ -342,7 +342,7 @@ def run_phases_1_2(cfg: SchemeConfig) -> SchemeTranscript:
             t.logdets[number - 1][block] = core.logdet_capacity_term(
                 rows, cfg.power, (1.0, 1.0 + cfg.distortion))
 
-    core.run_tasks(phase, ((1, t.x1, t.s21), (2, t.x2, t.s12)))
+    list(core.run_tasks(phase, ((1, t.x1, t.s21), (2, t.x2, t.s12))))  # runs as it is consumed
     return t
 
 
@@ -375,9 +375,9 @@ def _size_phase_3(cfg: SchemeConfig) -> tuple[dict, int, float]:
     """The exact c21, c22d and rq at the power and distortion of ``cfg``,
     the phase-3 budget they give and the quantizer step, or the
     DomainError of the budget, then of the step."""
-    reference = {"c21": capacity.c21_oracle(cfg.power),
-                 "c22d": capacity.c22d_oracle(cfg.power, cfg.distortion),
-                 "rq": capacity.rq_oracle(cfg.power, cfg.distortion)}
+    reference = {"c21": oracles.c21_oracle(cfg.power),
+                 "c22d": oracles.c22d_oracle(cfg.power, cfg.distortion),
+                 "rq": oracles.rq_oracle(cfg.power, cfg.distortion)}
     try:
         budget = phase3_budget(cfg.n, reference["rq"], reference["c21"], cfg.delta)
     except DomainError as err:

@@ -18,7 +18,7 @@ from scipy import stats
 from scipy.integrate import quad
 
 import misobc
-from misobc import capacity, core, rd, regions
+from misobc import capacity, core, oracles, rd, regions
 from misobc.capacity import MCConfig, PowerGrid
 from misobc.core import DomainError
 
@@ -112,7 +112,7 @@ def test_oracle_edge_cases():
     # a kernel that cannot converge raises instead of looping on
     for m in (1, 2):
         with pytest.raises(ArithmeticError, match="did not converge"):
-            capacity._scaled_expint(m, math.nan)
+            oracles._scaled_expint(m, math.nan)
 
 
 @pytest.mark.parametrize("distortion", [0.5, 2.4, 4.0])
@@ -194,7 +194,7 @@ def test_c22d_oracle_matches_the_closed_form_in_40_digits(distortion):
         expect = [float(_c22d_closed_form(mpmath, p, distortion)) for p in C22D_POWERS]
     got = [capacity.c22d_oracle(p, distortion) for p in C22D_POWERS]
     assert got == pytest.approx(expect, rel=4e-14, abs=0.0)
-    series = [distortion * max(1.0, 2.0 / p) < capacity._C22D_SERIES_CUT for p in C22D_POWERS]
+    series = [distortion * max(1.0, 2.0 / p) < oracles._C22D_SERIES_CUT for p in C22D_POWERS]
     if distortion in (0.1, 0.3):
         assert any(series) and not all(series)
 
@@ -394,6 +394,23 @@ def test_estimator_memory_is_bounded():
     peak = traced_peak(capacity.paired_sweep, "rq", "c21", PowerGrid.default(),
                        MCConfig(samples=samples), distortion=4.0)
     assert peak < (4 * workers + 0.5) * ROW_BYTES
+
+
+@pytest.mark.parametrize("workers", [1, 2])
+def test_estimator_peak_does_not_grow_with_blocks(monkeypatch, workers):
+    # each block's sums are added as it completes and at most two blocks per
+    # worker are in flight, so the peak is the same at 20 and 320 blocks; a
+    # run that kept every block's sums would hold 130 KB or more extra at 320.
+    # Blocks of 256 samples make 320 of them cheap to draw.
+    monkeypatch.setattr(core, "_usable_cpus", lambda: 2)
+    monkeypatch.setattr(capacity, "_BLOCK", 256)
+
+    def peak(blocks):
+        mc = MCConfig(samples=blocks * 256, workers=workers)
+        return traced_peak(capacity.estimate, ("c21", "c22d"), PowerGrid((1.0, 10.0)), mc, 4.0)
+
+    peak(320)  # fills the interpreter's free lists, which tracemalloc counts as held
+    assert abs(peak(320) - peak(20)) < 32 * 1024
 
 
 @pytest.mark.parametrize("quantities", QUANTITY_SETS, ids="-".join)

@@ -1,5 +1,6 @@
 """End-to-end command line checks, run in process through cli.main."""
 
+import ast
 import hashlib
 import json
 import math
@@ -13,7 +14,7 @@ import numpy as np
 import pytest
 
 import misobc
-from misobc import capacity, cli, core, regions, scheme
+from misobc import capacity, cli, core, oracles, rd, regions, scheme
 
 FAST = ["--samples", "20000", "--seed", "9"]
 
@@ -542,8 +543,13 @@ def test_shared_names_have_one_definition():
     assert capacity.DEFAULT_SAMPLES is misobc.DEFAULT_SAMPLES
     assert regions.GAP_BOUND is misobc.GAP_BOUND
     assert regions.MIN_CERTIFIED_DISTORTION is misobc.MIN_CERTIFIED_DISTORTION
-    assert capacity._fmt is misobc._fmt and capacity._round12 is misobc._round12
+    assert cli._fmt is misobc._fmt and cli._round12 is scheme._round12 is misobc._round12
     assert scheme.MAX_BLOCKS is misobc.MAX_BLOCKS
+    for name in ("c21_oracle", "c22d_oracle", "rq_oracle"):
+        assert getattr(capacity, name) is getattr(oracles, name), name
+    assert regions.write_csv is misobc.write_csv
+    assert capacity._Table is regions._Table is misobc._Table
+    assert core.LN2 is capacity.LN2 is oracles.LN2 is rd.LN2 is misobc.LN2
 
 
 # Runs the command line in a fresh interpreter and writes its exit code and
@@ -609,6 +615,71 @@ def test_startup_loads_only_what_the_command_runs(tmp_path, argv, code, loaded, 
     modules = set(result["modules"])
     assert {"misobc", "misobc.cli", *loaded} <= modules
     assert modules.isdisjoint({"scipy", *unloaded})
+
+
+# Modules whose module-level imports name only the standard library and
+# each other, so importing them loads no NumPy.
+STANDARD_LIBRARY_ONLY = ("__init__", "cli", "oracles", "rd", "regions")
+
+
+def module_level_imports(source):
+    """The absolute names of the modules that importing ``source``, a module
+    of the package, imports: every import outside functions and classes but
+    in no ``if TYPE_CHECKING:`` block; ``from . import x`` names the
+    submodule ``misobc.x`` if there is one, else the package."""
+    here = Path(misobc.__file__).parent
+    names = []
+    nodes = list(ast.parse(source).body)
+    while nodes:
+        node = nodes.pop()
+        if isinstance(node, ast.Import):
+            names += [alias.name for alias in node.names]
+        elif isinstance(node, ast.ImportFrom):
+            if not node.level:
+                names.append(node.module)
+            elif node.module:
+                names.append(f"misobc.{node.module}")
+            else:
+                names += [f"misobc.{alias.name}" if (here / f"{alias.name}.py").exists()
+                          else "misobc" for alias in node.names]
+        elif isinstance(node, ast.If) and ast.unparse(node.test) == "TYPE_CHECKING":
+            nodes += node.orelse
+        elif not isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+            nodes += [child for child in ast.iter_child_nodes(node) if isinstance(child, ast.stmt)]
+    return names
+
+
+def numpy_free(name):
+    """Whether importing ``name`` keeps NumPy out: a standard-library module
+    or the package or one of STANDARD_LIBRARY_ONLY."""
+    top, _, sub = name.partition(".")
+    if top == "misobc":
+        return sub in ("", *STANDARD_LIBRARY_ONLY)
+    return top in sys.stdlib_module_names
+
+
+def test_import_scan_tells_numpy_free_imports_from_the_rest():
+    flagged = ("import numpy as np", "from numpy import log", "from . import core",
+               "from . import DomainError, capacity", "from .capacity import PowerGrid",
+               "try:\n    import scipy\nexcept ImportError:\n    pass",
+               "if FAST:\n    from . import scheme")
+    for source in flagged:
+        assert not all(map(numpy_free, module_level_imports(source))), source
+    passed = ("import math", "from __future__ import annotations", "from . import _real, rd",
+              "from .oracles import c21_oracle",
+              "if TYPE_CHECKING:\n    from .capacity import PowerGrid",
+              "def f():\n    from . import capacity", "class C:\n    import numpy")
+    for source in passed:
+        assert all(map(numpy_free, module_level_imports(source))), source
+
+
+@pytest.mark.parametrize("name", STANDARD_LIBRARY_ONLY)
+def test_module_level_imports_load_no_numpy(name):
+    # the static twin of test_startup_loads_only_what_the_command_runs: what
+    # these modules import when they load is the standard library and each other
+    source = (Path(misobc.__file__).parent / f"{name}.py").read_text(encoding="utf-8")
+    names = module_level_imports(source)
+    assert names and [m for m in names if not numpy_free(m)] == [], name
 
 
 GOLDEN = ["--samples", "3000", "--seed", "7"]

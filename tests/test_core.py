@@ -196,9 +196,9 @@ def test_run_tasks_returns_results_in_item_order(monkeypatch):
         time.sleep(0.002 * (8 - k))
         return k * k
 
-    assert core.run_tasks(slow_first, range(8)) == [k * k for k in range(8)]
-    assert core.run_tasks(slow_first, range(8), workers=2) == [k * k for k in range(8)]
-    assert core.run_tasks(slow_first, []) == []
+    assert list(core.run_tasks(slow_first, range(8))) == [k * k for k in range(8)]
+    assert list(core.run_tasks(slow_first, range(8), workers=2)) == [k * k for k in range(8)]
+    assert list(core.run_tasks(slow_first, [])) == []
 
 
 @pytest.mark.parametrize("cpus, items, workers", [(1, 5, None), (4, 1, None), (4, 5, 1)])
@@ -210,7 +210,7 @@ def test_run_tasks_runs_inline_on_one_thread(monkeypatch, cpus, items, workers):
     monkeypatch.setattr(core, "_usable_cpus", lambda: cpus)
     monkeypatch.setattr(core, "ThreadPoolExecutor", no_pool)
     caller = threading.get_ident()
-    assert core.run_tasks(lambda k: (k, threading.get_ident()), range(items), workers) == [
+    assert list(core.run_tasks(lambda k: (k, threading.get_ident()), range(items), workers)) == [
         (k, caller) for k in range(items)]
 
 
@@ -229,11 +229,28 @@ def test_run_tasks_raises_the_first_error_once_its_threads_stop(monkeypatch):
 
     before = threading.active_count()
     with pytest.raises(RuntimeError, match="item 2 failed"):
-        core.run_tasks(task, range(8))
+        list(core.run_tasks(task, range(8)))
     assert threading.active_count() == before
     monkeypatch.setattr(core, "_usable_cpus", lambda: 1)
     with pytest.raises(RuntimeError, match="item 2 failed"):
-        core.run_tasks(task, range(8))
+        list(core.run_tasks(task, range(8)))
+
+
+def test_run_tasks_keeps_two_tasks_per_thread_in_flight(monkeypatch):
+    # a task starts only once the caller has taken all but 2 * threads - 1 of
+    # the results before it, so results never pile up ahead of the caller
+    for cpus, ahead in ((2, 4), (1, 1)):
+        monkeypatch.setattr(core, "_usable_cpus", lambda: cpus)
+        started = []
+
+        def task(k):
+            started.append(k)
+            return k
+
+        for taken, k in enumerate(core.run_tasks(task, range(50)), 1):
+            assert k == taken - 1
+            time.sleep(0.002)  # an eager runner would start every task meanwhile
+            assert len(started) <= taken - 1 + ahead, (cpus, taken)
 
 
 def test_only_core_starts_threads():

@@ -1,5 +1,5 @@
 """The README's documented session runs as written against the package,
-and its estimator memory table matches the code."""
+and its module and estimator memory tables match the code."""
 
 import contextlib
 import io
@@ -44,3 +44,15 @@ def test_readme_scratch_rows_match_the_estimator():
     assert len(table) == len(sets)
     for quantities in sets:
         assert table[frozenset(quantities)] == capacity._scratch_rows(quantities), quantities
+
+
+def test_readme_module_table_lists_every_module():
+    # one row per module under src/misobc, the package module itself aside
+    text = README.read_text(encoding="utf-8")
+    match = re.search(r"\| module +\| contents +\|\n\| -+ \| -+ \|\n((?:\|.*\|\n)+)", text)
+    assert match, "README has no module table"
+    listed = [re.match(r"\| `misobc\.(\w+)` +\|", line).group(1)
+              for line in match.group(1).splitlines()]
+    package = Path(capacity.__file__).parent
+    modules = sorted(path.stem for path in package.glob("*.py") if path.stem != "__init__")
+    assert sorted(listed) == modules and len(set(listed)) == len(listed)

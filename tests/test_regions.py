@@ -2,13 +2,17 @@
 
 import ast
 import io
+import json
 import math
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import numpy as np
 import pytest
 
-from misobc import capacity, regions
+from misobc import GAP_BOUND, capacity, oracles, regions
 from misobc.capacity import MCConfig, PowerGrid
 from misobc.core import DomainError
 from misobc.regions import HalfPlane, RateRegion
@@ -435,6 +439,38 @@ def test_regions_imports_no_numpy():
     imports |= {node.module for node in ast.walk(tree)
                 if isinstance(node, ast.ImportFrom) and node.module}
     assert not any(m.split(".")[0] == "numpy" for m in imports)
+
+
+# The exact certificate on 50 log-spaced powers from 1e-2 to 1e4, in a
+# fresh interpreter: it prints the largest gap, the largest rq / c21 and
+# the loaded modules that need NumPy.
+EXACT_PROBE = """
+import json, sys
+from misobc import oracles, regions
+powers = [10.0 ** (-2.0 + 6.0 * k / 49) for k in range(50)]
+tau = max(regions.gap_closed_form(oracles.c21_oracle(p), oracles.c22d_oracle(p, 4.0))[0]
+          for p in powers)
+ratio = max(oracles.rq_oracle(p, 4.0) / oracles.c21_oracle(p) for p in powers)
+print(json.dumps([tau, ratio, sorted({"numpy", "misobc.core", "misobc.capacity"}
+                                     & set(sys.modules))]))
+"""
+
+
+def test_exact_certificate_runs_without_numpy():
+    src = str(Path(regions.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        p for p in (src, os.environ.get("PYTHONPATH")) if p))
+    done = subprocess.run([sys.executable, "-c", EXACT_PROBE], capture_output=True, text=True,
+                          env=env, check=True, timeout=120)
+    tau, ratio, loaded = json.loads(done.stdout)
+    assert loaded == []
+    # the same maxima as on PowerGrid.default(), whose points differ in the last ulps
+    grid = PowerGrid.default().points
+    expect = max(regions.gap_closed_form(oracles.c21_oracle(p), oracles.c22d_oracle(p, 4.0))[0]
+                 for p in grid)
+    assert tau == pytest.approx(expect, rel=1e-14, abs=0.0) and tau <= GAP_BOUND
+    assert ratio == pytest.approx(max(oracles.rq_oracle(p, 4.0) / oracles.c21_oracle(p)
+                                      for p in grid), rel=1e-14, abs=0.0) and ratio < 1.0
 
 
 def test_gap_sweep_small_grid():
