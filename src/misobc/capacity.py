@@ -55,10 +55,14 @@ names.  Result tables write CSV and JSON through the package's
 ``_Table`` base class, which ``regions`` shares.
 
 The module also carries ``ergodic_wyner_rate``, the ergodic conditional
-rate-distortion rate with decoder side information, at a gain that is a
-constant number or, for None, Rayleigh |CN(0, 1)| drawn from the seeded
-``StreamTag.CAPACITY_GAIN`` streams; the closed-form scalar helpers
-(reverse waterfilling and the one-level rate) are in :mod:`misobc.rd`.
+rate-distortion rate with decoder side information.  A constant gain is
+one realization, priced in closed form with no draw; a Rayleigh gain
+|CN(0, 1)| is drawn in the estimator's fixed blocks from the seeded
+``StreamTag.CAPACITY_GAIN`` streams, and the blocks run through
+``core.run_tasks`` as the estimator's do, so its memory is bounded at
+any sample count and its rate is bit-identical for any worker count.
+The closed-form scalar helpers (reverse waterfilling and the one-level
+rate) are in :mod:`misobc.rd`.
 """
 
 from __future__ import annotations
@@ -87,7 +91,8 @@ class MCConfig:
     ``samples`` (at least 1) and ``seed`` (non-negative) are integers of
     any integer type, NumPy's too, and are stored as int; a bool, float or
     string is rejected with a ValueError that names the field.
-    ``workers`` is the number of threads over the fixed sample blocks;
+    ``workers`` is the number of threads over the fixed sample blocks, of
+    ``estimate`` and of ``ergodic_wyner_rate`` at a Rayleigh gain;
     None (the default) means one per usable CPU.  Either way no more
     threads run, and no more scratch arrays are allocated, than there are
     usable CPUs or blocks: w workers run on w pool threads, and one
@@ -239,12 +244,6 @@ def _build_block(rng: np.random.Generator, rows, quantities, distortion) -> tupl
     return [polys[q] for q in quantities], [free.pop() for _ in quantities]
 
 
-def _blocks(samples: int) -> list[tuple[int, int]]:
-    """(index, count) of the fixed sample blocks; only the last may be partial."""
-    full, rest = divmod(int(samples), _BLOCK)
-    return [(k, _BLOCK) for k in range(full)] + ([(full, rest)] if rest else [])
-
-
 @dataclass(frozen=True, eq=False)
 class Estimates:
     """Estimates of several quantities at one power from one ensemble, with
@@ -287,7 +286,6 @@ def estimate(
         _check_quantity(q, distortion)
     npow = len(grid.points)
     nker = len(quantities)
-    # block indices, not _blocks' (index, count) pairs, which take memory per block
     jobs = range(-(-mc.samples // _BLOCK))
     workers = core.thread_count(len(jobs), mc.workers)
 
@@ -505,16 +503,24 @@ def ergodic_wyner_rate(
     """Average rate to describe X at distortion D given Y = a X + U at the decoder.
 
     X ~ N(0, signal_var), U ~ N(0, noise_var), and the gain a is ``gain``,
-    a finite nonnegative number, in every realization, or for None
-    |z| with z ~ CN(0, 1), drawn per realization: block k of the fixed
-    sample blocks comes from ``core.stream(seed, StreamTag.CAPACITY_GAIN,
-    k)``.  Each realization has conditional variance cv = signal_var
-    noise_var / (a^2 signal_var + noise_var) and contributes log2(cv / D)
-    bits; the distortion must satisfy 0 < D <= cv for every realization,
-    otherwise the quantity is outside its validity domain.  The gain is
-    checked first, then the variances and the distortion.  A finite rate
-    is returned where signal_var noise_var, a^2 signal_var or cv / D
-    overflows a double.
+    a finite nonnegative number, or for None |z| with z ~ CN(0, 1), drawn
+    per realization.  A realization has conditional variance
+    cv = 1 / (a / noise_var * a + 1 / signal_var) and costs
+    log2(cv) - log2(D) bits; neither expression overflows a double for
+    finite inputs.  cv underflows to 0 only where the true cv is below
+    the smallest normal double or a variance is subnormal, and the
+    distortion must satisfy 0 < D <= cv for every realization, otherwise
+    the quantity is outside its validity domain.  The gain is checked
+    first, then the variances, the distortion and ``mc``.
+
+    A constant gain is one realization, priced in closed form: it draws
+    nothing, and the sample count and seed of ``mc`` do not enter.  A
+    Rayleigh gain is averaged over ``mc.samples`` draws in the fixed
+    sample blocks of the estimator: block k draws from
+    ``core.stream(seed, StreamTag.CAPACITY_GAIN, k)``, the blocks run
+    through ``core.run_tasks`` on ``mc.workers`` workers, and their sums
+    are added in block order, so the rate is bit-identical for any
+    worker count and its memory does not grow with the sample count.
     """
     gain = _gain(gain)
     sv = _real(signal_var, "signal_var", positive=True)
@@ -524,29 +530,25 @@ def ergodic_wyner_rate(
         raise DomainError("distortion must satisfy 0 < D <= conditional variance")
     mc = mc or MCConfig()
 
-    # where only an intermediate overflows, the rate is priced another way:
-    # cv as 1 / (a^2 / noise_var + 1 / signal_var), log2(cv / D) as a
-    # difference of logs
-    product = sv * nv
-    total = 0.0
-    for index, count in _blocks(mc.samples):
-        if gain is None:
-            a = np.abs(core.sample_cn01(core.stream(mc.seed, StreamTag.CAPACITY_GAIN, index),
-                                        count))
-        else:
-            a = np.full(count, gain)
+    def rates(a):
+        # an overflowing term gives cv = 0, which the check below refuses
         with np.errstate(over="ignore"):
-            denom = a * a * sv + nv
-            if math.isfinite(product) and np.isfinite(denom).all():
-                cond_var = product / denom
-            else:
-                cond_var = 1.0 / (a / nv * a + 1.0 / sv)
-            ratio = cond_var / d
+            cond_var = 1.0 / (a / nv * a + 1.0 / sv)
         if np.any(cond_var < d):
-            raise DomainError(
-                "distortion exceeds the conditional variance for some gain draw, "
-                "need 0 < D <= signal_var*noise_var/(a^2 signal_var + noise_var)"
-            )
-        rates = np.log2(ratio) if np.isfinite(ratio).all() else np.log2(cond_var) - math.log2(d)
-        total += float(np.sum(rates))
+            raise DomainError("distortion exceeds the conditional variance for some gain draw, "
+                              "need 0 < D <= signal_var*noise_var/(a^2 signal_var + noise_var)")
+        return np.log2(cond_var) - math.log2(d)
+
+    if gain is not None:
+        return float(rates(np.float64(gain)))
+
+    def block(index):
+        count = min(_BLOCK, mc.samples - index * _BLOCK)
+        a = np.abs(core.sample_cn01(core.stream(mc.seed, StreamTag.CAPACITY_GAIN, index), count))
+        return float(np.sum(rates(a)))
+
+    # plain additions in block order: sum() compensates from Python 3.12 on
+    total = 0.0
+    for s in core.run_tasks(block, range(-(-mc.samples // _BLOCK)), mc.workers):
+        total += s
     return total / mc.samples

@@ -16,11 +16,12 @@ and argparse.  Each subcommand checks its flags first and then imports
 the modules it runs: ``capacity``, ``rq`` and ``rd --mode wyner`` load
 :mod:`misobc.capacity` (with :mod:`misobc.core`, :mod:`misobc.oracles`
 and NumPy), ``region`` and ``gap`` add :mod:`misobc.regions`, and
-``simulate`` adds :mod:`misobc.scheme`.  Commands that draw no samples
-load no NumPy: ``rd --mode waterfill|suboptimal`` loads only the
-standard-library :mod:`misobc.rd`, ``gap`` refuses a distortion below
-the certified floor before it loads anything, and ``region`` likewise
-refuses a power that is not finite and positive.
+``simulate`` adds :mod:`misobc.scheme`.  These commands load no NumPy:
+``rd --mode waterfill|suboptimal`` loads only the standard-library
+:mod:`misobc.rd`, ``gap`` refuses a distortion below the certified
+floor before it loads anything, and ``region`` likewise refuses a power
+that is not finite and positive.  A request too large to allocate exits
+3 with one ``error:`` line, as a domain abort does.
 """
 
 from __future__ import annotations
@@ -292,7 +293,7 @@ def cmd_simulate(args) -> int:
         if args.dump is not None:
             with open(args.dump, "wb") as fp:
                 scheme.dump_transcript(transcript, fp)
-    except (ValueError, OSError):  # what main reports with exit 2 or 3
+    except (ValueError, OSError, MemoryError):  # what main reports with exit 2 or 3
         for path in created:
             Path(path).unlink(missing_ok=True)
         raise
@@ -427,7 +428,7 @@ def build_parser() -> argparse.ArgumentParser:
                    help="wyner: constant side-information gain")
     p.add_argument("--gain-rayleigh", action="store_true",
                    help="wyner: |CN(0,1)| random gain")
-    # accepted and echoed in every mode, but only wyner draws samples
+    # accepted and echoed in every mode, but only wyner at a Rayleigh gain draws samples
     p.add_argument("--samples", type=int, default=DEFAULT_SAMPLES,
                    help="Monte Carlo samples, wyner mode only (default 10^6)")
     p.add_argument("--seed", type=_parse_seed, default=_default_seed(),
@@ -452,7 +453,7 @@ def main(argv=None) -> int:
     except UsageError as err:
         print(f"usage error: {err}", file=sys.stderr)
         return EXIT_USAGE
-    except ValueError as err:  # DomainError too
+    except (ValueError, MemoryError) as err:  # DomainError too; a request too large to allocate
         print(f"error: {err}", file=sys.stderr)
         return EXIT_NUMERIC
     except OSError as err:

@@ -16,7 +16,8 @@ Conventions shared by every module in this package:
 Threads are started here only, and ``run_tasks`` is the package's only
 parallel code: no module calls BLAS, whose own threads would split sums
 in an order set by the environment.  ``run_tasks`` computes independent
-tasks, the estimator's sample blocks and the scheme's two data phases,
+tasks, the sample blocks of the estimator and of the side-information
+rate at a Rayleigh gain, and the scheme's two data phases,
 and yields their results in task order as they complete, with at most
 twice as many tasks in flight as threads: on one pool thread per task,
 never more than there are usable CPUs, or inline in the calling thread

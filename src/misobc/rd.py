@@ -53,10 +53,11 @@ def rd_reverse_waterfill(variance_samples, distortion_budget: float) -> float:
         mean = math.fsum(v) / n
     except OverflowError:
         # the rate is scale-free: price v / n at budget / n, whose sums
-        # all stay below the mean variance
+        # all stay below the mean variance, and compare their mean with
+        # the scaled budget
         v = [x / n for x in v]
         budget /= n
-        mean = math.fsum(v)
+        mean = math.fsum(v) / n
     if mean <= budget:
         return 0.0
     s = sorted(v)

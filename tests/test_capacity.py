@@ -314,16 +314,6 @@ def test_worker_partitioning_is_deterministic():
     assert estimates(None) == one
 
 
-def test_blocks_cover_samples():
-    block = capacity._BLOCK
-    for total in (1, 11, block - 1, block, block + 1, 10**6, 3 * block):
-        blocks = capacity._blocks(total)
-        assert [k for k, _ in blocks] == list(range(len(blocks)))
-        assert sum(count for _, count in blocks) == total
-        assert all(count == block for _, count in blocks[:-1])
-        assert 0 < blocks[-1][1] <= block
-
-
 def test_point_estimates_share_one_ensemble():
     # the joint estimate is the single-quantity estimate, bit for bit, and
     # its covariance diagonal holds the squared standard errors
@@ -390,7 +380,7 @@ def test_estimator_memory_is_bounded():
 
     # under the default workers there is one array of the pair's four rows
     # per usable CPU, and the per-block sums take under half a row
-    workers = min(core._usable_cpus(), len(capacity._blocks(samples)))
+    workers = min(core._usable_cpus(), -(-samples // capacity._BLOCK))
     peak = traced_peak(capacity.paired_sweep, "rq", "c21", PowerGrid.default(),
                        MCConfig(samples=samples), distortion=4.0)
     assert peak < (4 * workers + 0.5) * ROW_BYTES
@@ -991,6 +981,16 @@ def test_rd_helpers_raise_domain_error_where_a_double_overflows():
     assert rd.rd_suboptimal([1e300], 1e-5) == pytest.approx(math.log2(1e305), rel=1e-12)
 
 
+def test_waterfill_budget_against_an_overflowing_mean():
+    # the sum of [1e308, 1e308] overflows; below the mean the rate is the
+    # unit list's at the scaled budget, at or above it the rate is 0
+    assert rd.rd_reverse_waterfill([1e308, 1e308], 9e307) == 0.15200309344505006
+    assert rd.rd_reverse_waterfill([1.0, 1.0], 0.9) == pytest.approx(0.15200309344505006,
+                                                                      rel=1e-15)
+    for budget in (1e308, 1.2e308, 1.5e308, 1.7e308):
+        assert rd.rd_reverse_waterfill([1e308, 1e308], budget) == 0.0
+
+
 def test_wyner_zero_gain_recovers_plain_rate():
     # a = 0: the side observation is pure noise, conditional variance is
     # the source variance itself
@@ -1024,6 +1024,76 @@ def test_wyner_rate_is_finite_where_an_intermediate_overflows():
     assert rate == pytest.approx(capacity.ergodic_wyner_rate(1e200, 1.0, 1e-20, 1e5, mc),
                                  rel=1e-12)
     assert rate == pytest.approx(math.log2(1e10), rel=1e-12)
+
+def test_wyner_prices_tiny_variances_and_refuses_an_underflowing_cv():
+    # cv = 1 / (a / noise_var * a + 1 / signal_var) stays normal down to
+    # the smallest normal variances, where signal_var * noise_var underflows
+    mc = MCConfig(samples=10, seed=4)
+    assert capacity.ergodic_wyner_rate(1e-300, 1e-300, 1e-310, 0.0, mc) == pytest.approx(
+        math.log2(1e10), rel=1e-12)
+    # a true cv below the smallest normal double, or a subnormal variance,
+    # gives cv = 0, which no positive distortion satisfies
+    for args in ((1e-300, 1e-300, 1e-320, 1e200), (1e-310, 1.0, 1e-320, 1.0),
+                 (1.0, 1e-310, 1e-320, None)):
+        with pytest.raises(DomainError, match="exceeds the conditional variance"):
+            capacity.ergodic_wyner_rate(*args, mc)
+
+
+WYNER_RAYLEIGH = float.fromhex("0x1.7233ce06e923cp+2")
+
+
+@pytest.mark.parametrize("workers", [1, 2, None])
+def test_wyner_rayleigh_rate_is_the_same_for_any_worker_count(monkeypatch, workers):
+    # the per-block sums are added in block order, whichever thread ran them
+    monkeypatch.setattr(core, "_usable_cpus", lambda: 2)
+    mc = MCConfig(workers=workers)
+    assert capacity.ergodic_wyner_rate(1.0, 1.0, 0.01, None, mc) == WYNER_RAYLEIGH
+
+
+def test_wyner_rayleigh_blocks_run_through_run_tasks(monkeypatch):
+    calls = []
+    run_tasks = core.run_tasks
+
+    def recorder(fn, items, workers=None):
+        calls.append((items, workers))
+        return run_tasks(fn, items, workers)
+
+    monkeypatch.setattr(core, "run_tasks", recorder)
+    for samples, workers in ((1, None), (capacity._BLOCK, 1), (3 * capacity._BLOCK + 5, 2)):
+        calls.clear()
+        capacity.ergodic_wyner_rate(1.0, 1.0, 0.01, None, MCConfig(samples=samples,
+                                                                   workers=workers))
+        assert calls == [(range(-(-samples // capacity._BLOCK)), workers)]
+
+
+def test_wyner_constant_gain_draws_nothing(monkeypatch):
+    # one realization in closed form: no stream, no task, and the sample
+    # count and seed do not enter
+    def refuse(*args, **kwargs):
+        raise AssertionError("a constant gain drew samples")
+
+    monkeypatch.setattr(core, "stream", refuse)
+    monkeypatch.setattr(core, "run_tasks", refuse)
+    rates = {capacity.ergodic_wyner_rate(1.5, 0.75, 0.1, 2.0, MCConfig(samples=s, seed=seed))
+             for s, seed in ((1, 0), (1000, 4), (10**12, 2**64))}
+    cv = 1.0 / (2.0 / 0.75 * 2.0 + 1.0 / 1.5)
+    assert rates == {math.log2(cv) - math.log2(0.1)}
+
+
+@pytest.mark.parametrize("workers", [1, 2])
+def test_wyner_peak_does_not_grow_with_blocks(monkeypatch, workers):
+    # the blocks are enumerated, not listed, and each block's sum is added
+    # as it completes, so the peak is the same at 20 and 2000 blocks
+    monkeypatch.setattr(core, "_usable_cpus", lambda: 2)
+    monkeypatch.setattr(capacity, "_BLOCK", 256)
+
+    def peak(blocks):
+        mc = MCConfig(samples=blocks * 256, workers=workers)
+        return traced_peak(capacity.ergodic_wyner_rate, 1.0, 1.0, 0.01, None, mc)
+
+    peak(2000)  # fills the interpreter's free lists, which tracemalloc counts as held
+    assert abs(peak(2000) - peak(20)) < 16 * 1024
+
 
 def test_wyner_rejects_excess_distortion():
     with pytest.raises(DomainError):

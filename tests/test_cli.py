@@ -438,6 +438,36 @@ def test_rd_prices_variances_whose_sum_overflows(capsys, mode):
     assert out.splitlines()[-1] == "1023.15385323"
 
 
+@pytest.mark.parametrize("budget", ["1e308", "1.5e308"])
+def test_rd_waterfill_budget_over_an_overflowing_mean_is_free(capsys, budget):
+    code, out, err = run(capsys, ["rd", "--mode", "waterfill", "--sigma2-list", "1e308,1e308",
+                                  "--budget", budget])
+    assert code == 0 and err == ""
+    assert out.splitlines()[-1] == "0"
+
+
+def test_request_too_large_to_allocate_is_a_numeric_abort(capsys):
+    # NumPy refuses the 7.28 TiB grid at once, before anything is allocated
+    code, out, err = run(capsys, ["capacity", "--quantity", "c21",
+                                  "--grid-points", "1000000000000"])
+    assert code == 3
+    assert out == ""
+    assert len(err.splitlines()) == 1 and err.startswith("error: Unable to allocate")
+
+
+def test_simulate_memory_error_removes_the_outputs_it_created(capsys, tmp_path, monkeypatch):
+    def exhausted(cfg):
+        raise MemoryError("out of memory")
+
+    monkeypatch.setattr(scheme, "run_scheme", exhausted)
+    code, out, err = run(capsys, ["simulate", "--n", "4", "--power", "10", *FAST, "--output",
+                                  str(tmp_path / "new.json"), "--dump", str(tmp_path / "new.bin")])
+    assert code == 3
+    assert out == ""
+    assert err == "error: out of memory\n"
+    assert list(tmp_path.iterdir()) == []
+
+
 @pytest.mark.parametrize("flags", [
     ["--mode", "waterfill", "--const-sigma2", "1e308", "--budget", "1e-308"],
     ["--mode", "suboptimal", "--sigma2-list", "1e308,1e308", "--budget", "1e-300"],
