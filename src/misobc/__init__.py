@@ -7,6 +7,8 @@ constant per-user gap of an outer bound on a power grid:
 * :mod:`misobc.core`      reproducible random streams, closed-form
   log-det arithmetic for batches of 2x2 channels, and the task runner
   that every thread of the package runs under
+* :mod:`misobc.config`    the estimator's and the scheme's run parameters
+  and the sizing of the scheme's phase 3, standard library only
 * :mod:`misobc.capacity`  Monte Carlo rate curves, paired sweeps and the
   ergodic rate-distortion rate with decoder side information
 * :mod:`misobc.oracles`   closed forms of the three rates c21, c22d and
@@ -22,13 +24,14 @@ constant per-user gap of an outer bound on a power grid:
 * :mod:`misobc.cli`       command line front end
 
 This module imports only :mod:`math` and :mod:`operator`.  At module
-level, :mod:`misobc.cli`, :mod:`misobc.rd`, :mod:`misobc.oracles` and
-:mod:`misobc.regions` import nothing beyond the standard library and each
-other, so the exact rates and the gap algebra run without NumPy, and the
-command line parses its flags, prints usage errors and ``--help``, and
-refuses a gap distortion below the certified floor without loading it;
-each subcommand loads the modules it runs, and
-``rd --mode waterfill|suboptimal`` loads only :mod:`misobc.rd`.  The
+level, :mod:`misobc.cli`, :mod:`misobc.config`, :mod:`misobc.rd`,
+:mod:`misobc.oracles` and :mod:`misobc.regions` import nothing beyond the
+standard library and each other, so the exact rates and the gap algebra
+run without NumPy, and the command line parses its flags, prints usage
+errors and ``--help``, and refuses a gap distortion below the certified
+floor or an infeasible ``simulate`` without loading it; each subcommand
+loads the modules it runs, and ``rd --mode waterfill|suboptimal`` loads
+only :mod:`misobc.rd`.  The
 error type, ``LN2``, the constants that the command line shows in its
 flags and help, number formatting and the CSV/JSON table writer
 (``write_csv`` and ``_Table``), the validators of number, real (finite

@@ -51,8 +51,12 @@ calling thread with no pool.
 The closed forms of the three quantities, the estimator's references,
 are in the standard-library :mod:`misobc.oracles`; ``c21_oracle``,
 ``c22d_oracle`` and ``rq_oracle`` are also reachable here under their
-names.  Result tables write CSV and JSON through the package's
-``_Table`` base class, which ``regions`` shares.
+names.  The run parameters ``MCConfig`` and the result type
+``MonteCarloEstimate`` are defined in the standard-library
+:mod:`misobc.config` and reachable here too, as are the package defaults
+``DEFAULT_SAMPLES`` and ``DEFAULT_SEED`` that ``MCConfig`` takes.
+Result tables write CSV and JSON through the package's ``_Table`` base
+class, which ``regions`` shares.
 
 The module also carries ``ergodic_wyner_rate``, the ergodic conditional
 rate-distortion rate with decoder side information.  A constant gain is
@@ -74,62 +78,15 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from . import (DEFAULT_SAMPLES, DEFAULT_SEED, LN2, DomainError, _integer, _number, _real, _seed,
-               _Table, core)
+from . import DEFAULT_SAMPLES, DEFAULT_SEED  # noqa: F401  (re-exported: MCConfig's defaults)
+from . import LN2, DomainError, _integer, _number, _real, _Table, core
+from .config import MCConfig, MonteCarloEstimate
 from .core import StreamTag
 from .oracles import c21_oracle, c22d_oracle, rq_oracle  # noqa: F401  (re-exported)
 
 QUANTITIES = ("c21", "c22d", "rq")
 
 _BLOCK = 2**16
-
-
-@dataclass(frozen=True)
-class MCConfig:
-    """Sample count, master seed and worker count for one estimator run.
-
-    ``samples`` (at least 1) and ``seed`` (non-negative) are integers of
-    any integer type, NumPy's too, and are stored as int; a bool, float or
-    string is rejected with a ValueError that names the field.
-    ``workers`` is the number of threads over the fixed sample blocks, of
-    ``estimate`` and of ``ergodic_wyner_rate`` at a Rayleigh gain;
-    None (the default) means one per usable CPU.  Either way no more
-    threads run, and no more scratch arrays are allocated, than there are
-    usable CPUs or blocks: w workers run on w pool threads, and one
-    worker or one block runs inline in the calling thread.
-    Each scratch array holds rows * 2^16 float64 values, from 2 rows for
-    c21 alone to 7 for all three quantities (``_scratch_rows``); the
-    calling thread allocates one per worker before any block runs.
-    Results are bit-identical for any worker count and any BLAS thread
-    setting, since the package makes no BLAS call.
-    """
-
-    samples: int = DEFAULT_SAMPLES
-    seed: int = DEFAULT_SEED
-    workers: int | None = None
-
-    def __post_init__(self):
-        samples = _integer(self.samples, "samples must be an integer")
-        if samples < 1:
-            raise ValueError("samples must be at least 1")
-        object.__setattr__(self, "samples", samples)
-        object.__setattr__(self, "seed", _seed(self.seed))
-        if self.workers is None:
-            return
-        w = _integer(self.workers, "workers must be an integer or None")
-        if w < 1:
-            raise ValueError("workers must be at least 1")
-        object.__setattr__(self, "workers", w)
-
-
-@dataclass(frozen=True)
-class MonteCarloEstimate:
-    """A sample mean with its standard error and provenance."""
-
-    value: float
-    stderr: float
-    samples: int
-    seed: int
 
 
 @dataclass(frozen=True)

@@ -16,17 +16,27 @@ and argparse.  Each subcommand checks its flags first and then imports
 the modules it runs: ``capacity``, ``rq`` and ``rd --mode wyner`` load
 :mod:`misobc.capacity` (with :mod:`misobc.core`, :mod:`misobc.oracles`
 and NumPy), ``region`` and ``gap`` add :mod:`misobc.regions`, and
-``simulate`` adds :mod:`misobc.scheme`.  These commands load no NumPy:
-``rd --mode waterfill|suboptimal`` loads only the standard-library
-:mod:`misobc.rd`, ``gap`` refuses a distortion below the certified
-floor before it loads anything, and ``region`` likewise refuses a power
-that is not finite and positive.  A request too large to allocate exits
-3 with one ``error:`` line, as a domain abort does.
+``simulate`` loads :mod:`misobc.scheme` (with :mod:`misobc.core`,
+:mod:`misobc.quantizer` and NumPy, but not :mod:`misobc.capacity`).
+These commands load no NumPy: ``rd --mode waterfill|suboptimal`` loads
+only the standard-library :mod:`misobc.rd`, ``gap`` refuses a
+distortion below the certified floor before it loads anything,
+``region`` likewise refuses a power that is not finite and positive,
+and ``simulate`` checks its run parameters and refuses an infeasible
+phase 3 with the standard-library :mod:`misobc.config` alone.  A request
+too large to allocate exits 3 with one ``error:`` line, as a domain
+abort does.
+
+``run`` is the process entry, of the ``misobc`` script and of
+``python -m misobc.cli``: it runs ``main`` and freezes the collector
+before the process exits, so the exit skips collecting what the imports
+made.  ``main(argv)`` has no process-level effect and runs in process.
 """
 
 from __future__ import annotations
 
 import argparse
+import gc
 import json
 import math
 import os
@@ -47,7 +57,8 @@ from . import (
 )
 
 if TYPE_CHECKING:
-    from .capacity import MCConfig, PowerGrid
+    from .capacity import PowerGrid
+    from .config import MCConfig
 
 EXIT_OK = 0
 EXIT_USAGE = 2
@@ -146,7 +157,7 @@ def _grid_from(args) -> PowerGrid:
 
 
 def _mc_from(args) -> MCConfig:
-    from .capacity import MCConfig
+    from .config import MCConfig
 
     # rd has no --workers and runs one; simulate only checks the result
     return MCConfig(samples=args.samples, seed=args.seed, workers=getattr(args, "workers", 1))
@@ -266,9 +277,9 @@ def cmd_gap(args) -> int:
 
 
 def cmd_simulate(args) -> int:
-    from . import scheme
+    from .config import SchemeConfig, size_phase_3
 
-    run_cfg = scheme.SchemeConfig(
+    run_cfg = SchemeConfig(
         n=args.n,
         power=args.power,
         distortion=args.distortion,
@@ -286,6 +297,10 @@ def cmd_simulate(args) -> int:
         for path in (None if args.output == "-" else args.output, args.dump):
             if path is not None and _touch(path):
                 created.append(path)
+        # an infeasible phase 3 is refused from the closed forms, before NumPy loads
+        size_phase_3(run_cfg)
+        from . import scheme
+
         transcript = scheme.run_scheme(run_cfg)
         report = scheme.summary(transcript)
         with _open_out(args.output) as fp:
@@ -430,10 +445,11 @@ def build_parser() -> argparse.ArgumentParser:
                    help="wyner: |CN(0,1)| random gain")
     # accepted and echoed in every mode, but only wyner at a Rayleigh gain draws samples
     p.add_argument("--samples", type=int, default=DEFAULT_SAMPLES,
-                   help="Monte Carlo samples, wyner mode only (default 10^6)")
+                   help="Monte Carlo samples, wyner mode at a Rayleigh gain only "
+                        "(default 10^6)")
     p.add_argument("--seed", type=_parse_seed, default=_default_seed(),
-                   help=f"master seed, wyner mode only (default 0x{DEFAULT_SEED:X}, "
-                        f"env {SEED_ENV} overrides)")
+                   help=f"master seed, wyner mode at a Rayleigh gain only "
+                        f"(default 0x{DEFAULT_SEED:X}, env {SEED_ENV} overrides)")
     _add_output_flags(p)
     p.set_defaults(func=cmd_rd)
 
@@ -463,5 +479,24 @@ def main(argv=None) -> int:
         return EXIT_USAGE
 
 
+def run() -> None:
+    """The process entry, of ``misobc`` and ``python -m misobc.cli``: run
+    ``main`` on the process arguments and exit with its code.
+
+    Before the process exits, the collector is frozen, also when argparse
+    exits from inside ``main``, so the interpreter's exit-time collections
+    skip every object the imports made; the OS frees them.  Nothing relies
+    on those collections: every file a command writes is closed by a
+    ``with`` before ``main`` returns, every pool is shut down the same
+    way, and the interpreter flushes stdout and stderr regardless.
+    ``main`` itself has no process-level effect, so it can run in process.
+    """
+    try:
+        code = main()
+    finally:
+        gc.freeze()
+    sys.exit(code)
+
+
 if __name__ == "__main__":
-    sys.exit(main())
+    run()

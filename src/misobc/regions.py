@@ -25,8 +25,9 @@ The module imports only the standard library and the package at module
 level; ``gap_sweep`` imports :mod:`misobc.capacity`, and with it NumPy,
 when it runs, so the gap algebra over the closed forms of
 :mod:`misobc.oracles` runs in a process that never loads NumPy.  The
-annotations that name :mod:`misobc.capacity` types (``MCConfig``,
-``MonteCarloEstimate``, ``PowerGrid``) are never evaluated.
+annotations that name :mod:`misobc.config` types (``MCConfig``,
+``MonteCarloEstimate``) and :mod:`misobc.capacity`'s ``PowerGrid`` are
+never evaluated.
 """
 
 from __future__ import annotations

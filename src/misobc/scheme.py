@@ -30,7 +30,11 @@ from the closed forms ``oracles.c21_oracle``, ``c22d_oracle`` and
 ``rq_oracle``, which are also the transcript's ``reference``.  No stage
 draws a Monte Carlo ensemble.  ``run_phases_1_2`` sizes phase 3, its
 budget and its quantizer step, before it draws anything, so an
-infeasible configuration costs no draws.
+infeasible configuration costs no draws.  ``SchemeConfig``,
+``phase3_budget`` and the sizing, ``size_phase_3``, live in the
+standard-library :mod:`misobc.config`, so a caller can refuse an
+infeasible run before it loads NumPy; this module imports them from
+there.
 
 No stage holds a channel grid: each phase thread draws its channel rows
 in blocks of ``_MI_ROWS`` grid rows into one buffer, which gives the
@@ -60,37 +64,13 @@ from typing import NamedTuple
 
 import numpy as np
 
-from . import (DEFAULT_SEED, MAX_BLOCKS, DomainError, _integer, _real, _round12, _seed, core,
-               oracles, quantizer)
-from .capacity import MCConfig, MonteCarloEstimate
+from . import DomainError, _real, _round12, core, quantizer
+from .config import MCConfig, MonteCarloEstimate, SchemeConfig, size_phase_3
+from .config import phase3_budget  # noqa: F401  (re-exported)
 from .core import StreamTag
 
 _DUMP_MAGIC = b"MBT2"
 _DUMP_HEADER = struct.Struct("<4sI")
-
-
-@dataclass(frozen=True)
-class SchemeConfig:
-    """Run parameters: n blocks per phase, transmit power, quantizer distortion,
-    phase-3 margin delta, and the master seed (a non-negative integer, as
-    ``MCConfig`` takes it).  Power, distortion and delta take any real
-    number type, NumPy's too, and are stored as float; None or a string
-    is rejected with a ValueError that names the field."""
-
-    n: int
-    power: float
-    distortion: float = 4.0
-    delta: float = 0.1
-    seed: int = DEFAULT_SEED
-
-    def __post_init__(self):
-        n = _integer(self.n, "n must be an integer")
-        if not 1 <= n <= MAX_BLOCKS:
-            raise ValueError(f"n must be between 1 and {MAX_BLOCKS}")
-        object.__setattr__(self, "n", n)
-        for name in ("power", "distortion", "delta"):
-            object.__setattr__(self, name, _real(getattr(self, name), name, positive=True))
-        object.__setattr__(self, "seed", _seed(self.seed))
 
 
 @dataclass(frozen=True)
@@ -280,10 +260,11 @@ def run_phases_1_2(cfg: SchemeConfig) -> SchemeTranscript:
 
     The phase-3 budget, ``transcript.reference`` and the quantizer step
     ``transcript.quant_step`` come first, from the closed forms at the
-    run's power and distortion (``_size_phase_3``): if rq does not clear
-    c21 - delta, the forwarding link cannot keep up, and if the step
-    overflows a double, the distortion cannot be met; either way the
-    DomainError is raised before a single stream is opened.
+    run's power and distortion (``config.size_phase_3``, then
+    ``quantizer.step_for_distortion``): if rq does not clear c21 - delta,
+    the forwarding link cannot keep up, and if the step overflows a
+    double, the distortion cannot be met; either way the DomainError is
+    raised before a single stream is opened.
 
     Each phase draws its arrays of ``_DRAWS``: the message grid and the
     two noises whole, the two channel arrays (``_CHANNELS``) in blocks of
@@ -304,7 +285,8 @@ def run_phases_1_2(cfg: SchemeConfig) -> SchemeTranscript:
     count.  The block buffers go when the phases end.  ``cfg`` becomes
     ``transcript.config``.
     """
-    reference, budget, step = _size_phase_3(cfg)
+    reference, budget = size_phase_3(cfg)
+    step = quantizer.step_for_distortion(cfg.distortion)
     n = cfg.n
     t = SchemeTranscript(config=cfg, phase3_budget=budget, quant_step=step, reference=reference)
 
@@ -344,45 +326,6 @@ def run_phases_1_2(cfg: SchemeConfig) -> SchemeTranscript:
 
     list(core.run_tasks(phase, ((1, t.x1, t.s21), (2, t.x2, t.s12))))  # runs as it is consumed
     return t
-
-
-def phase3_budget(n: int, rq_value: float, c21_value: float, delta: float) -> int:
-    """Symbols per block needed to forward the quantized mixture.
-
-    The n overheard samples per block cost n rq bits, carried by a link
-    of rate c21 - delta; the budget is the ceiling of their quotient.
-    n is an integer of at least 1, rq and c21 are checked as
-    ``achieved_rate_pair`` checks them, and delta is finite and
-    nonnegative, else a ValueError.  Requires rq < c21 - delta, otherwise
-    forwarding cannot keep up and a DomainError is raised.
-    """
-    n = _integer(n, "n must be an integer")
-    if n < 1:
-        raise ValueError(f"n must be at least 1, got {n}")
-    rq = _real(rq_value, "rq_value")
-    c21 = _real(c21_value, "c21_value", positive=True)
-    delta = _real(delta, "delta")
-    margin = c21 - delta
-    if margin <= 0.0 or rq >= margin:
-        raise DomainError(
-            f"phase-3 forwarding needs rq < c21 - delta, got rq = {rq:.6g}, "
-            f"c21 - delta = {margin:.6g}"
-        )
-    return math.ceil(n * rq / margin)
-
-
-def _size_phase_3(cfg: SchemeConfig) -> tuple[dict, int, float]:
-    """The exact c21, c22d and rq at the power and distortion of ``cfg``,
-    the phase-3 budget they give and the quantizer step, or the
-    DomainError of the budget, then of the step."""
-    reference = {"c21": oracles.c21_oracle(cfg.power),
-                 "c22d": oracles.c22d_oracle(cfg.power, cfg.distortion),
-                 "rq": oracles.rq_oracle(cfg.power, cfg.distortion)}
-    try:
-        budget = phase3_budget(cfg.n, reference["rq"], reference["c21"], cfg.delta)
-    except DomainError as err:
-        raise DomainError(f"{err} at P = {cfg.power:g}, D = {cfg.distortion:g}") from err
-    return reference, budget, quantizer.step_for_distortion(cfg.distortion)
 
 
 def run_phase_3(transcript: SchemeTranscript) -> SchemeTranscript:

@@ -14,7 +14,7 @@ import numpy as np
 import pytest
 
 import misobc
-from misobc import capacity, cli, core, oracles, rd, regions, scheme
+from misobc import capacity, cli, config, core, oracles, rd, regions, scheme
 
 FAST = ["--samples", "20000", "--seed", "9"]
 
@@ -351,17 +351,23 @@ def test_simulate_abort_keeps_existing_outputs(capsys, tmp_path):
     assert dump.read_bytes() == b"earlier dump"
 
 
-@pytest.mark.parametrize("flags, dump, code", [
-    (["--power", "0.05", "--samples", "2000"], "new.bin", 3),  # forwarding cannot keep up
-    (["--power", "10", "--samples", "0"], "new.bin", 3),  # rejected before the run
-    (["--power", "10", *FAST], "plain/out", 2),  # the dump path lies below a regular file
-], ids=["infeasible_forwarding", "zero_samples", "unwritable_dump"])
-def test_simulate_abort_removes_the_outputs_it_created(capsys, tmp_path, flags, dump, code):
+@pytest.mark.parametrize("flags, dump, code, message", [
+    (["--power", "0.05", "--samples", "2000"], "new.bin", 3, "phase-3"),  # cannot keep up
+    (["--power", "10", "--samples", "0"], "new.bin", 3, "samples"),  # rejected before the run
+    (["--power", "10", *FAST], "plain/out", 2, "cannot write"),  # the dump lies below a file
+    # the samples check and the output paths come before the phase-3 sizing
+    (["--power", "0.05", "--samples", "0"], "new.bin", 3, "samples"),
+    (["--power", "0.05", *FAST], "plain/out", 2, "cannot write"),
+], ids=["infeasible_forwarding", "zero_samples", "unwritable_dump",
+        "zero_samples_before_infeasible", "unwritable_dump_before_infeasible"])
+def test_simulate_abort_removes_the_outputs_it_created(capsys, tmp_path, flags, dump, code,
+                                                       message):
     (tmp_path / "plain").write_text("")
-    got, out, _ = run(capsys, ["simulate", "--n", "4", *flags, "--output",
-                               str(tmp_path / "new.json"), "--dump", str(tmp_path / dump)])
+    got, out, err = run(capsys, ["simulate", "--n", "4", *flags, "--output",
+                                 str(tmp_path / "new.json"), "--dump", str(tmp_path / dump)])
     assert got == code
     assert out == ""
+    assert message in err
     assert [p.name for p in tmp_path.iterdir()] == ["plain"]
     assert (tmp_path / "plain").read_text() == ""
 
@@ -567,14 +573,19 @@ def test_seed_env_var_rejected_cleanly(capsys, monkeypatch):
 
 
 def test_shared_names_have_one_definition():
-    assert misobc.DomainError is core.DomainError is capacity.DomainError
+    assert misobc.DomainError is core.DomainError is capacity.DomainError is config.DomainError
     assert regions.DomainError is scheme.DomainError is misobc.DomainError
     assert capacity.DEFAULT_SEED is scheme.SchemeConfig.seed is misobc.DEFAULT_SEED
-    assert capacity.DEFAULT_SAMPLES is misobc.DEFAULT_SAMPLES
+    assert config.MCConfig.seed is config.DEFAULT_SEED is misobc.DEFAULT_SEED
+    assert capacity.DEFAULT_SAMPLES is config.MCConfig.samples is misobc.DEFAULT_SAMPLES
+    for name in ("MCConfig", "MonteCarloEstimate"):
+        assert getattr(capacity, name) is getattr(config, name), name
+    for name in ("MCConfig", "MonteCarloEstimate", "SchemeConfig", "phase3_budget"):
+        assert getattr(scheme, name) is getattr(config, name), name
     assert regions.GAP_BOUND is misobc.GAP_BOUND
     assert regions.MIN_CERTIFIED_DISTORTION is misobc.MIN_CERTIFIED_DISTORTION
     assert cli._fmt is misobc._fmt and cli._round12 is scheme._round12 is misobc._round12
-    assert scheme.MAX_BLOCKS is misobc.MAX_BLOCKS
+    assert config.MAX_BLOCKS is misobc.MAX_BLOCKS
     for name in ("c21_oracle", "c22d_oracle", "rq_oracle"):
         assert getattr(capacity, name) is getattr(oracles, name), name
     assert regions.write_csv is misobc.write_csv
@@ -628,7 +639,10 @@ NO_NUMPY = ("numpy", *NUMERIC, "misobc.regions", "misobc.scheme")
     *(pytest.param(["gap", "--distortion", d, "--power", "10", *SMALL], 3, (), NO_NUMPY,
                    id=f"gap_refused_{d}") for d in ("2", "nan", "-1")),
     pytest.param(["simulate", "--n", "8", "--power", "10", *SMALL], 0,
-                 NUMERIC + ("misobc.scheme",), ("misobc.regions",), id="simulate"),
+                 ("misobc.config", "misobc.core", "misobc.scheme"),
+                 ("misobc.capacity", "misobc.regions"), id="simulate"),
+    pytest.param(["simulate", "--n", "8", "--power", "0.1", *SMALL], 3,
+                 ("misobc.config",), NO_NUMPY, id="simulate_infeasible"),
 ])
 def test_startup_loads_only_what_the_command_runs(tmp_path, argv, code, loaded, unloaded):
     # a cold command pays for every module it imports; no command needs
@@ -647,9 +661,55 @@ def test_startup_loads_only_what_the_command_runs(tmp_path, argv, code, loaded, 
     assert modules.isdisjoint({"scipy", *unloaded})
 
 
+# Runs ``python -m misobc.cli`` as the process entry does, with the
+# arguments after the first, and writes the collector's freeze count at
+# exit to the file named by the first argument.
+MAIN_PROBE = """
+import atexit, gc, runpy, sys
+report = sys.argv.pop(1)
+
+def write_freeze_count():
+    with open(report, "w") as fp:
+        fp.write(str(gc.get_freeze_count()))
+
+atexit.register(write_freeze_count)
+runpy.run_module("misobc.cli", run_name="__main__", alter_sys=True)
+"""
+
+
+@pytest.mark.parametrize("argv", [
+    ["rd", "--mode", "waterfill", "--sigma2-list", "1,4,9", "--budget", "1"],
+    ["simulate", "--n", "8", "--power", "0.1", *SMALL],
+    ["capacity", "--no-such-flag"],
+], ids=["ok", "abort", "argparse_exit"])
+def test_process_entry_runs_main_and_freezes_the_collector(capsys, monkeypatch, tmp_path, argv):
+    monkeypatch.delenv(cli.SEED_ENV, raising=False)
+    try:
+        code = cli.main(argv)
+    except SystemExit as stop:
+        code = stop.code
+    expected = capsys.readouterr().out
+    src = str(Path(misobc.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        p for p in (src, os.environ.get("PYTHONPATH")) if p))
+    report = tmp_path / "frozen.txt"
+    proc = subprocess.run([sys.executable, "-c", MAIN_PROBE, str(report), *argv],
+                          capture_output=True, cwd=tmp_path, env=env, timeout=120)
+    assert (proc.returncode, proc.stdout.decode()) == (code, expected)
+    # every object alive when main returned sits in the permanent generation
+    assert int(report.read_text()) > 1000
+
+
+def test_console_script_is_the_process_entry():
+    tomllib = pytest.importorskip("tomllib")
+    pyproject = Path(__file__).resolve().parent.parent / "pyproject.toml"
+    scripts = tomllib.loads(pyproject.read_text(encoding="utf-8"))["project"]["scripts"]
+    assert scripts == {"misobc": "misobc.cli:run"}
+
+
 # Modules whose module-level imports name only the standard library and
 # each other, so importing them loads no NumPy.
-STANDARD_LIBRARY_ONLY = ("__init__", "cli", "oracles", "rd", "regions")
+STANDARD_LIBRARY_ONLY = ("__init__", "cli", "config", "oracles", "rd", "regions")
 
 
 def module_level_imports(source):
@@ -779,7 +839,7 @@ HELP_SHA256 = {
     "region": "119dc4abfb8582b442e7ed52b25d5dda34c232a1b76531723ee1bc519b1cbb50",
     "gap": "803c51a60d78f94a53ba2fefeab6878381f4258bc72926063bb3c391ca56bd40",
     "simulate": "f3b5bdad46d5e3461de6adeae20a938c8994207265efeac8fd8083ef88d68541",
-    "rd": "33e7465373d855753e52f48838fe2bdbb61b0a5e89b0fc20f3b8abf719c0a23c",
+    "rd": "32b0b55c99b3406c10dff431117442a97add893d86846a103184a952d6fe7bb5",
 }
 
 
