@@ -9,12 +9,12 @@ constant per-user gap of an outer bound on a power grid:
   that every thread of the package runs under
 * :mod:`misobc.config`    the estimator's and the scheme's run parameters
   and the sizing of the scheme's phase 3, standard library only
-* :mod:`misobc.capacity`  Monte Carlo rate curves, paired sweeps and the
-  ergodic rate-distortion rate with decoder side information
+* :mod:`misobc.capacity`  Monte Carlo rate curves and paired sweeps
 * :mod:`misobc.oracles`   closed forms of the three rates c21, c22d and
   rq, standard library only
 * :mod:`misobc.rd`        closed-form scalar rate-distortion helpers
-  (reverse waterfilling and the one-level rate), standard library only
+  (reverse waterfilling, the one-level rate and the ergodic rate with
+  decoder side information), standard library only
 * :mod:`misobc.quantizer` subtractive dithered scalar quantization with
   a binary index stream format
 * :mod:`misobc.regions`   rate-region polytopes, erosion and the
@@ -30,8 +30,8 @@ standard library and each other, so the exact rates and the gap algebra
 run without NumPy, and the command line parses its flags, prints usage
 errors and ``--help``, and refuses a gap distortion below the certified
 floor or an infeasible ``simulate`` without loading it; each subcommand
-loads the modules it runs, and ``rd --mode waterfill|suboptimal`` loads
-only :mod:`misobc.rd`.  The
+loads the modules it runs, and every ``rd`` mode loads only
+:mod:`misobc.rd` (with :mod:`misobc.oracles` at a Rayleigh gain).  The
 error type, ``LN2``, the constants that the command line shows in its
 flags and help, number formatting and the CSV/JSON table writer
 (``write_csv`` and ``_Table``), the validators of number, real (finite

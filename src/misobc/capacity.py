@@ -56,17 +56,9 @@ names.  The run parameters ``MCConfig`` and the result type
 :mod:`misobc.config` and reachable here too, as are the package defaults
 ``DEFAULT_SAMPLES`` and ``DEFAULT_SEED`` that ``MCConfig`` takes.
 Result tables write CSV and JSON through the package's ``_Table`` base
-class, which ``regions`` shares.
-
-The module also carries ``ergodic_wyner_rate``, the ergodic conditional
-rate-distortion rate with decoder side information.  A constant gain is
-one realization, priced in closed form with no draw; a Rayleigh gain
-|CN(0, 1)| is drawn in the estimator's fixed blocks from the seeded
-``StreamTag.CAPACITY_GAIN`` streams, and the blocks run through
-``core.run_tasks`` as the estimator's do, so its memory is bounded at
-any sample count and its rate is bit-identical for any worker count.
-The closed-form scalar helpers (reverse waterfilling and the one-level
-rate) are in :mod:`misobc.rd`.
+class, which ``regions`` shares.  The scalar rate-distortion helpers,
+the ergodic rate with decoder side information among them, are closed
+forms in the standard-library :mod:`misobc.rd`.
 """
 
 from __future__ import annotations
@@ -440,72 +432,3 @@ def ratio_sweep(
         rows.append(RatioRow(pt.power, first, second, ratio, math.sqrt(max(var, 0.0))))
     return RatioTable(float(distortion), tuple(rows))
 
-
-# ---------------------------------------------------------------------------
-# Ergodic rate-distortion rate with decoder side information
-
-
-def _gain(value) -> float | None:
-    """A constant side-information gain as a float, checked, or None (Rayleigh)."""
-    return None if value is None else _real(value, "gain")
-
-
-def ergodic_wyner_rate(
-    signal_var: float,
-    noise_var: float,
-    distortion: float,
-    gain: float | None,
-    mc: MCConfig | None = None,
-) -> float:
-    """Average rate to describe X at distortion D given Y = a X + U at the decoder.
-
-    X ~ N(0, signal_var), U ~ N(0, noise_var), and the gain a is ``gain``,
-    a finite nonnegative number, or for None |z| with z ~ CN(0, 1), drawn
-    per realization.  A realization has conditional variance
-    cv = 1 / (a / noise_var * a + 1 / signal_var) and costs
-    log2(cv) - log2(D) bits; neither expression overflows a double for
-    finite inputs.  cv underflows to 0 only where the true cv is below
-    the smallest normal double or a variance is subnormal, and the
-    distortion must satisfy 0 < D <= cv for every realization, otherwise
-    the quantity is outside its validity domain.  The gain is checked
-    first, then the variances, the distortion and ``mc``.
-
-    A constant gain is one realization, priced in closed form: it draws
-    nothing, and the sample count and seed of ``mc`` do not enter.  A
-    Rayleigh gain is averaged over ``mc.samples`` draws in the fixed
-    sample blocks of the estimator: block k draws from
-    ``core.stream(seed, StreamTag.CAPACITY_GAIN, k)``, the blocks run
-    through ``core.run_tasks`` on ``mc.workers`` workers, and their sums
-    are added in block order, so the rate is bit-identical for any
-    worker count and its memory does not grow with the sample count.
-    """
-    gain = _gain(gain)
-    sv = _real(signal_var, "signal_var", positive=True)
-    nv = _real(noise_var, "noise_var", positive=True)
-    d = _number(distortion, "distortion")
-    if not math.isfinite(d) or d <= 0.0:
-        raise DomainError("distortion must satisfy 0 < D <= conditional variance")
-    mc = mc or MCConfig()
-
-    def rates(a):
-        # an overflowing term gives cv = 0, which the check below refuses
-        with np.errstate(over="ignore"):
-            cond_var = 1.0 / (a / nv * a + 1.0 / sv)
-        if np.any(cond_var < d):
-            raise DomainError("distortion exceeds the conditional variance for some gain draw, "
-                              "need 0 < D <= signal_var*noise_var/(a^2 signal_var + noise_var)")
-        return np.log2(cond_var) - math.log2(d)
-
-    if gain is not None:
-        return float(rates(np.float64(gain)))
-
-    def block(index):
-        count = min(_BLOCK, mc.samples - index * _BLOCK)
-        a = np.abs(core.sample_cn01(core.stream(mc.seed, StreamTag.CAPACITY_GAIN, index), count))
-        return float(np.sum(rates(a)))
-
-    # plain additions in block order: sum() compensates from Python 3.12 on
-    total = 0.0
-    for s in core.run_tasks(block, range(-(-mc.samples // _BLOCK)), mc.workers):
-        total += s
-    return total / mc.samples

@@ -13,13 +13,15 @@ variable (decimal or 0x-prefixed hex).
 Importing this module loads no NumPy: the parser reads its defaults from
 the package, so a usage error or ``--help`` costs an interpreter start
 and argparse.  Each subcommand checks its flags first and then imports
-the modules it runs: ``capacity``, ``rq`` and ``rd --mode wyner`` load
+the modules it runs: ``capacity`` and ``rq`` load
 :mod:`misobc.capacity` (with :mod:`misobc.core`, :mod:`misobc.oracles`
 and NumPy), ``region`` and ``gap`` add :mod:`misobc.regions`, and
 ``simulate`` loads :mod:`misobc.scheme` (with :mod:`misobc.core`,
 :mod:`misobc.quantizer` and NumPy, but not :mod:`misobc.capacity`).
-These commands load no NumPy: ``rd --mode waterfill|suboptimal`` loads
-only the standard-library :mod:`misobc.rd`, ``gap`` refuses a
+These commands load no NumPy: every ``rd`` mode loads only the
+standard-library :mod:`misobc.rd`, and ``rd --mode wyner
+--gain-rayleigh`` adds the standard-library :mod:`misobc.oracles`;
+``gap`` refuses a
 distortion below the certified floor before it loads anything,
 ``region`` likewise refuses a power that is not finite and positive,
 and ``simulate`` checks its run parameters and refuses an infeasible
@@ -159,7 +161,7 @@ def _grid_from(args) -> PowerGrid:
 def _mc_from(args) -> MCConfig:
     from .config import MCConfig
 
-    # rd has no --workers and runs one; simulate only checks the result
+    # simulate has no --workers and only checks the result
     return MCConfig(samples=args.samples, seed=args.seed, workers=getattr(args, "workers", 1))
 
 
@@ -352,12 +354,10 @@ def cmd_rd(args) -> int:
             raise UsageError("wyner mode needs --sigx2 and --sigu2")
         if args.gain_const is None and not args.gain_rayleigh:
             raise UsageError("wyner mode needs --gain-const or --gain-rayleigh")
-        from . import capacity
+        from . import rd
 
-        # a bad gain is reported before a bad --samples or --seed
-        gain = capacity._gain(args.gain_const)
-        rate = capacity.ergodic_wyner_rate(args.sigx2, args.sigu2, args.budget, gain,
-                                           _mc_from(args))
+        # no --gain-const means --gain-rayleigh, whose gain the rate takes as None
+        rate = rd.ergodic_wyner_rate(args.sigx2, args.sigu2, args.budget, args.gain_const)
     _emit(args, lambda fp: fp.write(_fmt(rate) + "\n"), {"rate": _round12(rate)})
     return EXIT_OK
 
@@ -443,13 +443,11 @@ def build_parser() -> argparse.ArgumentParser:
                    help="wyner: constant side-information gain")
     p.add_argument("--gain-rayleigh", action="store_true",
                    help="wyner: |CN(0,1)| random gain")
-    # accepted and echoed in every mode, but only wyner at a Rayleigh gain draws samples
+    # accepted and echoed in every mode, but every rd rate is a closed form
     p.add_argument("--samples", type=int, default=DEFAULT_SAMPLES,
-                   help="Monte Carlo samples, wyner mode at a Rayleigh gain only "
-                        "(default 10^6)")
+                   help="accepted, checked by nothing and echoed; unused")
     p.add_argument("--seed", type=_parse_seed, default=_default_seed(),
-                   help=f"master seed, wyner mode at a Rayleigh gain only "
-                        f"(default 0x{DEFAULT_SEED:X}, env {SEED_ENV} overrides)")
+                   help="accepted, checked by nothing and echoed; unused")
     _add_output_flags(p)
     p.set_defaults(func=cmd_rd)
 

@@ -27,9 +27,8 @@ class MCConfig:
     ``samples`` (at least 1) and ``seed`` (non-negative) are integers of
     any integer type, NumPy's too, and are stored as int; a bool, float or
     string is rejected with a ValueError that names the field.
-    ``workers`` is the number of threads over the fixed sample blocks, of
-    ``capacity.estimate`` and of ``capacity.ergodic_wyner_rate`` at a
-    Rayleigh gain; None (the default) means one per usable CPU.  Either
+    ``workers`` is the number of threads over the fixed sample blocks of
+    ``capacity.estimate``; None (the default) means one per usable CPU.  Either
     way no more threads run, and no more scratch arrays are allocated,
     than there are usable CPUs or blocks: w workers run on w pool
     threads, and one worker or one block runs inline in the calling

@@ -16,9 +16,8 @@ Conventions shared by every module in this package:
 Threads are started here only, and ``run_tasks`` is the package's only
 parallel code: no module calls BLAS, whose own threads would split sums
 in an order set by the environment.  ``run_tasks`` computes independent
-tasks, the sample blocks of the estimator and of the side-information
-rate at a Rayleigh gain, and the scheme's two data phases,
-and yields their results in task order as they complete, with at most
+tasks, the sample blocks of the estimator and the scheme's two data
+phases, and yields their results in task order as they complete, with at most
 twice as many tasks in flight as threads: on one pool thread per task,
 never more than there are usable CPUs, or inline in the calling thread
 when that comes to one.  Each task draws from its own stream into
@@ -54,7 +53,8 @@ class StreamTag(enum.IntEnum):
     """
 
     CAPACITY_CHANNEL = 1  # capacity.estimate's channel ensemble, one stream per block
-    CAPACITY_GAIN = 2  # ergodic_wyner_rate's gain draws, one stream per block
+    # 2 is retired (a Rayleigh side-information gain, now priced in closed
+    # form) and never reused: a new consumer takes a new value
     QUANTIZER_DITHER = 3  # the dither of a DitheredQuantizer link
     SCHEME_SIGNAL = 4  # the scheme's message grids, one stream per user
     SCHEME_CHANNEL = 5  # the scheme's channel rows

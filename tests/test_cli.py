@@ -417,6 +417,17 @@ def test_rd_wyner_prices_a_rate_whose_intermediates_overflow(capsys, gain):
     if gain[0] == "--gain-const":
         assert rate == pytest.approx(math.log2(5e300), rel=1e-12)
 
+
+@pytest.mark.parametrize("mc_flags", [["--seed", "1"], ["--seed", "2"], ["--samples", "10"],
+                                      ["--samples", "1000000"], []])
+def test_rd_wyner_rayleigh_prints_one_value_whatever_the_samples_and_seed(capsys, mc_flags):
+    # the rate is exact, so the flags are echoed but enter nothing
+    code, out, _ = run(capsys, ["rd", "--mode", "wyner", "--sigx2", "4", "--sigu2", "1",
+                                "--gain-rayleigh", "--budget", "0.1", *mc_flags])
+    assert code == 0
+    assert out.splitlines()[1] == "3.38744701384"
+
+
 def test_rd_wyner_json_format(capsys):
     code, out, _ = run(capsys, ["rd", "--mode", "wyner", "--sigx2", "1",
                                 "--sigu2", "1", "--gain-const", "1",
@@ -623,14 +634,17 @@ NO_NUMPY = ("numpy", *NUMERIC, "misobc.regions", "misobc.scheme")
     pytest.param(["rq", "--power", "10", *SMALL], 0,
                  NUMERIC, ("misobc.regions", "misobc.scheme"), id="rq"),
     pytest.param(["rd", "--mode", "waterfill", "--const-sigma2", "4", "--budget", "1"], 0,
-                 ("misobc.rd",), NO_NUMPY, id="rd"),
+                 ("misobc.rd",), NO_NUMPY + ("misobc.oracles",), id="rd"),
     pytest.param(["rd", "--mode", "suboptimal", "--sigma2-list", "1,4", "--budget", "1"], 0,
                  ("misobc.rd",), NO_NUMPY, id="rd_suboptimal"),
     pytest.param(["rd", "--mode", "waterfill", "--const-sigma2", "4", "--sigma2-list", "1",
                   "--budget", "1"], 2, (), NO_NUMPY + ("misobc.rd",), id="rd_conflict"),
     pytest.param(["rd", "--mode", "wyner", "--sigx2", "1", "--sigu2", "1", "--gain-const", "1",
                   "--budget", "0.25", *SMALL], 0,
-                 NUMERIC, ("misobc.regions", "misobc.scheme"), id="rd_wyner"),
+                 ("misobc.rd",), NO_NUMPY + ("misobc.oracles",), id="rd_wyner"),
+    pytest.param(["rd", "--mode", "wyner", "--sigx2", "4", "--sigu2", "1", "--gain-rayleigh",
+                  "--budget", "0.1", *SMALL], 0,
+                 ("misobc.rd", "misobc.oracles"), NO_NUMPY, id="rd_wyner_rayleigh"),
     pytest.param(["region", "--power", "10", *SMALL], 0,
                  NUMERIC + ("misobc.regions",), ("misobc.scheme",), id="region"),
     pytest.param(["gap", "--power", "10", *SMALL], 0,
@@ -810,7 +824,7 @@ GOLDEN_SHA256 = {
         "beb811d8d68b6cad49431740fb8a445935c25d4f949f5e3bc7e5d78d6179dff0"),
     "rd_wyner_json": (["rd", "--mode", "wyner", "--sigx2", "1", "--sigu2", "1", "--gain-rayleigh",
                        "--budget", "0.01", "--format", "json", *GOLDEN],
-        "a4e9632bb8818d191cbc500bcba97878af0dae14625b955a61c3714a13ab3424"),
+        "7e9d75456fb0d4b11078aac373e988a5f8a98622269e273a998499522f25114a"),
 }
 
 
@@ -839,7 +853,7 @@ HELP_SHA256 = {
     "region": "119dc4abfb8582b442e7ed52b25d5dda34c232a1b76531723ee1bc519b1cbb50",
     "gap": "803c51a60d78f94a53ba2fefeab6878381f4258bc72926063bb3c391ca56bd40",
     "simulate": "f3b5bdad46d5e3461de6adeae20a938c8994207265efeac8fd8083ef88d68541",
-    "rd": "32b0b55c99b3406c10dff431117442a97add893d86846a103184a952d6fe7bb5",
+    "rd": "2216b1276609c05686cc1e6d91e0eeb0bc307f6e354eff743fe35d16c8efa81b",
 }
 
 

@@ -2,6 +2,7 @@
 
 import ast
 import math
+import re
 import threading
 import time
 from pathlib import Path
@@ -37,10 +38,19 @@ def test_stream_tags_are_distinct_and_frozen():
     # an alias would let two consumers draw the same numbers; a renumbered
     # tag would move every frozen result drawn under it
     assert {name: int(tag) for name, tag in core.StreamTag.__members__.items()} == {
-        "CAPACITY_CHANNEL": 1, "CAPACITY_GAIN": 2, "QUANTIZER_DITHER": 3,
+        "CAPACITY_CHANNEL": 1, "QUANTIZER_DITHER": 3,
         "SCHEME_SIGNAL": 4, "SCHEME_CHANNEL": 5, "SCHEME_NOISE": 6,
     }
     assert len(set(core.StreamTag)) == len(core.StreamTag.__members__)
+
+
+def test_every_stream_tag_has_a_consumer():
+    # a tag that no module draws under is dead; its value stays retired
+    src = Path(core.__file__).parent
+    text = "\n".join(p.read_text(encoding="utf-8") for p in src.glob("*.py")
+                     if p.name != "core.py")
+    for name in core.StreamTag.__members__:
+        assert re.search(rf"\bStreamTag\.{name}\b", text), name
 
 
 def test_sample_cn01_scalar_and_shapes():

@@ -10,12 +10,11 @@ import pytest
 
 import misobc
 from misobc import capacity, core, quantizer, rd, regions, scheme
-from misobc.capacity import MCConfig, PowerGrid
+from misobc.capacity import PowerGrid
 from misobc.quantizer import DitheredQuantizer
 from misobc.scheme import SchemeConfig
 
 _ROWS = np.zeros((2, 1, 2), dtype=complex)
-_MC = MCConfig(samples=100, seed=4)
 _OUTER = regions.outer_region(1.0)
 
 # (entry point called with one argument replaced, the argument's name, positive)
@@ -26,9 +25,9 @@ PAIRS = [
     pytest.param(lambda v: PowerGrid((v,)), "grid point", False, id="PowerGrid"),
     pytest.param(lambda v: PowerGrid.single(v), "grid point", False, id="PowerGrid.single"),
     pytest.param(lambda v: capacity.c21_oracle(v), "power", False, id="c21_oracle"),
-    pytest.param(lambda v: capacity.ergodic_wyner_rate(v, 1.0, 0.1, 0.5, _MC), "signal_var",
+    pytest.param(lambda v: rd.ergodic_wyner_rate(v, 1.0, 0.1, 0.5), "signal_var",
                  True, id="wyner-signal_var"),
-    pytest.param(lambda v: capacity.ergodic_wyner_rate(1.0, v, 0.1, 0.5, _MC), "noise_var",
+    pytest.param(lambda v: rd.ergodic_wyner_rate(1.0, v, 0.1, 0.5), "noise_var",
                  True, id="wyner-noise_var"),
     pytest.param(lambda v: core.logdet_capacity_term(_ROWS, v, (1.0, 1.0)), "power", False,
                  id="logdet-power"),
