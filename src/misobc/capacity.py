@@ -27,8 +27,8 @@ in block order, so every estimate is bit-identical for any worker
 count.  Each cross product sum v_i v_k of a block is one ``np.einsum``
 reduction, not a BLAS dot whose summation split follows the BLAS thread
 count, so estimates are bit-identical under any BLAS thread setting
-too.  By default one worker runs per usable CPU; no call runs more
-workers than there are usable CPUs or blocks.  A block runs in one
+too.  One worker runs per usable CPU, never more than there are blocks
+(``core.thread_count``); no parameter sets the count.  A block runs in one
 scratch array of ``_scratch_rows(quantities)`` rows of 2^16 doubles:
 the Exp(1) rows are drawn into it one at a time, the rate polynomials
 are built there in place, and the log-rates go to rows the polynomials
@@ -39,14 +39,14 @@ block runs, and the blocks of one ``estimate`` call take turns with
 them.  Each block's sums are added to the totals as it completes, in
 block order, and ``core.run_tasks`` keeps at most two blocks per worker
 in flight, so transient memory is workers * rows * 2^16 * 8 bytes plus
-a few small arrays per worker at any sample count; with the default
-that grows with the host's CPU count.
+a few small arrays per worker at any sample count, which grows with the
+host's CPU count.
 A power at which a rate argument overflows a double, or a nonzero
 estimate's squared error bar underflows one, raises ``DomainError``.
 
 ``estimate`` runs its blocks through ``core.run_tasks``: w > 1 workers
-are w pool threads, and one worker or one block runs inline in the
-calling thread with no pool.
+are w pool threads, and one worker (one usable CPU or one block) runs
+inline in the calling thread with no pool.
 
 The closed forms of the three quantities, the estimator's references,
 are in the standard-library :mod:`misobc.oracles`; ``c21_oracle``,
@@ -222,10 +222,10 @@ def estimate(
     tuple raises ValueError before any sample is drawn.  The scratch
     arrays are allocated in the calling thread, and the blocks
     run through ``core.run_tasks``: on w pool threads for w > 1 workers,
-    inline for one.  Each block's sums are added as it completes, in
-    block order, so the totals do not depend on the worker count and no
-    block's sums are kept, and an error surfaces only once every pool
-    thread has stopped."""
+    inline for one, w being ``core.thread_count`` of the blocks.  Each
+    block's sums are added as it completes, in block order, so the totals
+    do not depend on the worker count and no block's sums are kept, and
+    an error surfaces only once every pool thread has stopped."""
     if not quantities or len(set(quantities)) != len(quantities):
         raise ValueError(f"quantities must be one or more distinct names, got {quantities!r}")
     mc = mc or MCConfig()
@@ -236,15 +236,14 @@ def estimate(
     npow = len(grid.points)
     nker = len(quantities)
     jobs = range(-(-mc.samples // _BLOCK))
-    workers = core.thread_count(len(jobs), mc.workers)
 
-    # one scratch array per worker, sized to the quantities' rows and
-    # allocated here in the calling thread (pool threads would take it from
-    # their own malloc arenas); a block takes a free array, and at most
-    # ``workers`` blocks run at once
+    # one scratch array per worker of ``core.run_tasks``, sized to the
+    # quantities' rows and allocated here in the calling thread (pool
+    # threads would take it from their own malloc arenas); a block takes a
+    # free array, and at most one block per worker runs at once
     shape = (_scratch_rows(quantities), min(_BLOCK, mc.samples))
     scratch = queue.SimpleQueue()
-    for _ in range(workers):
+    for _ in range(core.thread_count(len(jobs))):
         scratch.put(np.empty(shape))
 
     def block(index):
@@ -277,7 +276,7 @@ def estimate(
 
     S1 = np.zeros((npow, nker))
     S2 = np.zeros((npow, nker, nker))
-    for s1, s2 in core.run_tasks(block, jobs, workers):
+    for s1, s2 in core.run_tasks(block, jobs):
         S1 += s1
         S2 += s2
     finite = np.isfinite(S1) & np.isfinite(np.diagonal(S2, axis1=1, axis2=2))

@@ -33,6 +33,11 @@ abort does.
 ``python -m misobc.cli``: it runs ``main`` and freezes the collector
 before the process exits, so the exit skips collecting what the imports
 made.  ``main(argv)`` has no process-level effect and runs in process.
+
+``--workers`` on ``capacity``, ``rq``, ``region`` and ``gap`` is
+accepted, checked (at least 1) and echoed, but unused, as ``simulate
+--samples`` is: the estimator runs one thread per usable CPU, never more
+than there are sample blocks, and its results do not depend on the count.
 """
 
 from __future__ import annotations
@@ -159,10 +164,14 @@ def _grid_from(args) -> PowerGrid:
 
 
 def _mc_from(args) -> MCConfig:
+    """The estimator's run parameters, after which --workers is checked; it
+    is echoed, but the estimator sets its own thread count."""
     from .config import MCConfig
 
-    # simulate has no --workers and only checks the result
-    return MCConfig(samples=args.samples, seed=args.seed, workers=getattr(args, "workers", 1))
+    mc = MCConfig(samples=args.samples, seed=args.seed)
+    if args.workers < 1:
+        raise ValueError("workers must be at least 1")
+    return mc
 
 
 def _add_mc_flags(p: argparse.ArgumentParser) -> None:
@@ -172,10 +181,8 @@ def _add_mc_flags(p: argparse.ArgumentParser) -> None:
                    help=f"master seed (default 0x{DEFAULT_SEED:X}, "
                         f"env {SEED_ENV} overrides)")
     p.add_argument("--workers", type=int, default=1,
-                   help="threads over the fixed sample blocks, at most one per block "
-                        "and per usable CPU; "
-                        "results do not depend on it (default 1; the library's "
-                        "default is one per usable CPU)")
+                   help="accepted, checked and echoed, but unused: the estimator runs "
+                        "one thread per usable CPU, at most one per block (default 1)")
 
 
 def _add_grid_flags(p: argparse.ArgumentParser) -> None:
@@ -279,7 +286,7 @@ def cmd_gap(args) -> int:
 
 
 def cmd_simulate(args) -> int:
-    from .config import SchemeConfig, size_phase_3
+    from .config import MCConfig, SchemeConfig, size_phase_3
 
     run_cfg = SchemeConfig(
         n=args.n,
@@ -290,7 +297,7 @@ def cmd_simulate(args) -> int:
     )
     # --samples is checked as every command checks it, but no simulate stage
     # reads it: phase 3 is sized from closed forms
-    _mc_from(args)
+    MCConfig(samples=args.samples, seed=args.seed)
     # an unwritable output path fails here, before the run costs anything;
     # an existing file is kept until the run has succeeded, and a file this
     # run created is removed if the run ends with exit 2 or 3

@@ -22,27 +22,20 @@ from . import (DEFAULT_SAMPLES, DEFAULT_SEED, MAX_BLOCKS, DomainError, _integer,
 
 @dataclass(frozen=True)
 class MCConfig:
-    """Sample count, master seed and worker count for one estimator run.
+    """Sample count and master seed for one estimator run.
 
     ``samples`` (at least 1) and ``seed`` (non-negative) are integers of
     any integer type, NumPy's too, and are stored as int; a bool, float or
-    string is rejected with a ValueError that names the field.
-    ``workers`` is the number of threads over the fixed sample blocks of
-    ``capacity.estimate``; None (the default) means one per usable CPU.  Either
-    way no more threads run, and no more scratch arrays are allocated,
-    than there are usable CPUs or blocks: w workers run on w pool
-    threads, and one worker or one block runs inline in the calling
-    thread.  Each scratch array holds rows * 2^16 float64 values, from 2
-    rows for c21 alone to 7 for all three quantities
-    (``capacity._scratch_rows``); the calling thread allocates one per
-    worker before any block runs.  Results are bit-identical for any
-    worker count and any BLAS thread setting, since the package makes no
+    string is rejected with a ValueError that names the field.  Nothing
+    here sets a thread count: ``capacity.estimate`` runs its fixed sample
+    blocks on ``core.thread_count`` workers, one per usable CPU and never
+    more than there are blocks, and the results are bit-identical for
+    any count and any BLAS thread setting, since the package makes no
     BLAS call.
     """
 
     samples: int = DEFAULT_SAMPLES
     seed: int = DEFAULT_SEED
-    workers: int | None = None
 
     def __post_init__(self):
         samples = _integer(self.samples, "samples must be an integer")
@@ -50,12 +43,6 @@ class MCConfig:
             raise ValueError("samples must be at least 1")
         object.__setattr__(self, "samples", samples)
         object.__setattr__(self, "seed", _seed(self.seed))
-        if self.workers is None:
-            return
-        w = _integer(self.workers, "workers must be an integer or None")
-        if w < 1:
-            raise ValueError("workers must be at least 1")
-        object.__setattr__(self, "workers", w)
 
 
 @dataclass(frozen=True)

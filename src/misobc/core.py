@@ -18,11 +18,12 @@ parallel code: no module calls BLAS, whose own threads would split sums
 in an order set by the environment.  ``run_tasks`` computes independent
 tasks, the sample blocks of the estimator and the scheme's two data
 phases, and yields their results in task order as they complete, with at most
-twice as many tasks in flight as threads: on one pool thread per task,
-never more than there are usable CPUs, or inline in the calling thread
-when that comes to one.  Each task draws from its own stream into
-arrays its caller allocated, so the results do not depend on the
-thread count.
+twice as many tasks in flight as threads: on one pool thread per usable
+CPU, never more than there are tasks, or inline in the calling thread
+when that comes to one.  No caller sets the count; the usable CPUs are
+the process's CPU affinity, so ``taskset`` restricts the threads.  Each
+task draws from its own stream into arrays its caller allocated, so the
+results do not depend on the thread count.
 
 One public function per primitive does the work: ``sample_cn01``
 returns an array, or fills a caller's array in place, and
@@ -69,16 +70,16 @@ def _usable_cpus() -> int:
         return os.cpu_count() or 1
 
 
-def thread_count(tasks: int, requested: int | None = None) -> int:
-    """Threads that ``run_tasks`` runs ``tasks`` tasks on: ``requested`` (None:
-    as many as there are tasks), never more than the usable CPUs or the tasks."""
-    return min(requested or tasks, _usable_cpus(), tasks)
+def thread_count(tasks: int) -> int:
+    """Threads that ``run_tasks`` runs ``tasks`` tasks on: one per usable
+    CPU, never more than there are tasks."""
+    return min(_usable_cpus(), tasks)
 
 
-def run_tasks(fn, items, workers: int | None = None) -> Iterator:
+def run_tasks(fn, items) -> Iterator:
     """Yield ``fn(item)`` for each item of the sequence ``items``, in item
-    order, computed on ``thread_count(len(items), workers)`` threads; the
-    tasks run only while the iterator is consumed.
+    order, computed on ``thread_count(len(items))`` threads; the tasks run
+    only while the iterator is consumed.
 
     One thread means no pool: each task runs inline, in the calling
     thread, when its result is asked for.  Otherwise the tasks run on a
@@ -88,7 +89,7 @@ def run_tasks(fn, items, workers: int | None = None) -> Iterator:
     error in item order is raised once every pool thread has stopped; the
     tasks not yet started are cancelled.
     """
-    threads = thread_count(len(items), workers)
+    threads = thread_count(len(items))
     if threads <= 1:
         yield from map(fn, items)
         return

@@ -2,12 +2,13 @@
 
 ``c21_oracle``, ``c22d_oracle`` and ``rq_oracle`` evaluate the ergodic
 rates that :mod:`misobc.capacity` estimates by Monte Carlo, as sums of
-scaled exponential integrals e^z E_m(z) (``_scaled_expint``): references
-for the estimator, the rates that size the scheme's phase 3, and, with
-:mod:`misobc.regions`' ``gap_closed_form``, the exact per-user gap.  The
-module imports only :mod:`math` and the package, so none of this loads
-NumPy.  Each oracle checks its power and distortion as the estimator
-checks them, with the same messages.
+scaled exponential integrals e^z E_m(z) (``_scaled_expint``; c21 and rq
+are the k = 2 and k = 4 cases of one Gamma(k) sum, ``_gamma_log_mean``):
+references for the estimator, the rates that size the scheme's phase 3,
+and, with :mod:`misobc.regions`' ``gap_closed_form``, the exact per-user
+gap.  The module imports only :mod:`math` and the package, so none of
+this loads NumPy.  Each oracle checks its power and distortion as the
+estimator checks them, with the same messages.
 """
 
 import math
@@ -61,22 +62,29 @@ def _scaled_expint(m: int, z: float) -> float:
     raise ArithmeticError(f"e^z E_{m}(z) did not converge at z = {z!r}")
 
 
+def _gamma_log_mean(k: int, z: float) -> float:
+    """E ln(1 + X/z) for X ~ Gamma(k, 1) with an integer k >= 1 and z > 0:
+    the sum of e^z E_m(z) over m = 1..k, in nats.  c21 is the k = 2 case
+    and rq the k = 4 case; each caller forms its own z."""
+    return sum(_scaled_expint(m, z) for m in range(1, k + 1))
+
+
 def c21_oracle(power: float) -> float:
     """Closed-form value of c21, independent of the sampling path.
 
     For X ~ Gamma(k, 1) with integer k, E ln(1 + a X) is the sum of
-    e^z E_m(z) over m = 1..k with z = 1/a.  c21 has k = 2 and
-    a = power/2, so it is (e^z E1(z) + e^z E2(z)) / ln 2 with z = 2/power:
-    two positive terms, which ``_scaled_expint`` evaluates with the
-    standard library alone.  The result is within 4e-15 relative of
-    50-digit mpmath for powers from 1e-6 to 1e6, and finite and
+    e^z E_m(z) over m = 1..k with z = 1/a (``_gamma_log_mean``).  c21 has
+    k = 2 and a = power/2, so it is (e^z E1(z) + e^z E2(z)) / ln 2 with
+    z = 2/power: two positive terms, which ``_scaled_expint`` evaluates
+    with the standard library alone.  The result is within 4e-15 relative
+    of 50-digit mpmath for powers from 1e-6 to 1e6, and finite and
     nonnegative for every finite power.
     """
     p = _real(power, "power")
     if p == 0.0:
         return 0.0
     z = 2.0 / p
-    return (_scaled_expint(1, z) + _scaled_expint(2, z)) / LN2
+    return _gamma_log_mean(2, z) / LN2
 
 
 def rq_oracle(power: float, distortion: float) -> float:
@@ -95,7 +103,7 @@ def rq_oracle(power: float, distortion: float) -> float:
     z = 2.0 * (d / p)
     if z == 0.0:
         raise DomainError(f"rq is not finite at P = {p:g}: its rate argument overflows a double")
-    return sum(_scaled_expint(m, z) for m in range(1, 5)) / LN2
+    return _gamma_log_mean(4, z) / LN2
 
 
 _C22D_SERIES_CUT = 0.5

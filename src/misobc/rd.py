@@ -102,9 +102,10 @@ def ergodic_wyner_rate(signal_var: float, noise_var: float, distortion: float,
     distortion, each a finite positive number.
 
     A constant gain costs log2(cv) - log2(D) bits and needs D <= cv: a
-    larger D raises ``DomainError``, and so does every D where cv
-    underflows to 0 (a true cv below the smallest normal double, or a
-    subnormal variance).
+    larger D raises ``DomainError``.  Where 1 / cv overflows a double (a
+    true cv below about 5.6e-309, as a subnormal variance gives), the
+    ratio cv / D is formed in exact rationals instead, so a D below such
+    a cv is priced too.
 
     A Rayleigh gain costs E[log2(cv / D)]+, which exists for every D > 0:
     a realization with cv <= D needs no bits.  With a^2 ~ Exp(1),
@@ -128,6 +129,11 @@ def ergodic_wyner_rate(signal_var: float, noise_var: float, distortion: float,
         raise DomainError("distortion must satisfy 0 < D <= conditional variance")
     if a is not None:
         cv = 1.0 / (a / nv * a + 1.0 / sv)
+        if cv == 0.0:
+            # 1 / cv overflows a double: price the exact cv / D at D = 1
+            from fractions import Fraction as F
+
+            cv, d = 1 / (F(d) * (F(a) ** 2 / F(nv) + 1 / F(sv))), 1.0
         if cv < d:
             raise DomainError("distortion exceeds the conditional variance, need "
                               "0 < D <= signal_var*noise_var/(a^2 signal_var + noise_var)")

@@ -1,6 +1,7 @@
 """Ergodic rate estimators, paired sweeps and rate-distortion helpers."""
 
 import ast
+import dataclasses
 import io
 import itertools
 import math
@@ -299,19 +300,27 @@ def test_c21_zero_power():
     assert est.stderr == 0.0
 
 
+def with_cpus(cpus, fn, *args, **kwargs):
+    """``fn(*args, **kwargs)`` with ``cpus`` usable CPUs (None: the host's)."""
+    with pytest.MonkeyPatch.context() as patch:
+        if cpus is not None:
+            patch.setattr(core, "_usable_cpus", lambda: cpus)
+        return fn(*args, **kwargs)
+
+
 def test_worker_partitioning_is_deterministic():
     # workers only schedule the fixed sample blocks, so every estimate is
-    # bit-identical for any worker count (4 blocks, the last one partial)
-    def estimates(workers):
-        mc = MCConfig(samples=200_000, seed=11, workers=workers)
+    # bit-identical for any usable CPU count (4 blocks, the last one partial)
+    def estimates():
+        mc = MCConfig(samples=200_000, seed=11)
         pairs = capacity.paired_sweep("c21", "c22d", PowerGrid((0.5, 50.0)), mc, distortion=4.0)
         return (capacity.c21(5.0, mc), capacity.c22d(5.0, 4.0, mc), capacity.rq(5.0, 4.0, mc),
                 [(e.estimates, e.mean_cov.tobytes()) for e in pairs])
 
-    one = estimates(1)
-    assert estimates(2) == one
-    assert estimates(3) == one
-    assert estimates(None) == one
+    one = with_cpus(1, estimates)
+    assert with_cpus(2, estimates) == one
+    assert with_cpus(3, estimates) == one
+    assert with_cpus(None, estimates) == one
 
 
 def test_point_estimates_share_one_ensemble():
@@ -372,31 +381,31 @@ def traced_peak(fn, *args, **kwargs) -> int:
 
 
 def test_estimator_memory_is_bounded():
-    # a block runs in a reused scratch array of c21's two rows, so the peak
-    # does not grow with the sample count
+    # on one usable CPU a block runs in a reused scratch array of c21's two
+    # rows, so the peak does not grow with the sample count
     samples = 4 * 10**6
-    peak = traced_peak(capacity.c21, 10.0, MCConfig(samples=samples, workers=1))
+    peak = with_cpus(1, traced_peak, capacity.c21, 10.0, MCConfig(samples=samples))
     assert peak < 2.25 * ROW_BYTES
 
-    # under the default workers there is one array of the pair's four rows
-    # per usable CPU, and the per-block sums take under half a row
+    # on the host's CPUs there is one array of the pair's four rows per
+    # usable CPU, and the per-block sums take under half a row
     workers = min(core._usable_cpus(), -(-samples // capacity._BLOCK))
     peak = traced_peak(capacity.paired_sweep, "rq", "c21", PowerGrid.default(),
                        MCConfig(samples=samples), distortion=4.0)
     assert peak < (4 * workers + 0.5) * ROW_BYTES
 
 
-@pytest.mark.parametrize("workers", [1, 2])
-def test_estimator_peak_does_not_grow_with_blocks(monkeypatch, workers):
+@pytest.mark.parametrize("cpus", [1, 2])
+def test_estimator_peak_does_not_grow_with_blocks(monkeypatch, cpus):
     # each block's sums are added as it completes and at most two blocks per
     # worker are in flight, so the peak is the same at 20 and 320 blocks; a
     # run that kept every block's sums would hold 130 KB or more extra at 320.
     # Blocks of 256 samples make 320 of them cheap to draw.
-    monkeypatch.setattr(core, "_usable_cpus", lambda: 2)
+    monkeypatch.setattr(core, "_usable_cpus", lambda: cpus)
     monkeypatch.setattr(capacity, "_BLOCK", 256)
 
     def peak(blocks):
-        mc = MCConfig(samples=blocks * 256, workers=workers)
+        mc = MCConfig(samples=blocks * 256)
         return traced_peak(capacity.estimate, ("c21", "c22d"), PowerGrid((1.0, 10.0)), mc, 4.0)
 
     peak(320)  # fills the interpreter's free lists, which tracemalloc counts as held
@@ -404,14 +413,15 @@ def test_estimator_peak_does_not_grow_with_blocks(monkeypatch, workers):
 
 
 @pytest.mark.parametrize("quantities", QUANTITY_SETS, ids="-".join)
-def test_block_scratch_peak_is_its_row_count(quantities):
+def test_block_scratch_peak_is_its_row_count(monkeypatch, quantities):
     # one worker holds one scratch array of _scratch_rows rows, and beyond
     # it only small arrays, at a partial block and at several blocks alike
+    monkeypatch.setattr(core, "_usable_cpus", lambda: 1)
     rows = capacity._scratch_rows(quantities)
     distortion = None if quantities == ("c21",) else 4.0
     for samples in (1000, 3 * capacity._BLOCK + 7):
         peak = traced_peak(capacity.estimate, quantities, PowerGrid((1.0, 10.0)),
-                           MCConfig(samples=samples, workers=1), distortion)
+                           MCConfig(samples=samples), distortion)
         used = min(samples, capacity._BLOCK) * 8
         assert rows * used <= peak < rows * used + ROW_BYTES // 4, samples
     # and the block needs every one of those rows
@@ -419,16 +429,16 @@ def test_block_scratch_peak_is_its_row_count(quantities):
         capacity._build_block(core.stream(1), list(np.empty((rows - 1, 8))), quantities, 4.0)
 
 
-@pytest.mark.parametrize("workers", [1, 2])
-def test_every_quantity_tuple_gets_its_single_bits(monkeypatch, workers):
+@pytest.mark.parametrize("cpus", [1, 2])
+def test_every_quantity_tuple_gets_its_single_bits(monkeypatch, cpus):
     # whatever rows a tuple's block holds, each quantity gets the bits of its
-    # single-quantity call, and the covariance the entries of the full joint
-    monkeypatch.setattr(core, "_usable_cpus", lambda: 2)
+    # single-quantity call on one CPU, and the covariance the entries of the
+    # full joint
     grid = PowerGrid((0.5, 20.0))
-    mc = MCConfig(samples=2 * capacity._BLOCK + 5, seed=13, workers=workers)
-    single = {q: capacity.estimate((q,), grid, MCConfig(samples=mc.samples, seed=13, workers=1),
-                                   None if q == "c21" else 4.0)
+    mc = MCConfig(samples=2 * capacity._BLOCK + 5, seed=13)
+    single = {q: with_cpus(1, capacity.estimate, (q,), grid, mc, None if q == "c21" else 4.0)
               for q in capacity.QUANTITIES}
+    monkeypatch.setattr(core, "_usable_cpus", lambda: cpus)
     full = capacity.estimate(capacity.QUANTITIES, grid, mc, 4.0)
     tuples = [q for k in (1, 2, 3) for q in itertools.permutations(capacity.QUANTITIES, k)]
     assert len(tuples) == 15
@@ -485,10 +495,15 @@ FROZEN_COV = [
 ]
 
 
-def frozen_bits(workers):
+def frozen_bits(cpus):
     """The frozen figures, as hex in the layout of FROZEN_RATIO, FROZEN_GAP,
-    FROZEN_ESTIMATE and FROZEN_COV, computed with ``workers`` workers."""
-    mc = MCConfig(samples=200_000, seed=23, workers=workers)
+    FROZEN_ESTIMATE and FROZEN_COV, computed with ``cpus`` usable CPUs
+    (None: the host's)."""
+    return with_cpus(cpus, _frozen_bits)
+
+
+def _frozen_bits():
+    mc = MCConfig(samples=200_000, seed=23)
     grid = PowerGrid(FROZEN_GRID)
     ratio = [tuple(x.hex() for x in (r.rq.value, r.rq.stderr, r.c21.value, r.c21.stderr,
                                      r.ratio, r.ratio_stderr))
@@ -509,9 +524,9 @@ def assert_frozen(bits):
     assert cov == FROZEN_COV
 
 
-@pytest.mark.parametrize("workers", [1, 2, None])
-def test_estimates_match_frozen_bits(workers):
-    assert_frozen(frozen_bits(workers))
+@pytest.mark.parametrize("cpus", [1, 2, 3, None])
+def test_estimates_match_frozen_bits(cpus):
+    assert_frozen(frozen_bits(cpus))
 
 
 @pytest.mark.parametrize("blas_threads", ["1", "2"])
@@ -529,25 +544,27 @@ def test_frozen_bits_hold_under_every_blas_thread_setting(blas_threads):
 
 def test_worker_count_is_capped_at_blocks(monkeypatch):
     grid = PowerGrid((1.0, 10.0))
+    samples = 2 * capacity._BLOCK + 1
 
-    def run(samples, workers):
-        points = capacity.estimate(("c21", "rq"), grid, MCConfig(samples, 5, workers), 4.0)
+    def run(samples):
+        points = capacity.estimate(("c21", "rq"), grid, MCConfig(samples, 5), 4.0)
         return [(p.estimates, p.mean_cov.tobytes()) for p in points]
 
-    # one block runs in the caller's thread: no pool, no thread
+    one_block, three_blocks = (with_cpus(1, run, n) for n in (1000, samples))
+
+    # one block runs in the caller's thread on any CPU count: no pool, no thread
     def no_pool(*args, **kwargs):
         raise AssertionError("a thread pool was started for a single block")
 
     before = threading.active_count()
     with monkeypatch.context() as patch:
+        patch.setattr(core, "_usable_cpus", lambda: 64)
         patch.setattr(core, "ThreadPoolExecutor", no_pool)
-        assert run(1000, 10**6) == run(1000, 1)
+        assert run(1000) == one_block
     assert threading.active_count() == before
 
-    # three blocks start no more threads than there are usable CPUs or
-    # blocks, whatever was asked for
+    # three blocks start no more threads than there are usable CPUs or blocks
     real_pool = core.ThreadPoolExecutor
-    samples = 2 * capacity._BLOCK + 1
     for cpus, threads in ((2, 2), (64, 3)):
         sizes = []
 
@@ -558,7 +575,7 @@ def test_worker_count_is_capped_at_blocks(monkeypatch):
         with monkeypatch.context() as patch:
             patch.setattr(core, "_usable_cpus", lambda: cpus)
             patch.setattr(core, "ThreadPoolExecutor", recording_pool)
-            assert run(samples, 10**6) == run(samples, 1)
+            assert run(samples) == three_blocks
         assert sizes == [threads]
 
 
@@ -660,7 +677,7 @@ def test_missing_distortion_is_a_value_error(call, name):
 ])
 def test_overflowing_rate_is_a_domain_error(quantities, points, distortion, blamed):
     # an overflowing rate argument used to come back as value inf, stderr nan
-    mc = MCConfig(samples=1000, seed=5, workers=1)
+    mc = MCConfig(samples=1000, seed=5)
     with pytest.raises(DomainError, match=f"^{re.escape(blamed)}: "):
         capacity.estimate(quantities, PowerGrid(points), mc, distortion)
 
@@ -669,7 +686,7 @@ def test_overflowing_rate_is_a_domain_error(quantities, points, distortion, blam
 def test_underflowing_error_bar_is_a_domain_error(quantity):
     # below about P = 1e-152 (at 10^3 samples) the error bar's squared terms underflow:
     # the stderr used to come out as 0, or wrong in its leading digits
-    mc = MCConfig(samples=1000, seed=5, workers=1)
+    mc = MCConfig(samples=1000, seed=5)
     d = None if quantity == "c21" else 4.0
     with pytest.raises(DomainError, match=f"^{quantity} is too small at P = 1e-160: "):
         capacity.estimate((quantity,), PowerGrid.single(1e-160), mc, d)
@@ -750,13 +767,7 @@ def test_mcconfig_validation():
     mc = MCConfig(samples=np.int64(5), seed=np.uint32(7))
     assert (mc.samples, mc.seed) == (5, 7)
     assert type(mc.samples) is int and type(mc.seed) is int
-    for workers in (0, -1, 1.5, 2.0, "2", True):
-        with pytest.raises(ValueError):
-            MCConfig(workers=workers)
-    assert MCConfig().workers is None
-    assert MCConfig(workers=1).workers == 1
-    workers = MCConfig(workers=np.int64(2)).workers
-    assert workers == 2 and type(workers) is int
+    assert [f.name for f in dataclasses.fields(MCConfig)] == ["samples", "seed"]
 
 
 def test_sweep_shares_draws_across_powers():
@@ -1026,11 +1037,14 @@ def test_wyner_prices_tiny_variances_and_refuses_an_underflowing_cv():
     # the smallest normal variances, where signal_var * noise_var underflows
     assert rd.ergodic_wyner_rate(1e-300, 1e-300, 1e-310, 0.0) == pytest.approx(
         math.log2(1e10), rel=1e-12)
-    # a true cv below the smallest normal double, or a subnormal variance,
-    # gives cv = 0, which no positive distortion satisfies
-    for args in ((1e-300, 1e-300, 1e-320, 1e200), (1e-310, 1.0, 1e-320, 1.0)):
-        with pytest.raises(DomainError, match="exceeds the conditional variance"):
-            rd.ergodic_wyner_rate(*args)
+    # where 1 / cv overflows, cv / D is exact: a subnormal signal variance
+    # leaves cv about 1e-310, above D, priced against 40-digit mpmath, while
+    # a true cv of about 1e-700 lies below every positive double D
+    expect = 33.219297010223358
+    assert abs(rd.ergodic_wyner_rate(1e-310, 1.0, 1e-320, 1.0) - expect) <= (
+        1e-14 + 1e-13 * expect)
+    with pytest.raises(DomainError, match="exceeds the conditional variance"):
+        rd.ergodic_wyner_rate(1e-300, 1e-300, 1e-320, 1e200)
     # a Rayleigh gain averages over realizations whose cv falls below D, at
     # no cost, so a subnormal noise variance is priced: the value is 40-digit
     # mpmath quadrature of the clipped rate

@@ -848,10 +848,10 @@ def test_golden_output(capsys, monkeypatch, tmp_path, name):
 # CPython 3.11 formats it: flags, defaults and help strings must not move
 HELP_SHA256 = {
     "": "935a68c298fbc4549b732806f03808a8b26560e167987debd72a1b0f8923296d",
-    "capacity": "a293e37e3269e73d9554e2803a46c8c487928fa391afbb6c67fc128867d1815e",
-    "rq": "067f70372f0e402732e73a10b777bc71c4c825d4df1b597124aecae42e4eb04d",
-    "region": "119dc4abfb8582b442e7ed52b25d5dda34c232a1b76531723ee1bc519b1cbb50",
-    "gap": "803c51a60d78f94a53ba2fefeab6878381f4258bc72926063bb3c391ca56bd40",
+    "capacity": "af66e05166dacd2a1822f38278522ced7a74adb99c1fcce0ac7accb41716cbe9",
+    "rq": "7c10f8dfd623a6559da9c9d961e67feaf9fb5c9c07a7126917e3294c66a48891",
+    "region": "6fe49f66349754e47915b26eddd9e67e9e78367572bde2ccff61849c6273f255",
+    "gap": "ad14727336fe4f20401608fc5b7635e701b2de0ea9b63482b7557efa3db249a9",
     "simulate": "f3b5bdad46d5e3461de6adeae20a938c8994207265efeac8fd8083ef88d68541",
     "rd": "2216b1276609c05686cc1e6d91e0eeb0bc307f6e354eff743fe35d16c8efa81b",
 }
@@ -866,3 +866,65 @@ def test_help_text_is_frozen(capsys, monkeypatch, sub):
     assert exc.value.code == 0
     out = capsys.readouterr().out
     assert hashlib.sha256(out.encode()).hexdigest() == HELP_SHA256[sub]
+
+
+# every flag that is accepted, checked and echoed, but read by nothing:
+# name: (argv, flag, two values)
+INERT_FLAGS = {
+    "simulate_samples": (["simulate", "--n", "8", "--power", "10", "--seed", "9"],
+                         "--samples", ("1000", "2000")),
+    "rd_samples": (["rd", "--mode", "wyner", "--sigx2", "4", "--sigu2", "1", "--gain-rayleigh",
+                    "--budget", "0.1"], "--samples", ("10", "1000000")),
+    "rd_seed": (["rd", "--mode", "waterfill", "--const-sigma2", "4", "--budget", "1"],
+                "--seed", ("1", "2")),
+    **{f"{sub}_workers": ([*argv, *SMALL], "--workers", ("1", "2")) for sub, argv in (
+        ("capacity", ["capacity", "--quantity", "c21", "--power", "10"]),
+        ("rq", ["rq", "--grid-points", "3"]),
+        ("region", ["region", "--power", "10", "--output-dir", f"{OUT}/region"]),
+        ("gap", ["gap", "--power", "10", "--format", "json"]))},
+}
+
+
+def drop_echo(text, key, value):
+    """``text``, a command's stdout or written file, with ``key`` taken out
+    of its config echo after checking that it holds ``value``, and the
+    number of echoes found."""
+    if text.startswith("{"):
+        payload = json.loads(text)
+        assert payload["config"].pop(key) == int(value)
+        return json.dumps(payload, sort_keys=True), 1
+    lines = text.splitlines()
+    found = 0
+    for i, line in enumerate(lines):
+        if line.startswith("# config: "):
+            cfg = json.loads(line.removeprefix("# config: "))
+            assert cfg.pop(key) == int(value)
+            lines[i] = json.dumps(cfg, sort_keys=True)
+            found += 1
+    return "\n".join(lines), found
+
+
+@pytest.mark.parametrize("name", list(INERT_FLAGS))
+def test_inert_flags_change_only_their_echo(capsys, monkeypatch, tmp_path, name):
+    # two values give the same output but for the flag's echo key, and the
+    # flag's help says it is unused
+    monkeypatch.delenv(cli.SEED_ENV, raising=False)
+    argv, flag, values = INERT_FLAGS[name]
+    outputs = []
+    for value in values:
+        out_dir = tmp_path / value
+        out_dir.mkdir()
+        code, out, err = run(capsys, [a.replace(OUT, str(out_dir)) for a in argv]
+                             + [flag, value])
+        assert (code, err) == (0, "")
+        texts = [out] + [p.read_text() for p in sorted(out_dir.rglob("*")) if p.is_file()]
+        dropped = [drop_echo(t.replace(str(out_dir), "OUT"), flag[2:], value) for t in texts]
+        assert sum(found for _, found in dropped) >= 1
+        outputs.append([t for t, _ in dropped])
+    assert outputs[0] == outputs[1]
+
+    monkeypatch.setenv("COLUMNS", "1000")  # one line per flag
+    with pytest.raises(SystemExit):
+        cli.main([argv[0], "--help"])
+    (help_line,) = re.findall(rf"^  {flag} \w+ +(.*)$", capsys.readouterr().out, re.M)
+    assert "unused" in help_line

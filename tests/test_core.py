@@ -207,20 +207,21 @@ def test_run_tasks_returns_results_in_item_order(monkeypatch):
         return k * k
 
     assert list(core.run_tasks(slow_first, range(8))) == [k * k for k in range(8)]
-    assert list(core.run_tasks(slow_first, range(8), workers=2)) == [k * k for k in range(8)]
     assert list(core.run_tasks(slow_first, [])) == []
+    monkeypatch.setattr(core, "_usable_cpus", lambda: 2)
+    assert list(core.run_tasks(slow_first, range(8))) == [k * k for k in range(8)]
 
 
-@pytest.mark.parametrize("cpus, items, workers", [(1, 5, None), (4, 1, None), (4, 5, 1)])
-def test_run_tasks_runs_inline_on_one_thread(monkeypatch, cpus, items, workers):
-    # one usable CPU, one item or one worker: no pool, every task in the caller
+@pytest.mark.parametrize("cpus, items", [(1, 5), (4, 1)])
+def test_run_tasks_runs_inline_on_one_thread(monkeypatch, cpus, items):
+    # one usable CPU or one item: no pool, every task in the caller
     def no_pool(*args, **kwargs):
         raise AssertionError("a thread pool was started for one thread")
 
     monkeypatch.setattr(core, "_usable_cpus", lambda: cpus)
     monkeypatch.setattr(core, "ThreadPoolExecutor", no_pool)
     caller = threading.get_ident()
-    assert list(core.run_tasks(lambda k: (k, threading.get_ident()), range(items), workers)) == [
+    assert list(core.run_tasks(lambda k: (k, threading.get_ident()), range(items))) == [
         (k, caller) for k in range(items)]
 
 
