@@ -29,18 +29,22 @@ reduction, not a BLAS dot whose summation split follows the BLAS thread
 count, so estimates are bit-identical under any BLAS thread setting
 too.  One worker runs per usable CPU, never more than there are blocks
 (``core.thread_count``); no parameter sets the count.  A block runs in one
-scratch array of ``_scratch_rows(quantities)`` rows of 2^16 doubles:
-the Exp(1) rows are drawn into it one at a time, the rate polynomials
-are built there in place, and the log-rates go to rows the polynomials
-no longer read.  That is 2 rows for c21, 3 for c22d or rq, 4 for
-(c21, rq), 5 for (c21, c22d) or (c22d, rq), and 7 for all three, in any
-order.  The calling thread allocates one array per worker before any
-block runs, and the blocks of one ``estimate`` call take turns with
-them.  Each block's sums are added to the totals as it completes, in
-block order, and ``core.run_tasks`` keeps at most two blocks per worker
-in flight, so transient memory is workers * rows * 2^16 * 8 bytes plus
-a few small arrays per worker at any sample count, which grows with the
-host's CPU count.
+scratch array of ``_scratch_rows(quantities, points)`` rows of 2^16
+doubles, ``points`` being the grid length: the Exp(1) rows are drawn
+into it one at a time, the rate polynomials are built there in place,
+and on several powers the log-rates go to rows the polynomials no
+longer read.  On one power nothing reads a polynomial again once its
+log-rates are formed, so they overwrite its last row.  On several
+powers that is 2 rows for c21, 3 for c22d or rq, 4 for (c21, rq), 5 for
+(c21, c22d) or (c22d, rq), and 7 for all three; on one power it is 2
+for c21, 3 for c22d, rq, (c21, rq) or (c21, c22d), and 4 for (c22d, rq)
+or all three, in any order.  The calling thread allocates one array
+per worker before any block runs, and the blocks of one ``estimate``
+call take turns with them.  Each block's sums are added to the totals
+as it completes, in block order, and ``core.run_tasks`` keeps at most
+two blocks per worker in flight, so transient memory is
+workers * rows * 2^16 * 8 bytes plus a few small arrays per worker at
+any sample count, which grows with the host's CPU count.
 A power at which a rate argument overflows a double, or a nonzero
 estimate's squared error bar underflows one, raises ``DomainError``.
 
@@ -126,22 +130,28 @@ def _check_quantity(quantity: str, distortion) -> None:
         _real(distortion, f"distortion for {quantity}", positive=quantity == "rq")
 
 
-# rows a quantity holds through a block: its rate polynomial's rows and its log-rate row
-_QUANTITY_ROWS = {"c21": 2, "c22d": 3, "rq": 2}
+# rows a quantity's rate polynomial holds through a block
+_POLY_ROWS = {"c21": 1, "c22d": 2, "rq": 1}
 
 
-def _scratch_rows(quantities) -> int:
-    """Rows of a block's scratch array for ``quantities``, distinct ones: the
-    rows each quantity holds, and at least the rows ``_build_block`` draws
-    into, two for c21 alone and three for the others."""
-    draw = 2 if set(quantities) == {"c21"} else 3
-    return max(draw, sum(_QUANTITY_ROWS[q] for q in quantities))
+def _scratch_rows(quantities, points: int) -> int:
+    """Rows of a block's scratch array for ``quantities``, distinct ones, on
+    a grid of ``points`` powers: the rows of each quantity's rate
+    polynomial, plus a log-rate row per quantity on several powers (on one,
+    the log-rates overwrite the polynomial's last row), and at least the
+    rows ``_build_block`` takes while it builds: two for c21 alone, four for
+    c22d with rq (c22d's linear term then takes a row of its own), and three
+    otherwise."""
+    names = set(quantities)
+    build = 2 if names == {"c21"} else 4 if {"c22d", "rq"} <= names else 3
+    return max(build, sum(_POLY_ROWS[q] + (points > 1) for q in quantities))
 
 
-def _build_block(rng: np.random.Generator, rows, quantities, distortion) -> tuple[list, list]:
+def _build_block(rng: np.random.Generator, rows, quantities, distortion,
+                 points: int) -> tuple[list, list]:
     """Draw one block of the channel ensemble into ``rows``, the
-    ``_scratch_rows(quantities)`` rows of a scratch array, and build each
-    quantity's rate polynomial there in place.
+    ``_scratch_rows(quantities, points)`` rows of a scratch array, and build
+    each quantity's rate polynomial there in place.
 
     The rate of one draw is ln(1 + c lin + c^2 quad) nats with c = scale * P;
     each quantity gives (scale, lin, quad), quad None if linear.  The
@@ -156,8 +166,10 @@ def _build_block(rng: np.random.Generator, rows, quantities, distortion) -> tupl
     because rq's row overwrites norm2.  A row is taken when it is needed
     and given back once nothing reads it, so E3 lands in E2's row.
 
-    Returns the polynomials in the order of ``quantities`` and one free row
-    per quantity for its log-rates.
+    Returns the polynomials in the order of ``quantities`` and one row per
+    quantity for its log-rates: on a grid of several ``points``, a free row;
+    on one, the last row of its own polynomial (quad for c22d, lin
+    otherwise), which nothing reads after the log-rates overwrite it.
     """
     free = list(reversed(rows))
 
@@ -190,7 +202,10 @@ def _build_block(rng: np.random.Generator, rows, quantities, distortion) -> tupl
         polys["c21"] = (0.5, norm1, None)
     else:
         free.append(norm1)
-    return [polys[q] for q in quantities], [free.pop() for _ in quantities]
+    ordered = [polys[q] for q in quantities]
+    if points == 1:
+        return ordered, [lin if quad is None else quad for _, lin, quad in ordered]
+    return ordered, [free.pop() for _ in quantities]
 
 
 @dataclass(frozen=True, eq=False)
@@ -241,7 +256,7 @@ def estimate(
     # quantities' rows and allocated here in the calling thread (pool
     # threads would take it from their own malloc arenas); a block takes a
     # free array, and at most one block per worker runs at once
-    shape = (_scratch_rows(quantities), min(_BLOCK, mc.samples))
+    shape = (_scratch_rows(quantities, npow), min(_BLOCK, mc.samples))
     scratch = queue.SimpleQueue()
     for _ in range(core.thread_count(len(jobs))):
         scratch.put(np.empty(shape))
@@ -251,7 +266,7 @@ def estimate(
         rows = scratch.get()
         try:
             polys, logs = _build_block(core.stream(mc.seed, StreamTag.CAPACITY_CHANNEL, index),
-                                       list(rows[:, :count]), quantities, distortion)
+                                       list(rows[:, :count]), quantities, distortion, npow)
             s1 = np.empty((npow, nker))
             s2 = np.empty((npow, nker, nker))
             # a rate argument that overflows is reported below, as a DomainError

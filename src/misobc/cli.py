@@ -15,7 +15,8 @@ the package, so a usage error or ``--help`` costs an interpreter start
 and argparse.  Each subcommand checks its flags first and then imports
 the modules it runs: ``capacity`` and ``rq`` load
 :mod:`misobc.capacity` (with :mod:`misobc.core`, :mod:`misobc.oracles`
-and NumPy), ``region`` and ``gap`` add :mod:`misobc.regions`, and
+and NumPy), ``region`` and ``gap`` add :mod:`misobc.regions` (``region``
+once its estimate has returned), and
 ``simulate`` loads :mod:`misobc.scheme` (with :mod:`misobc.core`,
 :mod:`misobc.quantizer` and NumPy, but not :mod:`misobc.capacity`).
 These commands load no NumPy: every ``rd`` mode loads only the
@@ -230,11 +231,15 @@ def cmd_region(args) -> int:
     if not 0.0 < args.power < math.inf:
         raise ValueError(f"region needs a finite, strictly positive power, "
                          f"got --power {args.power:g}")
-    from . import capacity, regions
+    from . import capacity
     from .capacity import PowerGrid
 
     (point,) = capacity.estimate(("c21", "c22d"), PowerGrid.single(args.power), _mc_from(args),
                                  args.distortion)
+    # the region algebra loads only once the estimate has returned and freed
+    # its scratch arrays, so the process never holds both at once
+    from . import regions
+
     c21e, c22de = point.estimates
     outer = regions.outer_region(c21e.value)
     inner = regions.achievable_region(c21e.value, c22de.value)

@@ -364,8 +364,8 @@ def gap_sweep(
         first, second = pt.estimates
         try:
             tau, d1, d2 = gap_closed_form(first.value, second.value)
-        except DomainError as err:
-            raise DomainError(f"gap sweep aborted at P = {pt.power:.6g}: {err}") from err
+        except ValueError as err:  # a DomainError, or an inner region that does not fit
+            raise type(err)(f"gap sweep aborted at P = {pt.power:.6g}: {err}") from err
         var = (
             d1 * d1 * first.stderr**2
             + d2 * d2 * second.stderr**2

@@ -342,9 +342,9 @@ def test_moment_draw_matches_gaussian_matrices():
     # at D = 0 the block's c21 and c22d polynomials are norm1, norm2 + norm1
     # and det2; norm2 comes back to within a rounding of that sum
     quantities = ("c21", "c22d")
-    rows = np.empty((capacity._scratch_rows(quantities), n))
+    rows = np.empty((capacity._scratch_rows(quantities, 2), n))
     ((_, norm1, _), (_, lin, det2)), _ = capacity._build_block(
-        core.stream(5, 0), list(rows), quantities, 0.0)
+        core.stream(5, 0), list(rows), quantities, 0.0, 2)
     direct = (norm1, lin - norm1, det2)
     h = core.sample_cn01(core.stream(6, 0), (n, 2, 2))
     det = h[:, 0, 0] * h[:, 1, 1] - h[:, 0, 1] * h[:, 1, 0]
@@ -366,6 +366,7 @@ def test_moment_draw_matches_gaussian_matrices():
 
 ROW_BYTES = capacity._BLOCK * 8
 QUANTITY_SETS = [q for k in (1, 2, 3) for q in itertools.combinations(capacity.QUANTITIES, k)]
+QUANTITY_TUPLES = [q for k in (1, 2, 3) for q in itertools.permutations(capacity.QUANTITIES, k)]
 
 
 def traced_peak(fn, *args, **kwargs) -> int:
@@ -412,21 +413,59 @@ def test_estimator_peak_does_not_grow_with_blocks(monkeypatch, cpus):
     assert abs(peak(320) - peak(20)) < 32 * 1024
 
 
-@pytest.mark.parametrize("quantities", QUANTITY_SETS, ids="-".join)
-def test_block_scratch_peak_is_its_row_count(monkeypatch, quantities):
-    # one worker holds one scratch array of _scratch_rows rows, and beyond
-    # it only small arrays, at a partial block and at several blocks alike
-    monkeypatch.setattr(core, "_usable_cpus", lambda: 1)
-    rows = capacity._scratch_rows(quantities)
+def assert_block_scratch_peak(quantities, grid):
+    """One worker holds one scratch array of ``_scratch_rows`` rows, and
+    beyond it only small arrays, at a partial block and at several blocks
+    alike; and the block needs every one of those rows."""
+    points = len(grid.points)
+    rows = capacity._scratch_rows(quantities, points)
     distortion = None if quantities == ("c21",) else 4.0
     for samples in (1000, 3 * capacity._BLOCK + 7):
-        peak = traced_peak(capacity.estimate, quantities, PowerGrid((1.0, 10.0)),
-                           MCConfig(samples=samples), distortion)
+        peak = traced_peak(capacity.estimate, quantities, grid, MCConfig(samples=samples),
+                           distortion)
         used = min(samples, capacity._BLOCK) * 8
         assert rows * used <= peak < rows * used + ROW_BYTES // 4, samples
-    # and the block needs every one of those rows
     with pytest.raises(IndexError):
-        capacity._build_block(core.stream(1), list(np.empty((rows - 1, 8))), quantities, 4.0)
+        capacity._build_block(core.stream(1), list(np.empty((rows - 1, 8))), quantities, 4.0,
+                              points)
+
+
+@pytest.mark.parametrize("quantities", QUANTITY_SETS, ids="-".join)
+def test_block_scratch_peak_is_its_row_count(monkeypatch, quantities):
+    monkeypatch.setattr(core, "_usable_cpus", lambda: 1)
+    assert_block_scratch_peak(quantities, PowerGrid((1.0, 10.0)))
+
+
+# the rows of a one-power block: each quantity's log-rates overwrite the
+# last row of its own rate polynomial, so only the draws and the rows the
+# polynomials hold count
+ONE_POWER_ROWS = {("c21",): 2, ("c22d",): 3, ("rq",): 3, ("c21", "c22d"): 3,
+                  ("c21", "rq"): 3, ("c22d", "rq"): 4, ("c21", "c22d", "rq"): 4}
+
+
+@pytest.mark.parametrize("quantities", QUANTITY_SETS, ids="-".join)
+def test_one_power_block_scratch_peak_is_its_row_count(monkeypatch, quantities):
+    monkeypatch.setattr(core, "_usable_cpus", lambda: 1)
+    for order in itertools.permutations(quantities):
+        assert capacity._scratch_rows(order, 1) == ONE_POWER_ROWS[quantities], order
+    assert_block_scratch_peak(quantities, PowerGrid.single(10.0))
+
+
+@pytest.mark.parametrize("cpus", [1, 2])
+def test_one_power_estimate_has_its_bits_on_a_grid(monkeypatch, cpus):
+    # a one-power block forms its log-rates over its rate polynomials, a
+    # grid's block in rows of their own; every quantity tuple, in every
+    # order, gets the same bits at a power either way
+    monkeypatch.setattr(core, "_usable_cpus", lambda: cpus)
+    grid = PowerGrid((0.5, 20.0))
+    mc = MCConfig(samples=2 * capacity._BLOCK + 5, seed=13)
+    for quantities in QUANTITY_TUPLES:
+        distortion = None if quantities == ("c21",) else 4.0
+        points = capacity.estimate(quantities, grid, mc, distortion)
+        for power, point in zip(grid.points, points):
+            (one,) = capacity.estimate(quantities, PowerGrid.single(power), mc, distortion)
+            assert one.estimates == point.estimates, (quantities, power)
+            assert np.array_equal(one.mean_cov, point.mean_cov), (quantities, power)
 
 
 @pytest.mark.parametrize("cpus", [1, 2])
@@ -440,9 +479,8 @@ def test_every_quantity_tuple_gets_its_single_bits(monkeypatch, cpus):
               for q in capacity.QUANTITIES}
     monkeypatch.setattr(core, "_usable_cpus", lambda: cpus)
     full = capacity.estimate(capacity.QUANTITIES, grid, mc, 4.0)
-    tuples = [q for k in (1, 2, 3) for q in itertools.permutations(capacity.QUANTITIES, k)]
-    assert len(tuples) == 15
-    for quantities in tuples:
+    assert len(QUANTITY_TUPLES) == 15
+    for quantities in QUANTITY_TUPLES:
         points = capacity.estimate(quantities, grid, mc,
                                    None if quantities == ("c21",) else 4.0)
         at = [capacity.QUANTITIES.index(q) for q in quantities]
@@ -592,10 +630,10 @@ def test_failed_estimate_leaves_no_pool_thread(monkeypatch):
 
     build = capacity._build_block
 
-    def failing(rng, rows, quantities, distortion):
+    def failing(rng, rows, quantities, distortion, points):
         if rows[0].size != capacity._BLOCK:  # the last, partial block
             raise RuntimeError("block failed")
-        return build(rng, rows, quantities, distortion)
+        return build(rng, rows, quantities, distortion, points)
 
     monkeypatch.setattr(capacity, "_build_block", failing)
     with pytest.raises(RuntimeError, match="block failed"):

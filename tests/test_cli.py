@@ -549,6 +549,19 @@ def test_rd_takes_no_workers_flag():
     assert exc.value.code == 2
 
 
+@pytest.mark.parametrize("argv", [
+    ["capacity", "--quantity", "c21", "--power", "10"],
+    ["rq", "--power", "10"],
+    ["region", "--power", "10"],
+    ["gap", "--power", "10"],
+], ids=lambda argv: argv[0])
+def test_workers_below_one_are_refused(capsys, monkeypatch, tmp_path, argv):
+    monkeypatch.chdir(tmp_path)
+    code, out, err = run(capsys, [*argv, "--samples", "1000", "--workers", "0"])
+    assert (code, out, err) == (3, "", "error: workers must be at least 1\n")
+    assert list(tmp_path.iterdir()) == []
+
+
 def test_rd_missing_mode_flags(capsys):
     code, _, err = run(capsys, ["rd", "--mode", "waterfill", "--budget", "1"])
     assert code == 2
@@ -673,6 +686,41 @@ def test_startup_loads_only_what_the_command_runs(tmp_path, argv, code, loaded, 
     modules = set(result["modules"])
     assert {"misobc", "misobc.cli", *loaded} <= modules
     assert modules.isdisjoint({"scipy", *unloaded})
+
+
+# Runs the command line in a fresh interpreter, as STARTUP_PROBE does, with
+# capacity.estimate wrapped to note at each call whether misobc.regions is
+# loaded, and writes the exit code and those notes to the first argument.
+ESTIMATE_ORDER_PROBE = """
+import json, sys
+from misobc import capacity, cli
+estimate, regions_loaded = capacity.estimate, []
+
+def noting_estimate(*args, **kwargs):
+    regions_loaded.append("misobc.regions" in sys.modules)
+    return estimate(*args, **kwargs)
+
+capacity.estimate = noting_estimate
+code = cli.main(sys.argv[2:])
+with open(sys.argv[1], "w") as fp:
+    json.dump({"code": code, "regions_loaded": regions_loaded,
+               "regions_at_exit": "misobc.regions" in sys.modules}, fp)
+"""
+
+
+def test_region_estimates_before_it_loads_the_region_algebra(tmp_path):
+    # the region algebra's module and the estimator's scratch arrays are
+    # never held at once, which keeps the command's peak memory down
+    src = str(Path(misobc.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        p for p in (src, os.environ.get("PYTHONPATH")) if p))
+    env.pop(cli.SEED_ENV, None)
+    report = tmp_path / "order.json"
+    subprocess.run([sys.executable, "-c", ESTIMATE_ORDER_PROBE, str(report),
+                    "region", "--power", "10", *SMALL],
+                   capture_output=True, cwd=tmp_path, env=env, check=True, timeout=120)
+    assert json.loads(report.read_text()) == {"code": 0, "regions_loaded": [False],
+                                              "regions_at_exit": True}
 
 
 # Runs ``python -m misobc.cli`` as the process entry does, with the

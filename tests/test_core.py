@@ -198,6 +198,15 @@ def test_domain_error_is_a_value_error():
     assert issubclass(core.DomainError, ValueError)
 
 
+def test_usable_cpus_fall_back_to_the_cpu_count(monkeypatch):
+    # a platform without an affinity call counts every CPU, and at least one
+    monkeypatch.delattr(core.os, "sched_getaffinity", raising=False)
+    monkeypatch.setattr(core.os, "cpu_count", lambda: 3)
+    assert core._usable_cpus() == 3
+    monkeypatch.setattr(core.os, "cpu_count", lambda: None)
+    assert core._usable_cpus() == 1
+
+
 def test_run_tasks_returns_results_in_item_order(monkeypatch):
     # later items finish first on four threads; the results keep item order
     monkeypatch.setattr(core, "_usable_cpus", lambda: 4)

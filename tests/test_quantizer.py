@@ -220,6 +220,9 @@ def test_index_stream_rejects_corruption():
         quantizer.read_indices(io.BytesIO(blob[:-4]))
     with pytest.raises(ValueError, match="promises"):
         quantizer.read_indices(io.BytesIO(blob + b"\x00" * 8))
+    for step in (0.0, -1.0, math.nan):
+        with pytest.raises(ValueError, match="nonpositive step"):
+            quantizer.parse_indices(quantizer._HEADER.pack(quantizer._MAGIC, step, 0))
 
 
 def test_index_stream_write_validation():
@@ -232,6 +235,9 @@ def test_index_stream_write_validation():
         quantizer.write_indices(buf, 0.0, np.zeros((2, 2), dtype=np.int64))
     with pytest.raises(ValueError, match="int32"):
         quantizer.write_indices(buf, 1.0, np.array([[2**40, 0]], dtype=np.int64))
+    # a broadcast view has 2^32 rows but allocates none of them
+    with pytest.raises(ValueError, match="uint32"):
+        quantizer.write_indices(buf, 1.0, np.broadcast_to(np.int32(0), (2**32, 2)))
     for bad in ("1.0", True, None):
         with pytest.raises(ValueError, match="step must be a number"):
             quantizer.write_indices(buf, bad, np.zeros((2, 2), dtype=np.int64))

@@ -33,17 +33,21 @@ def test_readme_minimal_session_runs():
 
 def test_readme_scratch_rows_match_the_estimator():
     # one table row per set of quantities, with the rows _scratch_rows sizes
+    # on one power and on several, for the quantities in every order
     text = README.read_text(encoding="utf-8")
-    match = re.search(r"\| quantities \| rows \|\n\| -+ \| -+ \|\n((?:\|.*\|\n)+)", text)
+    match = re.search(r"\| quantities \| one power \| several powers \|\n"
+                      r"\| -+ \| -+ \| -+ \|\n((?:\|.*\|\n)+)", text)
     assert match, "README has no quantities/rows table"
     table = {}
     for line in match.group(1).splitlines():
-        names, rows = (cell.strip() for cell in line.strip("|").split("|"))
-        table[frozenset(names.split(", "))] = int(rows)
+        names, one, several = (cell.strip() for cell in line.strip("|").split("|"))
+        table[frozenset(names.split(", "))] = (int(one), int(several))
     sets = [q for k in (1, 2, 3) for q in itertools.combinations(capacity.QUANTITIES, k)]
     assert len(table) == len(sets)
     for quantities in sets:
-        assert table[frozenset(quantities)] == capacity._scratch_rows(quantities), quantities
+        for order in itertools.permutations(quantities):
+            rows = (capacity._scratch_rows(order, 1), capacity._scratch_rows(order, 50))
+            assert table[frozenset(quantities)] == rows, order
 
 
 def test_readme_module_table_lists_every_module():

@@ -499,6 +499,20 @@ def test_gap_sweep_guards_distortion():
         regions.gap_sweep(4.0, PowerGrid((0.0, 1.0)), mc)
 
 
+@pytest.mark.parametrize("samples, error, refusal", [
+    (2, ValueError, "inner region must be contained in the outer region"),
+    (1, DomainError, "achievable region needs 3*c21 >= c22d"),
+])
+def test_gap_sweep_names_the_power_of_either_refusal(samples, error, refusal):
+    # at D = 1e-6 and P = 0.001 a few samples give a c22d past what
+    # gap_closed_form takes: past 2 c21 from two samples, past 3 c21 from one
+    mc = MCConfig(samples=samples, seed=1)
+    with pytest.raises(error) as info:
+        regions.gap_sweep(1e-6, PowerGrid.single(0.001), mc, allow_small_distortion=True)
+    assert type(info.value) is error
+    assert str(info.value).startswith(f"gap sweep aborted at P = 0.001: {refusal}")
+
+
 def test_gap_report_serialization():
     report = regions.gap_sweep(4.0, PowerGrid.single(2.0), MCConfig(samples=1000, seed=6))
     buf = io.StringIO()
@@ -542,3 +556,12 @@ def test_corner_csv_format():
     assert lines[1].startswith("A,")
     assert lines[2].startswith("B,")
     assert lines[3].startswith("C,")
+    assert len(lines) == 4
+
+    # R1 + R2 <= 0 leaves the origin alone, where all three corners coincide
+    corners = regions.corner_points(RateRegion((HalfPlane(1.0, 1.0, 0.0),)))
+    assert corners.degenerate
+    buf = io.StringIO()
+    regions.write_corners_csv(corners, buf)
+    assert buf.getvalue().splitlines() == ["label,R1,R2", "A,0,0", "B,0,0", "C,0,0",
+                                           "# degenerate: corners coincide"]
