@@ -34,11 +34,8 @@ doubles, ``points`` being the grid length: the Exp(1) rows are drawn
 into it one at a time, the rate polynomials are built there in place,
 and on several powers the log-rates go to rows the polynomials no
 longer read.  On one power nothing reads a polynomial again once its
-log-rates are formed, so they overwrite its last row.  On several
-powers that is 2 rows for c21, 3 for c22d or rq, 4 for (c21, rq), 5 for
-(c21, c22d) or (c22d, rq), and 7 for all three; on one power it is 2
-for c21, 3 for c22d, rq, (c21, rq) or (c21, c22d), and 4 for (c22d, rq)
-or all three, in any order.  The calling thread allocates one array
+log-rates are formed, so they overwrite its last row; the README tables
+the row counts.  The calling thread allocates one array
 per worker before any block runs, and the blocks of one ``estimate``
 call take turns with them.  Each block's sums are added to the totals
 as it completes, in block order, and ``core.run_tasks`` keeps at most
@@ -57,8 +54,7 @@ are in the standard-library :mod:`misobc.oracles`; ``c21_oracle``,
 ``c22d_oracle`` and ``rq_oracle`` are also reachable here under their
 names.  The run parameters ``MCConfig`` and the result type
 ``MonteCarloEstimate`` are defined in the standard-library
-:mod:`misobc.config` and reachable here too, as are the package defaults
-``DEFAULT_SAMPLES`` and ``DEFAULT_SEED`` that ``MCConfig`` takes.
+:mod:`misobc.config` and reachable here too.
 Result tables write CSV and JSON through the package's ``_Table`` base
 class, which ``regions`` shares.  The scalar rate-distortion helpers,
 the ergodic rate with decoder side information among them, are closed
@@ -74,7 +70,6 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from . import DEFAULT_SAMPLES, DEFAULT_SEED  # noqa: F401  (re-exported: MCConfig's defaults)
 from . import LN2, DomainError, _integer, _number, _real, _Table, core
 from .config import MCConfig, MonteCarloEstimate
 from .core import StreamTag
@@ -234,13 +229,15 @@ def estimate(
     squared terms underflow (c21 below about P = 1e-151 at 10^6 samples).
 
     ``quantities`` are one or more distinct names; an empty or repeated
-    tuple raises ValueError before any sample is drawn.  The scratch
-    arrays are allocated in the calling thread, and the blocks
-    run through ``core.run_tasks``: on w pool threads for w > 1 workers,
+    tuple, or a bare string, raises ValueError before any sample is
+    drawn.  The scratch arrays are allocated in the calling thread, and
+    the blocks run through ``core.run_tasks``: on w pool threads for w > 1 workers,
     inline for one, w being ``core.thread_count`` of the blocks.  Each
     block's sums are added as it completes, in block order, so the totals
     do not depend on the worker count and no block's sums are kept, and
     an error surfaces only once every pool thread has stopped."""
+    if isinstance(quantities, str):
+        raise ValueError(f"quantities must be a tuple of names, not the string {quantities!r}")
     if not quantities or len(set(quantities)) != len(quantities):
         raise ValueError(f"quantities must be one or more distinct names, got {quantities!r}")
     mc = mc or MCConfig()

@@ -35,10 +35,12 @@ abort does.
 before the process exits, so the exit skips collecting what the imports
 made.  ``main(argv)`` has no process-level effect and runs in process.
 
-``--workers`` on ``capacity``, ``rq``, ``region`` and ``gap`` is
-accepted, checked (at least 1) and echoed, but unused, as ``simulate
---samples`` is: the estimator runs one thread per usable CPU, never more
-than there are sample blocks, and its results do not depend on the count.
+The estimator runs one thread per usable CPU, never more than there are
+sample blocks, and its results do not depend on the count, so no command
+sets it.  ``rq`` alone still accepts, checks (at least 1) and echoes
+``--workers``, but unused, as ``simulate --samples`` is: the benchmark's
+cli workload passes ``rq --workers 2``, and the flag goes with that
+command.
 """
 
 from __future__ import annotations
@@ -165,14 +167,9 @@ def _grid_from(args) -> PowerGrid:
 
 
 def _mc_from(args) -> MCConfig:
-    """The estimator's run parameters, after which --workers is checked; it
-    is echoed, but the estimator sets its own thread count."""
     from .config import MCConfig
 
-    mc = MCConfig(samples=args.samples, seed=args.seed)
-    if args.workers < 1:
-        raise ValueError("workers must be at least 1")
-    return mc
+    return MCConfig(samples=args.samples, seed=args.seed)
 
 
 def _add_mc_flags(p: argparse.ArgumentParser) -> None:
@@ -181,9 +178,6 @@ def _add_mc_flags(p: argparse.ArgumentParser) -> None:
     p.add_argument("--seed", type=_parse_seed, default=_default_seed(),
                    help=f"master seed (default 0x{DEFAULT_SEED:X}, "
                         f"env {SEED_ENV} overrides)")
-    p.add_argument("--workers", type=int, default=1,
-                   help="accepted, checked and echoed, but unused: the estimator runs "
-                        "one thread per usable CPU, at most one per block (default 1)")
 
 
 def _add_grid_flags(p: argparse.ArgumentParser) -> None:
@@ -221,7 +215,10 @@ def cmd_capacity(args) -> int:
 def cmd_rq(args) -> int:
     from . import capacity
 
-    table = capacity.ratio_sweep(args.distortion, _grid_from(args), _mc_from(args))
+    grid, mc = _grid_from(args), _mc_from(args)
+    if args.workers < 1:  # checked and echoed, but the estimator sets its own thread count
+        raise ValueError("workers must be at least 1")
+    table = capacity.ratio_sweep(args.distortion, grid, mc)
     _emit(args, table.to_csv, {"rows": table.to_json()})
     return _assert_rows(table.rows, "ratio", 1.0) if args.assert_le_one else EXIT_OK
 
@@ -291,7 +288,7 @@ def cmd_gap(args) -> int:
 
 
 def cmd_simulate(args) -> int:
-    from .config import MCConfig, SchemeConfig, size_phase_3
+    from .config import SchemeConfig, size_phase_3
 
     run_cfg = SchemeConfig(
         n=args.n,
@@ -302,7 +299,7 @@ def cmd_simulate(args) -> int:
     )
     # --samples is checked as every command checks it, but no simulate stage
     # reads it: phase 3 is sized from closed forms
-    MCConfig(samples=args.samples, seed=args.seed)
+    _mc_from(args)
     # an unwritable output path fails here, before the run costs anything;
     # an existing file is kept until the run has succeeded, and a file this
     # run created is removed if the run ends with exit 2 or 3
@@ -398,6 +395,11 @@ def build_parser() -> argparse.ArgumentParser:
                    help="exit 4 unless ratio <= 1 + 3*stderr everywhere")
     _add_grid_flags(p)
     _add_mc_flags(p)
+    # the benchmark's cli workload passes --workers 2 (perfbench/workloads.py),
+    # so rq keeps the flag until that command drops it
+    p.add_argument("--workers", type=int, default=1,
+                   help="accepted, checked and echoed, but unused: the estimator runs "
+                        "one thread per usable CPU, at most one per block (default 1)")
     _add_output_flags(p)
     p.set_defaults(func=cmd_rq)
 

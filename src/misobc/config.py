@@ -31,7 +31,8 @@ class MCConfig:
     blocks on ``core.thread_count`` workers, one per usable CPU and never
     more than there are blocks, and the results are bit-identical for
     any count and any BLAS thread setting, since the package makes no
-    BLAS call.
+    BLAS call.  Of the commands only ``rq`` still takes ``--workers``, and
+    no field here reads it: the benchmark's cli workload passes it.
     """
 
     samples: int = DEFAULT_SAMPLES

@@ -146,35 +146,32 @@ def sample_cn01(rng: np.random.Generator, size=None, *, out=None, scale=None) ->
     return out
 
 
-def logdet_capacity_term(rows, power, noise_vars) -> np.ndarray:
+def logdet_capacity_term(rows, power, distortion) -> np.ndarray:
     """Per-realization log-det rate of a batch of 2 x 2 channels, in bits.
 
     Evaluates log2 det(I_2 + (power/2) S^(-1/2) H H^H S^(-1/2)) with
-    S = diag(noise_vars) and ``rows`` the two rows of H, two arrays of one
-    shape (m..., 2) with at least one leading axis; a single matrix h is
-    passed as the batch of one ``h[:, None]``.  Row r sees additive noise
-    of variance noise_vars[r].  The power and each noise variance are
-    read by ``misobc._real``, the power nonnegative and the variances
-    positive.  The result is a float array of the leading shape (m...);
-    H is never stacked into one array.
+    S = diag(1, 1 + distortion) and ``rows`` the two rows of H, two arrays
+    of one shape (m..., 2) with at least one leading axis; a single matrix
+    h is passed as the batch of one ``h[:, None]``.  The first row sees
+    unit noise and the second, the row phase 3 delivers quantized, noise
+    of variance 1 + distortion.  The power and the distortion are read by
+    ``misobc._real``, both nonnegative.  The result is a float array of
+    the leading shape (m...); H is never stacked into one array.
 
     The determinant is expanded in closed form, the argument of log2 being
 
-        1 + (power/2) (|row0|^2/s0 + |row1|^2/s1)
-          + (power/2)^2 |det H|^2 / (s0 s1).
+        1 + (power/2) (|row0|^2 + |row1|^2/s1)
+          + (power/2)^2 |det H|^2 / s1,     s1 = 1 + distortion.
     """
     rows = [np.asarray(row, dtype=np.complex128) for row in rows]
     shapes = {row.shape for row in rows}
     if len(rows) != 2 or len(shapes) != 1 or rows[0].ndim < 2 or rows[0].shape[-1] != 2:
         raise ValueError(f"rows must be 2 arrays of one shape (m..., 2), got {shapes}")
-    nv = np.asarray(noise_vars, dtype=object)
-    if nv.shape != (2,):
-        raise ValueError(f"noise_vars must hold 2 entries, got shape {nv.shape}")
-    s0, s1 = (_real(v, "noise variance", positive=True) for v in nv)
     p = _real(power, "power")
+    s1 = 1.0 + _real(distortion, "distortion")
 
     # the terms accumulate in their first temporary, in the order of
-    # c (norm0/s0 + norm1/s1) + (c c) det2 / (s0 s1)
+    # c (norm0 + norm1/s1) + (c c) det2 / s1
     c = p / 2.0
     row0, row1 = rows
     norm0 = np.abs(row0[..., 0]) ** 2
@@ -186,12 +183,11 @@ def logdet_capacity_term(rows, power, noise_vars) -> np.ndarray:
     arg = det.real**2
     arg += det.imag**2
     del det
-    norm0 /= s0
     norm1 /= s1
     norm0 += norm1
     norm0 *= c
     arg *= c * c
-    arg /= s0 * s1
+    arg /= s1
     arg += norm0
     np.log1p(arg, out=arg)
     arg /= LN2

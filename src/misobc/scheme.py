@@ -322,7 +322,7 @@ def run_phases_1_2(cfg: SchemeConfig) -> SchemeTranscript:
             # overheard[b, t] = <row[b, t], x[b, t]> without conjugation
             np.einsum("bta,bta->bt", rows[1], x[block], out=overheard[block])
             t.logdets[number - 1][block] = core.logdet_capacity_term(
-                rows, cfg.power, (1.0, 1.0 + cfg.distortion))
+                rows, cfg.power, cfg.distortion)
 
     list(core.run_tasks(phase, ((1, t.x1, t.s21), (2, t.x2, t.s12))))  # runs as it is consumed
     return t
@@ -489,7 +489,8 @@ def mi_accounting(transcript: SchemeTranscript) -> MIReport:
     (1, 1 + D); the grid average estimates the per-symbol rate and must
     agree with capacity.c22d at the power and distortion of ``transcript.config``.
     Phases 1 and 2 formed the log-dets block by block while they drew the
-    channel rows, one (n, n) array per user in ``transcript.logdets``.
+    channel rows, with ``core.logdet_capacity_term`` at that power and D,
+    one (n, n) array per user in ``transcript.logdets``.
     Each array's mean and standard error are taken over the whole array,
     so the bits are those of one whole-grid call, wherever and whenever
     the blocks ran; then the log-dets are released.  A mean that is not

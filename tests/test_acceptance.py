@@ -11,12 +11,12 @@ import numpy as np
 import pytest
 from scipy import stats as sps
 
-from misobc import capacity, core, quantizer, rd, regions, scheme
+from misobc import DEFAULT_SEED, capacity, core, quantizer, rd, regions, scheme
 from misobc.capacity import MCConfig, PowerGrid
 from misobc.core import DomainError
 from misobc.regions import HalfPlane, RateRegion
 
-FULL = MCConfig(samples=10**6, seed=capacity.DEFAULT_SEED)
+FULL = MCConfig(samples=10**6, seed=DEFAULT_SEED)
 
 # Ergodic 2x1 capacity at reference powers, frozen from two independent
 # high-precision evaluations of the closed form (exponential-integral

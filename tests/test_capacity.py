@@ -490,14 +490,15 @@ def test_every_quantity_tuple_gets_its_single_bits(monkeypatch, cpus):
             assert np.array_equal(point.mean_cov, full[j].mean_cov[np.ix_(at, at)]), quantities
 
 
-@pytest.mark.parametrize("quantities", [(), ("rq", "rq"), ("c21", "rq", "c21")])
+@pytest.mark.parametrize("quantities", [(), ("rq", "rq"), ("c21", "rq", "c21"), "c21"])
 def test_estimate_refuses_empty_or_repeated_quantities(monkeypatch, quantities):
-    # the refusal comes before any stream is opened
+    # the refusal comes before any stream is opened, and names the argument;
+    # a bare string is refused whole, not read as its characters
     def no_stream(*key):
         raise AssertionError("a stream was opened")
 
     monkeypatch.setattr(core, "stream", no_stream)
-    with pytest.raises(ValueError, match=re.escape(repr(quantities))):
+    with pytest.raises(ValueError, match="^quantities .*" + re.escape(repr(quantities))):
         capacity.estimate(quantities, PowerGrid.single(10.0), MCConfig(samples=10), 4.0)
 
 
@@ -648,7 +649,7 @@ def test_c22d_zero_distortion_is_classical_capacity():
     est = capacity.c22d(5.0, 0.0, mc)
     rng = core.stream(991, 0)
     h = core.sample_cn01(rng, (200_000, 2, 2))
-    vals = core.logdet_capacity_term((h[:, 0], h[:, 1]), 5.0, (1.0, 1.0))
+    vals = core.logdet_capacity_term((h[:, 0], h[:, 1]), 5.0, 0.0)
     direct = float(np.mean(vals))
     direct_se = float(np.std(vals, ddof=1) / math.sqrt(vals.size))
     assert abs(est.value - direct) < 4.0 * math.hypot(est.stderr, direct_se)

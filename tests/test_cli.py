@@ -303,6 +303,22 @@ def test_simulate_assert_stats_clean(capsys):
     assert err == ""
 
 
+def test_simulate_failing_assert_stats_exits_4_and_keeps_the_report(capsys, monkeypatch,
+                                                                     tmp_path):
+    # at n = 2 the grids are too small for the statistics to hold: one
+    # stderr line per violated invariant, and the report is written anyway
+    monkeypatch.delenv(cli.SEED_ENV, raising=False)
+    target = tmp_path / "report.json"
+    code, out, err = run(capsys, ["simulate", "--n", "2", "--power", "10", "--assert-stats",
+                                  "--output", str(target)])
+    problems = scheme.check_stats(scheme.run_scheme(scheme.SchemeConfig(n=2, power=10.0)))
+    assert code == 4 and out == "" and problems
+    assert err.splitlines() == [f"assertion failed: {line}" for line in problems]
+    payload = json.loads(target.read_text())
+    assert payload["config"]["assert_stats"] is True
+    assert payload["report"]["config"]["n"] == 2
+
+
 def test_simulate_full_size_run_passes_assertions(capsys):
     code, out, err = run(capsys, ["simulate", "--n", "256", "--power", "10",
                                   "--distortion", "4", "--assert-stats"])
@@ -541,12 +557,22 @@ def test_rd_conflicting_flags_are_a_usage_error(capsys, flags, message):
     assert err == f"usage error: {message}\n"
 
 
-def test_rd_takes_no_workers_flag():
-    # no rd mode runs threads, so a worker count would be echoed but unused
+@pytest.mark.parametrize("argv", [
+    ["capacity", "--quantity", "c21", "--power", "10"],
+    ["region", "--power", "10"],
+    ["gap", "--power", "10"],
+    ["rd", "--mode", "waterfill", "--const-sigma2", "4", "--budget", "1"],
+    ["simulate", "--n", "8", "--power", "10"],
+], ids=lambda argv: argv[0])
+def test_only_rq_takes_a_workers_flag(capsys, monkeypatch, tmp_path, argv):
+    # the estimator sets its own thread count, and rd and simulate run no
+    # estimate, so a worker count is a usage error, refused before any output
+    monkeypatch.chdir(tmp_path)
     with pytest.raises(SystemExit) as exc:
-        cli.main(["rd", "--mode", "waterfill", "--const-sigma2", "4", "--budget", "1",
-                  "--workers", "2"])
+        cli.main([*argv, "--workers", "2"])
     assert exc.value.code == 2
+    assert capsys.readouterr().err.endswith("error: unrecognized arguments: --workers 2\n")
+    assert list(tmp_path.iterdir()) == []
 
 
 @pytest.mark.parametrize("argv", [
@@ -556,9 +582,16 @@ def test_rd_takes_no_workers_flag():
     ["gap", "--power", "10"],
 ], ids=lambda argv: argv[0])
 def test_workers_below_one_are_refused(capsys, monkeypatch, tmp_path, argv):
+    # rq checks its inert flag; the other sweeps have no such flag
     monkeypatch.chdir(tmp_path)
-    code, out, err = run(capsys, [*argv, "--samples", "1000", "--workers", "0"])
-    assert (code, out, err) == (3, "", "error: workers must be at least 1\n")
+    if argv[0] == "rq":
+        code, out, err = run(capsys, [*argv, "--samples", "1000", "--workers", "0"])
+        assert (code, out, err) == (3, "", "error: workers must be at least 1\n")
+    else:
+        with pytest.raises(SystemExit) as exc:
+            cli.main([*argv, "--samples", "1000", "--workers", "0"])
+        assert exc.value.code == 2
+        assert "unrecognized arguments: --workers 0" in capsys.readouterr().err
     assert list(tmp_path.iterdir()) == []
 
 
@@ -599,9 +632,9 @@ def test_seed_env_var_rejected_cleanly(capsys, monkeypatch):
 def test_shared_names_have_one_definition():
     assert misobc.DomainError is core.DomainError is capacity.DomainError is config.DomainError
     assert regions.DomainError is scheme.DomainError is misobc.DomainError
-    assert capacity.DEFAULT_SEED is scheme.SchemeConfig.seed is misobc.DEFAULT_SEED
+    assert scheme.SchemeConfig.seed is misobc.DEFAULT_SEED
     assert config.MCConfig.seed is config.DEFAULT_SEED is misobc.DEFAULT_SEED
-    assert capacity.DEFAULT_SAMPLES is config.MCConfig.samples is misobc.DEFAULT_SAMPLES
+    assert config.MCConfig.samples is misobc.DEFAULT_SAMPLES
     for name in ("MCConfig", "MonteCarloEstimate"):
         assert getattr(capacity, name) is getattr(config, name), name
     for name in ("MCConfig", "MonteCarloEstimate", "SchemeConfig", "phase3_budget"):
@@ -843,12 +876,12 @@ OUT = "{out}"  # replaced by a path under the test's tmp directory
 GOLDEN_SHA256 = {
     "capacity_csv": (["capacity", "--quantity", "c21", "--grid-points", "4",
                       "--output", f"{OUT}/c21.csv", *GOLDEN],
-        "a322015855c7c6a0f64b4d9c3255f0af889fb3c3780b1c32e7ad6ac8f8d048c5"),
+        "b58778bb8879fcc2b1c0f4d133ef047413c5c27e9c0035f6029ec86a0197ea8f"),
     "capacity_json": (["capacity", "--quantity", "c22d", "--distortion", "4", "--power", "10",
                        "--format", "json", *GOLDEN],
-        "49444b7afd01c24c2bde4788c78fc7795c3f3735d3b972b555d2f5d4a1d31030"),
+        "e9556dac502ecf46b20a824a90ed2c6d5bddb285785a3c187aafa07b275913a1"),
     "capacity_zero_power": (["capacity", "--quantity", "c21", "--power", "0", *GOLDEN],
-        "4354ea9993872297b37858e947a93d2f32bda07aa3a47e606e96c19b55d66480"),
+        "a6d977c3b690896bb609270c08e5ceced6ee59a89696ace7e6d87df4da857209"),
     "rq_csv": (["rq", "--grid-points", "3", *GOLDEN],
         "ccdfee50d5719a0d2da5539228749d494b975bba2eaff23c17c2463b87a1c0a5"),
     "rq_json_workers2": (["rq", "--power", "10", "--format", "json", "--workers", "2", *GOLDEN],
@@ -857,14 +890,14 @@ GOLDEN_SHA256 = {
                          "--grid-max", "100", "--assert-le-one", *GOLDEN],
         "a3a8ed55952f9a96f3249d7de3503b293615199be1e895188fa6391d0e1e0ad5"),
     "gap_csv_assert": (["gap", "--grid-points", "3", "--assert-theorem", *GOLDEN],
-        "349a06a7ff77eeb1d1cb3fb4d5a04e69853aa35f6d21c0dd66ab5466fc6c9b8d"),
+        "8ed1a3da39ce4f44e0bb8724873e3f4400f0c695ced324127c8653f87f149ff4"),
     "gap_json": (["gap", "--power", "10", "--format", "json", *GOLDEN],
-        "8d7d599e1fec46b2cd99e879c132d12c3d220da468be7f63dbe968e57a3a66b6"),
+        "b5def33f98eec87578e7ac5373b1c40e941b48b7ca675aaefe4033eed45aa88a"),
     "gap_small_distortion": (["gap", "--distortion", "3", "--power", "1",
                               "--allow-small-distortion", *GOLDEN],
-        "bf434fba28e262330914ef256bbf05422f62611f4613058ba5919f65773e953f"),
+        "1f24dd69902ca4eb443ecb2d29f8fd439e512dfab5fa7b7f16d841b5c57ae989"),
     "region": (["region", "--power", "10", "--output-dir", f"{OUT}/region", *GOLDEN],
-        "d0e3a4a59b15e24294aa55d996465f7f470121257f6e0bdf0f4a8bd2fe880e5c"),
+        "a29d2f78b40ef38a6918575d76bf41c60d9a9a4efc2fb3974f37182c1f8789e7"),
     "simulate": (["simulate", "--n", "16", "--power", "10", "--output", f"{OUT}/report.json",
                   "--dump", f"{OUT}/run.bin", *GOLDEN],
         "b70287e2adae42ec66d63600ec94351e7240fea534bc1a81926442241199be6b"),
@@ -896,10 +929,10 @@ def test_golden_output(capsys, monkeypatch, tmp_path, name):
 # CPython 3.11 formats it: flags, defaults and help strings must not move
 HELP_SHA256 = {
     "": "935a68c298fbc4549b732806f03808a8b26560e167987debd72a1b0f8923296d",
-    "capacity": "af66e05166dacd2a1822f38278522ced7a74adb99c1fcce0ac7accb41716cbe9",
+    "capacity": "1fae8566e3b84d8f2e22c186e8db54caaf54e9ee510de1bf91f3d9117515ad4f",
     "rq": "7c10f8dfd623a6559da9c9d961e67feaf9fb5c9c07a7126917e3294c66a48891",
-    "region": "6fe49f66349754e47915b26eddd9e67e9e78367572bde2ccff61849c6273f255",
-    "gap": "ad14727336fe4f20401608fc5b7635e701b2de0ea9b63482b7557efa3db249a9",
+    "region": "0768d95015a53cebf0ffa412987f8189ccbe8f8243ca3fcbca2a3595e5beba29",
+    "gap": "f7c0a53fb17d1e3a4fa926606b5ed9968e7e00383c287ee7b0327673e3aa0ae4",
     "simulate": "f3b5bdad46d5e3461de6adeae20a938c8994207265efeac8fd8083ef88d68541",
     "rd": "2216b1276609c05686cc1e6d91e0eeb0bc307f6e354eff743fe35d16c8efa81b",
 }
@@ -925,11 +958,7 @@ INERT_FLAGS = {
                     "--budget", "0.1"], "--samples", ("10", "1000000")),
     "rd_seed": (["rd", "--mode", "waterfill", "--const-sigma2", "4", "--budget", "1"],
                 "--seed", ("1", "2")),
-    **{f"{sub}_workers": ([*argv, *SMALL], "--workers", ("1", "2")) for sub, argv in (
-        ("capacity", ["capacity", "--quantity", "c21", "--power", "10"]),
-        ("rq", ["rq", "--grid-points", "3"]),
-        ("region", ["region", "--power", "10", "--output-dir", f"{OUT}/region"]),
-        ("gap", ["gap", "--power", "10", "--format", "json"]))},
+    "rq_workers": (["rq", "--grid-points", "3", *SMALL], "--workers", ("1", "2")),
 }
 
 

@@ -123,10 +123,10 @@ def test_sample_cn01_moments():
 
 
 def test_logdet_diagonal_two_rows():
-    # rows (1,0) at noise 1 and (0,1) at noise 4, power 2:
+    # rows (1,0) at noise 1 and (0,1) at noise 1 + D = 4, power 2:
     # 1 + 1 + 1/4 + 1/4 = 2.5
     h = np.eye(2, dtype=complex)
-    val = core.logdet_capacity_term(h[:, None], 2.0, (1.0, 4.0))[0]
+    val = core.logdet_capacity_term(h[:, None], 2.0, 3.0)[0]
     assert val == pytest.approx(math.log2(2.5), abs=1e-14)
     assert val == pytest.approx(1.321928, abs=1e-6)
 
@@ -136,28 +136,63 @@ def test_logdet_matches_dense_evaluation():
     for _ in range(50):
         h = core.sample_cn01(rng, (2, 2))
         power = float(rng.uniform(0.1, 50.0))
-        nv = rng.uniform(0.5, 5.0, size=2)
-        got = core.logdet_capacity_term(h[:, None], power, nv)[0]
-        s = np.diag(1.0 / np.sqrt(nv))
+        distortion = float(rng.uniform(0.0, 4.0))
+        got = core.logdet_capacity_term(h[:, None], power, distortion)[0]
+        s = np.diag(1.0 / np.sqrt([1.0, 1.0 + distortion]))
         m = np.eye(2) + (power / 2.0) * (s @ h @ h.conj().T @ s)
         sign, logdet = np.linalg.slogdet(m)
         assert sign == pytest.approx(1.0)
         assert got == pytest.approx(logdet / math.log(2.0), rel=1e-12)
 
 
+def logdet_with_noise_pair(rows, power, s0, s1):
+    """The kernel's closed form with a noise variance per row, in its
+    operation order: c (norm0/s0 + norm1/s1) + (c c) det2 / (s0 s1)."""
+    row0, row1 = rows
+    c = power / 2.0
+    norm0 = np.abs(row0[..., 0]) ** 2
+    norm0 += np.abs(row0[..., 1]) ** 2
+    norm1 = np.abs(row1[..., 0]) ** 2
+    norm1 += np.abs(row1[..., 1]) ** 2
+    det = row0[..., 0] * row1[..., 1]
+    det -= row0[..., 1] * row1[..., 0]
+    arg = det.real**2
+    arg += det.imag**2
+    norm0 /= s0
+    norm1 /= s1
+    norm0 += norm1
+    norm0 *= c
+    arg *= c * c
+    arg /= s0 * s1
+    arg += norm0
+    np.log1p(arg, out=arg)
+    arg /= core.LN2
+    return arg
+
+
+@pytest.mark.parametrize("distortion", [0.0, 1e-3, 0.5, 4.0, 1e6])
+def test_logdet_is_the_noise_pair_formula_at_unit_and_one_plus_d(distortion):
+    # bit for bit: the first row's unit noise divides nothing, which is exact
+    rows = core.sample_cn01(core.stream(11, 0), (2, 300, 2))
+    for power in (0.0, 0.3, 10.0, 1e5):
+        got = core.logdet_capacity_term(rows, power, distortion)
+        want = logdet_with_noise_pair(rows, power, 1.0, 1.0 + distortion)
+        assert np.array_equal(got, want), power
+
+
 def test_logdet_batch_matches_loop():
     rng = core.stream(5, 0)
     batch = core.sample_cn01(rng, (40, 2, 2))
-    got = core.logdet_capacity_term((batch[:, 0], batch[:, 1]), 7.0, (1.0, 3.0))
+    got = core.logdet_capacity_term((batch[:, 0], batch[:, 1]), 7.0, 2.0)
     assert got.shape == (40,)
-    sing = [core.logdet_capacity_term(batch[i][:, None], 7.0, (1.0, 3.0))[0] for i in range(40)]
+    sing = [core.logdet_capacity_term(batch[i][:, None], 7.0, 2.0)[0] for i in range(40)]
     assert np.allclose(got, sing, rtol=1e-14)
 
 
 def test_logdet_zero_power_is_zero():
     rng = core.stream(6, 0)
     h = core.sample_cn01(rng, (8, 2, 2))
-    assert np.all(core.logdet_capacity_term((h[:, 0], h[:, 1]), 0.0, (1.0, 1.0)) == 0.0)
+    assert np.all(core.logdet_capacity_term((h[:, 0], h[:, 1]), 0.0, 0.0) == 0.0)
 
 
 def test_logdet_input_validation():
@@ -167,31 +202,27 @@ def test_logdet_input_validation():
     for rows in (np.zeros((3, 1, 2), dtype=complex), np.zeros((1, 4, 2), dtype=complex),
                  np.zeros((0, 2), dtype=complex), (), np.zeros((2, 2), dtype=complex)):
         with pytest.raises(ValueError, match="2 arrays of one shape"):
-            core.logdet_capacity_term(rows, 1.0, (1.0, 1.0))
+            core.logdet_capacity_term(rows, 1.0, 0.0)
     with pytest.raises(ValueError, match="one shape"):
-        core.logdet_capacity_term((np.zeros((4, 2)), np.zeros((3, 2))), 1.0, (1.0, 1.0))
+        core.logdet_capacity_term((np.zeros((4, 2)), np.zeros((3, 2))), 1.0, 0.0)
     with pytest.raises(ValueError):
-        core.logdet_capacity_term(np.zeros(2, dtype=complex), 1.0, (1.0,))
+        core.logdet_capacity_term(np.zeros(2, dtype=complex), 1.0, 0.0)
     with pytest.raises(ValueError):
-        core.logdet_capacity_term(good, 1.0, (1.0,))
+        core.logdet_capacity_term(good, 1.0, -1.0)
     with pytest.raises(ValueError):
-        core.logdet_capacity_term(good, 1.0, (1.0, -1.0))
+        core.logdet_capacity_term(good, 1.0, math.inf)
     with pytest.raises(ValueError):
-        core.logdet_capacity_term(good, 1.0, (1.0, 0.0))
+        core.logdet_capacity_term(good, -1.0, 0.0)
     with pytest.raises(ValueError):
-        core.logdet_capacity_term(good, -1.0, (1.0, 1.0))
-    with pytest.raises(ValueError):
-        core.logdet_capacity_term(good, math.nan, (1.0, 1.0))
-    # power and noise variances are numbers as misobc._number takes them:
-    # no strings, bools or None
-    for power in ("10", True, np.True_, None):
+        core.logdet_capacity_term(good, math.nan, 0.0)
+    # the power and the distortion are numbers as misobc._number takes them:
+    # no strings, bools, None or noise pairs
+    for bad in ("10", True, np.True_, None):
         with pytest.raises(ValueError, match="power must be a number"):
-            core.logdet_capacity_term(good, power, (1.0, 1.0))
-    for noise in (("1", 1.0), (1.0, True), (None, 1.0)):
-        with pytest.raises(ValueError, match="noise variance must be a number"):
-            core.logdet_capacity_term(good, 1.0, noise)
-    with pytest.raises(ValueError, match="noise_vars must hold 2 entries"):
-        core.logdet_capacity_term(good, 1.0, "1")
+            core.logdet_capacity_term(good, bad, 0.0)
+    for bad in ("1", True, None, (1.0, 2.0)):
+        with pytest.raises(ValueError, match="distortion must be a number"):
+            core.logdet_capacity_term(good, 1.0, bad)
 
 
 def test_domain_error_is_a_value_error():

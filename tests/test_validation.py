@@ -29,12 +29,10 @@ PAIRS = [
                  True, id="wyner-signal_var"),
     pytest.param(lambda v: rd.ergodic_wyner_rate(1.0, v, 0.1, 0.5), "noise_var",
                  True, id="wyner-noise_var"),
-    pytest.param(lambda v: core.logdet_capacity_term(_ROWS, v, (1.0, 1.0)), "power", False,
+    pytest.param(lambda v: core.logdet_capacity_term(_ROWS, v, 0.0), "power", False,
                  id="logdet-power"),
-    pytest.param(lambda v: core.logdet_capacity_term(_ROWS, 1.0, (v, 1.0)), "noise variance",
-                 True, id="logdet-noise0"),
-    pytest.param(lambda v: core.logdet_capacity_term(_ROWS, 1.0, (1.0, v)), "noise variance",
-                 True, id="logdet-noise1"),
+    pytest.param(lambda v: core.logdet_capacity_term(_ROWS, 1.0, v), "distortion", False,
+                 id="logdet-distortion"),
     pytest.param(lambda v: quantizer.step_for_distortion(v), "distortion", True,
                  id="step_for_distortion"),
     pytest.param(lambda v: DitheredQuantizer(v, dither_seed=1), "step", True,
