@@ -22,28 +22,45 @@ Each sample is drawn directly as the statistics the rates depend on,
 from four i.i.d. Exp(1) variables, or two where c21 alone is asked for
 (see ``_build_block``); no Gaussian matrix is formed
 (``core.sample_cn01`` and ``core.logdet_capacity_term`` serve the
-scheme).  Workers only schedule blocks and the per-block sums are added
-in block order, so every estimate is bit-identical for any worker
-count.  Each cross product sum v_i v_k of a block is one ``np.einsum``
-reduction, not a BLAS dot whose summation split follows the BLAS thread
-count, so estimates are bit-identical under any BLAS thread setting
-too.  One worker runs per usable CPU, never more than there are blocks
-(``core.thread_count``); no parameter sets the count.  A block runs in one
-scratch array of ``_scratch_rows(quantities, points)`` rows of 2^16
+scheme).
+
+Each quantity is one record of the table ``_QUANTITY``, and every fact
+about it lives there: the statistics it reads (norm1 = E1 + E2, then
+norm2 = E3 + E4 and E4), the fresh rows its build takes and the rows its
+rate polynomial holds, its distortion rule (c21 takes none, c22d a
+nonnegative one, rq a positive one), its polynomial build, which gives
+c = scale * P per unit power (1/2 for c21 and c22d, 1/(2D) for rq), and
+its per-power log-rate writer.  ``_build_block``, ``_scratch_rows`` and
+``estimate`` read only the records and ``_DRAWS``, the pairs of Exp(1)
+rows a block draws in stream order.  The records are built in table
+order, rq, c22d, c21, whatever order a caller names them in: rq sums
+norm1 and norm2 into a fresh row before c22d overwrites norm2 and E4 in
+place, and c21 takes norm1's row over.  So a set of quantities takes the
+same rows in any order.
+
+Workers only schedule blocks and the per-block sums are added in block
+order, so every estimate is bit-identical for any worker count.  Each
+cross product sum v_i v_k of a block is one ``np.einsum`` reduction, not
+a BLAS dot whose summation split follows the BLAS thread count, so
+estimates are bit-identical under any BLAS thread setting too.  One
+worker runs per usable CPU, never more than there are blocks
+(``core.thread_count``); no parameter sets the count.  A block runs in
+one scratch array of ``_scratch_rows(quantities, points)`` rows of 2^16
 doubles, ``points`` being the grid length: the Exp(1) rows are drawn
 into it one at a time, the rate polynomials are built there in place,
-and on several powers the log-rates go to rows the polynomials no
-longer read.  On one power nothing reads a polynomial again once its
-log-rates are formed, so they overwrite its last row; the README tables
-the row counts.  The calling thread allocates one array
+and on several powers the log-rates go to rows the polynomials no longer
+read.  On one power nothing reads a polynomial again once its log-rates
+are formed, so they overwrite its last row.  The row count is the most
+that the draws, the builds or the polynomials with their log-rates hold
+at once; the README tables it.  The calling thread allocates one array
 per worker before any block runs, and the blocks of one ``estimate``
-call take turns with them.  Each block's sums are added to the totals
-as it completes, in block order, and ``core.run_tasks`` keeps at most
-two blocks per worker in flight, so transient memory is
+call take turns with them.  Each block's sums are added to the totals as
+it completes, in block order, and ``core.run_tasks`` keeps at most two
+blocks per worker in flight, so transient memory is
 workers * rows * 2^16 * 8 bytes plus a few small arrays per worker at
-any sample count, which grows with the host's CPU count.
-A power at which a rate argument overflows a double, or a nonzero
-estimate's squared error bar underflows one, raises ``DomainError``.
+any sample count, which grows with the host's CPU count.  A power at
+which a rate argument overflows a double, or a nonzero estimate's
+squared error bar underflows one, raises ``DomainError``.
 
 ``estimate`` runs its blocks through ``core.run_tasks``: w > 1 workers
 are w pool threads, and one worker (one usable CPU or one block) runs
@@ -66,6 +83,7 @@ from __future__ import annotations
 import math
 import queue
 import sys
+from collections import namedtuple
 from dataclasses import dataclass
 
 import numpy as np
@@ -118,28 +136,79 @@ class PowerGrid:
         return PowerGrid((power,))
 
 
-def _check_quantity(quantity: str, distortion) -> None:
-    if quantity not in QUANTITIES:
-        raise ValueError(f"unknown quantity {quantity!r}, expected one of {QUANTITIES}")
-    if quantity != "c21":
-        _real(distortion, f"distortion for {quantity}", positive=quantity == "rq")
+def _linear(c: float, lin, quad, out) -> None:
+    """Log-rates ln(1 + c lin) into ``out``; ``quad`` is None."""
+    np.log1p(np.multiply(lin, c, out=out), out=out)
 
 
-# rows a quantity's rate polynomial holds through a block
-_POLY_ROWS = {"c21": 1, "c22d": 2, "rq": 1}
+def _quadratic(c: float, lin, quad, out) -> None:
+    """Log-rates ln(1 + c lin + c^2 quad) into ``out``, as ln(1 + c (c quad + lin))."""
+    np.multiply(quad, c, out=out)
+    _linear(c, np.add(out, lin, out=out), None, out)
+
+
+def _build_c22d(norm1, norm2, e4, distortion):
+    """c22d's polynomial in place over norm2 and E4: with s2 = 1 + D,
+    lin = norm1 + norm2 / s2 and quad = |det H|^2 / s2 = norm1 E4 / s2."""
+    s2 = 1.0 + float(distortion)
+    e4 *= norm1  # |det H|^2
+    norm2 /= s2
+    norm2 += norm1
+    e4 /= s2
+    return 0.5, norm2, e4
+
+
+def _build_rq(norm1, norm2, out, distortion):
+    """rq's polynomial in a fresh row ``out``: lin = norm1 + norm2."""
+    return 0.5 / float(distortion), np.add(norm2, norm1, out=out), None
+
+
+# What the estimator knows of one quantity.  ``build(*statistics,
+# *fresh_rows, distortion)`` takes the block's rows of the statistics in
+# ``reads`` (norm1, norm2 or e4) and ``fresh`` rows of its own, and returns
+# the rate polynomial (scale, lin, quad), c = scale * P, over ``rows`` rows
+# (quad None where ``rows`` is 1); ``write(c, lin, quad, out)`` writes its
+# log-rates at one power into ``out``.  ``positive`` is None where the
+# quantity takes no distortion, else whether the distortion must be
+# positive (it must be nonnegative otherwise).
+_Quantity = namedtuple("_Quantity", "reads build write fresh rows positive", defaults=(0, 1, None))
+
+# The quantities in build order: a build overwrites a statistic in place
+# only after every build that reads it has run.  rq sums norm1 and norm2
+# into a fresh row before c22d overwrites norm2 and E4, and c21 takes norm1
+# over as it is.
+_QUANTITY = {
+    "rq": _Quantity(("norm1", "norm2"), _build_rq, _linear, fresh=1, positive=True),
+    "c22d": _Quantity(("norm1", "norm2", "e4"), _build_c22d, _quadratic, rows=2, positive=False),
+    "c21": _Quantity(("norm1",), lambda norm1, distortion: (0.5, norm1, None), _linear),
+}
+
+# The statistics a block draws, in stream order, two Exp(1) rows at a time:
+# each pair's sum and its second row, norm1 = E1 + E2 (no quantity reads E2),
+# then norm2 = E3 + E4 with E4.
+_DRAWS = (("norm1", "e2"), ("norm2", "e4"))
+
+
+def _draws(quantities) -> tuple[set, tuple]:
+    """The statistics ``quantities`` read, and the pairs of ``_DRAWS`` a
+    block draws for them: every pair up to the last that holds one, so each
+    statistic comes from the same place in the stream whatever is read."""
+    reads = {s for q in quantities for s in _QUANTITY[q].reads}
+    return reads, _DRAWS[:1 + max(i for i, p in enumerate(_DRAWS) if not reads.isdisjoint(p))]
 
 
 def _scratch_rows(quantities, points: int) -> int:
     """Rows of a block's scratch array for ``quantities``, distinct ones, on
-    a grid of ``points`` powers: the rows of each quantity's rate
-    polynomial, plus a log-rate row per quantity on several powers (on one,
-    the log-rates overwrite the polynomial's last row), and at least the
-    rows ``_build_block`` takes while it builds: two for c21 alone, four for
-    c22d with rq (c22d's linear term then takes a row of its own), and three
-    otherwise."""
-    names = set(quantities)
-    build = 2 if names == {"c21"} else 4 if {"c22d", "rq"} <= names else 3
-    return max(build, sum(_POLY_ROWS[q] + (points > 1) for q in quantities))
+    a grid of ``points`` powers, from their records: the most that the
+    draws (the statistics read from earlier pairs and the last pair's two
+    rows), the builds (the statistics they read and their fresh rows) or
+    the polynomials and their log-rates hold at once.  Each quantity takes
+    a log-rate row of its own on several powers; on one, its log-rates
+    overwrite the last row of its polynomial."""
+    reads, pairs = _draws(quantities)
+    return max(len(reads.union(pairs[-1])),
+               len(reads) + sum(_QUANTITY[q].fresh for q in quantities),
+               sum(_QUANTITY[q].rows + (points > 1) for q in quantities))
 
 
 def _build_block(rng: np.random.Generator, rows, quantities, distortion,
@@ -149,58 +218,41 @@ def _build_block(rng: np.random.Generator, rows, quantities, distortion,
     each quantity's rate polynomial there in place.
 
     The rate of one draw is ln(1 + c lin + c^2 quad) nats with c = scale * P;
-    each quantity gives (scale, lin, quad), quad None if linear.  The
-    polynomials are read from the moments of a 2x2 CN(0, 1) matrix, drawn
-    exactly: every |h_ij|^2 is Exp(1), so norm1 = E1 + E2.  CN(0, I) rows
-    are invariant under unitary maps, so rotating row 2 by a unitary that
-    depends only on row 1, with first column (-h12, h11) / sqrt(norm1),
-    leaves its components i.i.d. CN(0, 1) and independent of row 1.  The
-    first rotated component is det H / sqrt(norm1), hence norm2 = E3 + E4
-    and |det H|^2 = norm1 E4.  The Exp(1) rows are drawn one at a time, in
-    stream order, and E3 and E4 only for c22d or rq; c22d's rows go first,
-    because rq's row overwrites norm2.  A row is taken when it is needed
-    and given back once nothing reads it, so E3 lands in E2's row.
+    each quantity's record builds its (scale, lin, quad), quad None if
+    linear.  The polynomials are read from the moments of a 2x2 CN(0, 1)
+    matrix, drawn exactly: every |h_ij|^2 is Exp(1), so norm1 = E1 + E2.
+    CN(0, I) rows are invariant under unitary maps, so rotating row 2 by a
+    unitary that depends only on row 1, with first column (-h12, h11) /
+    sqrt(norm1), leaves its components i.i.d. CN(0, 1) and independent of
+    row 1.  The first rotated component is det H / sqrt(norm1), hence
+    norm2 = E3 + E4 and |det H|^2 = norm1 E4.  The Exp(1) rows are drawn
+    one at a time, in stream order, and E3 and E4 only where a quantity
+    reads them.  A row is taken when it is needed and given back once
+    nothing reads it, so E3 lands in E2's row; the quantities are built in
+    the records' order, whatever the order of ``quantities``.
 
     Returns the polynomials in the order of ``quantities`` and one row per
     quantity for its log-rates: on a grid of several ``points``, a free row;
-    on one, the last row of its own polynomial (quad for c22d, lin
-    otherwise), which nothing reads after the log-rates overwrite it.
+    on one, the last row of its own polynomial, which nothing reads after
+    the log-rates overwrite it.
     """
     free = list(reversed(rows))
-
-    def draw():
-        row = free.pop()
-        rng.standard_exponential(out=row)
-        return row
-
-    polys = {}
-    norm1, e2 = draw(), draw()
-    norm1 += e2
-    free.append(e2)
-    if set(quantities) != {"c21"}:
-        norm2, e4 = draw(), draw()
-        norm2 += e4
-        if "c22d" in quantities:
-            s2 = 1.0 + float(distortion)
-            e4 *= norm1  # |det H|^2
-            lin = free.pop() if "rq" in quantities else norm2
-            np.divide(norm2, s2, out=lin)
-            lin += norm1
-            e4 /= s2
-            polys["c22d"] = (0.5, lin, e4)
-        else:
-            free.append(e4)
-        if "rq" in quantities:
-            norm2 += norm1
-            polys["rq"] = (0.5 / float(distortion), norm2, None)
-    if "c21" in quantities:
-        polys["c21"] = (0.5, norm1, None)
-    else:
-        free.append(norm1)
-    ordered = [polys[q] for q in quantities]
-    if points == 1:
-        return ordered, [lin if quad is None else quad for _, lin, quad in ordered]
-    return ordered, [free.pop() for _ in quantities]
+    reads, pairs = _draws(quantities)
+    stats = {}
+    # a drawn row that no quantity reads is given back at once
+    for pair in pairs:
+        total, second = [rng.standard_exponential(out=free.pop()) for _ in pair]
+        total += second
+        stats.update(zip(pair, (total, second)))
+        free += [stats.pop(s) for s in pair if s not in reads]
+    polys = {name: record.build(*(stats[s] for s in record.reads),
+                                *(free.pop() for _ in range(record.fresh)), distortion)
+             for name, record in _QUANTITY.items() if name in quantities}
+    held = {id(row) for _, lin, quad in polys.values() for row in (lin, quad)}
+    free += [row for row in stats.values() if id(row) not in held]
+    # (scale, lin, quad)[rows] is the last row a polynomial holds
+    return ([polys[q] for q in quantities],
+            [polys[q][_QUANTITY[q].rows] if points == 1 else free.pop() for q in quantities])
 
 
 @dataclass(frozen=True, eq=False)
@@ -240,11 +292,14 @@ def estimate(
         raise ValueError(f"quantities must be a tuple of names, not the string {quantities!r}")
     if not quantities or len(set(quantities)) != len(quantities):
         raise ValueError(f"quantities must be one or more distinct names, got {quantities!r}")
-    mc = mc or MCConfig()
-    if distortion is not None and set(quantities) == {"c21"}:
-        raise ValueError("c21 takes no distortion parameter")
     for q in quantities:
-        _check_quantity(q, distortion)
+        if q not in _QUANTITY:
+            raise ValueError(f"unknown quantity {q!r}, expected one of {QUANTITIES}")
+        if _QUANTITY[q].positive is not None:
+            _real(distortion, f"distortion for {q}", positive=_QUANTITY[q].positive)
+    if distortion is not None and all(_QUANTITY[q].positive is None for q in quantities):
+        raise ValueError(f"{quantities[0]} takes no distortion parameter")
+    mc = mc or MCConfig()
     npow = len(grid.points)
     nker = len(quantities)
     jobs = range(-(-mc.samples // _BLOCK))
@@ -269,15 +324,8 @@ def estimate(
             # a rate argument that overflows is reported below, as a DomainError
             with np.errstate(over="ignore", invalid="ignore"):
                 for j, power in enumerate(grid.points):
-                    for (scale, lin, quad), v in zip(polys, logs):
-                        c = scale * power
-                        if quad is None:
-                            np.multiply(lin, c, out=v)
-                        else:
-                            np.multiply(quad, c, out=v)
-                            v += lin
-                            v *= c
-                        np.log1p(v, out=v)
+                    for q, (scale, lin, quad), v in zip(quantities, polys, logs):
+                        _QUANTITY[q].write(scale * power, lin, quad, v)
                     for i, v in enumerate(logs):
                         s1[j, i] = v.sum()
                         for k in range(i + 1):

@@ -14,7 +14,14 @@ per-symbol mutual information of the effective channels (checked
 against the capacity module) together with the noise variance and
 independence statistics of the reconstructed observations.  Phase-3
 delivery is modeled error-free at its analytic symbol budget, which
-enters the rate accounting only.
+enters the rate accounting only.  That budget charges n rq bits per
+block, rq being the rate of a Gaussian vector quantizer at distortion D.
+The subtractive dithered scalar quantizer the run simulates (step
+sqrt(6D) per real dimension) is a distortion proxy, not what the budget
+pays for: entropy-coded, it needs I(X; X + U) bits, U the dither (Zamir
+& Feder, IEEE Trans. IT 1992), which at high power tends to rq plus
+log2(2 pi e / 12) / 2 ~ 0.255 bit per real dimension, 0.509 bit per
+complex sample.
 
 ``run_scheme`` is the scheme's four stages in order: ``run_phases_1_2``,
 ``mi_accounting``, ``run_phase_3`` and ``deinterleave_and_reconstruct``.
@@ -64,7 +71,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from . import DomainError, _real, _round12, core, quantizer
+from . import MAX_BLOCKS, DomainError, _real, _round12, core, quantizer
 from .config import MCConfig, MonteCarloEstimate, SchemeConfig, size_phase_3
 from .config import phase3_budget  # noqa: F401  (re-exported)
 from .core import StreamTag
@@ -673,12 +680,13 @@ def read_transcript_dump(fp) -> dict:
     """Inverse of dump_transcript; returns the four signal grids plus
     (step, indices).
 
-    The stream is read once, to its end.  u1 and u2 are read-only views
-    of the bytes read, x1 and x2 their ``interleave`` views, and the
-    indices the stored int32 pairs, parsed in place by
-    ``quantizer.parse_indices``: reading an ``io.BytesIO`` of a dump from
-    its start shares the dump's own bytes for all four grids and the
-    indices.
+    A header n outside 1..``MAX_BLOCKS``, which no run writes, is refused
+    before the grids are read.  The stream is read once, to its end.  u1
+    and u2 are read-only views of the bytes read, x1 and x2 their
+    ``interleave`` views, and the indices the stored int32 pairs, parsed
+    in place by ``quantizer.parse_indices``: reading an ``io.BytesIO`` of
+    a dump from its start shares the dump's own bytes for all four grids
+    and the indices.
     """
     data = fp.read()
     if len(data) < _DUMP_HEADER.size:
@@ -686,6 +694,8 @@ def read_transcript_dump(fp) -> dict:
     magic, n = _DUMP_HEADER.unpack_from(data)
     if magic != _DUMP_MAGIC:
         raise ValueError(f"bad magic {magic!r}")
+    if not 1 <= n <= MAX_BLOCKS:
+        raise ValueError(f"header n = {n} is outside 1..{MAX_BLOCKS}")
     count = n * n * 2
     start = _DUMP_HEADER.size
     end = start + 2 * 16 * count

@@ -4,6 +4,7 @@ import hashlib
 import io
 import json
 import math
+import struct
 import threading
 import tracemalloc
 import warnings
@@ -144,6 +145,14 @@ FROZEN_RUNS = {
 }
 
 
+# FROZEN_RUNS was taken where NumPy runs float64 log1p (the log-det kernel's)
+# in its X86_V4 (AVX-512) loop; its libm loop, which runs without X86_V4,
+# moves the last bit on some inputs, so a mismatch says whether this host
+# has the target
+_UMATH = (getattr(np, "_core", None) or np.core)._multiarray_umath  # np.core before NumPy 2
+X86_V4 = f"X86_V4 = {_UMATH.__cpu_features__.get('X86_V4')}"
+
+
 def _bits(t):
     """In FROZEN_RUNS' layout: float.hex of the stats, of (value, stderr) of
     both MI estimates and of the three references, and the dump's sha256."""
@@ -172,7 +181,7 @@ def test_run_matches_frozen_bits(monkeypatch, cpus):
     for (n, power), frozen in FROZEN_RUNS.items():
         cfg = SchemeConfig(n=n, power=power, seed=29)
         t = scheme.run_scheme(cfg)
-        assert _bits(t) == frozen, (n, power)
+        assert _bits(t) == frozen, (n, power, X86_V4)
     if cpus == 2:
         # one two-thread pool per run for the phases; the reference draws nothing
         assert pools == [2] * len(FROZEN_RUNS)
@@ -834,6 +843,10 @@ def test_transcript_dump_corruption_detected():
         # the four-grid format that stored x1 and x2 too is not read
         (b"MBT1" + raw[4:], "bad magic"),
         (raw[: len(raw) // 2], "truncated signal grid"),
+        # a header n outside 1..MAX_BLOCKS is refused by name, not read as
+        # grids of the wrong size
+        (raw[:4] + struct.pack("<I", 0) + raw[8:], "header n = 0 is outside 1..512"),
+        (raw[:4] + struct.pack("<I", 2**31) + raw[8:], "header n = 2147483648 is outside"),
         # the index stream after the grids keeps its own checks
         (raw[:grids_end + 10], "truncated header"),
         (raw[:grids_end] + b"XXXX" + raw[grids_end + 4:], "bad magic"),
