@@ -14,26 +14,32 @@ Importing this module loads no NumPy: the parser reads its defaults from
 the package, so a usage error or ``--help`` costs an interpreter start
 and argparse.  Each subcommand checks its flags first and then imports
 the modules it runs: ``capacity`` and ``rq`` load
-:mod:`misobc.capacity` (with :mod:`misobc.core`, :mod:`misobc.oracles`
-and NumPy), ``region`` and ``gap`` add :mod:`misobc.regions` (``region``
-once its estimate has returned), and
+:mod:`misobc.capacity` (with :mod:`misobc.config`, :mod:`misobc.core`,
+:mod:`misobc.oracles` and NumPy), ``region`` and ``gap`` add
+:mod:`misobc.regions` (``region`` once its estimate has returned), and
 ``simulate`` loads :mod:`misobc.scheme` (with :mod:`misobc.core`,
 :mod:`misobc.quantizer` and NumPy, but not :mod:`misobc.capacity`).
 These commands load no NumPy: every ``rd`` mode loads only the
 standard-library :mod:`misobc.rd`, and ``rd --mode wyner
 --gain-rayleigh`` adds the standard-library :mod:`misobc.oracles`;
-``gap`` refuses a
-distortion below the certified floor before it loads anything,
-``region`` likewise refuses a power that is not finite and positive,
-and ``simulate`` checks its run parameters and refuses an infeasible
-phase 3 with the standard-library :mod:`misobc.config` alone.  A request
+``gap`` refuses a distortion below the certified floor before it loads
+anything, ``region`` likewise refuses a power that is not finite and
+positive, and an output directory it cannot make, and ``simulate``
+checks its run parameters and refuses an infeasible phase 3 with the
+standard-library :mod:`misobc.config` alone.  A request
 too large to allocate exits 3 with one ``error:`` line, as a domain
 abort does.
 
 ``run`` is the process entry, of the ``misobc`` script and of
-``python -m misobc.cli``: it runs ``main`` and freezes the collector
-before the process exits, so the exit skips collecting what the imports
-made.  ``main(argv)`` has no process-level effect and runs in process.
+``python -m misobc.cli``.  Unless ``secrets`` is already loaded, it first
+registers a ``secrets`` module that holds only ``randbits``, bound to
+``random.SystemRandom().getrandbits`` as the standard module binds it:
+that is the one name ``numpy.random`` imports from ``secrets``, and the
+standard module would load OpenSSL through ``hmac`` to seed generators
+built without a seed, which no misobc stream is.  It then runs ``main``
+and freezes the collector before the process exits, so the exit skips
+collecting what the imports made.  ``main(argv)`` is unchanged by
+either, has no process-level effect and runs in process.
 
 The estimator runs one thread per usable CPU, never more than there are
 sample blocks, and its results do not depend on the count, so no command
@@ -228,23 +234,34 @@ def cmd_region(args) -> int:
     if not 0.0 < args.power < math.inf:
         raise ValueError(f"region needs a finite, strictly positive power, "
                          f"got --power {args.power:g}")
-    from . import capacity
-    from .capacity import PowerGrid
+    mc = _mc_from(args)
+    # an unusable output directory fails here, before the estimate costs
+    # anything; the directories this run made are removed if it then ends
+    # with exit 2 or 3
+    outdir = Path(args.output_dir)
+    created = [p for p in (outdir, *outdir.parents) if not p.exists()]
+    try:
+        outdir.mkdir(parents=True, exist_ok=True)
+        from . import capacity
+        from .capacity import PowerGrid
 
-    (point,) = capacity.estimate(("c21", "c22d"), PowerGrid.single(args.power), _mc_from(args),
-                                 args.distortion)
-    # the region algebra loads only once the estimate has returned and freed
-    # its scratch arrays, so the process never holds both at once
-    from . import regions
+        (point,) = capacity.estimate(("c21", "c22d"), PowerGrid.single(args.power), mc,
+                                     args.distortion)
+        # the region algebra loads only once the estimate has returned and
+        # freed its scratch arrays, so the process never holds both at once
+        from . import regions
 
-    c21e, c22de = point.estimates
-    outer = regions.outer_region(c21e.value)
-    inner = regions.achievable_region(c21e.value, c22de.value)
-    corners = regions.corner_points(inner)
+        c21e, c22de = point.estimates
+        outer = regions.outer_region(c21e.value)
+        inner = regions.achievable_region(c21e.value, c22de.value)
+        corners = regions.corner_points(inner)
+    except (ValueError, OSError, MemoryError):  # what main reports with exit 2 or 3
+        for path in created:  # deepest first
+            if path.is_dir():
+                path.rmdir()
+        raise
 
     echo = _echo_line(_config(args))
-    outdir = Path(args.output_dir)
-    outdir.mkdir(parents=True, exist_ok=True)
     targets = {
         "outer_vertices.csv": lambda fp: regions.write_vertices_csv(outer, fp),
         "achievable_vertices.csv": lambda fp: regions.write_vertices_csv(inner, fp),
@@ -495,6 +512,15 @@ def run() -> None:
     """The process entry, of ``misobc`` and ``python -m misobc.cli``: run
     ``main`` on the process arguments and exit with its code.
 
+    Unless ``secrets`` is already loaded, a ``secrets`` module holding only
+    ``randbits`` is registered first, so that ``import numpy.random``, which
+    imports that one name, loads no OpenSSL (``hmac``, ``hashlib`` and
+    ``_hashlib``, about 3.7 MB resident).  ``randbits`` is the callable the
+    standard module binds, ``random.SystemRandom().getrandbits``, so a
+    generator built without a seed still draws OS entropy; every misobc
+    stream is seeded, so no output changes.  A process that has loaded
+    the real module keeps it.
+
     Before the process exits, the collector is frozen, also when argparse
     exits from inside ``main``, so the interpreter's exit-time collections
     skip every object the imports made; the OS frees them.  Nothing relies
@@ -503,6 +529,13 @@ def run() -> None:
     way, and the interpreter flushes stdout and stderr regardless.
     ``main`` itself has no process-level effect, so it can run in process.
     """
+    if "secrets" not in sys.modules:
+        import random
+        import types
+
+        stub = types.ModuleType("secrets", "randbits alone, as the standard module binds it")
+        stub.randbits = random.SystemRandom().getrandbits
+        sys.modules["secrets"] = stub
     try:
         code = main()
     finally:

@@ -247,6 +247,21 @@ def test_region_refuses_a_power_without_a_region(capsys, tmp_path, power):
     assert not outdir.exists()
 
 
+def test_region_failing_estimate_leaves_no_new_directory(capsys, tmp_path):
+    # the output directory is made before the estimate, and the directories
+    # this run made are removed when the estimate aborts; one it found stays
+    kept = tmp_path / "kept"
+    kept.mkdir()
+    for outdir in (tmp_path / "made" / "by" / "run", kept):
+        code, out, err = run(capsys, ["region", "--power", "1e160",
+                                      "--output-dir", str(outdir), *FAST])
+        assert code == 3
+        assert out == ""
+        assert err.startswith("error: c22d is not finite at P = 1e+160")
+        assert list(tmp_path.iterdir()) == [kept]
+        assert list(kept.iterdir()) == []
+
+
 def test_gap_guards_small_distortion(capsys):
     code, out, err = run(capsys, ["gap", "--distortion", "3", "--power", "1", *FAST])
     assert code == 3
@@ -667,8 +682,10 @@ with open(sys.argv[1], "w") as fp:
 """
 
 SMALL = ["--samples", "2000", "--seed", "9"]
-NUMERIC = ("misobc.core", "misobc.capacity")
-NO_NUMPY = ("numpy", *NUMERIC, "misobc.regions", "misobc.scheme")
+NUMERIC = ("misobc.config", "misobc.core", "misobc.capacity")
+NO_NUMPY = ("numpy", "misobc.core", "misobc.capacity", "misobc.regions", "misobc.scheme")
+# what the standard secrets module loads; only numpy.random imports it
+OPENSSL = ("secrets", "hmac", "_hashlib")
 
 
 @pytest.mark.parametrize("argv, code, loaded, unloaded", [
@@ -696,6 +713,11 @@ NO_NUMPY = ("numpy", *NUMERIC, "misobc.regions", "misobc.scheme")
     pytest.param(["gap", "--power", "10", *SMALL], 0,
                  NUMERIC + ("misobc.regions",), ("misobc.scheme",), id="gap"),
     pytest.param(["region", "--power", "0", *SMALL], 3, (), NO_NUMPY, id="region_zero_power"),
+    # an output directory that cannot be made is refused before the estimate
+    pytest.param(["region", "--power", "10", "--output-dir", os.devnull, *SMALL], 2,
+                 ("misobc.config",), NO_NUMPY, id="region_dir_is_a_file"),
+    pytest.param(["region", "--power", "10", "--output-dir", os.path.join(os.devnull, "out"),
+                  *SMALL], 2, ("misobc.config",), NO_NUMPY, id="region_dir_below_a_file"),
     *(pytest.param(["gap", "--distortion", d, "--power", "10", *SMALL], 3, (), NO_NUMPY,
                    id=f"gap_refused_{d}") for d in ("2", "nan", "-1")),
     pytest.param(["simulate", "--n", "8", "--power", "10", *SMALL], 0,
@@ -706,7 +728,10 @@ NO_NUMPY = ("numpy", *NUMERIC, "misobc.regions", "misobc.scheme")
 ])
 def test_startup_loads_only_what_the_command_runs(tmp_path, argv, code, loaded, unloaded):
     # a cold command pays for every module it imports; no command needs
-    # scipy, and none needs numpy to parse flags
+    # scipy, and none needs numpy to parse flags.  A command that loads no
+    # numpy loads no OpenSSL either, which keeps it at about 15 MB resident
+    if "numpy" in unloaded:
+        unloaded += OPENSSL
     src = str(Path(misobc.__file__).resolve().parents[1])
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(
         p for p in (src, os.environ.get("PYTHONPATH")) if p))
@@ -757,28 +782,39 @@ def test_region_estimates_before_it_loads_the_region_algebra(tmp_path):
 
 
 # Runs ``python -m misobc.cli`` as the process entry does, with the
-# arguments after the first, and writes the collector's freeze count at
-# exit to the file named by the first argument.
+# arguments after the second, having first imported the standard secrets
+# module if the second is "real".  At exit it writes to the file named by
+# the first: the collector's freeze count, the OpenSSL modules loaded, the
+# public names of the loaded secrets module, and, if numpy.random is
+# loaded, the entropy of two SeedSequences built without a seed.
 MAIN_PROBE = """
-import atexit, gc, runpy, sys
-report = sys.argv.pop(1)
+import atexit, gc, json, runpy, sys
+report, preload = sys.argv.pop(1), sys.argv.pop(1)
+if preload == "real":
+    import secrets
 
-def write_freeze_count():
+def write_report():
+    loaded = set(sys.modules)
+    entropy = None
+    if "numpy.random" in loaded:
+        from numpy.random import SeedSequence
+        entropy = [SeedSequence().entropy for _ in range(2)]
+    secrets = sys.modules.get("secrets")
     with open(report, "w") as fp:
-        fp.write(str(gc.get_freeze_count()))
+        json.dump({"frozen": gc.get_freeze_count(),
+                   "openssl": sorted(loaded & {"_hashlib", "hmac", "hashlib"}),
+                   "secrets": secrets and sorted(n for n in vars(secrets) if n[0] != "_"),
+                   "entropy": entropy}, fp)
 
-atexit.register(write_freeze_count)
+atexit.register(write_report)
 runpy.run_module("misobc.cli", run_name="__main__", alter_sys=True)
 """
 
 
-@pytest.mark.parametrize("argv", [
-    ["rd", "--mode", "waterfill", "--sigma2-list", "1,4,9", "--budget", "1"],
-    ["simulate", "--n", "8", "--power", "0.1", *SMALL],
-    ["capacity", "--no-such-flag"],
-], ids=["ok", "abort", "argparse_exit"])
-def test_process_entry_runs_main_and_freezes_the_collector(capsys, monkeypatch, tmp_path, argv):
-    monkeypatch.delenv(cli.SEED_ENV, raising=False)
+def entry_and_main(capsys, tmp_path, argv, preload=""):
+    """Run ``argv`` through the process entry in a child started in
+    ``tmp_path`` and through ``main`` in process; return the child's exit
+    code and stdout, main's, and the probe's report."""
     try:
         code = cli.main(argv)
     except SystemExit as stop:
@@ -787,12 +823,49 @@ def test_process_entry_runs_main_and_freezes_the_collector(capsys, monkeypatch, 
     src = str(Path(misobc.__file__).resolve().parents[1])
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(
         p for p in (src, os.environ.get("PYTHONPATH")) if p))
-    report = tmp_path / "frozen.txt"
-    proc = subprocess.run([sys.executable, "-c", MAIN_PROBE, str(report), *argv],
+    report = tmp_path / "entry.json"
+    proc = subprocess.run([sys.executable, "-c", MAIN_PROBE, str(report), preload, *argv],
                           capture_output=True, cwd=tmp_path, env=env, timeout=120)
-    assert (proc.returncode, proc.stdout.decode()) == (code, expected)
+    return (proc.returncode, proc.stdout.decode()), (code, expected), json.loads(report.read_text())
+
+
+@pytest.mark.parametrize("argv, draws", [
+    (["rd", "--mode", "waterfill", "--sigma2-list", "1,4,9", "--budget", "1"], False),
+    (["simulate", "--n", "8", "--power", "0.1", *SMALL], False),
+    (["capacity", "--no-such-flag"], False),
+    (["capacity", "--quantity", "c21", "--power", "10", *SMALL], True),
+    (["rq", "--power", "10", *SMALL], True),
+    (["region", "--power", "10", *SMALL], True),
+    (["gap", "--power", "10", *SMALL], True),
+    (["simulate", "--n", "8", "--power", "10", *SMALL], True),
+], ids=["ok", "abort", "argparse_exit", "capacity", "rq", "region", "gap", "simulate"])
+def test_process_entry_runs_main_and_freezes_the_collector(capsys, monkeypatch, tmp_path, argv,
+                                                           draws):
+    monkeypatch.delenv(cli.SEED_ENV, raising=False)
+    monkeypatch.chdir(tmp_path)  # region writes where the child does, and names the same paths
+    entry, in_process, report = entry_and_main(capsys, tmp_path, argv)
+    assert entry == in_process
     # every object alive when main returned sits in the permanent generation
-    assert int(report.read_text()) > 1000
+    assert report["frozen"] > 1000
+    # the entry's secrets holds randbits alone, and nothing loaded OpenSSL
+    assert report["secrets"] == ["randbits"]
+    assert report["openssl"] == []
+    # a generator built without a seed still draws fresh OS entropy
+    if draws:
+        first, second = report["entropy"]
+        assert first != second
+    else:
+        assert report["entropy"] is None
+
+
+def test_process_entry_keeps_a_loaded_secrets_module(capsys, monkeypatch, tmp_path):
+    monkeypatch.delenv(cli.SEED_ENV, raising=False)
+    argv = ["capacity", "--quantity", "c21", "--power", "10", *SMALL]
+    entry, in_process, report = entry_and_main(capsys, tmp_path, argv, preload="real")
+    assert entry == in_process
+    assert {"randbits", "token_hex", "SystemRandom"} <= set(report["secrets"])
+    first, second = report["entropy"]
+    assert first != second
 
 
 def test_console_script_is_the_process_entry():

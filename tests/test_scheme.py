@@ -1,14 +1,19 @@
 """Three-phase scheme simulation: signals, quantized forwarding, accounting."""
 
+import ast
 import hashlib
 import io
 import json
 import math
+import os
 import struct
+import subprocess
+import sys
 import threading
 import tracemalloc
 import warnings
 from dataclasses import fields
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -145,12 +150,27 @@ FROZEN_RUNS = {
 }
 
 
+# The same runs where NumPy runs float64 log1p in its libm loop (no X86_V4):
+# one MI stderr bit at n = 64 moves.  Taken with glibc 2.36 on an X86_V4
+# host with NPY_DISABLE_CPU_FEATURES="AVX512_SPR AVX512_ICL X86_V4"; libm's
+# bits can change with the glibc version
+FROZEN_RUNS_LIBM = {
+    **FROZEN_RUNS,
+    (64, 1.0): (
+        FROZEN_RUNS[64, 1.0][0],
+        [("0x1.1f0ce46fb09a4p+0", "0x1.df801ff7ee79bp-8"),
+         ("0x1.20bb037fcf3fep+0", "0x1.e261eb0102ce1p-8")],
+        *FROZEN_RUNS[64, 1.0][2:],
+    ),
+}
+
+
 # FROZEN_RUNS was taken where NumPy runs float64 log1p (the log-det kernel's)
 # in its X86_V4 (AVX-512) loop; its libm loop, which runs without X86_V4,
-# moves the last bit on some inputs, so a mismatch says whether this host
-# has the target
+# moves the last bit on some inputs, so the target NumPy reports chooses the
+# table and a mismatch says which table was checked
 _UMATH = (getattr(np, "_core", None) or np.core)._multiarray_umath  # np.core before NumPy 2
-X86_V4 = f"X86_V4 = {_UMATH.__cpu_features__.get('X86_V4')}"
+HAS_X86_V4 = bool(_UMATH.__cpu_features__.get("X86_V4"))
 
 
 def _bits(t):
@@ -162,6 +182,12 @@ def _bits(t):
             [(e.value.hex(), e.stderr.hex()) for e in (t.mi.user1, t.mi.user2)],
             [t.reference[q].hex() for q in ("c21", "c22d", "rq")],
             hashlib.sha256(buf.getvalue()).hexdigest())
+
+
+def run_bits():
+    """``_bits`` of the run at seed 29 for each key of FROZEN_RUNS."""
+    return {(n, power): _bits(scheme.run_scheme(SchemeConfig(n=n, power=power, seed=29)))
+            for n, power in FROZEN_RUNS}
 
 
 @pytest.mark.parametrize("cpus", [None, 1, 2])
@@ -178,13 +204,41 @@ def test_run_matches_frozen_bits(monkeypatch, cpus):
             return real_pool(workers)
 
         monkeypatch.setattr(core, "ThreadPoolExecutor", recording_pool)
-    for (n, power), frozen in FROZEN_RUNS.items():
-        cfg = SchemeConfig(n=n, power=power, seed=29)
-        t = scheme.run_scheme(cfg)
-        assert _bits(t) == frozen, (n, power, X86_V4)
+    frozen = FROZEN_RUNS if HAS_X86_V4 else FROZEN_RUNS_LIBM
+    for key, bits in run_bits().items():
+        assert bits == frozen[key], (*key, f"X86_V4 = {HAS_X86_V4}")
     if cpus == 2:
         # one two-thread pool per run for the phases; the reference draws nothing
         assert pools == [2] * len(FROZEN_RUNS)
+
+
+# Prints whether NumPy reports X86_V4, the estimator's frozen figures and
+# the frozen runs' bits, computed in one interpreter.
+LOG1P_PROBE = """
+from test_capacity import HAS_X86_V4, frozen_bits
+from test_scheme import run_bits
+print(repr((HAS_X86_V4, frozen_bits(2), run_bits())))
+"""
+
+
+@pytest.mark.skipif(not HAS_X86_V4, reason="without X86_V4 the frozen-bit tests check "
+                                           "the libm tables in process")
+def test_libm_log1p_loop_matches_its_frozen_tables():
+    # with NumPy's AVX-512 dispatch turned off, a child runs the libm log1p
+    # loop, so an X86_V4 host checks both tables
+    from test_capacity import assert_frozen
+
+    tests = str(Path(__file__).parent)
+    src = str(Path(scheme.__file__).resolve().parents[1])
+    env = dict(os.environ, NPY_DISABLE_CPU_FEATURES="AVX512_SPR AVX512_ICL X86_V4",
+               PYTHONPATH=os.pathsep.join(
+                   p for p in (src, tests, os.environ.get("PYTHONPATH")) if p))
+    done = subprocess.run([sys.executable, "-c", LOG1P_PROBE], capture_output=True, text=True,
+                          env=env, check=True, timeout=120)
+    x86_v4, estimator, runs = ast.literal_eval(done.stdout)
+    assert not x86_v4
+    assert_frozen(estimator, x86_v4=False)
+    assert runs == FROZEN_RUNS_LIBM
 
 
 def test_run_scheme_memory_is_bounded(monkeypatch):

@@ -1,4 +1,5 @@
-"""The code-line counter in tools/, which the design gates quote."""
+"""The scripts in tools/: the code-line counter that the design gates quote,
+and the cold-start timer."""
 
 import importlib.util
 from pathlib import Path
@@ -38,3 +39,17 @@ that is not a docstring"""
     assert code_lines.code_lines(source) == 7
     code_lines.main([str(tmp_path)])
     assert capsys.readouterr().out.split() == ["m.py", "7", "total", "7"]
+
+
+def test_cold_start_times_a_light_command_on_two_trees(capsys):
+    command = "rd --mode waterfill --const-sigma2 4 --budget 1"
+    tree = str(TOOLS.parent)
+    load("cold_start").main(["--runs", "2", "--tree", tree, "--tree", tree,
+                             "--command", command])
+    head, rule, row = capsys.readouterr().out.splitlines()
+    assert head.count(f"MB ({tree})") == 2 and rule.count("---") == 7
+    cells = [cell.strip() for cell in row.strip("|").split("|")]
+    assert cells[0] == f"`{command}`"
+    for exits, ms, mb in (cells[1:4], cells[4:7]):
+        # an interpreter start and the standard library: tens of ms and MB
+        assert exits == "0" and float(ms) > 0.0 and 1.0 < float(mb) < 100.0
