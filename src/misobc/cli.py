@@ -7,8 +7,15 @@ subcommand.  ``_emit`` writes each CSV or JSON result with that echo.
 Exit codes are stable: 0 success, 2 usage error, 3 numerical or domain
 abort, 4 opt-in assertion failure.
 
-The default seed can be overridden with the MISOBC_SEED environment
-variable (decimal or 0x-prefixed hex).
+The seed comes from ``--seed`` alone, default ``misobc.DEFAULT_SEED``.
+
+Every command that writes files makes them before it computes, through
+``_outputs``: after its flag checks and before it imports
+:mod:`misobc.capacity`, :mod:`misobc.regions` or :mod:`misobc.scheme`,
+it makes its output directory and creates each missing output file, so
+an unwritable path exits 2 before any draw.  An existing file is kept as
+it is until the command writes it, and whatever the run made is removed
+again if it ends with exit 2 or 3.
 
 Importing this module loads no NumPy: the parser reads its defaults from
 the package, so a usage error or ``--help`` costs an interpreter start
@@ -22,12 +29,13 @@ the modules it runs: ``capacity`` and ``rq`` load
 These commands load no NumPy: every ``rd`` mode loads only the
 standard-library :mod:`misobc.rd`, and ``rd --mode wyner
 --gain-rayleigh`` adds the standard-library :mod:`misobc.oracles`;
-``gap`` refuses a distortion below the certified floor before it loads
-anything, ``region`` likewise refuses a power that is not finite and
-positive, and an output directory it cannot make, and ``simulate``
-checks its run parameters and refuses an infeasible phase 3 with the
-standard-library :mod:`misobc.config` alone.  A request
-too large to allocate exits 3 with one ``error:`` line, as a domain
+``gap`` refuses a distortion below the certified floor, ``region`` a
+power that is not finite and positive, and ``capacity``, ``rq``, ``gap``
+and ``rd`` an output path they cannot write, before they load anything;
+``region`` refuses an output directory or file it cannot make, and
+``simulate`` checks its run parameters and output paths and refuses an
+infeasible phase 3, with the standard-library :mod:`misobc.config`
+alone.  A request too large to allocate exits 3 with one ``error:`` line, as a domain
 abort does.
 
 ``run`` is the process entry, of the ``misobc`` script and of
@@ -55,7 +63,6 @@ import argparse
 import gc
 import json
 import math
-import os
 import sys
 from contextlib import contextmanager
 from pathlib import Path
@@ -81,21 +88,9 @@ EXIT_USAGE = 2
 EXIT_NUMERIC = 3
 EXIT_ASSERT = 4
 
-SEED_ENV = "MISOBC_SEED"
-
 
 class UsageError(Exception):
     """Flag combination that the parser alone cannot reject."""
-
-
-def _default_seed() -> int:
-    raw = os.environ.get(SEED_ENV)
-    if raw is None:
-        return DEFAULT_SEED
-    try:
-        return int(raw, 0)
-    except ValueError as err:
-        raise ValueError(f"{SEED_ENV} must be an integer, got {raw!r}") from err
 
 
 def _parse_seed(text: str) -> int:
@@ -111,15 +106,33 @@ def _open_out(path):
             yield fp
 
 
-def _touch(path) -> bool:
-    """Check that ``path`` can be written without truncating it: create it
-    if it is missing, and say whether this call created it."""
+@contextmanager
+def _outputs(files=(), directory=None):
+    """Make a command's outputs before it computes: ``directory``, a Path,
+    with its missing parents, then each missing file of ``files`` (``None``
+    and ``"-"``, stdout, are skipped; an existing file is kept as it is).
+    If the command then ends with exit 2 or 3, what this made is removed:
+    files first, then directories, deepest first."""
+    dirs, made = [], []
     try:
-        open(path, "xb").close()
-    except FileExistsError:
-        open(path, "ab").close()
-        return False
-    return True
+        if directory is not None:
+            dirs = [p for p in (directory, *directory.parents) if not p.exists()]
+            directory.mkdir(parents=True, exist_ok=True)
+        for path in files:
+            if path not in (None, "-"):
+                try:
+                    open(path, "xb").close()
+                    made.append(path)
+                except FileExistsError:
+                    open(path, "ab").close()
+        yield
+    except (UsageError, ValueError, OSError, MemoryError):  # what main reports with exit 2 or 3
+        for path in made:
+            Path(path).unlink(missing_ok=True)
+        for path in dirs:
+            if path.is_dir():
+                path.rmdir()
+        raise
 
 
 def _config(args) -> dict:
@@ -181,9 +194,8 @@ def _mc_from(args) -> MCConfig:
 def _add_mc_flags(p: argparse.ArgumentParser) -> None:
     p.add_argument("--samples", type=int, default=DEFAULT_SAMPLES,
                    help="Monte Carlo samples (default 10^6)")
-    p.add_argument("--seed", type=_parse_seed, default=_default_seed(),
-                   help=f"master seed (default 0x{DEFAULT_SEED:X}, "
-                        f"env {SEED_ENV} overrides)")
+    p.add_argument("--seed", type=_parse_seed, default=DEFAULT_SEED,
+                   help=f"master seed (default 0x{DEFAULT_SEED:X})")
 
 
 def _add_grid_flags(p: argparse.ArgumentParser) -> None:
@@ -206,26 +218,27 @@ def _add_output_flags(p: argparse.ArgumentParser) -> None:
 
 
 def cmd_capacity(args) -> int:
-    from . import capacity
-
     if args.quantity == "c21" and args.distortion is not None:
         raise UsageError("c21 takes no --distortion")
     if args.quantity == "c22d" and args.distortion is None:
         raise UsageError("c22d needs --distortion")
-    table = capacity.sweep(args.quantity, _grid_from(args), _mc_from(args),
-                           distortion=args.distortion)
-    _emit(args, table.to_csv, {"rows": table.to_json()})
+    with _outputs([args.output]):
+        from . import capacity
+
+        table = capacity.sweep(args.quantity, _grid_from(args), _mc_from(args),
+                               distortion=args.distortion)
+        _emit(args, table.to_csv, {"rows": table.to_json()})
     return EXIT_OK
 
 
 def cmd_rq(args) -> int:
-    from . import capacity
-
-    grid, mc = _grid_from(args), _mc_from(args)
     if args.workers < 1:  # checked and echoed, but the estimator sets its own thread count
         raise ValueError("workers must be at least 1")
-    table = capacity.ratio_sweep(args.distortion, grid, mc)
-    _emit(args, table.to_csv, {"rows": table.to_json()})
+    with _outputs([args.output]):
+        from . import capacity
+
+        table = capacity.ratio_sweep(args.distortion, _grid_from(args), _mc_from(args))
+        _emit(args, table.to_csv, {"rows": table.to_json()})
     return _assert_rows(table.rows, "ratio", 1.0) if args.assert_le_one else EXIT_OK
 
 
@@ -235,13 +248,10 @@ def cmd_region(args) -> int:
         raise ValueError(f"region needs a finite, strictly positive power, "
                          f"got --power {args.power:g}")
     mc = _mc_from(args)
-    # an unusable output directory fails here, before the estimate costs
-    # anything; the directories this run made are removed if it then ends
-    # with exit 2 or 3
     outdir = Path(args.output_dir)
-    created = [p for p in (outdir, *outdir.parents) if not p.exists()]
-    try:
-        outdir.mkdir(parents=True, exist_ok=True)
+    paths = [outdir / name
+             for name in ("outer_vertices.csv", "achievable_vertices.csv", "corners.csv")]
+    with _outputs(paths, outdir):
         from . import capacity
         from .capacity import PowerGrid
 
@@ -255,28 +265,20 @@ def cmd_region(args) -> int:
         outer = regions.outer_region(c21e.value)
         inner = regions.achievable_region(c21e.value, c22de.value)
         corners = regions.corner_points(inner)
-    except (ValueError, OSError, MemoryError):  # what main reports with exit 2 or 3
-        for path in created:  # deepest first
-            if path.is_dir():
-                path.rmdir()
-        raise
-
-    echo = _echo_line(_config(args))
-    targets = {
-        "outer_vertices.csv": lambda fp: regions.write_vertices_csv(outer, fp),
-        "achievable_vertices.csv": lambda fp: regions.write_vertices_csv(inner, fp),
-        "corners.csv": lambda fp: regions.write_corners_csv(corners, fp),
-    }
-    for name, writer in targets.items():
-        with open(outdir / name, "w", encoding="utf-8", newline="\n") as fp:
-            fp.write(echo)
-            writer(fp)
+        echo = _echo_line(_config(args))
+        writers = (lambda fp: regions.write_vertices_csv(outer, fp),
+                   lambda fp: regions.write_vertices_csv(inner, fp),
+                   lambda fp: regions.write_corners_csv(corners, fp))
+        for path, writer in zip(paths, writers):
+            with open(path, "w", encoding="utf-8", newline="\n") as fp:
+                fp.write(echo)
+                writer(fp)
     print(f"c21 = {_fmt(c21e.value)} (stderr {_fmt(c21e.stderr)})")
     print(f"c22d = {_fmt(c22de.value)} (stderr {_fmt(c22de.stderr)})")
     sx, sy = corners.symmetric
     print(f"symmetric corner A = ({_fmt(sx)}, {_fmt(sy)})")
-    for name in targets:
-        print(f"wrote {outdir / name}")
+    for path in paths:
+        print(f"wrote {path}")
     return EXIT_OK
 
 
@@ -284,23 +286,20 @@ def cmd_gap(args) -> int:
     # the refusal costs no NumPy, and names the flag that overrides it
     check_gap_distortion(args.distortion, args.allow_small_distortion,
                          "--allow-small-distortion")
-    from . import regions
+    with _outputs([args.output]):
+        from . import regions
 
-    report = regions.gap_sweep(
-        args.distortion,
-        _grid_from(args),
-        _mc_from(args),
-        allow_small_distortion=args.allow_small_distortion,
-    )
-    top = report.max_row()
-    peak = dict(P=top.power, tau=top.tau, tau_stderr=top.tau_stderr)
+        report = regions.gap_sweep(args.distortion, _grid_from(args), _mc_from(args),
+                                   allow_small_distortion=args.allow_small_distortion)
+        top = report.max_row()
+        peak = dict(P=top.power, tau=top.tau, tau_stderr=top.tau_stderr)
 
-    def write_csv(fp):
-        report.to_csv(fp)
-        fp.write("# max_tau: " + " ".join(f"{k}={_fmt(v)}" for k, v in peak.items()) + "\n")
+        def write_csv(fp):
+            report.to_csv(fp)
+            fp.write("# max_tau: " + " ".join(f"{k}={_fmt(v)}" for k, v in peak.items()) + "\n")
 
-    _emit(args, write_csv, {"rows": report.to_json(),
-                            "max_tau": {k: _round12(v) for k, v in peak.items()}})
+        _emit(args, write_csv, {"rows": report.to_json(),
+                                "max_tau": {k: _round12(v) for k, v in peak.items()}})
     return _assert_rows(report.rows, "tau", GAP_BOUND) if args.assert_theorem else EXIT_OK
 
 
@@ -317,14 +316,7 @@ def cmd_simulate(args) -> int:
     # --samples is checked as every command checks it, but no simulate stage
     # reads it: phase 3 is sized from closed forms
     _mc_from(args)
-    # an unwritable output path fails here, before the run costs anything;
-    # an existing file is kept until the run has succeeded, and a file this
-    # run created is removed if the run ends with exit 2 or 3
-    created = []
-    try:
-        for path in (None if args.output == "-" else args.output, args.dump):
-            if path is not None and _touch(path):
-                created.append(path)
+    with _outputs([args.output, args.dump]):
         # an infeasible phase 3 is refused from the closed forms, before NumPy loads
         size_phase_3(run_cfg)
         from . import scheme
@@ -336,10 +328,6 @@ def cmd_simulate(args) -> int:
         if args.dump is not None:
             with open(args.dump, "wb") as fp:
                 scheme.dump_transcript(transcript, fp)
-    except (ValueError, OSError, MemoryError):  # what main reports with exit 2 or 3
-        for path in created:
-            Path(path).unlink(missing_ok=True)
-        raise
     if args.assert_stats:
         problems = scheme.check_stats(transcript)
         if problems:
@@ -370,21 +358,21 @@ def cmd_rd(args) -> int:
     if args.mode in ("waterfill", "suboptimal"):
         if args.const_sigma2 is None and args.sigma2_list is None:
             raise UsageError("waterfill/suboptimal need --const-sigma2 or --sigma2-list")
-        variances = _rd_variances(args)
-        from . import rd
-
-        fn = rd.rd_reverse_waterfill if args.mode == "waterfill" else rd.rd_suboptimal
-        rate = fn(variances, args.budget)
+        rate_args = (_rd_variances(args), args.budget)
     else:
         if args.sigx2 is None or args.sigu2 is None:
             raise UsageError("wyner mode needs --sigx2 and --sigu2")
         if args.gain_const is None and not args.gain_rayleigh:
             raise UsageError("wyner mode needs --gain-const or --gain-rayleigh")
+        # no --gain-const means --gain-rayleigh, whose gain the rate takes as None
+        rate_args = (args.sigx2, args.sigu2, args.budget, args.gain_const)
+    with _outputs([args.output]):
         from . import rd
 
-        # no --gain-const means --gain-rayleigh, whose gain the rate takes as None
-        rate = rd.ergodic_wyner_rate(args.sigx2, args.sigu2, args.budget, args.gain_const)
-    _emit(args, lambda fp: fp.write(_fmt(rate) + "\n"), {"rate": _round12(rate)})
+        fn = {"waterfill": rd.rd_reverse_waterfill, "suboptimal": rd.rd_suboptimal,
+              "wyner": rd.ergodic_wyner_rate}[args.mode]
+        rate = fn(*rate_args)
+        _emit(args, lambda fp: fp.write(_fmt(rate) + "\n"), {"rate": _round12(rate)})
     return EXIT_OK
 
 
@@ -449,7 +437,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--samples", type=int, default=DEFAULT_SAMPLES,
                    help="accepted, checked and echoed, but unused: the reference "
                         "rates are exact")
-    p.add_argument("--seed", type=_parse_seed, default=_default_seed())
+    p.add_argument("--seed", type=_parse_seed, default=DEFAULT_SEED)
     p.add_argument("--assert-stats", action="store_true",
                    help="exit 4 if noise/correlation invariants fail")
     p.add_argument("--dump", default=None,
@@ -477,7 +465,7 @@ def build_parser() -> argparse.ArgumentParser:
     # accepted and echoed in every mode, but every rd rate is a closed form
     p.add_argument("--samples", type=int, default=DEFAULT_SAMPLES,
                    help="accepted, checked by nothing and echoed; unused")
-    p.add_argument("--seed", type=_parse_seed, default=_default_seed(),
+    p.add_argument("--seed", type=_parse_seed, default=DEFAULT_SEED,
                    help="accepted, checked by nothing and echoed; unused")
     _add_output_flags(p)
     p.set_defaults(func=cmd_rd)
@@ -486,13 +474,7 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
-    try:
-        parser = build_parser()
-    except ValueError as err:
-        # a malformed MISOBC_SEED surfaces while defaults are resolved
-        print(f"usage error: {err}", file=sys.stderr)
-        return EXIT_USAGE
-    args = parser.parse_args(argv)
+    args = build_parser().parse_args(argv)
     try:
         return args.func(args)
     except UsageError as err:

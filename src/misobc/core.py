@@ -43,7 +43,7 @@ from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 
-from . import LN2, DomainError, _real  # noqa: F401  (re-exported: misobc.core.DomainError)
+from . import LN2, DomainError, _integer, _real  # noqa: F401  (re-exported: misobc.core.DomainError)
 
 
 @enum.unique  # a repeated value fails the import: two consumers would draw the same numbers
@@ -123,14 +123,16 @@ def sample_cn01(rng: np.random.Generator, size=None, *, out=None, scale=None) ->
 
     Real and imaginary parts are independent N(0, 1/2), so E|z|^2 = 1;
     ``scale``, if given, multiplies every draw.  Returns an ndarray of the
-    requested shape (0-d for size=None).  As in NumPy's
+    requested shape: 0-d for size=None, else ``size``, a tuple or an integer
+    as ``misobc._integer`` takes it.  As in NumPy's
     ``standard_normal``, ``out`` is a C-contiguous complex128 array that
     is filled and returned, and ``size`` is then omitted or equal to
     ``out.shape``.  The normal pairs are drawn and scaled in the array's
     real and imaginary parts, so there are no temporaries and the bits do
     not depend on who allocated the array.
     """
-    shape = () if size is None else (size if isinstance(size, tuple) else (int(size),))
+    shape = () if size is None else (size if isinstance(size, tuple)
+                                     else (_integer(size, "size must be an integer"),))
     if out is None:
         out = np.empty(shape, dtype=np.complex128)
     elif not (isinstance(out, np.ndarray) and out.dtype == np.complex128

@@ -21,7 +21,7 @@ import struct
 
 import numpy as np
 
-from . import DomainError, _real, _seed, core
+from . import DomainError, _integer, _real, _seed, core
 
 _MAGIC = b"DLQ1"
 _HEADER = struct.Struct("<4sdI")
@@ -154,8 +154,12 @@ def parse_indices(data, offset: int = 0) -> tuple[float, np.ndarray]:
 
     ``data`` is any bytes-like object.  The indices are the stored
     little-endian int32 pairs as an (n, 2) view of ``data``, not a copy,
-    read-only when ``data`` is.
+    read-only when ``data`` is.  ``offset`` is a non-negative integer as
+    ``misobc._integer`` takes it.
     """
+    offset = _integer(offset, "offset must be an integer")
+    if offset < 0:
+        raise ValueError(f"offset must be non-negative, got {offset}")
     size = len(data) - offset
     if size < _HEADER.size:
         raise ValueError("truncated header")

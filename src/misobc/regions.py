@@ -104,7 +104,13 @@ class RateRegion:
     constraints: tuple[HalfPlane, ...]
 
     def __post_init__(self):
-        cons = tuple(self.constraints)
+        try:
+            cons = tuple(self.constraints)
+        except TypeError:
+            cons = None
+        if cons is None or not all(isinstance(h, HalfPlane) for h in cons):
+            raise ValueError(f"constraints must be an iterable of HalfPlane, "
+                             f"got {self.constraints!r}")
         if not cons:
             raise ValueError("need at least one constraint")
         if not any(h.a > 0.0 for h in cons) or not any(h.b > 0.0 for h in cons):

@@ -101,20 +101,44 @@ def test_argparse_rejections_exit_2():
     assert exc.value.code == 2
 
 
-@pytest.mark.parametrize("argv, flag", [
-    (["capacity", "--quantity", "c21", "--power", "10", *FAST], "--output"),
-    (["simulate", "--n", "8", "--power", "10", *FAST], "--dump"),
-    (["region", "--power", "10", *FAST], "--output-dir"),
-    (["simulate", "--n", "8", "--power", "10", *FAST], "--output"),
-])
-def test_unwritable_output_path_is_a_usage_error(capsys, tmp_path, argv, flag):
-    (tmp_path / "plain").write_text("")
-    target = tmp_path / "plain" / "out"  # below a regular file
-    code, out, err = run(capsys, argv + [flag, str(target)])
+def refuse_to_compute(monkeypatch):
+    """Make every entry point that computes a command's result raise
+    AssertionError, which main does not catch."""
+    def computed(*args, **kwargs):
+        raise AssertionError("computed before the outputs were made")
+
+    for module, name in ((capacity, "estimate"), (scheme, "run_scheme"),
+                         (rd, "rd_reverse_waterfill")):
+        monkeypatch.setattr(module, name, computed)
+
+
+@pytest.mark.parametrize("argv, flag, value, blamed", [
+    (["capacity", "--quantity", "c21", "--power", "10", *FAST], "--output", "plain/out", None),
+    (["simulate", "--n", "8", "--power", "10", *FAST], "--dump", "plain/out", None),
+    (["region", "--power", "10", *FAST], "--output-dir", "plain/out", None),
+    (["simulate", "--n", "8", "--power", "10", *FAST], "--output", "plain/out", None),
+    (["rq", "--power", "10", *FAST], "--output", "plain/out", None),
+    (["gap", "--power", "10", *FAST], "--output", "plain/out", None),
+    (["rd", "--mode", "waterfill", "--const-sigma2", "4", "--budget", "1"], "--output",
+     "plain/out", None),
+    # the directory exists, and its third file is a directory: the first two
+    # files are made, and removed again
+    (["region", "--power", "10", *FAST], "--output-dir", "kept", "kept/corners.csv"),
+], ids=["argv0---output", "argv1---dump", "argv2---output-dir", "argv3---output", "rq",
+        "gap", "rd", "region_file_is_a_directory"])
+def test_unwritable_output_path_is_a_usage_error(capsys, monkeypatch, tmp_path, argv, flag,
+                                                 value, blamed):
+    # refused before anything is computed, and nothing this run made is left
+    (tmp_path / "plain").write_text("")  # "plain/out" lies below a regular file
+    (tmp_path / "kept" / "corners.csv").mkdir(parents=True)
+    before = sorted(tmp_path.rglob("*"))
+    refuse_to_compute(monkeypatch)
+    code, out, err = run(capsys, argv + [flag, str(tmp_path / value)])
     assert code == 2
     assert out == ""  # simulate checks both outputs before it runs, so nothing is reported
-    assert err.startswith(f"usage error: cannot write {target}: ")
+    assert err.startswith(f"usage error: cannot write {tmp_path / (blamed or value)}: ")
     assert "Traceback" not in err
+    assert sorted(tmp_path.rglob("*")) == before
 
 
 def test_rq_ratio_below_one_at_certified_distortion(capsys):
@@ -318,11 +342,9 @@ def test_simulate_assert_stats_clean(capsys):
     assert err == ""
 
 
-def test_simulate_failing_assert_stats_exits_4_and_keeps_the_report(capsys, monkeypatch,
-                                                                     tmp_path):
+def test_simulate_failing_assert_stats_exits_4_and_keeps_the_report(capsys, tmp_path):
     # at n = 2 the grids are too small for the statistics to hold: one
     # stderr line per violated invariant, and the report is written anyway
-    monkeypatch.delenv(cli.SEED_ENV, raising=False)
     target = tmp_path / "report.json"
     code, out, err = run(capsys, ["simulate", "--n", "2", "--power", "10", "--assert-stats",
                                   "--output", str(target)])
@@ -401,6 +423,59 @@ def test_simulate_abort_removes_the_outputs_it_created(capsys, tmp_path, flags, 
     assert message in err
     assert [p.name for p in tmp_path.iterdir()] == ["plain"]
     assert (tmp_path / "plain").read_text() == ""
+
+
+def output_at_estimate(monkeypatch, target):
+    """Wrap capacity.estimate to note the bytes of ``target`` at each call,
+    and return the list of notes."""
+    seen, estimate = [], capacity.estimate
+
+    def noting_estimate(*args, **kwargs):
+        seen.append(target.read_bytes())
+        return estimate(*args, **kwargs)
+
+    monkeypatch.setattr(capacity, "estimate", noting_estimate)
+    return seen
+
+
+@pytest.mark.parametrize("argv", [
+    ["capacity", "--quantity", "c21"],
+    ["rq"],
+    ["gap"],
+], ids=lambda argv: argv[0])
+def test_sweep_abort_removes_the_output_it_made_and_keeps_an_existing_one(
+        capsys, monkeypatch, tmp_path, argv):
+    # the output exists while the estimate runs; when the estimate aborts
+    # (its error bar underflows), a file this run made is removed and an
+    # existing file keeps its bytes
+    target = tmp_path / "sweep.csv"
+    seen = output_at_estimate(monkeypatch, target)
+    argv = [*argv, "--power", "1e-300", "--samples", "1000", "--output", str(target)]
+    for earlier in (None, b"earlier sweep\n"):
+        if earlier is not None:
+            target.write_bytes(earlier)
+        seen.clear()
+        code, out, err = run(capsys, argv)
+        assert (code, out) == (3, "") and err.startswith("error: ")
+        assert seen == [earlier or b""]
+        assert [p.name for p in tmp_path.iterdir()] == ([] if earlier is None else ["sweep.csv"])
+    assert target.read_bytes() == b"earlier sweep\n"
+
+
+@pytest.mark.parametrize("argv", [
+    ["rq", "--distortion", "0.5", "--assert-le-one"],
+    ["gap", "--distortion", "50", "--assert-theorem"],
+], ids=lambda argv: argv[0])
+def test_failing_assertion_exits_4_and_keeps_the_output(capsys, monkeypatch, tmp_path, argv):
+    # the output is made before the estimate and written after it, whatever
+    # the assertion then finds
+    target = tmp_path / "sweep.csv"
+    seen = output_at_estimate(monkeypatch, target)
+    code, out, err = run(capsys, [*argv, "--power", "1000", *FAST, "--output", str(target)])
+    assert (code, out) == (4, "") and err.startswith("assertion failed: ")
+    assert seen == [b""]
+    text = target.read_text()
+    assert text.startswith("# config: ") and "1000" in text
 
 
 def test_rd_waterfill_single_source(capsys):
@@ -622,28 +697,6 @@ def test_rd_missing_mode_flags(capsys):
     assert code == 2
 
 
-def test_seed_env_var_sets_default(capsys, monkeypatch):
-    monkeypatch.setenv(cli.SEED_ENV, "123")
-    code, out, _ = run(capsys, ["capacity", "--quantity", "c21", "--power", "1",
-                                "--samples", "20000"])
-    assert code == 0
-    _, rows = parse_csv(out)
-    assert rows[0]["seed"] == "123"
-    monkeypatch.setenv(cli.SEED_ENV, "0x10")
-    code, out, _ = run(capsys, ["capacity", "--quantity", "c21", "--power", "1",
-                                "--samples", "20000"])
-    assert code == 0
-    _, rows = parse_csv(out)
-    assert rows[0]["seed"] == "16"
-
-
-def test_seed_env_var_rejected_cleanly(capsys, monkeypatch):
-    monkeypatch.setenv(cli.SEED_ENV, "not-a-seed")
-    code, _, err = run(capsys, ["capacity", "--quantity", "c21", "--power", "1"])
-    assert code == 2
-    assert "usage error" in err
-
-
 def test_shared_names_have_one_definition():
     assert misobc.DomainError is core.DomainError is capacity.DomainError is config.DomainError
     assert regions.DomainError is scheme.DomainError is misobc.DomainError
@@ -720,6 +773,13 @@ OPENSSL = ("secrets", "hmac", "_hashlib")
                   *SMALL], 2, ("misobc.config",), NO_NUMPY, id="region_dir_below_a_file"),
     *(pytest.param(["gap", "--distortion", d, "--power", "10", *SMALL], 3, (), NO_NUMPY,
                    id=f"gap_refused_{d}") for d in ("2", "nan", "-1")),
+    # an output path that cannot be written is refused before the sweep
+    # loads anything, as is a flag combination the parser cannot reject
+    *(pytest.param([*argv, "--power", "10", "--output", os.path.join(misobc.__file__, "out"),
+                    *SMALL], 2, (), NUMERIC + NO_NUMPY, id=f"{argv[0]}_output_below_a_file")
+      for argv in (["capacity", "--quantity", "c21"], ["rq"], ["gap"])),
+    pytest.param(["capacity", "--quantity", "c21", "--distortion", "4", "--power", "10", *SMALL],
+                 2, (), NUMERIC + NO_NUMPY, id="capacity_c21_distortion"),
     pytest.param(["simulate", "--n", "8", "--power", "10", *SMALL], 0,
                  ("misobc.config", "misobc.core", "misobc.scheme"),
                  ("misobc.capacity", "misobc.regions"), id="simulate"),
@@ -735,7 +795,6 @@ def test_startup_loads_only_what_the_command_runs(tmp_path, argv, code, loaded, 
     src = str(Path(misobc.__file__).resolve().parents[1])
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(
         p for p in (src, os.environ.get("PYTHONPATH")) if p))
-    env.pop(cli.SEED_ENV, None)
     report = tmp_path / "modules.json"
     subprocess.run([sys.executable, "-c", STARTUP_PROBE, str(report), *argv],
                    capture_output=True, cwd=tmp_path, env=env, check=True, timeout=120)
@@ -772,7 +831,6 @@ def test_region_estimates_before_it_loads_the_region_algebra(tmp_path):
     src = str(Path(misobc.__file__).resolve().parents[1])
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(
         p for p in (src, os.environ.get("PYTHONPATH")) if p))
-    env.pop(cli.SEED_ENV, None)
     report = tmp_path / "order.json"
     subprocess.run([sys.executable, "-c", ESTIMATE_ORDER_PROBE, str(report),
                     "region", "--power", "10", *SMALL],
@@ -841,7 +899,6 @@ def entry_and_main(capsys, tmp_path, argv, preload=""):
 ], ids=["ok", "abort", "argparse_exit", "capacity", "rq", "region", "gap", "simulate"])
 def test_process_entry_runs_main_and_freezes_the_collector(capsys, monkeypatch, tmp_path, argv,
                                                            draws):
-    monkeypatch.delenv(cli.SEED_ENV, raising=False)
     monkeypatch.chdir(tmp_path)  # region writes where the child does, and names the same paths
     entry, in_process, report = entry_and_main(capsys, tmp_path, argv)
     assert entry == in_process
@@ -858,8 +915,7 @@ def test_process_entry_runs_main_and_freezes_the_collector(capsys, monkeypatch, 
         assert report["entropy"] is None
 
 
-def test_process_entry_keeps_a_loaded_secrets_module(capsys, monkeypatch, tmp_path):
-    monkeypatch.delenv(cli.SEED_ENV, raising=False)
+def test_process_entry_keeps_a_loaded_secrets_module(capsys, tmp_path):
     argv = ["capacity", "--quantity", "c21", "--power", "10", *SMALL]
     entry, in_process, report = entry_and_main(capsys, tmp_path, argv, preload="real")
     assert entry == in_process
@@ -983,8 +1039,7 @@ GOLDEN_SHA256 = {
 
 
 @pytest.mark.parametrize("name", list(GOLDEN_SHA256))
-def test_golden_output(capsys, monkeypatch, tmp_path, name):
-    monkeypatch.delenv(cli.SEED_ENV, raising=False)
+def test_golden_output(capsys, tmp_path, name):
     argv, digest = GOLDEN_SHA256[name]
     out_dir = tmp_path / "out"
     out_dir.mkdir()
@@ -1002,10 +1057,10 @@ def test_golden_output(capsys, monkeypatch, tmp_path, name):
 # CPython 3.11 formats it: flags, defaults and help strings must not move
 HELP_SHA256 = {
     "": "935a68c298fbc4549b732806f03808a8b26560e167987debd72a1b0f8923296d",
-    "capacity": "1fae8566e3b84d8f2e22c186e8db54caaf54e9ee510de1bf91f3d9117515ad4f",
-    "rq": "7c10f8dfd623a6559da9c9d961e67feaf9fb5c9c07a7126917e3294c66a48891",
-    "region": "0768d95015a53cebf0ffa412987f8189ccbe8f8243ca3fcbca2a3595e5beba29",
-    "gap": "f7c0a53fb17d1e3a4fa926606b5ed9968e7e00383c287ee7b0327673e3aa0ae4",
+    "capacity": "1e11676c7050a75e7b0868a2e9220d1ff024d0cce6998aa8509a3422a86d5294",
+    "rq": "f618d9c2c8311c77de767f40611f572c042aa34de1a06a99ffa1fceedee85c0b",
+    "region": "6d341c193c96380512e92c01ee5b961b776a068e463243813dd30ebcca83ba91",
+    "gap": "abe206eee714993fa31b7545fdaa1e24c924439a0e377f61efe81a26c21922be",
     "simulate": "f3b5bdad46d5e3461de6adeae20a938c8994207265efeac8fd8083ef88d68541",
     "rd": "2216b1276609c05686cc1e6d91e0eeb0bc307f6e354eff743fe35d16c8efa81b",
 }
@@ -1014,7 +1069,6 @@ HELP_SHA256 = {
 @pytest.mark.parametrize("sub", list(HELP_SHA256), ids=lambda sub: sub or "top")
 def test_help_text_is_frozen(capsys, monkeypatch, sub):
     monkeypatch.setenv("COLUMNS", "80")
-    monkeypatch.delenv(cli.SEED_ENV, raising=False)
     with pytest.raises(SystemExit) as exc:
         cli.main([sub, "--help"] if sub else ["--help"])
     assert exc.value.code == 0
@@ -1058,7 +1112,6 @@ def drop_echo(text, key, value):
 def test_inert_flags_change_only_their_echo(capsys, monkeypatch, tmp_path, name):
     # two values give the same output but for the flag's echo key, and the
     # flag's help says it is unused
-    monkeypatch.delenv(cli.SEED_ENV, raising=False)
     argv, flag, values = INERT_FLAGS[name]
     outputs = []
     for value in values:

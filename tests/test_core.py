@@ -64,6 +64,15 @@ def test_sample_cn01_scalar_and_shapes():
     assert grid.dtype == np.complex128
 
 
+def test_sample_cn01_scalar_size_must_be_an_integer():
+    # as NumPy's standard_normal refuses 2.5, rather than drawing 2 values
+    rng = core.stream(9, 0)
+    assert core.sample_cn01(rng, np.int64(3)).shape == (3,)
+    for size in (2.5, "2", True):
+        with pytest.raises(ValueError, match=r"^size must be an integer, got "):
+            core.sample_cn01(rng, size)
+
+
 def test_sample_cn01_matches_complex_expression():
     # the in-place scaling must keep the bits of the complex expression it
     # replaced: numpy divides a complex number by a real one by scaling

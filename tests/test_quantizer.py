@@ -225,6 +225,18 @@ def test_index_stream_rejects_corruption():
             quantizer.parse_indices(quantizer._HEADER.pack(quantizer._MAGIC, step, 0))
 
 
+def test_parse_indices_offset_must_be_a_non_negative_integer():
+    blob = quantizer._HEADER.pack(quantizer._MAGIC, 1.0, 0)
+    step, q = quantizer.parse_indices(b"pad" + blob, np.int64(3))
+    assert step == 1.0 and q.shape == (0, 2)
+    for offset in (1.5, "0", True):
+        with pytest.raises(ValueError, match=r"^offset must be an integer, got "):
+            quantizer.parse_indices(blob, offset)
+    # a negative offset would read the header from the end of the data
+    with pytest.raises(ValueError, match=r"^offset must be non-negative, got -5$"):
+        quantizer.parse_indices(b"pad" + blob, -5)
+
+
 def test_index_stream_write_validation():
     buf = io.BytesIO()
     with pytest.raises(ValueError):

@@ -101,6 +101,15 @@ def test_region_requires_bounding_constraints():
         RateRegion(())
 
 
+@pytest.mark.parametrize("constraints", [5, ("a",), (HalfPlane(1.0, 1.0, 1.0), None)],
+                         ids=["not_iterable", "string", "none"])
+def test_region_constraints_must_be_half_planes(constraints):
+    # refused as PowerGrid refuses its points, not with a TypeError or an
+    # AttributeError from inside the vertex enumeration
+    with pytest.raises(ValueError, match=r"^constraints must be an iterable of HalfPlane, got "):
+        RateRegion(constraints)
+
+
 def test_outer_region_vertices():
     outer = regions.outer_region(3.0)
     assert outer.vertices == ((0.0, 0.0), (3.0, 0.0), (2.0, 2.0), (0.0, 3.0))
